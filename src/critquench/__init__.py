@@ -23,7 +23,6 @@ from .model import (
     CriticalExponents,
     ModelKind,
     ModelSpec,
-    effective_drive,
     gap,
     ground_state_energy,
     ground_state_moments,
@@ -43,7 +42,7 @@ from .moments import (
     observables_from_moments,
     steady_state_moments,
 )
-from .protocol import QuenchProtocol, coupling_at, impulse_boundary_exponent, linear_ramp
+from .protocol import QuenchProtocol, impulse_boundary_exponent, linear_ramp
 from .scaling import (
     PowerLawFit,
     Regime,
@@ -88,9 +87,7 @@ __all__ = [
     "kz_akz_tradeoff",
     "optimal_quench_time",
     "predicted_akz_exponent",
-    "coupling_at",
     "delta_observable",
-    "effective_drive",
     "gap",
     "ground_state_energy",
     "ground_state_moments",

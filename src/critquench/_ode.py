@@ -165,8 +165,3 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
 
     return np.asarray(out_ts), np.stack(out_ys)
 
-
-def final_state(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS):
-    """Convenience wrapper returning only the state at ``t1``."""
-    _, ys = solve_to(rhs, t0, t1, y0, settings=settings)
-    return ys[-1]

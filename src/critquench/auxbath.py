@@ -24,14 +24,14 @@ drift is a cached base plus one time-dependent entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model as model_mod
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, PhysicalityError
-from .moments import ObservableRecord, _observables_arrays
+from .moments import MomentState, ObservableRecord, observables_from_moments
 from .protocol import QuenchProtocol, ramp_shape
 
 
@@ -279,9 +279,7 @@ def propagate_covariance_batch(
     rhs = _covariance_batch_rhs(system, tau, g_f, r_n)
     v0 = np.broadcast_to(vacuum_covariance(system.n_modes), (tau.size,) + (system.dim,) * 2).copy()
     cap = 3.5 / (_drift_spectral_radius(system) * float(np.max(tau)))
-    eff = settings if cap >= settings.max_step else IntegratorSettings(
-        rtol=settings.rtol, atol=settings.atol, max_step=cap, max_steps=settings.max_steps
-    )
+    eff = replace(settings, max_step=min(settings.max_step, cap))
     ss, vs = solve_to(rhs, 0.0, 1.0, v0, settings=eff, t_samples=s_samples)
     return ss, vs, system
 
@@ -328,16 +326,8 @@ def observables_from_covariance(
     ``x = a + a^dag`` convention; the energy uses the same single-mode
     Hamiltonian as the moment module.
     """
-    if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
-        raise DomainError("coupling g must lie in [0, 1]")
-    n_modes = v.shape[-1] // 2
-    sigma, sigma10 = system_block_moments(v, n_modes)
-    n, dx, dp, energy, e_r = _observables_arrays(
-        np.asarray(sigma), np.asarray(np.real(sigma10)), np.asarray(g), omega
-    )
-    return ObservableRecord(
-        n=float(n), dx=float(dx), dp=float(dp), energy=float(energy), residual_energy=float(e_r)
-    )
+    sigma, sigma10 = system_block_moments(v, v.shape[-1] // 2)
+    return observables_from_moments(MomentState(float(sigma), complex(sigma10)), g, omega)
 
 
 def steady_state_covariance(

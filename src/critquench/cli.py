@@ -17,7 +17,7 @@ from . import auxbath, moments
 from ._ode import IntegratorSettings
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegrationFailure
-from .model import OBSERVABLES, ModelKind
+from .model import OBSERVABLES
 from .protocol import QuenchProtocol
 from .scaling import predict_regime
 from .sweep import run_size_crossover, run_sweep
@@ -185,7 +185,7 @@ def _cmd_dump_trajectory(args) -> int:
             samples=args.samples,
         )
     moments.write_trajectory(args.out, moment_traj)
-    print(f"wrote {args.samples} samples to {args.out}")
+    print(f"wrote {moment_traj.ts.size} samples to {args.out}")
     return EXIT_OK
 
 

@@ -225,6 +225,11 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         )
     if bath_type == "markovian" and (params_file is not None or omega_c is not None):
         raise ConfigError("bath.params_file", "oscillator parameters apply to structured baths only")
+    if bath_type == "structured" and "bath.kappa" in raw and kappa == 0.0:
+        raise ConfigError(
+            "bath.kappa",
+            "a structured bath cannot be isolated; omit the key to use the table's kappa",
+        )
     if bath_type == "structured" and kind is not ModelKind.THERMODYNAMIC:
         raise ConfigError("bath.type", "the structured bath is wired to the thermodynamic-limit model")
 

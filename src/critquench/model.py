@@ -111,22 +111,6 @@ class CriticalExponents:
 MEAN_FIELD = CriticalExponents()
 
 
-def effective_drive(model: ModelSpec, g) -> float:
-    """Drive coefficient G(g) entering the moment equations.
-
-    Thermodynamic limit: ``g^2 w / 2``.  QRM at finite eta subtracts the
-    quartic correction ``c g^4 w / eta``.  The LMG finite-size path does
-    not use a single drive (its corrections split across terms, see
-    :func:`lmg_coefficients`), so LMG returns the thermodynamic value.
-    """
-    _check_coupling(g)
-    g = np.asarray(g, dtype=float)
-    base = 0.5 * g * g * model.omega
-    if model.kind is ModelKind.QRM:
-        base = base - model.qrm_quartic_coeff * g**4 * model.omega / model.eta
-    return base if base.ndim else float(base)
-
-
 def gap(omega: float, g, k: int = 1) -> float:
     """Excitation energy of level k: ``k * omega * sqrt(1 - g^2)``."""
     _check_coupling(g)
@@ -178,46 +162,37 @@ def predicted_kz_exponent(
     return -gamma / (exponents.z_nu + 1)
 
 
-def lmg_coefficients(g, eta: float, omega: float = 1.0):
-    """LMG finite-size coefficient triple (drive, rotation shift, pump).
-
-    drive ``(g^2 w/2)(1 - 1/(2 eta))`` multiplies i(sigma01 - sigma10)
-    in the sigma equation, rotation ``w g^2 (1/eta - 1)`` adds to the
-    2i w term of the sigma10 equation, and pump ``w g^2 (1 - 1/(2 eta))``
-    multiplies i sigma there.
-    """
-    g = np.asarray(g, dtype=float)
-    g2w = g * g * omega
-    drive = 0.5 * g2w * (1.0 - 0.5 / eta)
-    rot = g2w * (1.0 / eta - 1.0)
-    pump = g2w * (1.0 - 0.5 / eta)
-    return drive, rot, pump
-
-
-def quadratic_coefficients(model: ModelSpec, g):
+def quadratic_coefficients(model: ModelSpec, g, eta=None):
     """Coefficients (w_tilde, lam) of the instantaneous quadratic form.
 
     Every model variant reduces to a single-mode quadratic Hamiltonian
     ``w_tilde a^dag a + lam (a^2 + a^dag^2)`` plus constants; the moment
-    equations depend only on this pair.  Accepts scalar or array g
-    (already validated by callers on the hot path).
+    equations depend only on this pair, and ``-2 lam`` is the drive
+    ``G = g^2 w/2`` of the thermodynamic limit.  QRM subtracts the
+    quartic correction ``c g^4 w / eta`` from G; LMG splits its 1/eta
+    corrections between the drive ``(g^2 w/2)(1 - 1/(2 eta))`` and the
+    rotation shift ``2 w_tilde - 2 w = w g^2 (1/eta - 1)``.  ``eta``
+    defaults to the model's size and may be an array broadcasting
+    against g (size sweeps).  Unvalidated: this is the moment
+    equations' hot path.
     """
     g = np.asarray(g, dtype=float)
+    eta = model.eta if eta is None else eta
     omega = model.omega
+    g2w = g * g * omega
     if model.kind is ModelKind.LMG:
-        w_tilde = omega - 0.5 * g * g * omega * (1.0 - 1.0 / model.eta)
-        lam = -0.25 * g * g * omega * (1.0 - 0.5 / model.eta)
-    else:
-        drive = 0.5 * g * g * omega
-        if model.kind is ModelKind.QRM:
-            drive = drive - model.qrm_quartic_coeff * g**4 * omega / model.eta
-        w_tilde = omega - drive
-        lam = -0.5 * drive
-    return w_tilde, lam
+        w_tilde = omega - 0.5 * g2w * (1.0 - 1.0 / eta)
+        lam = -0.25 * g2w * (1.0 - 0.5 / eta)
+        return w_tilde, lam
+    drive = 0.5 * g2w
+    if model.kind is ModelKind.QRM:
+        drive = drive - model.qrm_quartic_coeff * g2w * g * g / eta
+    return omega - drive, -0.5 * drive
 
 
 def excitation_gap(model: ModelSpec, g) -> float:
     """Gap of the (possibly finite-size corrected) quadratic Hamiltonian."""
+    _check_coupling(g)
     w_tilde, lam = quadratic_coefficients(model, g)
     arg = w_tilde * w_tilde - 4.0 * lam * lam
     out = np.sqrt(np.maximum(np.asarray(arg, dtype=float), 0.0))

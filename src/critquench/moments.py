@@ -25,7 +25,7 @@ sequence, which is what keeps thousand-point sweeps fast.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from . import model as model_mod
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, PhysicalityError
-from .model import ModelKind, ModelSpec
+from .model import ModelSpec
 from .protocol import QuenchProtocol, ramp_shape
 
 #: Radicand values above this (negative) floor are clamped to zero.
@@ -63,22 +63,6 @@ class BathSpec:
         return cls(kappa=kappa, n_th=n_th, temperature=temperature)
 
     @property
-    def gamma_a(self) -> float:
-        return 0.5 * self.kappa * (self.n_th + 1.0)
-
-    @property
-    def gamma_adag(self) -> float:
-        return 0.5 * self.kappa * self.n_th
-
-    @property
-    def gamma_minus(self) -> float:
-        return self.gamma_adag - self.gamma_a
-
-    @property
-    def gamma_plus(self) -> float:
-        return self.gamma_adag + self.gamma_a
-
-    @property
     def is_isolated(self) -> bool:
         return self.kappa == 0.0
 
@@ -100,11 +84,6 @@ class MomentState:
     @property
     def n(self) -> float:
         return self.sigma - 0.5
-
-    def validate(self, tol: float = 1e-9) -> "MomentState":
-        if self.sigma < 0.5 - tol:
-            raise PhysicalityError(f"sigma = {self.sigma} below vacuum value 1/2")
-        return self
 
 
 VACUUM = MomentState(sigma=0.5, sigma10=0.0j)
@@ -132,28 +111,6 @@ class ObservableRecord:
             raise KeyError(f"unknown observable {observable!r}") from None
 
 
-def moment_rhs(
-    state: MomentState,
-    t: float,
-    protocol: QuenchProtocol,
-    model: ModelSpec = model_mod.THERMODYNAMIC,
-    bath: BathSpec = ISOLATED,
-) -> tuple[complex, complex]:
-    """Time derivatives (d sigma, d sigma10) at time t along a protocol.
-
-    Kept in complex arithmetic so the Hermiticity of the sigma equation
-    (its imaginary part vanishes identically) can be checked directly.
-    """
-    g = protocol.coupling(t)
-    w_tilde, lam = model_mod.quadratic_coefficients(model, g)
-    gm, gp = bath.gamma_minus, bath.gamma_plus
-    sigma = complex(state.sigma)
-    s10 = complex(state.sigma10)
-    d_sigma = 2.0 * gm * sigma + gp - 2.0j * lam * (s10.conjugate() - s10)
-    d_s10 = (2.0j * w_tilde + 2.0 * gm) * s10 - 4.0j * lam * sigma
-    return d_sigma, d_s10
-
-
 class _BatchParams(NamedTuple):
     """Per-member sweep parameters, broadcast to a common length."""
 
@@ -172,29 +129,22 @@ def _broadcast_params(tau_q, g_final, r_n, eta, kappa, n_th) -> _BatchParams:
     return _BatchParams(*(np.ascontiguousarray(a) for a in arrs))
 
 
-def _batch_rhs_factory(params: _BatchParams, kind: ModelKind, omega: float, qrm_coeff: float):
+def _bath_rates(kappa, n_th):
+    """Thermal rates ``(2 Gamma_-, Gamma_+) = (-kappa, kappa (n_th + 1/2))``."""
+    return -kappa, 0.5 * kappa * (2.0 * n_th + 1.0)
+
+
+def _batch_rhs_factory(params: _BatchParams, model: ModelSpec):
     """RHS in rescaled time s = t / tau_q for state columns (sigma, Re s10, Im s10)."""
     tau = params.tau_q
     g_f = params.g_final
     r_n = params.r_n
     eta = params.eta
-    gp = 0.5 * params.kappa * (2.0 * params.n_th + 1.0)
-    two_gm = -params.kappa
+    two_gm, gp = _bath_rates(params.kappa, params.n_th)
 
     def rhs(s, y):
         g = g_f * ramp_shape(s, r_n)
-        g2w = g * g * omega
-        if kind is ModelKind.LMG:
-            w_tilde = omega - 0.5 * g2w * (1.0 - 1.0 / eta)
-            lam = -0.25 * g2w * (1.0 - 0.5 / eta)
-        elif kind is ModelKind.QRM:
-            drive = 0.5 * g2w - qrm_coeff * g2w * g * g / eta
-            w_tilde = omega - drive
-            lam = -0.5 * drive
-        else:
-            drive = 0.5 * g2w
-            w_tilde = omega - drive
-            lam = -0.5 * drive
+        w_tilde, lam = model_mod.quadratic_coefficients(model, g, eta=eta)
         sig, u, v = y[:, 0], y[:, 1], y[:, 2]
         out = np.empty_like(y)
         out[:, 0] = tau * (two_gm * sig + gp - 4.0 * lam * v)
@@ -205,18 +155,24 @@ def _batch_rhs_factory(params: _BatchParams, kind: ModelKind, omega: float, qrm_
     return rhs
 
 
-def _stability_capped(settings: IntegratorSettings, params: _BatchParams, omega: float):
-    """Cap the rescaled-time step so strongly damped members stay stable."""
-    rate = max(2.5 * omega, float(np.max(params.kappa, initial=0.0)))
-    cap = 3.5 / (rate * float(np.max(params.tau_q)))
-    if cap >= settings.max_step:
-        return settings
-    return IntegratorSettings(
-        rtol=settings.rtol,
-        atol=settings.atol,
-        max_step=cap,
-        max_steps=settings.max_steps,
-    )
+def moment_rhs(
+    state: MomentState,
+    t: float,
+    protocol: QuenchProtocol,
+    model: ModelSpec = model_mod.THERMODYNAMIC,
+    bath: BathSpec = ISOLATED,
+) -> tuple[complex, complex]:
+    """Time derivatives (d sigma, d sigma10) at time t along a protocol.
+
+    Evaluates the batch RHS for one member at ``s = t / tau_q`` with a
+    unit time scale, which is the real-time derivative.
+    """
+    if not 0.0 <= t <= protocol.tau_q:
+        raise DomainError(f"t outside [0, {protocol.tau_q}]")
+    params = _broadcast_params(1.0, protocol.g_final, protocol.r_n, model.eta, bath.kappa, bath.n_th)
+    y = np.array([[state.sigma, state.sigma10.real, state.sigma10.imag]])
+    d_sigma, d_u, d_v = _batch_rhs_factory(params, model)(t / protocol.tau_q, y)[0]
+    return complex(d_sigma), complex(d_u, d_v)
 
 
 def propagate_moments_batch(
@@ -240,10 +196,13 @@ def propagate_moments_batch(
     params = _broadcast_params(
         tau_q, g_final, r_n, model.eta if eta is None else eta, kappa, n_th
     )
-    rhs = _batch_rhs_factory(params, model.kind, model.omega, model.qrm_quartic_coeff)
+    rhs = _batch_rhs_factory(params, model)
     y0 = np.zeros((params.tau_q.size, 3))
     y0[:, 0] = 0.5
-    eff = _stability_capped(settings, params, model.omega)
+    # cap the rescaled-time step so strongly damped members stay stable
+    rate = max(2.5 * model.omega, float(np.max(params.kappa, initial=0.0)))
+    cap = 3.5 / (rate * float(np.max(params.tau_q)))
+    eff = replace(settings, max_step=min(settings.max_step, cap))
     return solve_to(rhs, 0.0, 1.0, y0, settings=eff, t_samples=s_samples)
 
 
@@ -261,9 +220,6 @@ class MomentTrajectory:
     @property
     def final(self) -> MomentState:
         return MomentState(sigma=float(self.sigma[-1]), sigma10=complex(self.sigma10[-1]))
-
-    def state_at(self, index: int) -> MomentState:
-        return MomentState(sigma=float(self.sigma[index]), sigma10=complex(self.sigma10[index]))
 
     def couplings(self) -> np.ndarray:
         return self.protocol.coupling(self.ts)
@@ -383,12 +339,12 @@ def steady_state_moments(
     if bath.is_isolated:
         raise DomainError("steady state requires kappa > 0")
     w_tilde, lam = model_mod.quadratic_coefficients(model, float(g))
-    gm, gp = bath.gamma_minus, bath.gamma_plus
+    two_gm, gp = _bath_rates(bath.kappa, bath.n_th)
     a = np.array(
         [
-            [2.0 * gm, 0.0, -4.0 * lam],
-            [0.0, 2.0 * gm, -2.0 * w_tilde],
-            [-4.0 * lam, 2.0 * w_tilde, 2.0 * gm],
+            [two_gm, 0.0, -4.0 * lam],
+            [0.0, two_gm, -2.0 * w_tilde],
+            [-4.0 * lam, 2.0 * w_tilde, two_gm],
         ]
     )
     rhs = np.array([-gp, 0.0, 0.0])

@@ -9,7 +9,6 @@ mode frequency; hbar = k_B = 1 throughout the package.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +62,6 @@ class QuenchProtocol:
         return self.g_final == 1.0
 
 
-def coupling_at(protocol: QuenchProtocol, t):
-    """Functional form of :meth:`QuenchProtocol.coupling`."""
-    return protocol.coupling(t)
-
-
 def impulse_boundary_exponent(z_nu: float, r_n: float) -> float:
     """Power of tau_q governing the adiabatic-impulse freezing distance.
 
@@ -85,8 +79,3 @@ def impulse_boundary_exponent(z_nu: float, r_n: float) -> float:
 def linear_ramp(g_final: float, tau_q: float) -> QuenchProtocol:
     """Shorthand for the r_n = 1 protocol."""
     return QuenchProtocol(g_final=g_final, tau_q=tau_q, r_n=1.0)
-
-
-def _ulp_distance(a: float, b: float) -> float:
-    """|a - b| measured in units of the larger value's spacing."""
-    return abs(a - b) / math.ulp(max(abs(a), abs(b), 1.0))

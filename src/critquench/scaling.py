@@ -256,16 +256,6 @@ def inflection_time_ratio_form(r_c: float, r_o: float, gamma_a: float, z_nu: flo
     return r_c * (1.0 + gamma_a + z_nu) / (r_o * (1.0 - gamma_a + z_nu))
 
 
-def inflection_time_product_form(r_c: float, r_o: float, gamma_a: float, z_nu: float) -> float:
-    """Product reading of the same expression: rc(1+g+zn)(1-g+zn) / ro.
-
-    The two readings differ by a factor ``(1 - gamma_a + z_nu)^2``;
-    only the ratio form agrees with the numerically located inflection,
-    which is why :func:`inflection_time` is the authoritative value.
-    """
-    return r_c * (1.0 + gamma_a + z_nu) * (1.0 - gamma_a + z_nu) / r_o
-
-
 def fit_report_lines(
     observable: str,
     fit: PowerLawFit,

@@ -26,7 +26,6 @@ from ._ode import IntegratorSettings
 from .config import ExperimentConfig
 from .errors import ConfigError, IntegrationFailure
 from .model import ModelKind
-from .protocol import QuenchProtocol
 from .scaling import PowerLawFit, ScalingPrediction, fit_power_law, fit_report_lines, predict_regime
 
 #: The structured-bath excess can be as small as 1e-9 of the working
@@ -44,15 +43,16 @@ def tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarr
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _observable_arrays_at_final(config: ExperimentConfig, ys_final, g_final):
-    sigma = ys_final[:, 0]
-    re10 = ys_final[:, 1]
-    n, dx, dp, _, e_r = moments._observables_arrays(sigma, re10, g_final, config.omega)
+def _observable_arrays_at_final(config: ExperimentConfig, sigma, re_sigma10):
+    n, dx, dp, _, e_r = moments._observables_arrays(sigma, re_sigma10, config.g_final, config.omega)
     return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
 
 
-def _markovian_leg(config: ExperimentConfig, taus, kappa: float, n_th: float, eta=None):
-    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
+def _markovian_leg(
+    config: ExperimentConfig, taus, kappa: float, n_th: float, eta=None, settings=None
+):
+    if settings is None:
+        settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     _, ys = moments.propagate_moments_batch(
         taus,
         config.g_final,
@@ -63,7 +63,7 @@ def _markovian_leg(config: ExperimentConfig, taus, kappa: float, n_th: float, et
         eta=eta,
         settings=settings,
     )
-    return _observable_arrays_at_final(config, ys[-1], config.g_final)
+    return _observable_arrays_at_final(config, ys[-1, :, 0], ys[-1, :, 1])
 
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -82,14 +82,9 @@ def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray
     hit = _ISOLATED_CACHE.get(key)
     if hit is not None:
         return hit
-    if config.bath_type == "structured":
-        settings = STRUCTURED_ISOLATED_SETTINGS
-        _, ys = moments.propagate_moments_batch(
-            taus, config.g_final, config.r_n, config.model_spec(), 0.0, 0.0, settings=settings
-        )
-        values = _observable_arrays_at_final(config, ys[-1], config.g_final)
-    else:
-        values = _markovian_leg(config, taus, 0.0, 0.0)
+    # read at call time: reference runs tighten it by rebinding the name
+    settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
+    values = _markovian_leg(config, taus, 0.0, 0.0, settings=settings)
     if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
         _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
     _ISOLATED_CACHE[key] = values
@@ -118,10 +113,7 @@ def _structured_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
         settings=settings,
     )
     sigma, sigma10 = auxbath.system_block_moments(vs[-1], system.n_modes)
-    n, dx, dp, _, e_r = moments._observables_arrays(
-        np.real(sigma), np.real(sigma10), config.g_final, config.omega
-    )
-    return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
+    return _observable_arrays_at_final(config, sigma, np.real(sigma10))
 
 
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -379,23 +371,9 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
     eta_rep = np.repeat(etas, taus.size)
     tau_tile = np.tile(taus, etas.size)
-    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     bath = config.bath_spec()
-    model = config.model_spec()
-
-    legs = {}
-    for name, kappa, n_th in (("iso", 0.0, 0.0), ("open", bath.kappa, bath.n_th)):
-        _, ys = moments.propagate_moments_batch(
-            tau_tile,
-            config.g_final,
-            config.r_n,
-            model,
-            kappa,
-            n_th,
-            eta=eta_rep,
-            settings=settings,
-        )
-        legs[name] = _observable_arrays_at_final(config, ys[-1], config.g_final)
+    iso = _markovian_leg(config, tau_tile, 0.0, 0.0, eta=eta_rep)
+    opn = _markovian_leg(config, tau_tile, bath.kappa, bath.n_th, eta=eta_rep)
 
     tag = f"cfg={config.config_hash}"
     table = []
@@ -410,7 +388,7 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
         exponents = []
         for j, eta in enumerate(etas):
             sl = slice(j * taus.size, (j + 1) * taus.size)
-            delta = legs["open"][obs][sl] - legs["iso"][obs][sl]
+            delta = opn[obs][sl] - iso[obs][sl]
             fit = fit_power_law(taus, delta, window=config.fit_window)
             table.append((float(eta), obs, fit.exponent, fit.stderr_b))
             csv_lines.append(f"{eta:.17g},{obs},{fit.exponent:.17g},{fit.stderr_b:.17g}")

@@ -75,6 +75,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_config(parse_config_text(text))
 
+    def test_structured_rejects_explicit_zero_kappa(self):
+        text = "bath.type = structured\nbath.kappa = 0\n"
+        with pytest.raises(ConfigError) as err:
+            build_config(parse_config_text(text))
+        assert err.value.field == "bath.kappa"
+        # an omitted key still means "the table's kappa"
+        cfg = build_config(parse_config_text("bath.type = structured\n"))
+        assert sweep.structured_params(cfg).kappa == sweep.auxbath.DEFAULT_OHMIC.kappa
+
+    def test_structured_zero_kappa_exit_two(self, tmp_path, capsys):
+        text = (
+            "bath.type = structured\nbath.kappa = 0.0\n"
+            "sweep.tau_min = 10\nsweep.tau_max = 100\n"
+        )
+        path = write_config(tmp_path, text)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "bath.kappa" in capsys.readouterr().err
+
     def test_markovian_rejects_oscillator_keys(self):
         with pytest.raises(ConfigError) as err:
             build_config(parse_config_text(BASE + "bath.omega_c = 20\n"))
@@ -264,7 +282,7 @@ class TestCli:
         sweep._ISOLATED_CACHE.clear()
         assert cli.main(["sweep", "--config", str(path)]) == 3
 
-    def test_dump_trajectory(self, tmp_path):
+    def test_dump_trajectory(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "traj.tsv"
         code = cli.main(
@@ -274,6 +292,14 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("t\tg\tsigma")
         assert len(lines) == 10
+        assert f"wrote 9 samples to {out}" in capsys.readouterr().out
+        # fewer than two samples still writes the final state, and says so
+        for samples in ("0", "1"):
+            args = ["--config", str(path), "--tau", "25", "--samples", samples, "--out", str(out)]
+            code = cli.main(["dump-trajectory", *args])
+            assert code == 0
+            assert len(out.read_text().strip().split("\n")) == 2
+            assert f"wrote 1 samples to {out}" in capsys.readouterr().out
 
     def test_steady_state(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -287,7 +313,7 @@ class TestCli:
         assert cli.main(["steady-state", "--config", str(path), "--g", "0.5"]) == 0
         assert "dx" in capsys.readouterr().out
 
-    def test_dump_trajectory_structured(self, tmp_path):
+    def test_dump_trajectory_structured(self, tmp_path, capsys):
         text = (
             "model.kind = thermodynamic\nbath.type = structured\n"
             "bath.kappa = 1e-5\nprotocol.g_final = 1.0\n"
@@ -301,6 +327,7 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 6
         assert float(lines[-1].split(",")[1]) == 1.0  # final coupling
+        assert f"wrote 5 samples to {out}" in capsys.readouterr().out
 
     def test_size_crossover_end_to_end(self, tmp_path, capsys):
         text = (

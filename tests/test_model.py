@@ -13,12 +13,10 @@ from critquench.model import (
     ModelKind,
     ModelSpec,
     QRM_QUARTIC_COEFF_NORMAL_ORDERED,
-    effective_drive,
     excitation_gap,
     gap,
     ground_state_energy,
     ground_state_moments,
-    lmg_coefficients,
     predicted_kz_exponent,
     quadratic_coefficients,
 )
@@ -26,37 +24,44 @@ from critquench.model import (
 from helpers_fock import fock_expectations, fock_ground_state
 
 
+def drive(model, g):
+    """The drive G of the moment equations: -2 lam of the quadratic form."""
+    return -2.0 * quadratic_coefficients(model, g)[1]
+
+
 class TestEffectiveDrive:
     def test_thermodynamic_at_critical(self):
-        assert effective_drive(ModelSpec(), 1.0) == 0.5
+        assert drive(ModelSpec(), 1.0) == 0.5
 
     def test_qrm_infinite_size_matches(self):
         m = ModelSpec(kind=ModelKind.QRM, eta=math.inf)
-        assert effective_drive(m, 1.0) == 0.5
+        assert drive(m, 1.0) == 0.5
 
     def test_qrm_finite_size_correction(self):
         m = ModelSpec(kind=ModelKind.QRM, eta=100.0)
-        assert effective_drive(m, 1.0) == pytest.approx(0.38, abs=1e-15)
+        assert drive(m, 1.0) == pytest.approx(0.38, abs=1e-15)
 
     def test_qrm_normal_ordered_variant(self):
         m = ModelSpec(
             kind=ModelKind.QRM, eta=100.0, qrm_quartic_coeff=QRM_QUARTIC_COEFF_NORMAL_ORDERED
         )
-        assert effective_drive(m, 1.0) == pytest.approx(0.5 - 0.75 / 100.0, abs=1e-15)
+        assert drive(m, 1.0) == pytest.approx(0.5 - 0.75 / 100.0, abs=1e-15)
 
     def test_monotone_in_inverse_size(self):
         drives = [
-            effective_drive(ModelSpec(kind=ModelKind.QRM, eta=eta), 0.9)
+            drive(ModelSpec(kind=ModelKind.QRM, eta=eta), 0.9)
             for eta in (10.0, 100.0, 1e3, 1e4, math.inf)
         ]
         assert drives == sorted(drives)
-        assert drives[-1] == effective_drive(ModelSpec(), 0.9)
+        assert drives[-1] == drive(ModelSpec(), 0.9)
 
     def test_domain(self):
+        # the coefficients themselves are unvalidated (hot path); the
+        # public gap of the same quadratic form checks the coupling
         with pytest.raises(DomainError):
-            effective_drive(ModelSpec(), 1.2)
+            excitation_gap(ModelSpec(), 1.2)
         with pytest.raises(DomainError):
-            effective_drive(ModelSpec(), -0.1)
+            excitation_gap(ModelSpec(kind=ModelKind.QRM, eta=100.0), -0.1)
 
 
 class TestGapAndEnergy:
@@ -182,21 +187,56 @@ class TestQuadraticCoefficients:
         assert math.sqrt(w * w - 4.0 * lam * lam) == pytest.approx(gap(1.0, g, 1), rel=1e-14)
 
     def test_lmg_coefficients_printed_form(self):
+        # drive (g^2 w/2)(1 - 1/(2 eta)) multiplies i(sigma01 - sigma10) in
+        # the sigma equation, rotation w g^2 (1/eta - 1) adds to the 2i w
+        # term of the sigma10 equation, pump w g^2 (1 - 1/(2 eta))
+        # multiplies i sigma there
         g, eta = 0.8, 50.0
-        drive, rot, pump = lmg_coefficients(g, eta)
-        assert drive == pytest.approx(0.5 * g * g * (1.0 - 0.5 / eta), abs=1e-15)
-        assert rot == pytest.approx(g * g * (1.0 / eta - 1.0), abs=1e-15)
-        assert pump == pytest.approx(g * g * (1.0 - 0.5 / eta), abs=1e-15)
+        w, lam = quadratic_coefficients(ModelSpec(kind=ModelKind.LMG, eta=eta), g)
+        assert -2.0 * lam == pytest.approx(0.5 * g * g * (1.0 - 0.5 / eta), abs=1e-15)
+        assert 2.0 * w - 2.0 == pytest.approx(g * g * (1.0 / eta - 1.0), abs=1e-15)
+        assert -4.0 * lam == pytest.approx(g * g * (1.0 - 0.5 / eta), abs=1e-15)
 
     def test_lmg_quadratic_matches_coefficients(self):
-        # sigma10 equation: coefficient of sigma is -4 lam = pump,
-        # rotation term is 2 w_tilde = 2 w + rot
-        g, eta = 0.8, 50.0
-        drive, rot, pump = lmg_coefficients(g, eta)
-        w, lam = quadratic_coefficients(ModelSpec(kind=ModelKind.LMG, eta=eta), g)
-        assert -4.0 * lam == pytest.approx(pump, abs=1e-15)
-        assert 2.0 * w == pytest.approx(2.0 + rot, abs=1e-15)
-        assert -2.0 * lam == pytest.approx(drive, abs=1e-15)
+        # the same triple at another size and frequency: the LMG pump is
+        # twice its drive, and both lose 1/(2 eta) while the rotation
+        # loses 1/eta
+        g, eta, omega = 0.6, 20.0, 1.5
+        w, lam = quadratic_coefficients(
+            ModelSpec(kind=ModelKind.LMG, eta=eta, omega=omega), g
+        )
+        lmg_drive = -2.0 * lam
+        pump = -4.0 * lam
+        rot = 2.0 * w - 2.0 * omega
+        assert pump == pytest.approx(2.0 * lmg_drive, abs=1e-15)
+        assert lmg_drive == pytest.approx(0.5 * g * g * omega * (1.0 - 0.5 / eta), abs=1e-15)
+        assert rot == pytest.approx(omega * g * g * (1.0 / eta - 1.0), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelSpec(kind=ModelKind.QRM, eta=100.0),
+            ModelSpec(kind=ModelKind.QRM, eta=100.0, qrm_quartic_coeff=QRM_QUARTIC_COEFF_NORMAL_ORDERED),
+            ModelSpec(kind=ModelKind.LMG, eta=100.0, omega=1.3),
+        ],
+        ids=["qrm", "qrm-normal-ordered", "lmg"],
+    )
+    def test_array_eta_matches_scalar_calls_bitwise(self, model):
+        # size sweeps batch many eta in one call; each member must get
+        # exactly the coefficients of its own scalar model
+        rng = np.random.default_rng(7)
+        g = rng.uniform(0.0, 1.0, 400)
+        eta = rng.choice([3.0, 10.0, 100.0, 1e3, 1e4, math.inf], g.size)
+        w_arr, lam_arr = quadratic_coefficients(model, g, eta=eta)
+        for i in range(g.size):
+            member = ModelSpec(
+                kind=model.kind,
+                eta=eta[i],
+                omega=model.omega,
+                qrm_quartic_coeff=model.qrm_quartic_coeff,
+            )
+            w, lam = quadratic_coefficients(member, g[i])
+            assert w_arr[i] == w and lam_arr[i] == lam
 
 
 class TestModelSpecValidation:

@@ -21,7 +21,7 @@ from critquench import (
     steady_state_moments,
 )
 from critquench.errors import DomainError, PhysicalityError
-from critquench.moments import ISOLATED, write_trajectory
+from critquench.moments import ISOLATED, _bath_rates, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
 
 from helpers_fock import propagate_master_equation
@@ -31,16 +31,17 @@ TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
 
 class TestBathSpec:
     def test_rates_from_occupation(self):
-        bath = BathSpec(kappa=0.2, n_th=3.0)
-        assert bath.gamma_a == pytest.approx(0.4, abs=1e-15)
-        assert bath.gamma_adag == pytest.approx(0.3, abs=1e-15)
-        assert bath.gamma_minus == pytest.approx(-0.1, abs=1e-15)
-        assert bath.gamma_plus == pytest.approx(0.7, abs=1e-15)
+        # Gamma_a = kappa (n_th + 1)/2 = 0.4 and Gamma_adag = kappa n_th/2 = 0.3
+        two_gm, gp = _bath_rates(0.2, 3.0)
+        assert two_gm == pytest.approx(2.0 * (0.3 - 0.4), abs=1e-15)
+        assert gp == pytest.approx(0.3 + 0.4, abs=1e-15)
 
     def test_rate_ordering(self):
+        # Gamma_a >= Gamma_adag >= 0, i.e. damping and Gamma_+ >= |Gamma_-|
         bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0)
-        assert bath.gamma_a >= bath.gamma_adag >= 0.0
-        assert bath.gamma_minus <= 0.0
+        two_gm, gp = _bath_rates(bath.kappa, bath.n_th)
+        assert two_gm <= 0.0
+        assert gp >= -0.5 * two_gm
         assert bath.n_th == pytest.approx(1.0 / math.expm1(0.1), rel=1e-14)
 
     def test_zero_temperature_short_circuit(self):
@@ -48,7 +49,7 @@ class TestBathSpec:
 
     def test_zero_kappa_kills_rates(self):
         bath = BathSpec(kappa=0.0, n_th=5.0)
-        assert bath.gamma_a == 0.0 and bath.gamma_adag == 0.0
+        assert _bath_rates(bath.kappa, bath.n_th) == (0.0, 0.0)
         assert bath.is_isolated
 
     def test_negative_inputs_rejected(self):
@@ -83,12 +84,29 @@ class TestMomentRhs:
             assert abs(d_sigma) < 1e-12
             assert abs(d_s10) < 1e-12
 
-    def test_sigma_derivative_is_real(self):
-        p = QuenchProtocol(g_final=0.9, tau_q=2.0)
+
+    def test_matches_printed_complex_equations(self):
+        # d sigma = 2 G_- sigma + G_+ - 2i lam (sigma01 - sigma10),
+        # d sigma10 = (2i w + 2 G_-) sigma10 - 4i lam sigma, at a generic
+        # state, finite-size model and time within a longer ramp
+        model = ModelSpec(kind=ModelKind.QRM, eta=40.0)
+        p = QuenchProtocol(g_final=0.9, tau_q=2.0, r_n=0.5)
         bath = BathSpec(kappa=0.3, n_th=1.5)
         st = MomentState(sigma=0.9, sigma10=0.2 - 0.35j)
-        d_sigma, _ = moment_rhs(st, 1.2, p, bath=bath)
-        assert abs(d_sigma.imag) < 1e-12
+        g = p.coupling(1.2)
+        drive = 0.5 * g * g - 12.0 * g**4 / 40.0
+        w, lam = 1.0 - drive, -0.5 * drive
+        gm, gp = 0.5 * 0.3 * 1.5 - 0.5 * 0.3 * 2.5, 0.5 * 0.3 * 1.5 + 0.5 * 0.3 * 2.5
+        s10 = st.sigma10
+        expect_sigma = 2.0 * gm * st.sigma + gp - 2.0j * lam * (s10.conjugate() - s10)
+        expect_s10 = (2.0j * w + 2.0 * gm) * s10 - 4.0j * lam * st.sigma
+        d_sigma, d_s10 = moment_rhs(st, 1.2, p, model=model, bath=bath)
+        assert d_sigma == pytest.approx(expect_sigma, abs=1e-14)
+        assert d_s10 == pytest.approx(expect_s10, abs=1e-14)
+
+    def test_time_outside_ramp_rejected(self):
+        with pytest.raises(DomainError):
+            moment_rhs(VACUUM, 2.5, QuenchProtocol(g_final=0.5, tau_q=2.0))
 
 
 class TestIntegrate:
@@ -175,15 +193,6 @@ class TestInvariants:
         traj = integrate(QuenchProtocol(1.0, 500.0), bath=bath, samples=101)
         _, dx, dp, _, _ = traj.observable_arrays()
         assert np.all(dx * dp >= 1.0 - 1e-9)
-
-    def test_sigma_stays_real_in_complex_form(self):
-        # complex-arithmetic derivative of sigma has no imaginary part
-        p = QuenchProtocol(1.0, 50.0, 1.0)
-        bath = BathSpec(kappa=0.02, n_th=1.0)
-        traj = integrate(p, bath=bath, samples=21)
-        for i in range(traj.ts.size):
-            d_sigma, _ = moment_rhs(traj.state_at(i), float(traj.ts[i]), p, bath=bath)
-            assert abs(d_sigma.imag) < 1e-12
 
     @pytest.mark.parametrize("kind", [ModelKind.QRM, ModelKind.LMG])
     def test_large_size_reduces_to_thermodynamic(self, kind):

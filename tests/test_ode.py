@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from critquench._ode import IntegratorSettings, final_state, solve_to
+from critquench._ode import IntegratorSettings, solve_to
 from critquench.errors import IntegrationFailure
 
 
@@ -18,24 +18,24 @@ class TestClosedForms:
         def rhs(t, y):
             return np.array([y[1], -y[0]])
 
-        y_end = final_state(rhs, 0.0, 20.0, np.array([1.0, 0.0]))
+        y_end = solve_to(rhs, 0.0, 20.0, np.array([1.0, 0.0]))[1][-1]
         assert abs(y_end[0] - np.cos(20.0)) < 1e-9
         assert abs(y_end[1] + np.sin(20.0)) < 1e-9
 
     def test_time_dependent_coefficient(self):
         # y' = -t y has the Gaussian solution exp(-t^2/2)
-        y_end = final_state(lambda t, y: -t * y, 0.0, 3.0, np.array([1.0]))
+        y_end = solve_to(lambda t, y: -t * y, 0.0, 3.0, np.array([1.0]))[1][-1]
         assert abs(y_end[0] - np.exp(-4.5)) < 1e-12
 
     def test_complex_state(self):
-        y_end = final_state(lambda t, y: 1j * y, 0.0, np.pi, np.array([1.0 + 0.0j]))
+        y_end = solve_to(lambda t, y: 1j * y, 0.0, np.pi, np.array([1.0 + 0.0j]))[1][-1]
         assert abs(y_end[0] + 1.0) < 1e-10
 
     def test_matrix_state(self):
         # dY/dt = A Y with matrix-shaped Y integrates columns independently
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         y0 = np.eye(2)
-        y_end = final_state(lambda t, y: a @ y, 0.0, 1.0, y0)
+        y_end = solve_to(lambda t, y: a @ y, 0.0, 1.0, y0)[1][-1]
         expected = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
         assert np.max(np.abs(y_end - expected)) < 1e-10
 
@@ -47,14 +47,14 @@ class TestBatchedStates:
         def rhs(t, y):
             return -rates * y
 
-        y_end = final_state(rhs, 0.0, 4.0, np.ones(3))
+        y_end = solve_to(rhs, 0.0, 4.0, np.ones(3))[1][-1]
         assert np.max(np.abs(y_end - np.exp(-4.0 * rates))) < 1e-11
 
     def test_identical_members_stay_identical(self):
         def rhs(t, y):
             return np.stack([-y[:, 0], np.cos(t) * np.ones(y.shape[0])], axis=1)
 
-        y_end = final_state(rhs, 0.0, 7.0, np.zeros((4, 2)) + 1.0)
+        y_end = solve_to(rhs, 0.0, 7.0, np.zeros((4, 2)) + 1.0)[1][-1]
         for col in range(2):
             assert np.all(y_end[:, col] == y_end[0, col])
 
@@ -70,8 +70,9 @@ class TestSamplingAndControl:
         def rhs(t, y):
             return np.array([np.sin(t) * y[0]])
 
-        loose = final_state(rhs, 0.0, 10.0, np.array([1.0]), IntegratorSettings(rtol=1e-6, atol=1e-8))
-        tight = final_state(rhs, 0.0, 10.0, np.array([1.0]), IntegratorSettings(rtol=1e-12, atol=1e-14))
+        y0 = np.array([1.0])
+        loose = solve_to(rhs, 0.0, 10.0, y0, IntegratorSettings(rtol=1e-6, atol=1e-8))[1][-1]
+        tight = solve_to(rhs, 0.0, 10.0, y0, IntegratorSettings(rtol=1e-12, atol=1e-14))[1][-1]
         exact = np.exp(1.0 - np.cos(10.0))
         assert abs(tight[0] - exact) < abs(loose[0] - exact)
         assert abs(tight[0] - exact) < 1e-11
@@ -106,6 +107,6 @@ class TestAgainstScipy:
             return a @ y + np.sin(t) * np.ones(5)
 
         y0 = rng.normal(size=5)
-        mine = final_state(rhs, 0.0, 6.0, y0)
+        mine = solve_to(rhs, 0.0, 6.0, y0)[1][-1]
         ref = solve_ivp(rhs, (0.0, 6.0), y0, method="DOP853", rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(mine - ref.y[:, -1])) < 1e-8

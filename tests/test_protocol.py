@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from critquench.errors import DomainError
 from critquench.protocol import (
     QuenchProtocol,
-    coupling_at,
     impulse_boundary_exponent,
     linear_ramp,
     ramp_shape,
@@ -50,10 +49,6 @@ class TestCoupling:
             p.coupling(-1e-9)
         with pytest.raises(DomainError):
             p.coupling(10.0 + 1e-9)
-
-    def test_functional_form(self):
-        p = QuenchProtocol(0.5, 4.0)
-        assert coupling_at(p, 2.0) == p.coupling(2.0)
 
 
 class TestValidation:
