@@ -1,10 +1,10 @@
-"""Gaussian-moment quench simulator for fully-connected critical models.
+"""Gaussian-covariance quench simulator for fully-connected critical models.
 
-Propagates driven, dissipative single-mode Gaussian states through
-linear and nonlinear coupling ramps, extends the environment to a
-structured (auxiliary-oscillator) bath via a time-dependent Lyapunov
-equation, and fits power-law scaling of the dissipative excess of
-observables against the quench time.
+Propagates driven, dissipative Gaussian states through linear and
+nonlinear coupling ramps with one time-dependent Lyapunov equation,
+for a Markovian thermal bath on the single mode or a structured
+(auxiliary-oscillator) bath, and fits power-law scaling of the
+dissipative excess of observables against the quench time.
 """
 
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings
@@ -25,22 +25,20 @@ from .model import (
     ModelSpec,
     gap,
     ground_state_energy,
-    ground_state_moments,
+    ground_state_covariance,
     predicted_kz_exponent,
 )
 from .moments import (
     ISOLATED,
-    VACUUM,
     BathSpec,
+    CovarianceTrajectory,
     DeltaObservable,
-    MomentState,
-    MomentTrajectory,
     ObservableRecord,
     delta_observable,
     integrate,
-    moment_rhs,
-    observables_from_moments,
-    steady_state_moments,
+    observables_from_covariance,
+    steady_state_covariance,
+    thermal_bath,
 )
 from .protocol import QuenchProtocol, impulse_boundary_exponent, linear_ramp
 from .scaling import (
@@ -59,6 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BathSpec",
     "ConfigError",
+    "CovarianceTrajectory",
     "CriticalExponents",
     "DEFAULT_SETTINGS",
     "DeltaObservable",
@@ -70,8 +69,6 @@ __all__ = [
     "MEAN_FIELD",
     "ModelKind",
     "ModelSpec",
-    "MomentState",
-    "MomentTrajectory",
     "NonLoggableDataError",
     "OBSERVABLES",
     "ObservableRecord",
@@ -81,7 +78,6 @@ __all__ = [
     "Regime",
     "RegimeError",
     "ScalingPrediction",
-    "VACUUM",
     "fit_power_law",
     "inflection_time",
     "kz_akz_tradeoff",
@@ -90,12 +86,12 @@ __all__ = [
     "delta_observable",
     "gap",
     "ground_state_energy",
-    "ground_state_moments",
+    "ground_state_covariance",
     "impulse_boundary_exponent",
     "integrate",
     "linear_ramp",
-    "moment_rhs",
-    "observables_from_moments",
+    "observables_from_covariance",
     "predicted_kz_exponent",
-    "steady_state_moments",
+    "steady_state_covariance",
+    "thermal_bath",
 ]

@@ -1,11 +1,12 @@
 """Adaptive explicit Runge-Kutta integration on array-valued states.
 
-A single stepper drives every propagation in the package: the scalar
-moment equations, whole sweep batches stacked along a leading axis, and
-the covariance-matrix flow of the structured-bath module.  The state may
-be any real or complex ndarray; the error norm couples all elements, so
-members of a batch share one step sequence and the tolerance holds for
-the worst member.
+A single stepper drives every propagation in the package: the
+covariance-matrix Lyapunov flow of whole sweep batches, stacked along a
+leading axis.  The state may be any real or complex ndarray; the error
+norm is one RMS over all elements of the batch, so members share one
+step sequence and the tolerance bounds that RMS, not each member's own
+error: one member may exceed it by up to the square root of the number
+of elements.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
@@ -37,9 +38,9 @@ class IntegratorSettings:
     max_steps: int = 50_000_000
 
     def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0.0:
+        if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
 
 
@@ -122,7 +123,7 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
         if n_steps >= settings.max_steps:
             raise IntegrationFailure("step budget exhausted", t_last=t)
         min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
-        if h < min_step:
+        if not h >= min_step:  # also catches a NaN step
             raise IntegrationFailure("step size underflow", t_last=t)
         # clamp the attempt, not the proposal, so landing on a sample
         # time does not collapse the step size afterwards

@@ -17,9 +17,10 @@ Lyapunov equation
     Gamma(t) = J H(g(t)) - Im(Upsilon) J,   D = 2 Re(Upsilon),
 
 with J the symplectic form, H the quadratic-form matrix of the chain
-Hamiltonian and Upsilon built from the damping vectors.  Only the
-single matrix element H[q1, q1] depends on the ramped coupling, so the
-drift is a cached base plus one time-dependent entry.
+Hamiltonian and Upsilon built from the damping vectors.  The system
+block of H is the model's quadrature form, so the drift is a cached
+base plus the ramped system block, and the flow runs on the Lyapunov
+engine of :mod:`critquench.moments`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 from . import model as model_mod
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, PhysicalityError
-from .moments import MomentState, ObservableRecord, observables_from_moments
-from .protocol import QuenchProtocol, ramp_shape
+from .model import ModelSpec
+from .moments import CovarianceTrajectory, broadcast_members, lyapunov_batch_rhs, set_system_block
+from .protocol import QuenchProtocol
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,9 @@ class SymplecticSystem:
     """Assembled quadratic network: H(g), J, damping matrices, drift."""
 
     n_modes: int
-    omega: float
+    model: ModelSpec
     g: float
-    h_base: np.ndarray      # H at g = 0; only H[q1,q1] is g-dependent
+    h_base: np.ndarray      # H at g = 0; only the system block is g-dependent
     j: np.ndarray
     upsilon: np.ndarray     # sum_k lambda_k lambda_k^dag, complex Hermitian
     d_matrix: np.ndarray    # 2 Re(Upsilon)
@@ -127,33 +129,30 @@ class SymplecticSystem:
 
     def h_matrix(self, g: float) -> np.ndarray:
         h = self.h_base.copy()
-        h[0, 0] -= self.omega * g * g
+        h[0, 0], h[self.n_modes, self.n_modes] = model_mod.quadrature_form(self.model, g)
         return h
 
     def drift_base(self) -> np.ndarray:
         return self.j @ self.h_base - np.imag(self.upsilon) @ self.j
 
     def drift(self, g: float) -> np.ndarray:
-        gamma = self.drift_base()
-        gamma[self.n_modes, 0] += self.omega * g * g
-        return gamma
+        return set_system_block(self.drift_base(), self.model, g)
 
 
-def build_system(model_omega: float, g: float, params: AuxBathParams) -> SymplecticSystem:
+def build_system(model: ModelSpec, g: float, params: AuxBathParams) -> SymplecticSystem:
     """Assemble the system + chain quadratic network at coupling g.
 
     The returned object caches the g = 0 Hamiltonian; ``h_matrix(g)``
-    and ``drift(g)`` apply the single ramped entry.  Frequencies in
-    ``params`` are scaled by ``omega_c`` (itself in units of
-    ``model_omega``).
+    and ``drift(g)`` apply the ramped system block of the model's
+    quadrature form.  Frequencies in ``params`` are scaled by
+    ``omega_c`` (itself in units of ``model.omega``).
     """
     if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
         raise DomainError("coupling g must lie in [0, 1]")
     n = params.n_oscillators + 1
-    wc = params.omega_c * model_omega
+    wc = params.omega_c * model.omega
     h = np.zeros((2 * n, 2 * n))
-    h[0, 0] = model_omega
-    h[n, n] = model_omega
+    h[0, 0], h[n, n] = model_mod.quadrature_form(model, 0.0)
 
     for idx, osc in enumerate(params.oscillators):
         qi, pi = 1 + idx, n + 1 + idx
@@ -186,7 +185,7 @@ def build_system(model_omega: float, g: float, params: AuxBathParams) -> Symplec
 
     return SymplecticSystem(
         n_modes=n,
-        omega=model_omega,
+        model=model,
         g=float(g),
         h_base=h,
         j=symplectic_form(n),
@@ -198,13 +197,6 @@ def build_system(model_omega: float, g: float, params: AuxBathParams) -> Symplec
 def vacuum_covariance(n_modes: int) -> np.ndarray:
     """V(0) = identity on the full 2 n_modes phase space."""
     return np.eye(2 * n_modes)
-
-
-def lyapunov_rhs(v: np.ndarray, system: SymplecticSystem, g: float) -> np.ndarray:
-    """dV/dt at coupling g; exactly symmetric for symmetric input."""
-    v_sym = 0.5 * (v + v.T)
-    m = system.drift(g) @ v_sym
-    return m + m.T + system.d_matrix
 
 
 def physicality_defect(v: np.ndarray, j: np.ndarray) -> float:
@@ -219,37 +211,6 @@ def assert_physical(v: np.ndarray, j: np.ndarray, tol: float = 1e-8) -> None:
         raise PhysicalityError(f"V + iJ has eigenvalue {defect} below -{tol}")
 
 
-@dataclass(frozen=True)
-class CovarianceTrajectory:
-    """Sampled covariance history of one structured-bath quench."""
-
-    ts: np.ndarray
-    vs: np.ndarray
-    protocol: QuenchProtocol
-    system: SymplecticSystem
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.vs[-1]
-
-
-def _covariance_batch_rhs(system: SymplecticSystem, tau, g_f, r_n):
-    drift0 = system.drift_base()
-    n = system.n_modes
-    omega = system.omega
-    tau = tau[:, None, None]
-
-    def rhs(s, v):
-        g = g_f * ramp_shape(s, r_n)
-        gamma = np.broadcast_to(drift0, v.shape).copy()
-        gamma[:, n, 0] += omega * g * g
-        v_sym = 0.5 * (v + np.swapaxes(v, -1, -2))
-        m = gamma @ v_sym
-        return tau * (m + np.swapaxes(m, -1, -2) + system.d_matrix)
-
-    return rhs
-
-
 def _drift_spectral_radius(system: SymplecticSystem) -> float:
     radius = 0.0
     for g in (0.0, 1.0):
@@ -262,21 +223,20 @@ def propagate_covariance_batch(
     g_final,
     r_n,
     params: AuxBathParams,
-    model_omega: float = 1.0,
+    model: ModelSpec = model_mod.THERMODYNAMIC,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
     s_samples=None,
 ):
-    """Vectorized Lyapunov propagation from vacuum for many quench times.
+    """Vectorized Lyapunov propagation from the product vacuum ``V = I``.
 
+    Returns ``(s_times, V, system)`` with V of shape (S, B, 2n, 2n).
     The explicit stepper is stability-limited by the strongly damped
     chain members, so the step is capped at a fraction of the inverse
     drift spectral radius; accuracy then rides far below tolerance.
     """
-    system = build_system(model_omega, 0.0, params)
-    tau, g_f, r_n = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (tau_q, g_final, r_n))
-    )
-    rhs = _covariance_batch_rhs(system, tau, g_f, r_n)
+    system = build_system(model, 0.0, params)
+    tau, g_f, r_n = broadcast_members(tau_q, g_final, r_n)
+    rhs = lyapunov_batch_rhs(system.drift_base(), system.d_matrix, model, tau, g_f, r_n)
     v0 = np.broadcast_to(vacuum_covariance(system.n_modes), (tau.size,) + (system.dim,) * 2).copy()
     cap = 3.5 / (_drift_spectral_radius(system) * float(np.max(tau)))
     eff = replace(settings, max_step=min(settings.max_step, cap))
@@ -286,61 +246,27 @@ def propagate_covariance_batch(
 
 def integrate_lyapunov(
     protocol: QuenchProtocol,
-    model_omega: float = 1.0,
+    model: ModelSpec = model_mod.THERMODYNAMIC,
     params: AuxBathParams = DEFAULT_OHMIC,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
     samples: int = 51,
 ) -> CovarianceTrajectory:
-    """Propagate one structured-bath quench from the global vacuum."""
+    """Propagate one structured-bath quench from the product vacuum ``V = I``.
+
+    System and chain both start in their own vacuum, uncoupled; this is
+    not the ground state of the coupled network.
+    """
     s_samples = np.linspace(0.0, 1.0, samples) if samples and samples > 1 else None
-    ss, vs, system = propagate_covariance_batch(
+    ss, vs, _ = propagate_covariance_batch(
         protocol.tau_q,
         protocol.g_final,
         protocol.r_n,
         params,
-        model_omega=model_omega,
+        model=model,
         settings=settings,
         s_samples=s_samples,
     )
-    return CovarianceTrajectory(
-        ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, system=system
-    )
-
-
-def system_block_moments(v: np.ndarray, n_modes: int):
-    """Map the system block of V to (sigma, sigma10) moment variables."""
-    vqq = v[..., 0, 0]
-    vpp = v[..., n_modes, n_modes]
-    vqp = v[..., 0, n_modes]
-    sigma = 0.25 * (vqq + vpp)
-    sigma10 = 0.25 * (vpp - vqq) + 0.5j * vqp
-    return sigma, sigma10
-
-
-def observables_from_covariance(
-    v: np.ndarray, g: float, omega: float = 1.0
-) -> ObservableRecord:
-    """Physical observables of the system mode from the full covariance.
-
-    ``Delta x^2 = V[q1, q1]`` and ``Delta p^2 = V[p1, p1]`` in the
-    ``x = a + a^dag`` convention; the energy uses the same single-mode
-    Hamiltonian as the moment module.
-    """
-    sigma, sigma10 = system_block_moments(v, v.shape[-1] // 2)
-    return observables_from_moments(MomentState(float(sigma), complex(sigma10)), g, omega)
-
-
-def steady_state_covariance(
-    params: AuxBathParams, model_omega: float, g: float
-) -> np.ndarray:
-    """Stationary covariance at frozen coupling via the algebraic equation.
-
-    Solves ``Gamma V + V Gamma^T + D = 0`` directly; diagnostic use.
-    """
-    from scipy.linalg import solve_continuous_lyapunov
-
-    system = build_system(model_omega, g, params)
-    return solve_continuous_lyapunov(system.drift(g), -system.d_matrix)
+    return CovarianceTrajectory(ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, model=model)
 
 
 PARAMS_FILE_DOC = """\

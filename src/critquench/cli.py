@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import auxbath, moments
 from ._ode import IntegratorSettings
 from .config import load_config
@@ -20,7 +18,7 @@ from .errors import ConfigError, DomainError, IntegrationFailure
 from .model import OBSERVABLES
 from .protocol import QuenchProtocol
 from .scaling import predict_regime
-from .sweep import run_size_crossover, run_sweep
+from .sweep import run_size_crossover, run_sweep, structured_params
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,16 +132,15 @@ def _cmd_predict(args) -> int:
 
 def _cmd_steady_state(args) -> int:
     config = load_config(args.config)
+    model = config.model_spec()
     if config.bath_type == "structured":
-        from .sweep import structured_params
-
-        params = structured_params(config)
-        v = auxbath.steady_state_covariance(params, config.omega, args.g)
-        record = auxbath.observables_from_covariance(v, args.g, config.omega)
+        system = auxbath.build_system(model, args.g, structured_params(config))
+        bath = (system.drift_base(), system.d_matrix)
     else:
-        bath = config.bath_spec()
-        state = moments.steady_state_moments(config.model_spec(), bath, args.g)
-        record = moments.observables_from_moments(state, args.g, config.omega)
+        spec = config.bath_spec()
+        bath = moments.thermal_bath(spec.kappa, spec.n_th)
+    v = moments.steady_state_covariance(model, args.g, *bath)
+    record = moments.observables_from_covariance(v, args.g, config.omega)
     print(f"g = {args.g:g}")
     print(f"n = {record.n:.12g}")
     print(f"dx = {record.dx:.12g}")
@@ -158,34 +155,15 @@ def _cmd_dump_trajectory(args) -> int:
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
     settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     if config.bath_type == "structured":
-        from .sweep import structured_params
-
         traj = auxbath.integrate_lyapunov(
-            protocol,
-            model_omega=config.omega,
-            params=structured_params(config),
-            settings=settings,
-            samples=args.samples,
-        )
-        sigma, sigma10 = auxbath.system_block_moments(traj.vs, traj.system.n_modes)
-        moment_traj = moments.MomentTrajectory(
-            ts=traj.ts,
-            sigma=np.real(sigma),
-            sigma10=sigma10,
-            protocol=protocol,
-            model=config.model_spec(),
-            bath=moments.ISOLATED,
+            protocol, config.model_spec(), structured_params(config), settings, args.samples
         )
     else:
-        moment_traj = moments.integrate(
-            protocol,
-            config.model_spec(),
-            config.bath_spec(),
-            settings=settings,
-            samples=args.samples,
+        traj = moments.integrate(
+            protocol, config.model_spec(), config.bath_spec(), settings, args.samples
         )
-    moments.write_trajectory(args.out, moment_traj)
-    print(f"wrote {moment_traj.ts.size} samples to {args.out}")
+    moments.write_trajectory(args.out, traj)
+    print(f"wrote {traj.ts.size} samples to {args.out}")
     return EXIT_OK
 
 

@@ -89,9 +89,12 @@ def env_overrides(environ=None) -> dict[str, str]:
 
 def _to_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(key, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _to_int(key: str, value: str) -> int:
@@ -230,8 +233,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             "bath.kappa",
             "a structured bath cannot be isolated; omit the key to use the table's kappa",
         )
-    if bath_type == "structured" and kind is not ModelKind.THERMODYNAMIC:
-        raise ConfigError("bath.type", "the structured bath is wired to the thermodynamic-limit model")
 
     g_final = _to_float("protocol.g_final", raw.get("protocol.g_final", "1.0"))
     if not 0.0 <= g_final <= 1.0:
@@ -281,8 +282,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
 
     rtol = _to_float("integrator.rtol", raw.get("integrator.rtol", "1e-10"))
     atol = _to_float("integrator.atol", raw.get("integrator.atol", "1e-12"))
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ConfigError("integrator.rtol", "tolerances must be positive")
+    for key, value in (("integrator.rtol", rtol), ("integrator.atol", atol)):
+        if not value > 0.0:
+            raise ConfigError(key, f"must be positive, got {value}")
 
     eta_list = tuple(
         _to_float("size.eta_list", token.strip())

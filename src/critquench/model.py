@@ -5,7 +5,7 @@ Covers the single-mode normal-phase Hamiltonian
 model (QRM) and the Lipkin-Meshkov-Glick (LMG) model at large size,
 its leading 1/eta finite-size corrections for both models, the
 mean-field critical-exponent catalog, and closed-form ground-state
-quantities (energy, gap, squeezed second moments) used as oracles by
+quantities (energy, gap, squeezed covariance) used as oracles by
 the dynamical modules.
 """
 
@@ -129,29 +129,18 @@ def ground_state_energy(omega: float, g) -> float:
     return out if out.ndim else float(out)
 
 
-def squeezing_parameter(g: float) -> float:
-    """Ground-state squeezing ``s(g) = ln(1 - g^2) / 4``; singular at g = 1."""
+def ground_state_covariance(g: float) -> np.ndarray:
+    """Quadrature covariance of the squeezed-vacuum ground state at coupling g.
+
+    ``V = diag((1-g^2)^{-1/2}, (1-g^2)^{1/2})`` over ``(q, p)``, i.e.
+    ``Delta x = (1-g^2)^{-1/4}``, ``Delta p = (1-g^2)^{1/4}`` and
+    ``Delta x * Delta p = 1``; singular at g = 1.
+    """
     _check_coupling(g)
     if g == CRITICAL_COUPLING:
-        raise DomainError("ground-state moments diverge at g = 1")
-    return 0.25 * math.log(1.0 - g * g)
-
-
-def ground_state_moments(g: float):
-    """Second moments of the squeezed-vacuum ground state at coupling g.
-
-    Returns a :class:`~critquench.moments.MomentState` with
-    ``sigma = cosh(2s)/2`` and ``sigma10 = sinh(2s)/2`` for
-    ``s = ln(1 - g^2)/4``, i.e. ``Delta x = (1-g^2)^{-1/4}``,
-    ``Delta p = (1-g^2)^{1/4}`` and ``Delta x * Delta p = 1``.
-    """
-    from .moments import MomentState
-
-    s = squeezing_parameter(g)
-    return MomentState(
-        sigma=0.5 * math.cosh(2.0 * s),
-        sigma10=complex(0.5 * math.sinh(2.0 * s)),
-    )
+        raise DomainError("ground-state covariance diverges at g = 1")
+    root = math.sqrt(1.0 - g * g)
+    return np.diag([1.0 / root, root])
 
 
 def predicted_kz_exponent(
@@ -162,38 +151,33 @@ def predicted_kz_exponent(
     return -gamma / (exponents.z_nu + 1)
 
 
-def quadratic_coefficients(model: ModelSpec, g, eta=None):
-    """Coefficients (w_tilde, lam) of the instantaneous quadratic form.
+def quadrature_form(model: ModelSpec, g, eta=None):
+    """Coefficients (h_qq, h_pp) of ``H = (h_qq q^2 + h_pp p^2) / 2``.
 
-    Every model variant reduces to a single-mode quadratic Hamiltonian
-    ``w_tilde a^dag a + lam (a^2 + a^dag^2)`` plus constants; the moment
-    equations depend only on this pair, and ``-2 lam`` is the drive
-    ``G = g^2 w/2`` of the thermodynamic limit.  QRM subtracts the
-    quartic correction ``c g^4 w / eta`` from G; LMG splits its 1/eta
-    corrections between the drive ``(g^2 w/2)(1 - 1/(2 eta))`` and the
-    rotation shift ``2 w_tilde - 2 w = w g^2 (1/eta - 1)``.  ``eta``
-    defaults to the model's size and may be an array broadcasting
-    against g (size sweeps).  Unvalidated: this is the moment
-    equations' hot path.
+    Every model variant reduces to this single-mode quadratic form in
+    the quadratures ``a = (q + i p)/sqrt(2)``, up to constants.  The
+    thermodynamic limit is ``(w - g^2 w, w)``.  QRM replaces ``g^2 w``
+    by twice its drive ``G = g^2 w/2 - c g^4 w/eta``; LMG keeps
+    ``h_qq = w - g^2 w (1 - 3/(4 eta))`` and stiffens the momentum to
+    ``h_pp = w + g^2 w/(4 eta)``.  ``eta`` defaults to the model's size
+    and may be an array broadcasting against g (size sweeps).
+    Unvalidated: this is the propagation's hot path.
     """
     g = np.asarray(g, dtype=float)
     eta = model.eta if eta is None else eta
     omega = model.omega
     g2w = g * g * omega
     if model.kind is ModelKind.LMG:
-        w_tilde = omega - 0.5 * g2w * (1.0 - 1.0 / eta)
-        lam = -0.25 * g2w * (1.0 - 0.5 / eta)
-        return w_tilde, lam
-    drive = 0.5 * g2w
+        return omega - g2w * (1.0 - 0.75 / eta), omega + 0.25 * g2w / eta
     if model.kind is ModelKind.QRM:
-        drive = drive - model.qrm_quartic_coeff * g2w * g * g / eta
-    return omega - drive, -0.5 * drive
+        drive = 0.5 * g2w - model.qrm_quartic_coeff * g2w * g * g / eta
+        return omega - 2.0 * drive, omega
+    return omega - g2w, omega
 
 
 def excitation_gap(model: ModelSpec, g) -> float:
-    """Gap of the (possibly finite-size corrected) quadratic Hamiltonian."""
+    """Gap ``sqrt(h_qq h_pp)`` of the (possibly finite-size corrected) form."""
     _check_coupling(g)
-    w_tilde, lam = quadratic_coefficients(model, g)
-    arg = w_tilde * w_tilde - 4.0 * lam * lam
-    out = np.sqrt(np.maximum(np.asarray(arg, dtype=float), 0.0))
+    h_qq, h_pp = quadrature_form(model, g)
+    out = np.sqrt(np.maximum(np.asarray(h_qq * h_pp, dtype=float), 0.0))
     return out if out.ndim else float(out)

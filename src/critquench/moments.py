@@ -1,20 +1,25 @@
-"""Gaussian second-moment propagation under the driven Lindblad equation.
+"""Gaussian covariance propagation under the driven Lindblad equation.
 
-The state of the single collective mode is fully described by
-``sigma = (<a^dag a> + 1/2)`` and the pair correlation
-``sigma10 = -<a^dag^2>`` (with ``sigma01 = conj(sigma10)``), the
-Gaussian parameters of the Wigner characteristic function.  Under the
-ramped quadratic Hamiltonian with thermal jump rates
-``Gamma_a = kappa (N_th + 1)/2`` and ``Gamma_adag = kappa N_th / 2``
-they obey the closed linear system
+A zero-mean Gaussian state is fully described by its symmetrized
+quadrature covariance ``V_jk = <x_j x_k + x_k x_j>`` over
+``x = (q_1..q_n, p_1..p_n)``, system mode first with
+``a = (q_1 + i p_1)/sqrt(2)``; the vacuum is ``V = I``.  Every
+environment here is linear, so V obeys the Lyapunov equation
 
-    d sigma   / dt = 2 Gamma_- sigma + Gamma_+ - 2 i lam (sigma01 - sigma10)
-    d sigma10 / dt = (2 i w_tilde + 2 Gamma_-) sigma10 - 4 i lam sigma
+    dV/dt = Gamma(t) V + V Gamma(t)^T + D.
 
-where (w_tilde, lam) is the instantaneous quadratic form of the chosen
-model and ``Gamma_+- = Gamma_adag +- Gamma_a``.  Only (sigma,
-Re sigma10, Im sigma10) are integrated, so the conjugate pairing is
-exact by construction.
+The drift ``Gamma`` is a bath-dependent base plus the system block of
+``J H(g)``: with the model's quadrature form
+``H = (h_qq q^2 + h_pp p^2)/2`` only ``Gamma[p_1, q_1] = -h_qq(g)`` and
+``Gamma[q_1, p_1] = h_pp(g)`` move with the ramped coupling.  The
+Markovian thermal bath (jump rates ``kappa (n_th + 1)`` on a and
+``kappa n_th`` on a^dag) is the one-mode case,
+
+    Gamma = J H(g) - (kappa/2) I,    D = kappa (2 n_th + 1) I,
+
+on the 2x2 covariance of the system mode alone; the structured bath
+(:mod:`critquench.auxbath`) appends a chain of damped oscillators with
+its own drift base and diffusion.
 
 Sweeps are propagated as one vectorized batch in rescaled time
 ``s = t / tau_q``: members with different quench times, couplings,
@@ -49,9 +54,9 @@ class BathSpec:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.n_th < 0.0:
+        if not self.n_th >= 0.0:
             raise DomainError(f"n_th must be nonnegative, got {self.n_th}")
 
     @classmethod
@@ -68,25 +73,6 @@ class BathSpec:
 
 
 ISOLATED = BathSpec()
-
-
-@dataclass(frozen=True)
-class MomentState:
-    """Gaussian second moments; sigma01 is mirrored from sigma10 on read."""
-
-    sigma: float
-    sigma10: complex
-
-    @property
-    def sigma01(self) -> complex:
-        return self.sigma10.conjugate()
-
-    @property
-    def n(self) -> float:
-        return self.sigma - 0.5
-
-
-VACUUM = MomentState(sigma=0.5, sigma10=0.0j)
 
 
 @dataclass(frozen=True)
@@ -111,68 +97,56 @@ class ObservableRecord:
             raise KeyError(f"unknown observable {observable!r}") from None
 
 
-class _BatchParams(NamedTuple):
-    """Per-member sweep parameters, broadcast to a common length."""
-
-    tau_q: np.ndarray
-    g_final: np.ndarray
-    r_n: np.ndarray
-    eta: np.ndarray
-    kappa: np.ndarray
-    n_th: np.ndarray
+def broadcast_members(*params) -> list[np.ndarray]:
+    """Per-member sweep parameters, broadcast to one common 1-d length."""
+    arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in params))
+    return [np.ascontiguousarray(a) for a in arrs]
 
 
-def _broadcast_params(tau_q, g_final, r_n, eta, kappa, n_th) -> _BatchParams:
-    arrs = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (tau_q, g_final, r_n, eta, kappa, n_th))
-    )
-    return _BatchParams(*(np.ascontiguousarray(a) for a in arrs))
+def thermal_bath(kappa, n_th):
+    """Markovian thermal bath as drift base and diffusion of the system mode.
+
+    Returns ``(-(kappa/2) I, kappa (2 n_th + 1) I)``, 2x2 matrices
+    stacked along the broadcast shape of ``kappa`` and ``n_th``.
+    """
+    kappa, n_th = np.broadcast_arrays(np.asarray(kappa, dtype=float), np.asarray(n_th, dtype=float))
+    eye = np.eye(2)
+    return -0.5 * kappa[..., None, None] * eye, (kappa * (2.0 * n_th + 1.0))[..., None, None] * eye
 
 
-def _bath_rates(kappa, n_th):
-    """Thermal rates ``(2 Gamma_-, Gamma_+) = (-kappa, kappa (n_th + 1/2))``."""
-    return -kappa, 0.5 * kappa * (2.0 * n_th + 1.0)
+def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.ndarray:
+    """Write the ramped system block of ``J H(g)`` into ``drift`` in place.
+
+    ``drift`` is one matrix or a stack over members (then ``g`` and
+    ``eta`` broadcast over the stack); returns it for chaining.
+    """
+    n = drift.shape[-1] // 2
+    h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
+    drift[..., n, 0] = -h_qq
+    drift[..., 0, n] = h_pp
+    return drift
 
 
-def _batch_rhs_factory(params: _BatchParams, model: ModelSpec):
-    """RHS in rescaled time s = t / tau_q for state columns (sigma, Re s10, Im s10)."""
-    tau = params.tau_q
-    g_f = params.g_final
-    r_n = params.r_n
-    eta = params.eta
-    two_gm, gp = _bath_rates(params.kappa, params.n_th)
+def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None):
+    """``dV/ds = tau_q (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
 
-    def rhs(s, y):
-        g = g_f * ramp_shape(s, r_n)
-        w_tilde, lam = model_mod.quadratic_coefficients(model, g, eta=eta)
-        sig, u, v = y[:, 0], y[:, 1], y[:, 2]
-        out = np.empty_like(y)
-        out[:, 0] = tau * (two_gm * sig + gp - 4.0 * lam * v)
-        out[:, 1] = tau * (two_gm * u - 2.0 * w_tilde * v)
-        out[:, 2] = tau * (2.0 * w_tilde * u + two_gm * v - 4.0 * lam * sig)
-        return out
+    ``drift_base`` (one matrix, or one per member) holds every drift
+    entry but the ramped system block, which each call rewrites in a
+    buffer allocated once here; the other entries are never touched, so
+    the result depends on ``(s, V)`` only.  V must be symmetric, as
+    ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output is exactly
+    symmetric, so a flow started from a symmetric V stays exactly
+    symmetric through every Runge-Kutta stage.
+    """
+    drift = np.array(np.broadcast_to(drift_base, (tau_q.size,) + np.shape(drift_base)[-2:]))
+    tau = tau_q[:, None, None]
+
+    def rhs(s, v):
+        set_system_block(drift, model, g_final * ramp_shape(s, r_n), eta=eta)
+        m = drift @ v
+        return tau * (m + np.swapaxes(m, -1, -2) + diffusion)
 
     return rhs
-
-
-def moment_rhs(
-    state: MomentState,
-    t: float,
-    protocol: QuenchProtocol,
-    model: ModelSpec = model_mod.THERMODYNAMIC,
-    bath: BathSpec = ISOLATED,
-) -> tuple[complex, complex]:
-    """Time derivatives (d sigma, d sigma10) at time t along a protocol.
-
-    Evaluates the batch RHS for one member at ``s = t / tau_q`` with a
-    unit time scale, which is the real-time derivative.
-    """
-    if not 0.0 <= t <= protocol.tau_q:
-        raise DomainError(f"t outside [0, {protocol.tau_q}]")
-    params = _broadcast_params(1.0, protocol.g_final, protocol.r_n, model.eta, bath.kappa, bath.n_th)
-    y = np.array([[state.sigma, state.sigma10.real, state.sigma10.imag]])
-    d_sigma, d_u, d_v = _batch_rhs_factory(params, model)(t / protocol.tau_q, y)[0]
-    return complex(d_sigma), complex(d_u, d_v)
 
 
 def propagate_moments_batch(
@@ -186,48 +160,44 @@ def propagate_moments_batch(
     settings: IntegratorSettings = DEFAULT_SETTINGS,
     s_samples=None,
 ):
-    """Propagate many quenches at once from the shared vacuum start.
+    """Propagate many Markovian quenches at once from the vacuum ``V = I``.
 
     All parameter arguments broadcast against each other; ``eta``
     defaults to the model's size but may be an array for size sweeps.
-    Returns ``(s_times, states)`` with states of shape (S, B, 3)
-    holding (sigma, Re sigma10, Im sigma10).
+    Returns ``(s_times, V)`` with V of shape (S, B, 2, 2).
     """
-    params = _broadcast_params(
+    tau, g_f, r_n, eta, kappa, n_th = broadcast_members(
         tau_q, g_final, r_n, model.eta if eta is None else eta, kappa, n_th
     )
-    rhs = _batch_rhs_factory(params, model)
-    y0 = np.zeros((params.tau_q.size, 3))
-    y0[:, 0] = 0.5
+    drift_base, diffusion = thermal_bath(kappa, n_th)
+    rhs = lyapunov_batch_rhs(drift_base, diffusion, model, tau, g_f, r_n, eta=eta)
+    v0 = np.broadcast_to(np.eye(2), drift_base.shape).copy()
     # cap the rescaled-time step so strongly damped members stay stable
-    rate = max(2.5 * model.omega, float(np.max(params.kappa, initial=0.0)))
-    cap = 3.5 / (rate * float(np.max(params.tau_q)))
+    rate = max(2.5 * model.omega, float(np.max(kappa, initial=0.0)))
+    cap = 3.5 / (rate * float(np.max(tau)))
     eff = replace(settings, max_step=min(settings.max_step, cap))
-    return solve_to(rhs, 0.0, 1.0, y0, settings=eff, t_samples=s_samples)
+    return solve_to(rhs, 0.0, 1.0, v0, settings=eff, t_samples=s_samples)
 
 
 @dataclass(frozen=True)
-class MomentTrajectory:
-    """Sampled moment history of one quench."""
+class CovarianceTrajectory:
+    """Sampled covariance history ``vs`` (S, 2n, 2n) of one quench."""
 
     ts: np.ndarray
-    sigma: np.ndarray
-    sigma10: np.ndarray
+    vs: np.ndarray
     protocol: QuenchProtocol
     model: ModelSpec
-    bath: BathSpec
 
     @property
-    def final(self) -> MomentState:
-        return MomentState(sigma=float(self.sigma[-1]), sigma10=complex(self.sigma10[-1]))
+    def final(self) -> np.ndarray:
+        return self.vs[-1]
 
     def couplings(self) -> np.ndarray:
         return self.protocol.coupling(self.ts)
 
     def observable_arrays(self):
         """Vectorized (n, dx, dp, energy, e_r) along the trajectory."""
-        g = self.couplings()
-        return _observables_arrays(self.sigma, np.real(self.sigma10), g, self.model.omega)
+        return observable_arrays(self.vs, self.couplings(), self.model.omega)
 
 
 def integrate(
@@ -236,14 +206,14 @@ def integrate(
     bath: BathSpec = ISOLATED,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
     samples: int = 201,
-) -> MomentTrajectory:
-    """Propagate one quench from the vacuum and sample it uniformly.
+) -> CovarianceTrajectory:
+    """Propagate one Markovian quench from the vacuum and sample it uniformly.
 
     The final state is reproducible to better than 1e-8 relative under
     a hundredfold tolerance tightening (verified in the test suite).
     """
     s_samples = np.linspace(0.0, 1.0, samples) if samples and samples > 1 else None
-    ss, ys = propagate_moments_batch(
+    ss, vs = propagate_moments_batch(
         protocol.tau_q,
         protocol.g_final,
         protocol.r_n,
@@ -253,46 +223,39 @@ def integrate(
         settings=settings,
         s_samples=s_samples,
     )
-    return MomentTrajectory(
-        ts=ss * protocol.tau_q,
-        sigma=ys[:, 0, 0],
-        sigma10=ys[:, 0, 1] + 1j * ys[:, 0, 2],
-        protocol=protocol,
-        model=model,
-        bath=bath,
-    )
+    return CovarianceTrajectory(ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, model=model)
 
 
-def _observables_arrays(sigma, re_sigma10, g, omega):
-    """Shared observable extraction on arrays; clamps rounding-level negatives."""
-    x2 = 2.0 * sigma - 2.0 * re_sigma10
-    p2 = 2.0 * sigma + 2.0 * re_sigma10
+def observable_arrays(v, g, omega):
+    """(n, dx, dp, energy, e_r) of the system mode from covariances (..., 2n, 2n).
+
+    ``dx^2 = V[q1, q1]`` and ``dp^2 = V[p1, p1]`` in the ``x = a + a^dag``
+    convention, ``n = (dx^2 + dp^2)/4 - 1/2``.  The energy uses the
+    single-mode normal-phase Hamiltonian, so the residual energy is
+    nonnegative for every physical state (it equals
+    ``(w/4)[(1-g^2) dx^2 + dp^2] - (w/2) sqrt(1-g^2)``, bounded below by
+    zero through the uncertainty relation).  Clamps rounding-level
+    negative variances.
+    """
+    n_modes = v.shape[-1] // 2
+    x2 = v[..., 0, 0]
+    p2 = v[..., n_modes, n_modes]
     low = min(float(np.min(x2)), float(np.min(p2)))
     if low < -PHYSICALITY_TOL:
         raise PhysicalityError(f"negative quadrature variance {low}")
+    n = 0.25 * (x2 + p2) - 0.5
     x2 = np.maximum(x2, 0.0)
     p2 = np.maximum(p2, 0.0)
-    n = sigma - 0.5
     energy = omega * n - 0.25 * g * g * omega * x2
     e_r = energy - 0.5 * omega * (np.sqrt(1.0 - g * g) - 1.0)
     return n, np.sqrt(x2), np.sqrt(p2), energy, e_r
 
 
-def observables_from_moments(
-    state: MomentState, g: float, omega: float = 1.0
-) -> ObservableRecord:
-    """Physical observables of one Gaussian state at coupling g.
-
-    Uses the single-mode normal-phase Hamiltonian for the energy, so the
-    residual energy is nonnegative for every physical state (it equals
-    ``(w/4)[(1-g^2) dx^2 + dp^2] - (w/2) sqrt(1-g^2)``, bounded below by
-    zero through the uncertainty relation).
-    """
+def observables_from_covariance(v, g: float, omega: float = 1.0) -> ObservableRecord:
+    """Physical observables of the system mode of one covariance at coupling g."""
     if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
         raise DomainError("coupling g must lie in [0, 1]")
-    n, dx, dp, energy, e_r = _observables_arrays(
-        np.asarray(state.sigma), np.asarray(state.sigma10.real), np.asarray(g), omega
-    )
+    n, dx, dp, energy, e_r = observable_arrays(np.asarray(v, dtype=float), g, omega)
     return ObservableRecord(
         n=float(n), dx=float(dx), dp=float(dp), energy=float(energy), residual_energy=float(e_r)
     )
@@ -317,49 +280,39 @@ def delta_observable(
     once isolated (kappa = 0) and once with the given bath, and returns
     (isolated, open, open - isolated).
     """
-    records = []
+    values = []
     for leg in (ISOLATED, bath):
-        traj = integrate(protocol, model, leg, settings=settings, samples=0)
-        records.append(
-            observables_from_moments(traj.final, protocol.coupling(protocol.tau_q), model.omega)
-        )
-    iso = records[0].value(observable)
-    opn = records[1].value(observable)
+        final = integrate(protocol, model, leg, settings=settings, samples=0).final
+        values.append(observables_from_covariance(final, protocol.g_final, model.omega).value(observable))
+    iso, opn = values
     return DeltaObservable(isolated=iso, open=opn, delta=opn - iso)
 
 
-def steady_state_moments(
-    model: ModelSpec, bath: BathSpec, g: float
-) -> MomentState:
-    """Fixed point of the moment equations at frozen coupling g.
+def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -> np.ndarray:
+    """Fixed point of the Lyapunov flow at frozen coupling g.
 
-    Solves the 3x3 linear stationarity system; requires kappa > 0
-    (the isolated equations have no attracting fixed point).
+    Solves ``Gamma(g) V + V Gamma(g)^T + D = 0`` for a bath given as
+    drift base and diffusion (:func:`thermal_bath`, or a chain's
+    ``drift_base()`` and ``d_matrix``).  Requires a strictly damped
+    drift: the isolated flow (kappa = 0) has no attracting fixed point.
     """
-    if bath.is_isolated:
-        raise DomainError("steady state requires kappa > 0")
-    w_tilde, lam = model_mod.quadratic_coefficients(model, float(g))
-    two_gm, gp = _bath_rates(bath.kappa, bath.n_th)
-    a = np.array(
-        [
-            [two_gm, 0.0, -4.0 * lam],
-            [0.0, two_gm, -2.0 * w_tilde],
-            [-4.0 * lam, 2.0 * w_tilde, two_gm],
-        ]
-    )
-    rhs = np.array([-gp, 0.0, 0.0])
-    sig, u, v = np.linalg.solve(a, rhs)
-    return MomentState(sigma=float(sig), sigma10=complex(u, v))
+    from scipy.linalg import solve_continuous_lyapunov
+
+    drift = set_system_block(np.array(drift_base, dtype=float), model, g)
+    if not np.max(np.linalg.eigvals(drift).real) < 0.0:
+        raise DomainError("steady state requires a strictly damped drift (kappa > 0)")
+    return solve_continuous_lyapunov(drift, -np.asarray(diffusion))
 
 
-TRAJECTORY_COLUMNS = ("t", "g", "sigma", "re_sigma10", "im_sigma10", "n", "dx", "dp", "e_r")
+TRAJECTORY_COLUMNS = ("t", "g", "v_qq", "v_pp", "v_qp", "n", "dx", "dp", "e_r")
 
 
-def write_trajectory(path, trajectory: MomentTrajectory) -> None:
+def write_trajectory(path, trajectory: CovarianceTrajectory) -> None:
     """Dump a sampled trajectory as a delimited text table.
 
-    The delimiter follows the file extension (.tsv tab, .csv comma);
-    all values carry 17 significant digits.
+    The ``v_*`` columns are the system block of the covariance.  The
+    delimiter follows the file extension (.tsv tab, .csv comma); all
+    values carry 17 significant digits.
     """
     path = str(path)
     if path.endswith(".tsv"):
@@ -368,20 +321,13 @@ def write_trajectory(path, trajectory: MomentTrajectory) -> None:
         sep = ","
     else:
         raise ValueError("trajectory path must end in .tsv or .csv")
-    g = trajectory.couplings()
+    vs = trajectory.vs
+    n_modes = vs.shape[-1] // 2
     n, dx, dp, _, e_r = trajectory.observable_arrays()
+    columns = np.column_stack(
+        [trajectory.ts, trajectory.couplings(), vs[:, 0, 0], vs[:, n_modes, n_modes], vs[:, 0, n_modes], n, dx, dp, e_r]
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(sep.join(TRAJECTORY_COLUMNS) + "\n")
-        for i in range(trajectory.ts.size):
-            row = (
-                trajectory.ts[i],
-                g[i],
-                trajectory.sigma[i],
-                trajectory.sigma10[i].real,
-                trajectory.sigma10[i].imag,
-                n[i],
-                dx[i],
-                dp[i],
-                e_r[i],
-            )
+        for row in columns:
             fh.write(sep.join(f"{v:.17g}" for v in row) + "\n")

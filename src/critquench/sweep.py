@@ -43,8 +43,8 @@ def tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarr
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _observable_arrays_at_final(config: ExperimentConfig, sigma, re_sigma10):
-    n, dx, dp, _, e_r = moments._observables_arrays(sigma, re_sigma10, config.g_final, config.omega)
+def _observable_arrays_at_final(config: ExperimentConfig, v):
+    n, dx, dp, _, e_r = moments.observable_arrays(v, config.g_final, config.omega)
     return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
 
 
@@ -63,7 +63,7 @@ def _markovian_leg(
         eta=eta,
         settings=settings,
     )
-    return _observable_arrays_at_final(config, ys[-1, :, 0], ys[-1, :, 1])
+    return _observable_arrays_at_final(config, ys[-1])
 
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -104,16 +104,15 @@ def structured_params(config: ExperimentConfig) -> auxbath.AuxBathParams:
 
 def _structured_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
     settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
-    _, vs, system = auxbath.propagate_covariance_batch(
+    _, vs, _ = auxbath.propagate_covariance_batch(
         taus,
         config.g_final,
         config.r_n,
         structured_params(config),
-        model_omega=config.omega,
+        model=config.model_spec(),
         settings=settings,
     )
-    sigma, sigma10 = auxbath.system_block_moments(vs[-1], system.n_modes)
-    return _observable_arrays_at_final(config, sigma, np.real(sigma10))
+    return _observable_arrays_at_final(config, vs[-1])
 
 
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:

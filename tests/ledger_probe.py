@@ -33,7 +33,7 @@ from test_acceptance import fit_log_corrected
 
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import _observables_arrays, propagate_moments_batch
+from critquench.moments import observable_arrays, propagate_moments_batch
 from critquench.protocol import ramp_shape
 from critquench.scaling import fit_power_law
 from critquench.sweep import compute_chunk, run_sweep
@@ -71,7 +71,7 @@ def cmd_ramp(args):
     tau_b = np.concatenate([taus, taus, [taus[-1]]])
     kap_b = np.concatenate([np.zeros(n), np.full(n, args.kappa), [args.kappa / 10.0]])
     _, ys = propagate_moments_batch(tau_b, 1.0, args.rn, THERMODYNAMIC, kap_b, 0.0)
-    obs = _observables_arrays(ys[-1][:, 0], ys[-1][:, 1], 1.0, 1.0)
+    obs = observable_arrays(ys[-1], 1.0, 1.0)
     print(f"r_n = {args.rn:g}  kappa = {args.kappa:g}  tau_q = {args.tau_min:g}..{args.tau_max:g}")
     for name in ("e_r", "dp"):
         values = obs[_OBS_INDEX[name]]

@@ -32,9 +32,9 @@ from scipy.stats import f as f_dist
 from critquench import (
     BathSpec,
     QuenchProtocol,
-    ground_state_moments,
+    ground_state_covariance,
     integrate,
-    moment_rhs,
+    observables_from_covariance,
     optimal_quench_time,
 )
 from critquench.auxbath import (
@@ -44,11 +44,11 @@ from critquench.auxbath import (
     integrate_lyapunov,
     load_params,
     physicality_defect,
-    system_block_moments,
+    symplectic_form,
 )
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import propagate_moments_batch, _observables_arrays
+from critquench.moments import lyapunov_batch_rhs, observable_arrays, propagate_moments_batch, thermal_bath
 from critquench.scaling import fit_power_law, kz_akz_tradeoff, predicted_akz_exponent
 from critquench.sweep import run_size_crossover, run_sweep
 
@@ -251,7 +251,7 @@ def steeper_ramps():
         [np.repeat([0.0, 1e-6, 0.0, WEAK_KAPPA], n_tau), [WEAK_KAPPA / 10.0]]
     )
     _, ys = propagate_moments_batch(tau_b, 1.0, rn_b, THERMODYNAMIC, kap_b, 0.0)
-    obs = _observables_arrays(ys[-1][:, 0], ys[-1][:, 1], 1.0, 1.0)
+    obs = observable_arrays(ys[-1], 1.0, 1.0)
     out = {"taus": taus}
     for j, rn in enumerate((1.0, 2.0)):
         iso = slice(2 * j * n_tau, (2 * j + 1) * n_tau)
@@ -449,21 +449,24 @@ class TestCriterion8PropertySuite:
         worst = 0.0
         for protocol in (QuenchProtocol(1.0, 300.0), QuenchProtocol(1.0, 300.0, 0.5)):
             traj = integrate(protocol, samples=31)
-            purity = traj.sigma**2 - np.abs(traj.sigma10) ** 2
+            purity = np.linalg.det(traj.vs) / 4.0  # sigma^2 - |sigma10|^2
             worst = max(worst, float(np.max(np.abs(purity - 0.25))))
-        report([("8 purity", worst < 1e-8, f"max |sigma^2 - |sigma10|^2 - 1/4| = {worst:.2e}")])
+        report([("8 purity", worst < 1e-8, f"max |det V / 4 - 1/4| = {worst:.2e}")])
 
     def test_thermal_fixed_point(self):
         bath = BathSpec(kappa=1e-2, n_th=3.0)
         traj = integrate(QuenchProtocol(0.0, 2000.0), bath=bath, samples=0)
-        err = abs(traj.final.n - 3.0)
+        err = abs(observables_from_covariance(traj.final, 0.0).n - 3.0)
         report([("8 thermal fixed point", err < 1e-6, f"|n - n_th| = {err:.2e}")])
 
     def test_ground_state_stationarity(self):
+        # the batch RHS with B = 1 at frozen coupling g (s = 1, r_n = 1)
         worst = 0.0
+        one = np.array([1.0])
         for g in (0.3, 0.6, 0.9):
-            d_sigma, d_s10 = moment_rhs(ground_state_moments(g), 1.0, QuenchProtocol(g, 1.0))
-            worst = max(worst, abs(d_sigma), abs(d_s10))
+            rhs = lyapunov_batch_rhs(*thermal_bath(one * 0.0, 0.0), THERMODYNAMIC, one, one * g, one)
+            d_v = rhs(1.0, ground_state_covariance(g)[None])
+            worst = max(worst, float(np.max(np.abs(d_v))))
         report([("8 ground-state stationarity", worst < 1e-12, f"max derivative = {worst:.2e}")])
 
     def test_aux_decoupled_equivalence(self):
@@ -475,15 +478,14 @@ class TestCriterion8PropertySuite:
                 AuxOscillator(o.omega, 0.0, o.d, o.gamma) for o in DEFAULT_OHMIC.oscillators
             ),
         )
-        traj = integrate_lyapunov(protocol, params=params, samples=0)
-        sigma, sigma10 = system_block_moments(traj.final, traj.system.n_modes)
+        v = integrate_lyapunov(protocol, params=params, samples=0).final
         ref = integrate(protocol, samples=0).final
-        err = max(abs(float(sigma) - ref.sigma), abs(complex(sigma10) - ref.sigma10))
-        report([("8 aux decoupled equivalence", err < 1e-6, f"max moment gap = {err:.2e}")])
+        err = float(np.max(np.abs(v[np.ix_([0, 5], [0, 5])] - ref)))
+        report([("8 aux decoupled equivalence", err < 1e-6, f"max covariance gap = {err:.2e}")])
 
     def test_covariance_physicality(self):
         traj = integrate_lyapunov(QuenchProtocol(1.0, 50.0), params=DEFAULT_OHMIC, samples=26)
-        defect = min(physicality_defect(v, traj.system.j) for v in traj.vs)
+        defect = min(physicality_defect(v, symplectic_form(5)) for v in traj.vs)
         report([("8 V+iJ physicality", defect > -1e-8, f"min eigenvalue = {defect:.2e}")])
 
     def test_fit_recovers_synthetic_exponent(self):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from critquench import IntegratorSettings, QuenchProtocol, integrate
+from critquench import (
+    IntegratorSettings,
+    QuenchProtocol,
+    integrate,
+    observables_from_covariance,
+    steady_state_covariance,
+)
 from critquench.auxbath import (
     DEFAULT_OHMIC,
     AuxBathParams,
@@ -13,20 +19,24 @@ from critquench.auxbath import (
     dump_params,
     integrate_lyapunov,
     load_params,
-    lyapunov_rhs,
     ohmic_spectral_density,
     physicality_defect,
     propagate_covariance_batch,
-    steady_state_covariance,
     symplectic_form,
-    system_block_moments,
     vacuum_covariance,
 )
 from critquench.errors import DomainError, PhysicalityError
-from critquench.moments import _observables_arrays
-from critquench.auxbath import observables_from_covariance
+from critquench.model import THERMODYNAMIC
+from critquench.moments import lyapunov_batch_rhs
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
+
+
+def lyapunov_rhs(v, system, g):
+    """dV/dt at frozen coupling g, from the batch RHS with B = 1."""
+    one = np.array([1.0])
+    rhs = lyapunov_batch_rhs(system.drift_base(), system.d_matrix, system.model, one, np.array([g]), one)
+    return rhs(1.0, v[None])[0]
 
 
 def _decoupled(params: AuxBathParams, keep_gamma: bool = True) -> AuxBathParams:
@@ -84,7 +94,7 @@ class TestParams:
 class TestBuildSystem:
     def test_decoupled_system_block_is_single_mode(self):
         params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
-        system = build_system(1.0, 0.7, params)
+        system = build_system(THERMODYNAMIC, 0.7, params)
         h = system.h_matrix(0.7)
         n = system.n_modes
         assert h[0, 0] == pytest.approx(1.0 - 0.49, abs=1e-15)
@@ -92,7 +102,7 @@ class TestBuildSystem:
         assert np.all(h[0, 1:n] == 0.0) and np.all(h[0, n + 1 :] == 0.0)
 
     def test_oscillator_frequencies_on_diagonal(self):
-        system = build_system(1.0, 0.0, DEFAULT_OHMIC)
+        system = build_system(THERMODYNAMIC, 0.0, DEFAULT_OHMIC)
         n = system.n_modes
         wc = DEFAULT_OHMIC.omega_c
         for idx, osc in enumerate(DEFAULT_OHMIC.oscillators):
@@ -106,7 +116,7 @@ class TestBuildSystem:
         assert np.array_equal(j @ j, -np.eye(10))
 
     def test_h_symmetric_and_d_psd(self):
-        system = build_system(1.0, 0.9, DEFAULT_OHMIC)
+        system = build_system(THERMODYNAMIC, 0.9, DEFAULT_OHMIC)
         h = system.h
         assert np.array_equal(h, h.T)
         eigs = np.linalg.eigvalsh(system.d_matrix)
@@ -127,32 +137,32 @@ class TestBuildSystem:
                 for k in range(3)
             )
             params = AuxBathParams(kappa=1e-3, omega_c=5.0, oscillators=oscs)
-            system = build_system(1.0, float(rng.uniform(0.0, 1.0)), params)
+            system = build_system(THERMODYNAMIC, float(rng.uniform(0.0, 1.0)), params)
             gamma = system.drift(system.g)
             combo = system.d_matrix + 1j * (gamma @ system.j + system.j @ gamma.T)
             assert np.max(np.abs(combo - 2.0 * system.upsilon)) < 1e-12
 
     def test_coupling_validated(self):
         with pytest.raises(DomainError):
-            build_system(1.0, 1.5, DEFAULT_OHMIC)
+            build_system(THERMODYNAMIC, 1.5, DEFAULT_OHMIC)
 
 
 class TestLyapunovRhs:
     def test_vacuum_fixed_point_of_damped_decoupled_chain(self):
         params = _decoupled(DEFAULT_OHMIC)
-        system = build_system(1.0, 0.0, params)
+        system = build_system(THERMODYNAMIC, 0.0, params)
         rhs = lyapunov_rhs(vacuum_covariance(system.n_modes), system, 0.0)
         assert np.max(np.abs(rhs)) < 1e-12
 
     def test_vacuum_invariant_without_damping(self):
         params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
-        system = build_system(1.0, 0.0, params)
+        system = build_system(THERMODYNAMIC, 0.0, params)
         rhs = lyapunov_rhs(vacuum_covariance(system.n_modes), system, 0.0)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_rhs_symmetric_for_random_input(self):
         rng = np.random.default_rng(3)
-        system = build_system(1.0, 0.5, DEFAULT_OHMIC)
+        system = build_system(THERMODYNAMIC, 0.5, DEFAULT_OHMIC)
         m = rng.normal(size=(system.dim, system.dim))
         v = m + m.T
         rhs = lyapunov_rhs(v, system, 0.5)
@@ -174,22 +184,18 @@ class TestPropagation:
         params = _decoupled(DEFAULT_OHMIC)
         traj = integrate_lyapunov(protocol, params=params, samples=0)
         rec = observables_from_covariance(traj.final, protocol.g_final)
-        ref = integrate(protocol, settings=TIGHT, samples=0)
-        rec_ref_n, rec_ref_dx, rec_ref_dp, _, rec_ref_er = _observables_arrays(
-            np.asarray(ref.final.sigma),
-            np.asarray(ref.final.sigma10.real),
-            np.asarray(protocol.g_final),
-            1.0,
+        ref = observables_from_covariance(
+            integrate(protocol, settings=TIGHT, samples=0).final, protocol.g_final
         )
-        assert rec.n == pytest.approx(float(rec_ref_n), abs=1e-6)
-        assert rec.dx == pytest.approx(float(rec_ref_dx), abs=1e-6)
-        assert rec.dp == pytest.approx(float(rec_ref_dp), abs=1e-6)
-        assert rec.residual_energy == pytest.approx(float(rec_ref_er), abs=1e-6)
+        assert rec.n == pytest.approx(ref.n, abs=1e-6)
+        assert rec.dx == pytest.approx(ref.dx, abs=1e-6)
+        assert rec.dp == pytest.approx(ref.dp, abs=1e-6)
+        assert rec.residual_energy == pytest.approx(ref.residual_energy, abs=1e-6)
 
     def test_physicality_preserved_along_driven_damped_run(self):
         traj = integrate_lyapunov(QuenchProtocol(1.0, 50.0), params=DEFAULT_OHMIC, samples=26)
         for v in traj.vs:
-            assert_physical(v, traj.system.j, tol=1e-8)
+            assert_physical(v, symplectic_form(5), tol=1e-8)
 
     def test_weak_coupling_occupancy_floor(self):
         # T = 0 structured bath at g = 0 keeps the system at the kappa^2
@@ -200,8 +206,7 @@ class TestPropagation:
         traj = integrate_lyapunov(
             QuenchProtocol(0.0, 50.0), params=params, settings=TIGHT, samples=11
         )
-        sigma, _ = system_block_moments(traj.vs, traj.system.n_modes)
-        n = sigma - 0.5
+        n = traj.observable_arrays()[0]
         assert float(n[1]) < 10.0 * params.kappa**2  # t = 5: dressing level
         assert np.max(n) < 100.0 * params.kappa**2  # no runaway over t = 50
 
@@ -232,13 +237,17 @@ class TestObservables:
         assert rec.n == pytest.approx(3.0, abs=1e-15)
 
     def test_moment_mapping_consistency(self):
+        # the extractor reads the system block only, the same way for the
+        # full chain covariance and for the single mode
         rng = np.random.default_rng(5)
         m = rng.normal(size=(10, 10))
         v = m @ m.T + 10.0 * np.eye(10)
-        sigma, sigma10 = system_block_moments(v, 5)
-        assert sigma == pytest.approx((v[0, 0] + v[5, 5]) / 4.0, rel=1e-14)
-        assert sigma10.real == pytest.approx((v[5, 5] - v[0, 0]) / 4.0, rel=1e-14)
-        assert sigma10.imag == pytest.approx(v[0, 5] / 2.0, rel=1e-14)
+        rec = observables_from_covariance(v, 0.3)
+        assert rec.n == pytest.approx((v[0, 0] + v[5, 5]) / 4.0 - 0.5, rel=1e-14)
+        assert rec.dx == pytest.approx(np.sqrt(v[0, 0]), rel=1e-14)
+        assert rec.dp == pytest.approx(np.sqrt(v[5, 5]), rel=1e-14)
+        block = v[np.ix_([0, 5], [0, 5])]
+        assert observables_from_covariance(block, 0.3) == rec
 
     def test_unphysical_covariance_rejected(self):
         v = vacuum_covariance(5)
@@ -249,8 +258,8 @@ class TestObservables:
 
 class TestSteadyState:
     def test_algebraic_fixed_point(self):
-        v = steady_state_covariance(DEFAULT_OHMIC, 1.0, 0.5)
-        system = build_system(1.0, 0.5, DEFAULT_OHMIC)
+        system = build_system(THERMODYNAMIC, 0.5, DEFAULT_OHMIC)
+        v = steady_state_covariance(THERMODYNAMIC, 0.5, system.drift_base(), system.d_matrix)
         resid = lyapunov_rhs(v, system, 0.5)
         assert np.max(np.abs(resid)) < 1e-10
         assert physicality_defect(0.5 * (v + v.T), system.j) > -1e-8

@@ -63,6 +63,10 @@ class TestConfigParsing:
             ("model.kind = ising", "model.kind"),
             ("model.eta = 100", "model.eta"),
             ("integrator.rtol = 0", "integrator.rtol"),
+            ("integrator.atol = 0", "integrator.atol"),
+            ("integrator.rtol = nan", "integrator.rtol"),
+            ("bath.kappa = nan", "bath.kappa"),
+            ("sweep.tau_max = inf", "sweep.tau_max"),
         ],
     )
     def test_field_level_validation(self, override, field):
@@ -92,6 +96,20 @@ class TestConfigParsing:
         path = write_config(tmp_path, text)
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert "bath.kappa" in capsys.readouterr().err
+
+    def test_structured_bath_takes_finite_size_model(self):
+        # the chain reads the model's quadrature form: a huge QRM is the
+        # thermodynamic limit, a small one is not
+        def open_leg(extra):
+            cfg = build_config(parse_config_text("bath.type = structured\n" + extra))
+            return sweep._open_leg(cfg, np.array([5.0]))
+
+        thermo = open_leg("")
+        huge = open_leg("model.kind = qrm\nmodel.eta = 1e12\n")
+        small = open_leg("model.kind = qrm\nmodel.eta = 100\n")
+        for obs, value in thermo.items():
+            assert huge[obs][0] == pytest.approx(value[0], rel=1e-10)
+            assert small[obs][0] != pytest.approx(value[0], rel=1e-4)
 
     def test_markovian_rejects_oscillator_keys(self):
         with pytest.raises(ConfigError) as err:
@@ -272,6 +290,15 @@ class TestCli:
         path = write_config(tmp_path, BASE + "sweep.points_per_decade = 2\n")
         assert cli.main(["sweep", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "name, value", [("CRITQUENCH_BATH_KAPPA", "nan"), ("CRITQUENCH_SWEEP_TAU_MAX", "inf")]
+    )
+    def test_non_finite_override_exit_two(self, tmp_path, monkeypatch, capsys, name, value):
+        path = write_config(tmp_path)
+        monkeypatch.setenv(name, value)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_row_failure_exit_three(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, BASE + f"output.path = {tmp_path / 'out'}\n")
 
@@ -290,7 +317,7 @@ class TestCli:
         )
         assert code == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0].startswith("t\tg\tsigma")
+        assert lines[0].startswith("t\tg\tv_qq\tv_pp\tv_qp")
         assert len(lines) == 10
         assert f"wrote 9 samples to {out}" in capsys.readouterr().out
         # fewer than two samples still writes the final state, and says so

@@ -16,17 +16,17 @@ from critquench.model import (
     excitation_gap,
     gap,
     ground_state_energy,
-    ground_state_moments,
+    ground_state_covariance,
     predicted_kz_exponent,
-    quadratic_coefficients,
+    quadrature_form,
 )
 
 from helpers_fock import fock_expectations, fock_ground_state
 
 
 def drive(model, g):
-    """The drive G of the moment equations: -2 lam of the quadratic form."""
-    return -2.0 * quadratic_coefficients(model, g)[1]
+    """The drive G of the thermodynamic and QRM forms: h_qq = w - 2 G."""
+    return 0.5 * (model.omega - quadrature_form(model, g)[0])
 
 
 class TestEffectiveDrive:
@@ -91,26 +91,23 @@ class TestGapAndEnergy:
 
 class TestGroundStateMoments:
     def test_vacuum_at_zero_coupling(self):
-        st = ground_state_moments(0.0)
-        assert st.sigma == 0.5
-        assert st.sigma10 == 0.0
+        np.testing.assert_array_equal(ground_state_covariance(0.0), np.eye(2))
 
     def test_uncertainty_product_is_minimal(self):
         for g in (0.1, 0.5, 0.9, 0.99):
-            st = ground_state_moments(g)
-            dx = math.sqrt(2.0 * st.sigma - 2.0 * st.sigma10.real)
-            dp = math.sqrt(2.0 * st.sigma + 2.0 * st.sigma10.real)
-            assert dx * dp == pytest.approx(1.0, abs=1e-12)
+            v = ground_state_covariance(g)
+            assert v[0, 1] == v[1, 0] == 0.0
+            assert math.sqrt(v[0, 0]) * math.sqrt(v[1, 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadrature_scaling(self):
         g = 0.8
-        st = ground_state_moments(g)
-        dx2 = 2.0 * st.sigma - 2.0 * st.sigma10.real
-        assert dx2 == pytest.approx((1.0 - g * g) ** -0.5, rel=1e-12)
+        v = ground_state_covariance(g)
+        assert v[0, 0] == pytest.approx((1.0 - g * g) ** -0.5, rel=1e-12)
+        assert v[1, 1] == pytest.approx((1.0 - g * g) ** 0.5, rel=1e-12)
 
     def test_singular_at_critical_point(self):
         with pytest.raises(DomainError):
-            ground_state_moments(1.0)
+            ground_state_covariance(1.0)
 
     def test_occupation_against_fock_diagonalization(self):
         # oracle: diagonalize the truncated Hamiltonian and compare <n>
@@ -119,10 +116,10 @@ class TestGroundStateMoments:
         n_fock, x2_fock, p2_fock = fock_expectations(vec)
         expected = math.sinh(0.25 * math.log(1.0 - g * g)) ** 2
         assert n_fock == pytest.approx(expected, abs=1e-8)
-        st = ground_state_moments(g)
-        assert st.n == pytest.approx(n_fock, abs=1e-8)
-        assert 2.0 * st.sigma - 2.0 * st.sigma10.real == pytest.approx(x2_fock, abs=1e-8)
-        assert 2.0 * st.sigma + 2.0 * st.sigma10.real == pytest.approx(p2_fock, abs=1e-8)
+        v = ground_state_covariance(g)
+        assert 0.25 * (v[0, 0] + v[1, 1]) - 0.5 == pytest.approx(n_fock, abs=1e-8)
+        assert v[0, 0] == pytest.approx(x2_fock, abs=1e-8)
+        assert v[1, 1] == pytest.approx(p2_fock, abs=1e-8)
 
     def test_fock_cutoff_converged(self):
         e200, _ = fock_ground_state(0.6, cutoff=200)
@@ -172,27 +169,39 @@ class TestKzPrediction:
         assert predicted_kz_exponent(MEAN_FIELD, "n") == Fraction(1, 3)
 
 
+def rotating_frame(model, g):
+    """(w_tilde, lam) of ``w_tilde a^dag a + lam (a^2 + a^dag^2)``, the same form."""
+    h_qq, h_pp = quadrature_form(model, g)
+    return 0.5 * (h_qq + h_pp), 0.25 * (h_qq - h_pp)
+
+
 class TestQuadraticCoefficients:
     def test_all_kinds_agree_at_infinite_size(self):
         g = np.linspace(0.0, 1.0, 7)
-        w0, l0 = quadratic_coefficients(ModelSpec(), g)
+        q0, p0 = quadrature_form(ModelSpec(), g)
         for kind in (ModelKind.QRM, ModelKind.LMG):
-            w, lam = quadratic_coefficients(ModelSpec(kind=kind, eta=math.inf), g)
-            np.testing.assert_allclose(w, w0, atol=1e-15)
-            np.testing.assert_allclose(lam, l0, atol=1e-15)
+            h_qq, h_pp = quadrature_form(ModelSpec(kind=kind, eta=math.inf), g)
+            np.testing.assert_allclose(h_qq, q0, atol=1e-15)
+            np.testing.assert_allclose(h_pp, p0, atol=1e-15)
 
     def test_thermodynamic_gap_consistency(self):
         g = 0.7
-        w, lam = quadratic_coefficients(ModelSpec(), g)
-        assert math.sqrt(w * w - 4.0 * lam * lam) == pytest.approx(gap(1.0, g, 1), rel=1e-14)
+        h_qq, h_pp = quadrature_form(ModelSpec(), g)
+        assert h_qq == 1.0 - g * g and h_pp == 1.0
+        assert math.sqrt(h_qq * h_pp) == pytest.approx(gap(1.0, g, 1), rel=1e-14)
 
     def test_lmg_coefficients_printed_form(self):
-        # drive (g^2 w/2)(1 - 1/(2 eta)) multiplies i(sigma01 - sigma10) in
-        # the sigma equation, rotation w g^2 (1/eta - 1) adds to the 2i w
-        # term of the sigma10 equation, pump w g^2 (1 - 1/(2 eta))
+        # h_qq = w - g^2 w (1 - 3/(4 eta)), h_pp = w + g^2 w/(4 eta); in the
+        # moment equations the drive (g^2 w/2)(1 - 1/(2 eta)) multiplies
+        # i(sigma01 - sigma10), the rotation w g^2 (1/eta - 1) adds to the
+        # 2i w term of the sigma10 equation and the pump w g^2 (1 - 1/(2 eta))
         # multiplies i sigma there
         g, eta = 0.8, 50.0
-        w, lam = quadratic_coefficients(ModelSpec(kind=ModelKind.LMG, eta=eta), g)
+        model = ModelSpec(kind=ModelKind.LMG, eta=eta)
+        h_qq, h_pp = quadrature_form(model, g)
+        assert h_qq == pytest.approx(1.0 - g * g * (1.0 - 0.75 / eta), abs=1e-15)
+        assert h_pp == pytest.approx(1.0 + 0.25 * g * g / eta, abs=1e-15)
+        w, lam = rotating_frame(model, g)
         assert -2.0 * lam == pytest.approx(0.5 * g * g * (1.0 - 0.5 / eta), abs=1e-15)
         assert 2.0 * w - 2.0 == pytest.approx(g * g * (1.0 / eta - 1.0), abs=1e-15)
         assert -4.0 * lam == pytest.approx(g * g * (1.0 - 0.5 / eta), abs=1e-15)
@@ -202,9 +211,7 @@ class TestQuadraticCoefficients:
         # twice its drive, and both lose 1/(2 eta) while the rotation
         # loses 1/eta
         g, eta, omega = 0.6, 20.0, 1.5
-        w, lam = quadratic_coefficients(
-            ModelSpec(kind=ModelKind.LMG, eta=eta, omega=omega), g
-        )
+        w, lam = rotating_frame(ModelSpec(kind=ModelKind.LMG, eta=eta, omega=omega), g)
         lmg_drive = -2.0 * lam
         pump = -4.0 * lam
         rot = 2.0 * w - 2.0 * omega
@@ -227,7 +234,7 @@ class TestQuadraticCoefficients:
         rng = np.random.default_rng(7)
         g = rng.uniform(0.0, 1.0, 400)
         eta = rng.choice([3.0, 10.0, 100.0, 1e3, 1e4, math.inf], g.size)
-        w_arr, lam_arr = quadratic_coefficients(model, g, eta=eta)
+        q_arr, p_arr = np.broadcast_arrays(*quadrature_form(model, g, eta=eta))
         for i in range(g.size):
             member = ModelSpec(
                 kind=model.kind,
@@ -235,8 +242,8 @@ class TestQuadraticCoefficients:
                 omega=model.omega,
                 qrm_quartic_coeff=model.qrm_quartic_coeff,
             )
-            w, lam = quadratic_coefficients(member, g[i])
-            assert w_arr[i] == w and lam_arr[i] == lam
+            h_qq, h_pp = quadrature_form(member, g[i])
+            assert q_arr[i] == h_qq and p_arr[i] == h_pp
 
 
 class TestModelSpecValidation:

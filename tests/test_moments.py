@@ -1,4 +1,4 @@
-"""Moment propagation: oracles, invariants, observables, bath physics."""
+"""Covariance propagation: oracles, invariants, observables, bath physics."""
 
 import math
 
@@ -10,38 +10,65 @@ from critquench import (
     IntegratorSettings,
     ModelKind,
     ModelSpec,
-    MomentState,
     QuenchProtocol,
-    VACUUM,
     delta_observable,
-    ground_state_moments,
+    ground_state_covariance,
     integrate,
-    moment_rhs,
-    observables_from_moments,
-    steady_state_moments,
+    observables_from_covariance,
+    steady_state_covariance,
+    thermal_bath,
 )
 from critquench.errors import DomainError, PhysicalityError
-from critquench.moments import ISOLATED, _bath_rates, write_trajectory
+from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
 
 from helpers_fock import propagate_master_equation
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
+VACUUM = np.eye(2)
+
+
+def rhs_at(v, t, protocol, model=THERMODYNAMIC, bath=ISOLATED):
+    """dV/dt of one member (B = 1) at time t, from the batch RHS with unit time scale."""
+    drift_base, diffusion = thermal_bath([bath.kappa], [bath.n_th])
+    rhs = lyapunov_batch_rhs(
+        drift_base,
+        diffusion,
+        model,
+        np.array([1.0]),
+        np.array([protocol.g_final]),
+        np.array([protocol.r_n]),
+    )
+    return rhs(t / protocol.tau_q, np.asarray(v, dtype=float)[None])[0]
+
+
+def moments_of(v):
+    """(sigma, sigma10) of the Wigner characteristic function, from V."""
+    return 0.25 * (v[0, 0] + v[1, 1]), 0.25 * (v[1, 1] - v[0, 0]) + 0.5j * v[0, 1]
+
+
+def covariance_of(sigma, sigma10):
+    """V of the state with moments (sigma, sigma10); inverse of moments_of."""
+    x2 = 2.0 * sigma - 2.0 * sigma10.real
+    p2 = 2.0 * sigma + 2.0 * sigma10.real
+    return np.array([[x2, 2.0 * sigma10.imag], [2.0 * sigma10.imag, p2]])
 
 
 class TestBathSpec:
     def test_rates_from_occupation(self):
-        # Gamma_a = kappa (n_th + 1)/2 = 0.4 and Gamma_adag = kappa n_th/2 = 0.3
-        two_gm, gp = _bath_rates(0.2, 3.0)
-        assert two_gm == pytest.approx(2.0 * (0.3 - 0.4), abs=1e-15)
-        assert gp == pytest.approx(0.3 + 0.4, abs=1e-15)
+        # Gamma_a = kappa (n_th + 1)/2 = 0.4 and Gamma_adag = kappa n_th/2 = 0.3:
+        # damping Gamma_adag - Gamma_a, diffusion 2 (Gamma_a + Gamma_adag)
+        drift, diffusion = thermal_bath(0.2, 3.0)
+        np.testing.assert_allclose(drift, (0.3 - 0.4) * np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(diffusion, 2.0 * (0.3 + 0.4) * np.eye(2), atol=1e-15)
 
     def test_rate_ordering(self):
-        # Gamma_a >= Gamma_adag >= 0, i.e. damping and Gamma_+ >= |Gamma_-|
+        # Gamma_a >= Gamma_adag >= 0: damping, and diffusion at least the
+        # zero-temperature value that keeps the vacuum fixed
         bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0)
-        two_gm, gp = _bath_rates(bath.kappa, bath.n_th)
-        assert two_gm <= 0.0
-        assert gp >= -0.5 * two_gm
+        drift, diffusion = thermal_bath(bath.kappa, bath.n_th)
+        assert np.all(np.diag(drift) <= 0.0)
+        assert np.all(np.diag(diffusion) >= -2.0 * np.diag(drift))
         assert bath.n_th == pytest.approx(1.0 / math.expm1(0.1), rel=1e-14)
 
     def test_zero_temperature_short_circuit(self):
@@ -49,8 +76,14 @@ class TestBathSpec:
 
     def test_zero_kappa_kills_rates(self):
         bath = BathSpec(kappa=0.0, n_th=5.0)
-        assert _bath_rates(bath.kappa, bath.n_th) == (0.0, 0.0)
+        drift, diffusion = thermal_bath(bath.kappa, bath.n_th)
+        assert not np.any(drift) and not np.any(diffusion)
         assert bath.is_isolated
+
+    def test_array_rates_stack_per_member(self):
+        drift, diffusion = thermal_bath([0.0, 0.2], 3.0)
+        assert drift.shape == diffusion.shape == (2, 2, 2)
+        np.testing.assert_array_equal(diffusion[1], thermal_bath(0.2, 3.0)[1])
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(DomainError):
@@ -59,80 +92,95 @@ class TestBathSpec:
             BathSpec(kappa=0.1, n_th=-0.5)
         with pytest.raises(DomainError):
             BathSpec.from_temperature(0.1, -1.0)
+        with pytest.raises(DomainError):
+            BathSpec(kappa=math.nan)
 
 
 class TestMomentRhs:
     def test_vacuum_uncoupled_stationary(self):
         p = QuenchProtocol(g_final=0.0, tau_q=1.0)
-        d_sigma, d_s10 = moment_rhs(VACUUM, 0.5, p)
-        assert d_sigma == 0.0 and d_s10 == 0.0
+        assert not np.any(rhs_at(VACUUM, 0.5, p))
 
     def test_vacuum_thermal_pumping(self):
+        # d sigma = Gamma_+ = kappa n_th at the vacuum, so dV = 2 kappa n_th I
         p = QuenchProtocol(g_final=0.0, tau_q=1.0)
         bath = BathSpec(kappa=0.01, n_th=3.0)
-        d_sigma, d_s10 = moment_rhs(VACUUM, 0.5, p, bath=bath)
-        assert d_sigma == pytest.approx(0.01 * 3.0, rel=1e-15)
-        assert d_s10 == 0.0
+        d_v = rhs_at(VACUUM, 0.5, p, bath=bath)
+        np.testing.assert_allclose(d_v, 2.0 * 0.01 * 3.0 * np.eye(2), rtol=1e-15, atol=0.0)
 
     def test_ground_state_stationary(self):
         # closed-form squeezed state must sit on the frozen-coupling
-        # fixed point of the isolated equations
+        # fixed point of the isolated flow
         for g in (0.2, 0.6, 0.9):
             p = QuenchProtocol(g_final=g, tau_q=1.0)
-            st = ground_state_moments(g)
-            d_sigma, d_s10 = moment_rhs(st, 1.0, p)
-            assert abs(d_sigma) < 1e-12
-            assert abs(d_s10) < 1e-12
-
+            d_v = rhs_at(ground_state_covariance(g), 1.0, p)
+            assert np.max(np.abs(d_v)) < 1e-12
 
     def test_matches_printed_complex_equations(self):
+        # the Lyapunov flow is the moment system
         # d sigma = 2 G_- sigma + G_+ - 2i lam (sigma01 - sigma10),
         # d sigma10 = (2i w + 2 G_-) sigma10 - 4i lam sigma, at a generic
         # state, finite-size model and time within a longer ramp
         model = ModelSpec(kind=ModelKind.QRM, eta=40.0)
         p = QuenchProtocol(g_final=0.9, tau_q=2.0, r_n=0.5)
         bath = BathSpec(kappa=0.3, n_th=1.5)
-        st = MomentState(sigma=0.9, sigma10=0.2 - 0.35j)
+        sigma, s10 = 0.9, 0.2 - 0.35j
         g = p.coupling(1.2)
         drive = 0.5 * g * g - 12.0 * g**4 / 40.0
         w, lam = 1.0 - drive, -0.5 * drive
         gm, gp = 0.5 * 0.3 * 1.5 - 0.5 * 0.3 * 2.5, 0.5 * 0.3 * 1.5 + 0.5 * 0.3 * 2.5
-        s10 = st.sigma10
-        expect_sigma = 2.0 * gm * st.sigma + gp - 2.0j * lam * (s10.conjugate() - s10)
-        expect_s10 = (2.0j * w + 2.0 * gm) * s10 - 4.0j * lam * st.sigma
-        d_sigma, d_s10 = moment_rhs(st, 1.2, p, model=model, bath=bath)
+        expect_sigma = 2.0 * gm * sigma + gp - 2.0j * lam * (s10.conjugate() - s10)
+        expect_s10 = (2.0j * w + 2.0 * gm) * s10 - 4.0j * lam * sigma
+        d_sigma, d_s10 = moments_of(rhs_at(covariance_of(sigma, s10), 1.2, p, model=model, bath=bath))
         assert d_sigma == pytest.approx(expect_sigma, abs=1e-14)
         assert d_s10 == pytest.approx(expect_s10, abs=1e-14)
 
-    def test_time_outside_ramp_rejected(self):
-        with pytest.raises(DomainError):
-            moment_rhs(VACUUM, 2.5, QuenchProtocol(g_final=0.5, tau_q=2.0))
+    def test_pure_function_of_time_and_state(self):
+        # the drift buffer is reused across calls; evaluating s1, s2, s1
+        # must reproduce the first result bit for bit
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(3, 2, 2))
+        v = m @ np.swapaxes(m, 1, 2) + np.eye(2)
+        drift_base, diffusion = thermal_bath([0.0, 0.1, 0.2], 1.0)
+        rhs = lyapunov_batch_rhs(
+            drift_base,
+            diffusion,
+            ModelSpec(kind=ModelKind.LMG, eta=30.0),
+            np.array([1.0, 5.0, 9.0]),
+            np.array([1.0, 0.8, 0.5]),
+            np.array([1.0, 2.0, 0.5]),
+            eta=np.array([30.0, 100.0, 1e3]),
+        )
+        first = rhs(0.3, v)
+        second = rhs(0.9, v)
+        assert not np.array_equal(first, second)
+        np.testing.assert_array_equal(rhs(0.3, v), first)
+        np.testing.assert_array_equal(drift_base, thermal_bath([0.0, 0.1, 0.2], 1.0)[0])
 
 
 class TestIntegrate:
     def test_no_drive_no_bath_keeps_vacuum(self):
         traj = integrate(QuenchProtocol(0.0, 50.0), samples=5)
-        assert abs(traj.final.sigma - 0.5) < 1e-12
-        assert abs(traj.final.sigma10) < 1e-12
+        assert np.max(np.abs(traj.final - VACUUM)) < 1e-12
 
     def test_thermal_fixed_point(self):
         bath = BathSpec(kappa=1e-2, n_th=3.0)
         traj = integrate(QuenchProtocol(0.0, 2000.0), bath=bath, samples=0)
-        assert traj.final.n == pytest.approx(3.0, abs=1e-8)
+        assert observables_from_covariance(traj.final, 0.0).n == pytest.approx(3.0, abs=1e-8)
 
     def test_thermalization_half_life(self):
         kappa = 1e-2
         bath = BathSpec(kappa=kappa, n_th=3.0)
         t_half = math.log(2.0) / kappa
         traj = integrate(QuenchProtocol(0.0, t_half), bath=bath, samples=0)
-        assert traj.final.n == pytest.approx(1.5, rel=0.05)
+        assert observables_from_covariance(traj.final, 0.0).n == pytest.approx(1.5, rel=0.05)
 
     def test_isolated_kz_ratio(self):
         # residual energy of critical ramps drops as tau^(-1/3)
         results = []
         for tau in (1e3, 1e4):
             traj = integrate(QuenchProtocol(1.0, tau), samples=0)
-            rec = observables_from_moments(traj.final, 1.0)
+            rec = observables_from_covariance(traj.final, 1.0)
             results.append(rec.residual_energy)
         ratio = results[0] / results[1]
         assert ratio == pytest.approx(10.0 ** (1.0 / 3.0), rel=0.10)
@@ -142,8 +190,7 @@ class TestIntegrate:
         bath = BathSpec(kappa=1e-3, n_th=2.0)
         coarse = integrate(p, bath=bath, samples=0).final
         fine = integrate(p, bath=bath, settings=TIGHT, samples=0).final
-        assert abs(coarse.sigma - fine.sigma) / fine.sigma < 1e-8
-        assert abs(coarse.sigma10 - fine.sigma10) / abs(fine.sigma10) < 1e-8
+        np.testing.assert_allclose(coarse, fine, rtol=1e-8, atol=0.0)
 
     def test_saturation_of_open_residual_energy(self):
         # once kappa tau >> 1 a gapped endpoint reaches its steady state
@@ -152,7 +199,7 @@ class TestIntegrate:
         values = []
         for tau in (1e3, 1e4):
             traj = integrate(QuenchProtocol(0.75, tau), bath=bath, samples=0)
-            values.append(observables_from_moments(traj.final, 0.75).residual_energy)
+            values.append(observables_from_covariance(traj.final, 0.75).residual_energy)
         assert abs(values[1] - values[0]) / values[0] < 0.05
 
 
@@ -163,17 +210,17 @@ class TestAgainstFockDynamics:
         g_f, tau, kappa, n_th = 0.6, 12.0, 0.05, 0.5
         n_ref, x2_ref, p2_ref = propagate_master_equation(g_f, tau, kappa, n_th, cutoff=60)
         traj = integrate(QuenchProtocol(g_f, tau), bath=BathSpec(kappa=kappa, n_th=n_th), samples=0)
-        st = traj.final
-        assert st.n == pytest.approx(n_ref, abs=1e-8)
-        assert 2.0 * st.sigma - 2.0 * st.sigma10.real == pytest.approx(x2_ref, abs=1e-8)
-        assert 2.0 * st.sigma + 2.0 * st.sigma10.real == pytest.approx(p2_ref, abs=1e-8)
+        v = traj.final
+        assert observables_from_covariance(v, g_f).n == pytest.approx(n_ref, abs=1e-8)
+        assert v[0, 0] == pytest.approx(x2_ref, abs=1e-8)
+        assert v[1, 1] == pytest.approx(p2_ref, abs=1e-8)
 
     def test_isolated_ramp(self):
         g_f, tau = 0.8, 9.0
         n_ref, x2_ref, p2_ref = propagate_master_equation(g_f, tau, 0.0, 0.0, cutoff=60)
-        st = integrate(QuenchProtocol(g_f, tau), samples=0).final
-        assert st.n == pytest.approx(n_ref, abs=1e-8)
-        assert 2.0 * st.sigma - 2.0 * st.sigma10.real == pytest.approx(x2_ref, abs=1e-8)
+        v = integrate(QuenchProtocol(g_f, tau), samples=0).final
+        assert observables_from_covariance(v, g_f).n == pytest.approx(n_ref, abs=1e-8)
+        assert v[0, 0] == pytest.approx(x2_ref, abs=1e-8)
 
 
 class TestInvariants:
@@ -185,7 +232,7 @@ class TestInvariants:
     ])
     def test_purity_preserved_when_isolated(self, protocol):
         traj = integrate(protocol, samples=61)
-        purity = traj.sigma**2 - np.abs(traj.sigma10) ** 2
+        purity = np.linalg.det(traj.vs) / 4.0  # sigma^2 - |sigma10|^2
         assert np.max(np.abs(purity - 0.25)) < 1e-8
 
     def test_heisenberg_bound_open_dynamics(self):
@@ -200,19 +247,18 @@ class TestInvariants:
         big = ModelSpec(kind=kind, eta=1e9)
         traj_fs = integrate(p, model=big, samples=11)
         traj_th = integrate(p, samples=11)
-        assert np.max(np.abs(traj_fs.sigma - traj_th.sigma)) < 1e-6
-        assert np.max(np.abs(traj_fs.sigma10 - traj_th.sigma10)) < 1e-6
+        assert np.max(np.abs(traj_fs.vs - traj_th.vs)) < 1e-6
 
 
 class TestObservables:
     def test_vacuum(self):
-        rec = observables_from_moments(VACUUM, 0.0)
+        rec = observables_from_covariance(VACUUM, 0.0)
         assert rec.n == 0.0
         assert rec.dx == 1.0 and rec.dp == 1.0
         assert rec.energy == 0.0 and rec.residual_energy == 0.0
 
     def test_direct_substitution(self):
-        rec = observables_from_moments(MomentState(sigma=3.5, sigma10=0.0j), 0.0)
+        rec = observables_from_covariance(7.0 * np.eye(2), 0.0)
         assert rec.n == 3.0
         assert rec.dx == pytest.approx(math.sqrt(7.0), rel=1e-15)
         assert rec.dp == pytest.approx(math.sqrt(7.0), rel=1e-15)
@@ -220,23 +266,21 @@ class TestObservables:
 
     def test_ground_state_has_zero_residual_energy(self):
         g = 0.6
-        rec = observables_from_moments(ground_state_moments(g), g)
+        rec = observables_from_covariance(ground_state_covariance(g), g)
         assert abs(rec.residual_energy) < 1e-10
         assert rec.energy == pytest.approx(ground_state_energy(1.0, g), abs=1e-12)
 
     def test_small_negative_radicand_clamped(self):
-        st = MomentState(sigma=0.5, sigma10=complex(0.5 + 1e-12, 0.0))
-        rec = observables_from_moments(st, 0.0)
+        rec = observables_from_covariance(np.diag([-2e-12, 2.0 + 2e-12]), 0.0)
         assert rec.dx == 0.0
 
     def test_large_negative_radicand_rejected(self):
-        st = MomentState(sigma=0.5, sigma10=complex(0.6, 0.0))
         with pytest.raises(PhysicalityError):
-            observables_from_moments(st, 0.0)
+            observables_from_covariance(np.diag([-0.2, 2.2]), 0.0)
 
     def test_coupling_validated(self):
         with pytest.raises(DomainError):
-            observables_from_moments(VACUUM, 1.5)
+            observables_from_covariance(VACUUM, 1.5)
 
 
 class TestDeltaObservable:
@@ -255,32 +299,35 @@ class TestDeltaObservable:
         assert deltas[1] / deltas[0] == pytest.approx(2.0, rel=0.10)
 
 
+def thermal_steady_state(bath, g):
+    return steady_state_covariance(THERMODYNAMIC, g, *thermal_bath(bath.kappa, bath.n_th))
+
+
 class TestSteadyState:
     def test_is_fixed_point_of_moment_rhs(self):
         bath = BathSpec(kappa=5e-2, n_th=2.0)
         for g in (0.0, 0.4, 0.9):
-            st = steady_state_moments(THERMODYNAMIC, bath, g)
-            p = QuenchProtocol(g, 1.0)
-            d_sigma, d_s10 = moment_rhs(st, 1.0, p, bath=bath)
-            assert abs(d_sigma) < 1e-13 * max(st.sigma, 1.0)
-            assert abs(d_s10) < 1e-13 * max(abs(st.sigma10), 1.0)
+            v = thermal_steady_state(bath, g)
+            d_v = rhs_at(v, 1.0, QuenchProtocol(g, 1.0), bath=bath)
+            assert np.max(np.abs(d_v)) < 1e-13 * max(np.max(np.abs(v)), 1.0)
 
     def test_matches_long_time_integration(self):
         # the ramped state lags the quasi-static solution by g_dot/kappa,
         # so the endpoint comparison is at that accuracy level only
         bath = BathSpec(kappa=5e-2, n_th=2.0)
-        st = steady_state_moments(THERMODYNAMIC, bath, 0.6)
+        sigma, s10 = moments_of(thermal_steady_state(bath, 0.6))
         traj = integrate(QuenchProtocol(0.6, 5000.0), bath=bath, samples=0)
-        assert traj.final.sigma == pytest.approx(st.sigma, rel=5e-3)
-        assert traj.final.sigma10.real == pytest.approx(st.sigma10.real, abs=5e-3)
+        sigma_t, s10_t = moments_of(traj.final)
+        assert sigma_t == pytest.approx(sigma, rel=5e-3)
+        assert s10_t.real == pytest.approx(s10.real, abs=5e-3)
 
     def test_uncoupled_thermal_value(self):
-        st = steady_state_moments(THERMODYNAMIC, BathSpec(kappa=1e-3, n_th=3.0), 0.0)
-        assert st.sigma == pytest.approx(3.5, rel=1e-12)
+        v = thermal_steady_state(BathSpec(kappa=1e-3, n_th=3.0), 0.0)
+        np.testing.assert_allclose(v, 7.0 * np.eye(2), rtol=1e-12, atol=1e-12)
 
     def test_requires_dissipation(self):
         with pytest.raises(DomainError):
-            steady_state_moments(THERMODYNAMIC, BathSpec(kappa=0.0), 0.5)
+            thermal_steady_state(BathSpec(kappa=0.0), 0.5)
 
 
 class TestTrajectoryDump:
@@ -290,11 +337,12 @@ class TestTrajectoryDump:
         write_trajectory(path, traj)
         rows = path.read_text().strip().split("\n")
         header = rows[0].split("\t")
-        assert header == ["t", "g", "sigma", "re_sigma10", "im_sigma10", "n", "dx", "dp", "e_r"]
+        assert header == ["t", "g", "v_qq", "v_pp", "v_qp", "n", "dx", "dp", "e_r"]
         assert len(rows) == 8
         last = [float(v) for v in rows[-1].split("\t")]
         assert last[0] == 20.0
-        assert last[2] == traj.final.sigma  # 17 significant digits round-trip
+        # 17 significant digits round-trip
+        assert last[2:5] == [traj.final[0, 0], traj.final[1, 1], traj.final[0, 1]]
 
     def test_csv_delimiter(self, tmp_path):
         traj = integrate(QuenchProtocol(0.5, 10.0), samples=3)
@@ -306,3 +354,4 @@ class TestTrajectoryDump:
         traj = integrate(QuenchProtocol(0.5, 10.0), samples=3)
         with pytest.raises(ValueError):
             write_trajectory(tmp_path / "traj.dat", traj)
+

@@ -97,6 +97,22 @@ class TestSamplingAndControl:
         with pytest.raises(ValueError):
             solve_to(lambda t, y: -y, 1.0, 1.0, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(rtol=np.nan), dict(atol=np.nan), dict(rtol=np.inf), dict(atol=np.inf), dict(max_step=np.nan)],
+    )
+    def test_rejects_non_finite_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            IntegratorSettings(**kwargs)
+
+    def test_nan_step_fails_at_the_start(self):
+        # a NaN right-hand side gives a NaN first step, which must stop the
+        # run at once instead of looping at t = 0 until the budget runs out
+        settings = IntegratorSettings(max_steps=2000)
+        with pytest.raises(IntegrationFailure, match="underflow") as err:
+            solve_to(lambda t, y: y * np.nan, 0.0, 1.0, np.array([1.0]), settings)
+        assert err.value.t_last == 0.0
+
 
 class TestAgainstScipy:
     def test_random_linear_system(self):
