@@ -26,7 +26,6 @@ from .model import (
     gap,
     ground_state_energy,
     ground_state_covariance,
-    predicted_kz_exponent,
 )
 from .moments import (
     ISOLATED,
@@ -91,7 +90,6 @@ __all__ = [
     "integrate",
     "linear_ramp",
     "observables_from_covariance",
-    "predicted_kz_exponent",
     "steady_state_covariance",
     "thermal_bath",
 ]

@@ -25,6 +25,7 @@ engine of :mod:`critquench.moments`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,7 +53,7 @@ class AuxOscillator:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise DomainError(f"oscillator damping must be nonnegative, got {self.gamma}")
 
 
@@ -65,9 +66,9 @@ class AuxBathParams:
     oscillators: tuple[AuxOscillator, ...]
 
     def __post_init__(self):
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise DomainError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.omega_c <= 0.0:
+        if not self.omega_c > 0.0:
             raise DomainError(f"omega_c must be positive, got {self.omega_c}")
         if len(self.oscillators) < 1:
             raise DomainError("need at least one auxiliary oscillator")
@@ -299,6 +300,8 @@ def load_params(path) -> AuxBathParams:
                 parsed = float(value.strip())
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: non-numeric value {value.strip()!r}") from None
+            if not math.isfinite(parsed):
+                raise DomainError(f"{path}:{lineno}: non-finite value {value.strip()!r}")
             if current is None:
                 scalars[key] = parsed
             else:

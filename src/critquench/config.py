@@ -22,7 +22,7 @@ from .moments import BathSpec
 
 ENV_PREFIX = "CRITQUENCH_"
 
-_SECTIONS = ("model", "bath", "protocol", "sweep", "fit", "run", "output", "integrator", "size")
+_SECTIONS = ("model", "bath", "protocol", "sweep", "fit", "output", "integrator", "size")
 
 _KNOWN_KEYS = {
     "model.kind",
@@ -40,12 +40,9 @@ _KNOWN_KEYS = {
     "sweep.tau_min",
     "sweep.tau_max",
     "sweep.points_per_decade",
-    "sweep.workers",
-    "sweep.chunk_size",
     "fit.window_min",
     "fit.window_max",
     "fit.tolerance",
-    "run.isolated",
     "observables",
     "output.path",
     "integrator.rtol",
@@ -104,15 +101,6 @@ def _to_int(key: str, value: str) -> int:
         raise ConfigError(key, f"expected an integer, got {value!r}") from None
 
 
-def _to_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(key, f"expected a boolean, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description with a canonical hash."""
@@ -132,12 +120,9 @@ class ExperimentConfig:
     tau_min: float | None = None
     tau_max: float | None = None
     points_per_decade: int = 20
-    workers: int = 0
-    chunk_size: int = 0
     window_min: float | None = None
     window_max: float | None = None
     fit_tolerance: float = 0.05
-    run_isolated: bool = True
     observables: tuple[str, ...] = OBSERVABLES
     output_path: str = "out"
     rtol: float = 1e-10
@@ -251,12 +236,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     points_per_decade = _to_int("sweep.points_per_decade", raw.get("sweep.points_per_decade", "20"))
     if points_per_decade < 5:
         raise ConfigError("sweep.points_per_decade", "fits need at least 5 points per decade")
-    workers = _to_int("sweep.workers", raw.get("sweep.workers", "0"))
-    if workers < 0:
-        raise ConfigError("sweep.workers", f"must be nonnegative, got {workers}")
-    chunk_size = _to_int("sweep.chunk_size", raw.get("sweep.chunk_size", "0"))
-    if chunk_size < 0:
-        raise ConfigError("sweep.chunk_size", f"must be nonnegative, got {chunk_size}")
 
     window_min = _to_float("fit.window_min", raw["fit.window_min"]) if "fit.window_min" in raw else None
     window_max = _to_float("fit.window_max", raw["fit.window_max"]) if "fit.window_max" in raw else None
@@ -268,8 +247,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     fit_tolerance = _to_float("fit.tolerance", raw.get("fit.tolerance", "0.05"))
     if not fit_tolerance > 0.0:
         raise ConfigError("fit.tolerance", f"must be positive, got {fit_tolerance}")
-
-    run_isolated = _to_bool("run.isolated", raw.get("run.isolated", "true"))
 
     observables = tuple(
         token.strip() for token in raw.get("observables", ", ".join(OBSERVABLES)).split(",") if token.strip()
@@ -311,12 +288,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         tau_min=tau_min,
         tau_max=tau_max,
         points_per_decade=points_per_decade,
-        workers=workers,
-        chunk_size=chunk_size,
         window_min=window_min,
         window_max=window_max,
         fit_tolerance=fit_tolerance,
-        run_isolated=run_isolated,
         observables=observables,
         output_path=raw.get("output.path", "out"),
         rtol=rtol,

@@ -143,14 +143,6 @@ def ground_state_covariance(g: float) -> np.ndarray:
     return np.diag([1.0 / root, root])
 
 
-def predicted_kz_exponent(
-    exponents: CriticalExponents, observable: str
-) -> Fraction:
-    """Isolated-quench exponent ``-gamma_A / (z_nu + 1)`` at criticality."""
-    gamma = exponents.gamma_of(observable)
-    return -gamma / (exponents.z_nu + 1)
-
-
 def quadrature_form(model: ModelSpec, g, eta=None):
     """Coefficients (h_qq, h_pp) of ``H = (h_qq q^2 + h_pp p^2) / 2``.
 

@@ -7,16 +7,14 @@ exponent against the applicable scaling prediction.  Output is a CSV
 table (one row per quench time) plus a plain-text fit report whose
 every line carries the config hash.
 
-Rows are independent; when ``sweep.chunk_size`` splits them, chunks may
-run in a process pool sized by ``sweep.workers``.  The chunk partition
-is fixed by the config alone, so results are byte-identical regardless
-of how many workers execute them.
+The whole quench-time grid runs as one batch per leg, in one process.
+A leg falls back to row-by-row runs only when its batch fails, so a
+failing quench time is isolated and the rest of the sweep completes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,26 +144,21 @@ def _leg_with_row_fallback(config: ExperimentConfig, taus, leg) -> tuple[dict, d
 
 
 def compute_chunk(config: ExperimentConfig, taus) -> tuple[dict, dict, dict[int, str]]:
-    """Isolated and open observable arrays for one block of quench times."""
+    """Isolated and open observable arrays for the whole quench-time grid.
+
+    Both legs run as one batch over ``taus``; the errors map row index
+    to the message of a row that failed in its row-by-row fallback.
+    """
     taus = np.asarray(taus, dtype=float)
-    errors: dict[int, str] = {}
-    if config.run_isolated or config.is_isolated:
-        iso, errors = _leg_with_row_fallback(
-            config, taus, lambda cfg, ts: dict(_isolated_leg_cached(cfg, ts))
-        )
-    else:
-        iso = _nan_values(config, len(taus))
+    iso, errors = _leg_with_row_fallback(
+        config, taus, lambda cfg, ts: dict(_isolated_leg_cached(cfg, ts))
+    )
     if config.is_isolated:
         opn = {obs: np.array(vals, copy=True) for obs, vals in iso.items()}
     else:
         opn, open_errors = _leg_with_row_fallback(config, taus, _open_leg)
         errors.update(open_errors)
     return iso, opn, errors
-
-
-def _chunk_worker(payload):
-    config, taus = payload
-    return compute_chunk(config, np.asarray(taus))
 
 
 @dataclass(frozen=True)
@@ -212,20 +205,6 @@ class SweepResult:
         return taus, deltas
 
 
-def _split_chunks(taus: np.ndarray, chunk_size: int) -> list[np.ndarray]:
-    if chunk_size <= 0 or chunk_size >= taus.size:
-        return [taus]
-    return [taus[i : i + chunk_size] for i in range(0, taus.size, chunk_size)]
-
-
-def _run_chunks(config: ExperimentConfig, chunks):
-    if len(chunks) > 1 and config.workers != 1:
-        max_workers = config.workers if config.workers > 0 else None
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_chunk_worker, [(config, c.tolist()) for c in chunks]))
-    return [compute_chunk(config, c) for c in chunks]
-
-
 def _format_csv(config: ExperimentConfig, rows: list[SweepRow]) -> str:
     header = ["tau_q"]
     for obs in config.observables:
@@ -264,33 +243,26 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """
     config.require_sweep()
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    chunks = _split_chunks(taus, config.chunk_size)
-    results = _run_chunks(config, chunks)
+    iso, opn, errors = compute_chunk(config, taus)
 
     rows: list[SweepRow] = []
-    for chunk, (iso, opn, errors) in zip(chunks, results):
-        for i, tau in enumerate(chunk):
-            values = {}
-            for obs in config.observables:
-                iso_v = float(iso[obs][i])
-                opn_v = float(opn[obs][i])
-                values[obs] = (iso_v, opn_v, opn_v - iso_v)
-            failed = i in errors
-            rows.append(
-                SweepRow(tau_q=float(tau), values=values, failed=failed, error=errors.get(i, ""))
-            )
-    rows.sort(key=lambda r: r.tau_q)
-
-    fits = []
-    if config.run_isolated or config.is_isolated:
-        # isolated sweeps are judged on the observable itself, open
-        # sweeps on the excess; without the reference leg there is no
-        # cleanly scaling quantity to fit
-        fit_target = 0 if config.is_isolated else 2
-        taus_arr = np.array([r.tau_q for r in rows])
+    for i, tau in enumerate(taus):
+        values = {}
         for obs in config.observables:
-            series = np.array([r.values[obs][fit_target] for r in rows])
-            fits.append(_fit_observable(config, taus_arr, series, obs))
+            iso_v = float(iso[obs][i])
+            opn_v = float(opn[obs][i])
+            values[obs] = (iso_v, opn_v, opn_v - iso_v)
+        rows.append(
+            SweepRow(tau_q=float(tau), values=values, failed=i in errors, error=errors.get(i, ""))
+        )
+
+    # isolated sweeps are judged on the observable itself, open sweeps
+    # on the excess
+    fit_target = 0 if config.is_isolated else 2
+    fits = [
+        _fit_observable(config, taus, np.array([r.values[obs][fit_target] for r in rows]), obs)
+        for obs in config.observables
+    ]
 
     report = _render_report(config, rows, fits)
     return SweepResult(
@@ -306,10 +278,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _render_report(config: ExperimentConfig, rows, fits: list[FitOutcome]) -> str:
     tag = f"cfg={config.config_hash}"
     fitted = "isolated value" if config.is_isolated else "dissipative excess (open - isolated)"
+    kappa = structured_params(config).kappa if config.bath_type == "structured" else config.kappa
     lines = [
         f"sweep of {len(rows)} quench times in [{rows[0].tau_q:.6g}, {rows[-1].tau_q:.6g}]  {tag}",
         f"model = {config.model_kind.value}  eta = {config.eta:g}  g_final = {config.g_final:g}  "
-        f"r_n = {config.r_n:g}  bath = {config.bath_type}  kappa = {config.kappa:g}  {tag}",
+        f"r_n = {config.r_n:g}  bath = {config.bath_type}  kappa = {kappa:g}  {tag}",
         f"points_per_decade = {config.points_per_decade}  fitted quantity = {fitted}  {tag}",
     ]
     n_failed = sum(r.failed for r in rows)
@@ -318,8 +291,6 @@ def _render_report(config: ExperimentConfig, rows, fits: list[FitOutcome]) -> st
         for row in rows:
             if row.failed:
                 lines.append(f"  tau_q = {row.tau_q:.6g}: {row.error}  {tag}")
-    if not fits:
-        lines.append(f"fits skipped (isolated reference leg disabled)  {tag}")
     for outcome in fits:
         lines.append("")
         if outcome.fit is None:

@@ -1,5 +1,7 @@
 """Auxiliary-oscillator network: construction, Lyapunov flow, physicality."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,15 @@ class TestParams:
         with pytest.raises(DomainError):
             AuxOscillator(1.0, 0.1, 0.0, -0.1)
 
+    def test_nan_scalars_rejected(self):
+        osc = (AuxOscillator(1.0, 0.1, 0.0, 0.1),)
+        with pytest.raises(DomainError, match="damping"):
+            AuxOscillator(1.0, 0.1, 0.0, float("nan"))
+        with pytest.raises(DomainError, match="kappa"):
+            AuxBathParams(kappa=float("nan"), omega_c=20.0, oscillators=osc)
+        with pytest.raises(DomainError, match="omega_c"):
+            AuxBathParams(kappa=1e-5, omega_c=float("nan"), oscillators=osc)
+
     def test_spectral_density_shape(self):
         w = np.linspace(0.1, 100.0, 50)
         j = ohmic_spectral_density(w, kappa=1e-5, omega_c=20.0)
@@ -89,6 +100,16 @@ class TestParams:
         path.write_text("kappa = 1e-5\nomega_c = 20\n[oscillator]\nomega = 1\n")
         with pytest.raises(DomainError):
             load_params(path)
+        # non-finite numbers are named by file and line, not left to the solver
+        block = "[oscillator]\nomega = 1\nc_re = 0.1\nc_im = 0\nd_re = 0\nd_im = 0\n"
+        for text, lineno in (
+            ("kappa = inf\nomega_c = 20\n" + block + "gamma = 0.1\n", 1),
+            ("kappa = 1e-5\nomega_c = -inf\n" + block + "gamma = 0.1\n", 2),
+            ("kappa = 1e-5\nomega_c = 20\n" + block + "gamma = nan\n", 9),
+        ):
+            path.write_text(text)
+            with pytest.raises(DomainError, match=re.escape(f"{path}:{lineno}: non-finite")):
+                load_params(path)
 
 
 class TestBuildSystem:

@@ -1,6 +1,7 @@
 """Config parsing, sweep orchestration, CSV/report contracts, CLI exit codes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,9 +46,11 @@ class TestConfigParsing:
         assert raw["model.kind"] == "qrm"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config_text("model.size = 3\n")
-        assert err.value.field == "model.size"
+        # a config that still sets a removed sweep switch must fail, not be ignored
+        for key in ("model.size", "sweep.workers", "sweep.chunk_size", "run.isolated"):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(f"{key} = 3\n")
+            assert err.value.field == key
 
     @pytest.mark.parametrize(
         "override, field",
@@ -121,6 +124,9 @@ class TestConfigParsing:
         assert env_overrides(env) == {"sweep.tau_min": "20", "observables": "n"}
         with pytest.raises(ConfigError):
             env_overrides({"CRITQUENCH_SWEEP_BOGUS": "1"})
+        with pytest.raises(ConfigError) as err:
+            env_overrides({"CRITQUENCH_SWEEP_WORKERS": "2"})
+        assert err.value.field == "CRITQUENCH_SWEEP_WORKERS"
 
     def test_env_override_applies(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -185,16 +191,6 @@ class TestRunSweep:
         for row_a, row_b in zip(res_a.rows, res_b.rows):
             assert row_a.values["e_r"][0] == row_b.values["e_r"][0]
 
-    def test_chunking_is_worker_invariant(self, tmp_path):
-        text = BASE + "sweep.chunk_size = 2\n"
-        cfg1 = load_config(write_config(tmp_path, text + "sweep.workers = 1\n", "w1.cfg"))
-        cfg2 = load_config(write_config(tmp_path, text + "sweep.workers = 2\n", "w2.cfg"))
-        res1 = sweep.run_sweep(cfg1)
-        res2 = sweep.run_sweep(cfg2)
-        rows1 = [r.values for r in res1.rows]
-        rows2 = [r.values for r in res2.rows]
-        assert rows1 == rows2
-
     def test_failed_rows_marked_and_run_continues(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path))
         real = sweep.moments.propagate_moments_batch
@@ -215,6 +211,16 @@ class TestRunSweep:
         assert len(failed) == 1 and failed[0].tau_q == 100.0
         assert math.isnan(failed[0].values["e_r"][1])
         assert "failed rows = 1" in result.report_text
+
+    def test_report_prints_the_table_kappa(self, tmp_path):
+        # a structured config without bath.kappa runs with the table's value
+        text = (
+            "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\n"
+            "sweep.points_per_decade = 5\nobservables = e_r\n"
+        )
+        result = sweep.run_sweep(load_config(write_config(tmp_path, text)))
+        kappa = sweep.auxbath.DEFAULT_OHMIC.kappa
+        assert f"bath = structured  kappa = {kappa:g}  " in result.report_text
 
     def test_requires_sweep_bounds(self):
         cfg = build_config(parse_config_text("bath.kappa = 0\n"))
@@ -298,6 +304,19 @@ class TestCli:
         monkeypatch.setenv(name, value)
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_params_file_exit_two(self, tmp_path, capsys):
+        params = tmp_path / "bath.params"
+        sweep.auxbath.dump_params(params, sweep.auxbath.DEFAULT_OHMIC)
+        params.write_text(re.sub(r"gamma = .*", "gamma = nan", params.read_text(), count=1))
+        text = (
+            f"bath.type = structured\nbath.params_file = {params}\n"
+            "sweep.tau_min = 5\nsweep.tau_max = 10\n"
+        )
+        path = write_config(tmp_path, text)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{params}:" in err and "non-finite" in err
 
     def test_row_failure_exit_three(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, BASE + f"output.path = {tmp_path / 'out'}\n")

@@ -17,9 +17,9 @@ from critquench.model import (
     gap,
     ground_state_energy,
     ground_state_covariance,
-    predicted_kz_exponent,
     quadrature_form,
 )
+from critquench.scaling import predict_regime
 
 from helpers_fock import fock_expectations, fock_ground_state
 
@@ -158,15 +158,19 @@ class TestCriticalExponents:
             MEAN_FIELD.gamma_of("purity")
 
 
+def isolated_kz_exponent(observable):
+    return predict_regime(observable, critical=True, isolated=True).exponent
+
+
 class TestKzPrediction:
     def test_residual_energy(self):
-        assert predicted_kz_exponent(MEAN_FIELD, "e_r") == Fraction(-1, 3)
+        assert isolated_kz_exponent("e_r") == Fraction(-1, 3)
 
     def test_momentum_spread(self):
-        assert predicted_kz_exponent(MEAN_FIELD, "dp") == Fraction(-1, 6)
+        assert isolated_kz_exponent("dp") == Fraction(-1, 6)
 
     def test_occupation(self):
-        assert predicted_kz_exponent(MEAN_FIELD, "n") == Fraction(1, 3)
+        assert isolated_kz_exponent("n") == Fraction(1, 3)
 
 
 def rotating_frame(model, g):
