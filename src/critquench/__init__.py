@@ -31,9 +31,7 @@ from .moments import (
     ISOLATED,
     BathSpec,
     CovarianceTrajectory,
-    DeltaObservable,
     ObservableRecord,
-    delta_observable,
     integrate,
     observables_from_covariance,
     steady_state_covariance,
@@ -59,7 +57,6 @@ __all__ = [
     "CovarianceTrajectory",
     "CriticalExponents",
     "DEFAULT_SETTINGS",
-    "DeltaObservable",
     "DomainError",
     "ISOLATED",
     "InsufficientDataError",
@@ -82,7 +79,6 @@ __all__ = [
     "kz_akz_tradeoff",
     "optimal_quench_time",
     "predicted_akz_exponent",
-    "delta_observable",
     "gap",
     "ground_state_energy",
     "ground_state_covariance",

@@ -18,7 +18,7 @@ from .errors import ConfigError, DomainError, IntegrationFailure
 from .model import OBSERVABLES
 from .protocol import QuenchProtocol
 from .scaling import predict_regime
-from .sweep import run_size_crossover, run_sweep, structured_params
+from .sweep import run_size_crossover, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,15 +132,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_steady_state(args) -> int:
     config = load_config(args.config)
-    model = config.model_spec()
     if config.bath_type == "structured":
-        system = auxbath.build_system(model, args.g, structured_params(config))
+        system = auxbath.build_system(config.model, 0.0, config.bath)
         bath = (system.drift_base(), system.d_matrix)
     else:
-        spec = config.bath_spec()
-        bath = moments.thermal_bath(spec.kappa, spec.n_th)
-    v = moments.steady_state_covariance(model, args.g, *bath)
-    record = moments.observables_from_covariance(v, args.g, config.omega)
+        bath = moments.thermal_bath(config.bath.kappa, config.bath.n_th)
+    v = moments.steady_state_covariance(config.model, args.g, *bath)
+    record = moments.observables_from_covariance(v, args.g, config.model.omega)
     print(f"g = {args.g:g}")
     print(f"n = {record.n:.12g}")
     print(f"dx = {record.dx:.12g}")
@@ -155,13 +153,9 @@ def _cmd_dump_trajectory(args) -> int:
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
     settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     if config.bath_type == "structured":
-        traj = auxbath.integrate_lyapunov(
-            protocol, config.model_spec(), structured_params(config), settings, args.samples
-        )
+        traj = auxbath.integrate_lyapunov(protocol, config.model, config.bath, settings, args.samples)
     else:
-        traj = moments.integrate(
-            protocol, config.model_spec(), config.bath_spec(), settings, args.samples
-        )
+        traj = moments.integrate(protocol, config.model, config.bath, settings, args.samples)
     moments.write_trajectory(args.out, traj)
     print(f"wrote {traj.ts.size} samples to {args.out}")
     return EXIT_OK

@@ -16,9 +16,10 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from . import auxbath
 from .errors import ConfigError
-from .model import OBSERVABLES, ModelKind, ModelSpec
-from .moments import BathSpec
+from .model import OBSERVABLES, THERMODYNAMIC, ModelKind, ModelSpec
+from .moments import ISOLATED, BathSpec
 
 ENV_PREFIX = "CRITQUENCH_"
 
@@ -103,18 +104,15 @@ def _to_int(key: str, value: str) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description with a canonical hash."""
+    """Validated experiment description with a canonical hash.
 
-    model_kind: ModelKind = ModelKind.THERMODYNAMIC
-    eta: float = math.inf
-    omega: float = 1.0
-    qrm_quartic_coeff: float = 12.0
-    bath_type: str = "markovian"
-    kappa: float = 0.0
-    temperature: float | None = None
-    n_th: float | None = None
-    params_file: str | None = None
-    omega_c: float | None = None
+    ``model`` and ``bath`` are resolved once, when the config is built:
+    the bath is a :class:`BathSpec` (Markovian) or the oscillator table
+    of a structured bath, with its ``kappa``/``omega_c`` overrides.
+    """
+
+    model: ModelSpec = THERMODYNAMIC
+    bath: BathSpec | auxbath.AuxBathParams = ISOLATED
     g_final: float = 1.0
     r_n: float = 1.0
     tau_min: float | None = None
@@ -135,20 +133,9 @@ class ExperimentConfig:
         canonical = "\n".join(f"{k} = {v}" for k, v in sorted(self.raw))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
-    def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            kind=self.model_kind,
-            eta=self.eta,
-            omega=self.omega,
-            qrm_quartic_coeff=self.qrm_quartic_coeff,
-        )
-
-    def bath_spec(self) -> BathSpec:
-        if self.bath_type != "markovian":
-            raise ConfigError("bath.type", "bath_spec() applies to markovian baths only")
-        if self.temperature is not None:
-            return BathSpec.from_temperature(self.kappa, self.temperature, self.omega)
-        return BathSpec(kappa=self.kappa, n_th=self.n_th or 0.0)
+    @property
+    def bath_type(self) -> str:
+        return "structured" if isinstance(self.bath, auxbath.AuxBathParams) else "markovian"
 
     @property
     def fit_window(self) -> tuple[float, float]:
@@ -158,7 +145,7 @@ class ExperimentConfig:
 
     @property
     def is_isolated(self) -> bool:
-        return self.bath_type == "markovian" and self.kappa == 0.0
+        return isinstance(self.bath, BathSpec) and self.bath.is_isolated
 
     def require_sweep(self) -> None:
         if self.tau_min is None or self.tau_max is None:
@@ -272,17 +259,23 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
         if not value > 0.0:
             raise ConfigError("size.eta_list", f"sizes must be positive, got {value}")
 
+    # every key is valid: resolve the model and the bath once
+    model = ModelSpec(kind=kind, eta=eta, omega=omega, qrm_quartic_coeff=qrm_coeff)
+    if bath_type == "structured":
+        table = auxbath.load_params(params_file) if params_file is not None else auxbath.DEFAULT_OHMIC
+        bath = auxbath.AuxBathParams(
+            kappa=kappa if "bath.kappa" in raw else table.kappa,
+            omega_c=table.omega_c if omega_c is None else omega_c,
+            oscillators=table.oscillators,
+        )
+    elif temperature is not None:
+        bath = BathSpec.from_temperature(kappa, temperature, omega)
+    else:
+        bath = BathSpec(kappa=kappa, n_th=n_th or 0.0)
+
     return ExperimentConfig(
-        model_kind=kind,
-        eta=eta,
-        omega=omega,
-        qrm_quartic_coeff=qrm_coeff,
-        bath_type=bath_type,
-        kappa=kappa,
-        temperature=temperature,
-        n_th=n_th,
-        params_file=params_file,
-        omega_c=omega_c,
+        model=model,
+        bath=bath,
         g_final=g_final,
         r_n=r_n,
         tau_min=tau_min,

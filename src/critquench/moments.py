@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class BathSpec:
 
     kappa: float = 0.0
     n_th: float = 0.0
-    temperature: float | None = None
 
     def __post_init__(self):
         if not self.kappa >= 0.0:
@@ -65,7 +63,7 @@ class BathSpec:
         if temperature < 0.0:
             raise DomainError(f"temperature must be nonnegative, got {temperature}")
         n_th = 0.0 if temperature == 0.0 else 1.0 / math.expm1(omega / temperature)
-        return cls(kappa=kappa, n_th=n_th, temperature=temperature)
+        return cls(kappa=kappa, n_th=n_th)
 
     @property
     def is_isolated(self) -> bool:
@@ -84,17 +82,6 @@ class ObservableRecord:
     dp: float
     energy: float
     residual_energy: float
-
-    def value(self, observable: str) -> float:
-        try:
-            return {
-                "n": self.n,
-                "dx": self.dx,
-                "dp": self.dp,
-                "e_r": self.residual_energy,
-            }[observable]
-        except KeyError:
-            raise KeyError(f"unknown observable {observable!r}") from None
 
 
 def broadcast_members(*params) -> list[np.ndarray]:
@@ -261,33 +248,6 @@ def observables_from_covariance(v, g: float, omega: float = 1.0) -> ObservableRe
     )
 
 
-class DeltaObservable(NamedTuple):
-    isolated: float
-    open: float
-    delta: float
-
-
-def delta_observable(
-    protocol: QuenchProtocol,
-    model: ModelSpec,
-    bath: BathSpec,
-    observable: str,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
-) -> DeltaObservable:
-    """Dissipative excess of one observable at the end of the ramp.
-
-    Runs the same protocol twice with identical integrator settings,
-    once isolated (kappa = 0) and once with the given bath, and returns
-    (isolated, open, open - isolated).
-    """
-    values = []
-    for leg in (ISOLATED, bath):
-        final = integrate(protocol, model, leg, settings=settings, samples=0).final
-        values.append(observables_from_covariance(final, protocol.g_final, model.omega).value(observable))
-    iso, opn = values
-    return DeltaObservable(isolated=iso, open=opn, delta=opn - iso)
-
-
 def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -> np.ndarray:
     """Fixed point of the Lyapunov flow at frozen coupling g.
 
@@ -298,6 +258,8 @@ def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -
     """
     from scipy.linalg import solve_continuous_lyapunov
 
+    if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
+        raise DomainError("coupling g must lie in [0, 1]")
     drift = set_system_block(np.array(drift_base, dtype=float), model, g)
     if not np.max(np.linalg.eigvals(drift).real) < 0.0:
         raise DomainError("steady state requires a strictly damped drift (kappa > 0)")

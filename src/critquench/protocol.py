@@ -56,11 +56,6 @@ class QuenchProtocol:
         g = self.g_final * ramp_shape(t_arr / self.tau_q, self.r_n)
         return float(g) if np.ndim(t) == 0 else g
 
-    @property
-    def is_critical(self) -> bool:
-        """True when the ramp ends exactly at the critical coupling."""
-        return self.g_final == 1.0
-
 
 def impulse_boundary_exponent(z_nu: float, r_n: float) -> float:
     """Power of tau_q governing the adiabatic-impulse freezing distance.

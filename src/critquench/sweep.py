@@ -42,22 +42,20 @@ def tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarr
 
 
 def _observable_arrays_at_final(config: ExperimentConfig, v):
-    n, dx, dp, _, e_r = moments.observable_arrays(v, config.g_final, config.omega)
+    n, dx, dp, _, e_r = moments.observable_arrays(v, config.g_final, config.model.omega)
     return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
 
 
-def _markovian_leg(
-    config: ExperimentConfig, taus, kappa: float, n_th: float, eta=None, settings=None
-):
+def _markovian_leg(config: ExperimentConfig, taus, bath: moments.BathSpec, eta=None, settings=None):
     if settings is None:
         settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     _, ys = moments.propagate_moments_batch(
         taus,
         config.g_final,
         config.r_n,
-        config.model_spec(),
-        kappa,
-        n_th,
+        config.model,
+        bath.kappa,
+        bath.n_th,
         eta=eta,
         settings=settings,
     )
@@ -66,10 +64,7 @@ def _markovian_leg(
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
     key = (
-        config.model_kind,
-        config.eta,
-        config.omega,
-        config.qrm_quartic_coeff,
+        config.model,
         config.g_final,
         config.r_n,
         config.rtol,
@@ -82,22 +77,11 @@ def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray
         return hit
     # read at call time: reference runs tighten it by rebinding the name
     settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
-    values = _markovian_leg(config, taus, 0.0, 0.0, settings=settings)
+    values = _markovian_leg(config, taus, moments.ISOLATED, settings=settings)
     if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
         _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
     _ISOLATED_CACHE[key] = values
     return values
-
-
-def structured_params(config: ExperimentConfig) -> auxbath.AuxBathParams:
-    params = (
-        auxbath.load_params(config.params_file)
-        if config.params_file is not None
-        else auxbath.DEFAULT_OHMIC
-    )
-    kappa = config.kappa if config.kappa > 0.0 else params.kappa
-    omega_c = config.omega_c if config.omega_c is not None else params.omega_c
-    return auxbath.AuxBathParams(kappa=kappa, omega_c=omega_c, oscillators=params.oscillators)
 
 
 def _structured_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -106,8 +90,8 @@ def _structured_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
         taus,
         config.g_final,
         config.r_n,
-        structured_params(config),
-        model=config.model_spec(),
+        config.bath,
+        model=config.model,
         settings=settings,
     )
     return _observable_arrays_at_final(config, vs[-1])
@@ -116,8 +100,7 @@ def _structured_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
     if config.bath_type == "structured":
         return _structured_leg(config, taus)
-    bath = config.bath_spec()
-    return _markovian_leg(config, taus, bath.kappa, bath.n_th)
+    return _markovian_leg(config, taus, config.bath)
 
 
 def _nan_values(config: ExperimentConfig, count: int) -> dict[str, np.ndarray]:
@@ -278,11 +261,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 def _render_report(config: ExperimentConfig, rows, fits: list[FitOutcome]) -> str:
     tag = f"cfg={config.config_hash}"
     fitted = "isolated value" if config.is_isolated else "dissipative excess (open - isolated)"
-    kappa = structured_params(config).kappa if config.bath_type == "structured" else config.kappa
     lines = [
         f"sweep of {len(rows)} quench times in [{rows[0].tau_q:.6g}, {rows[-1].tau_q:.6g}]  {tag}",
-        f"model = {config.model_kind.value}  eta = {config.eta:g}  g_final = {config.g_final:g}  "
-        f"r_n = {config.r_n:g}  bath = {config.bath_type}  kappa = {kappa:g}  {tag}",
+        f"model = {config.model.kind.value}  eta = {config.model.eta:g}  g_final = {config.g_final:g}  "
+        f"r_n = {config.r_n:g}  bath = {config.bath_type}  kappa = {config.bath.kappa:g}  {tag}",
         f"points_per_decade = {config.points_per_decade}  fitted quantity = {fitted}  {tag}",
     ]
     n_failed = sum(r.failed for r in rows)
@@ -328,29 +310,28 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     sizes share the adaptive step sequence.
     """
     config.require_sweep()
-    if config.model_kind is ModelKind.THERMODYNAMIC:
+    if config.model.kind is ModelKind.THERMODYNAMIC:
         raise ConfigError("model.kind", "size crossover needs a finite-size model (qrm or lmg)")
     if config.bath_type != "markovian":
         raise ConfigError("bath.type", "size crossover supports markovian baths only")
-    if len(config.eta_list) < 3:
-        raise ConfigError("size.eta_list", "need at least 3 sizes")
+    etas = np.unique(config.eta_list)
+    if etas.size < 3:
+        raise ConfigError("size.eta_list", "need at least 3 distinct sizes")
     if config.is_isolated:
         raise ConfigError("bath.kappa", "size crossover fits the excess; kappa must be positive")
 
-    etas = np.array(sorted(config.eta_list))
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
     eta_rep = np.repeat(etas, taus.size)
     tau_tile = np.tile(taus, etas.size)
-    bath = config.bath_spec()
-    iso = _markovian_leg(config, tau_tile, 0.0, 0.0, eta=eta_rep)
-    opn = _markovian_leg(config, tau_tile, bath.kappa, bath.n_th, eta=eta_rep)
+    iso = _markovian_leg(config, tau_tile, moments.ISOLATED, eta=eta_rep)
+    opn = _markovian_leg(config, tau_tile, config.bath, eta=eta_rep)
 
     tag = f"cfg={config.config_hash}"
     table = []
     csv_lines = ["eta,observable,b,stderr_b"]
     report = [
         f"size crossover over eta = {[f'{e:g}' for e in etas]}  {tag}",
-        f"model = {config.model_kind.value}  kappa = {config.kappa:g}  "
+        f"model = {config.model.kind.value}  kappa = {config.bath.kappa:g}  "
         f"window = [{config.fit_window[0]:g}, {config.fit_window[1]:g}]  {tag}",
     ]
     for obs in config.observables:

@@ -51,7 +51,7 @@ def _fmt(values):
 
 def cmd_linear(args):
     base = load_config(args.config)
-    kappa = base.kappa if args.kappa is None else args.kappa
+    kappa = base.bath.kappa if args.kappa is None else args.kappa
     result = run_sweep(load_config(args.config, overrides={"bath.kappa": repr(kappa)}))
     tenth = run_sweep(load_config(args.config, overrides={"bath.kappa": repr(kappa / 10.0)}))
     print(f"{args.config}  kappa = {kappa:g}  hash {result.config_hash}")

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from critquench import cli, sweep
 from critquench.config import build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = """
 model.kind = thermodynamic
@@ -33,10 +36,10 @@ def write_config(tmp_path, text=BASE, name="exp.cfg"):
 class TestConfigParsing:
     def test_defaults_and_values(self):
         cfg = build_config(parse_config_text(BASE))
-        assert cfg.model_kind is ModelKind.THERMODYNAMIC
-        assert cfg.eta == math.inf
-        assert cfg.kappa == 1e-3
-        assert cfg.n_th == 2.0
+        assert cfg.model.kind is ModelKind.THERMODYNAMIC
+        assert cfg.model.eta == math.inf
+        assert cfg.bath.kappa == 1e-3
+        assert cfg.bath.n_th == 2.0
         assert cfg.points_per_decade == 5
         assert cfg.observables == ("e_r", "dp")
         assert cfg.fit_window == (10.0, 100.0)
@@ -89,7 +92,7 @@ class TestConfigParsing:
         assert err.value.field == "bath.kappa"
         # an omitted key still means "the table's kappa"
         cfg = build_config(parse_config_text("bath.type = structured\n"))
-        assert sweep.structured_params(cfg).kappa == sweep.auxbath.DEFAULT_OHMIC.kappa
+        assert cfg.bath.kappa == sweep.auxbath.DEFAULT_OHMIC.kappa
 
     def test_structured_zero_kappa_exit_two(self, tmp_path, capsys):
         text = (
@@ -222,6 +225,20 @@ class TestRunSweep:
         kappa = sweep.auxbath.DEFAULT_OHMIC.kappa
         assert f"bath = structured  kappa = {kappa:g}  " in result.report_text
 
+    def test_params_file_read_once_at_load(self, tmp_path):
+        # the table is resolved into the config: the sweep never reopens the file
+        params = tmp_path / "bath.params"
+        params.write_text((CONFIG_DIR / "ohmic_4osc.params").read_text())
+        text = (
+            f"bath.type = structured\nbath.params_file = {params}\n"
+            "sweep.tau_min = 5\nsweep.tau_max = 10\n"
+            "sweep.points_per_decade = 5\nobservables = e_r\n"
+        )
+        cfg = load_config(write_config(tmp_path, text))
+        params.unlink()
+        result = sweep.run_sweep(cfg)
+        assert result.n_failed_rows == 0
+
     def test_requires_sweep_bounds(self):
         cfg = build_config(parse_config_text("bath.kappa = 0\n"))
         with pytest.raises(ConfigError):
@@ -243,9 +260,12 @@ class TestSizeCrossoverValidation:
 
     def test_needs_three_sizes(self, tmp_path):
         text = BASE.replace("model.kind = thermodynamic", "model.kind = qrm\nmodel.eta = 100")
-        cfg = load_config(write_config(tmp_path, text + "size.eta_list = 10, 100\n"))
-        with pytest.raises(ConfigError):
-            sweep.run_size_crossover(cfg)
+        # a repeated size is one size: fitting it three times proves nothing
+        for sizes in ("10, 100", "10, 10, 10"):
+            cfg = load_config(write_config(tmp_path, text + f"size.eta_list = {sizes}\n"))
+            with pytest.raises(ConfigError) as err:
+                sweep.run_size_crossover(cfg)
+            assert err.value.field == "size.eta_list"
 
     def test_needs_dissipation(self, tmp_path):
         text = BASE.replace("model.kind = thermodynamic", "model.kind = qrm\nmodel.eta = 100")
@@ -352,6 +372,11 @@ class TestCli:
         assert cli.main(["steady-state", "--config", str(path), "--g", "0.0"]) == 0
         out = capsys.readouterr().out
         assert "n = 2" in out  # thermal occupation at g = 0
+
+    @pytest.mark.parametrize("config", ["critical_akz_thermal.cfg", "ohmic_critical.cfg"])
+    def test_steady_state_coupling_out_of_range(self, capsys, config):
+        assert cli.main(["steady-state", "--config", str(CONFIG_DIR / config), "--g", "1.5"]) == 2
+        assert "coupling g" in capsys.readouterr().err
 
     def test_steady_state_structured(self, tmp_path, capsys):
         text = "model.kind = thermodynamic\nbath.type = structured\nbath.kappa = 1e-5\n"

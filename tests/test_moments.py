@@ -11,7 +11,6 @@ from critquench import (
     ModelKind,
     ModelSpec,
     QuenchProtocol,
-    delta_observable,
     ground_state_covariance,
     integrate,
     observables_from_covariance,
@@ -281,22 +280,6 @@ class TestObservables:
     def test_coupling_validated(self):
         with pytest.raises(DomainError):
             observables_from_covariance(VACUUM, 1.5)
-
-
-class TestDeltaObservable:
-    def test_isolated_bath_gives_exact_zero(self):
-        p = QuenchProtocol(0.8, 30.0)
-        result = delta_observable(p, THERMODYNAMIC, BathSpec(kappa=0.0), "e_r")
-        assert result.delta == 0.0
-        assert result.isolated == result.open
-
-    def test_pre_saturation_excess_doubles_with_tau(self):
-        bath = BathSpec.from_temperature(kappa=1e-4, temperature=10.0)
-        deltas = []
-        for tau in (500.0, 1000.0):
-            p = QuenchProtocol(0.75, tau)
-            deltas.append(delta_observable(p, THERMODYNAMIC, bath, "e_r").delta)
-        assert deltas[1] / deltas[0] == pytest.approx(2.0, rel=0.10)
 
 
 def thermal_steady_state(bath, g):
