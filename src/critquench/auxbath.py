@@ -34,8 +34,7 @@ from . import model as model_mod
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, PhysicalityError
 from .model import ModelSpec
-from .moments import CovarianceTrajectory, broadcast_members, lyapunov_batch_rhs, set_system_block
-from .protocol import QuenchProtocol
+from .moments import broadcast_members, lyapunov_batch_rhs, set_system_block
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,21 @@ class AuxBathParams:
     @property
     def n_oscillators(self) -> int:
         return len(self.oscillators)
+
+    @property
+    def is_isolated(self) -> bool:
+        return self.kappa == 0.0
+
+    def lyapunov_terms(self, model: ModelSpec):
+        """Drift base and diffusion of the system + chain network."""
+        system = build_system(model, 0.0, self)
+        return system.drift_base(), system.d_matrix
+
+    def propagate(self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None):
+        """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2n, 2n)."""
+        return propagate_covariance_batch(
+            tau_q, g_final, r_n, self, model=model, settings=settings, s_samples=s_samples
+        )[:2]
 
 
 #: Four-oscillator realization of the Ohmic T = 0 bath.
@@ -195,11 +209,6 @@ def build_system(model: ModelSpec, g: float, params: AuxBathParams) -> Symplecti
     )
 
 
-def vacuum_covariance(n_modes: int) -> np.ndarray:
-    """V(0) = identity on the full 2 n_modes phase space."""
-    return np.eye(2 * n_modes)
-
-
 def physicality_defect(v: np.ndarray, j: np.ndarray) -> float:
     """Most negative eigenvalue of V + iJ (>= 0 for physical states)."""
     eigs = np.linalg.eigvalsh(v.astype(complex) + 1j * j)
@@ -238,36 +247,11 @@ def propagate_covariance_batch(
     system = build_system(model, 0.0, params)
     tau, g_f, r_n = broadcast_members(tau_q, g_final, r_n)
     rhs = lyapunov_batch_rhs(system.drift_base(), system.d_matrix, model, tau, g_f, r_n)
-    v0 = np.broadcast_to(vacuum_covariance(system.n_modes), (tau.size,) + (system.dim,) * 2).copy()
+    v0 = np.broadcast_to(np.eye(system.dim), (tau.size,) + (system.dim,) * 2).copy()
     cap = 3.5 / (_drift_spectral_radius(system) * float(np.max(tau)))
     eff = replace(settings, max_step=min(settings.max_step, cap))
     ss, vs = solve_to(rhs, 0.0, 1.0, v0, settings=eff, t_samples=s_samples)
     return ss, vs, system
-
-
-def integrate_lyapunov(
-    protocol: QuenchProtocol,
-    model: ModelSpec = model_mod.THERMODYNAMIC,
-    params: AuxBathParams = DEFAULT_OHMIC,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
-    samples: int = 51,
-) -> CovarianceTrajectory:
-    """Propagate one structured-bath quench from the product vacuum ``V = I``.
-
-    System and chain both start in their own vacuum, uncoupled; this is
-    not the ground state of the coupled network.
-    """
-    s_samples = np.linspace(0.0, 1.0, samples) if samples and samples > 1 else None
-    ss, vs, _ = propagate_covariance_batch(
-        protocol.tau_q,
-        protocol.g_final,
-        protocol.r_n,
-        params,
-        model=model,
-        settings=settings,
-        s_samples=s_samples,
-    )
-    return CovarianceTrajectory(ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, model=model)
 
 
 PARAMS_FILE_DOC = """\

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import auxbath, moments
+from . import moments
 from ._ode import IntegratorSettings
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegrationFailure
@@ -132,12 +132,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_steady_state(args) -> int:
     config = load_config(args.config)
-    if config.bath_type == "structured":
-        system = auxbath.build_system(config.model, 0.0, config.bath)
-        bath = (system.drift_base(), system.d_matrix)
-    else:
-        bath = moments.thermal_bath(config.bath.kappa, config.bath.n_th)
-    v = moments.steady_state_covariance(config.model, args.g, *bath)
+    v = moments.steady_state_covariance(config.model, args.g, *config.bath.lyapunov_terms(config.model))
     record = moments.observables_from_covariance(v, args.g, config.model.omega)
     print(f"g = {args.g:g}")
     print(f"n = {record.n:.12g}")
@@ -152,10 +147,7 @@ def _cmd_dump_trajectory(args) -> int:
     config = load_config(args.config)
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
     settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
-    if config.bath_type == "structured":
-        traj = auxbath.integrate_lyapunov(protocol, config.model, config.bath, settings, args.samples)
-    else:
-        traj = moments.integrate(protocol, config.model, config.bath, settings, args.samples)
+    traj = moments.integrate(protocol, config.model, config.bath, settings, args.samples)
     moments.write_trajectory(args.out, traj)
     print(f"wrote {traj.ts.size} samples to {args.out}")
     return EXIT_OK

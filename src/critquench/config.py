@@ -145,7 +145,7 @@ class ExperimentConfig:
 
     @property
     def is_isolated(self) -> bool:
-        return isinstance(self.bath, BathSpec) and self.bath.is_isolated
+        return self.bath.is_isolated
 
     def require_sweep(self) -> None:
         if self.tau_min is None or self.tau_max is None:
@@ -173,6 +173,9 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     if not omega > 0.0:
         raise ConfigError("model.omega", f"must be positive, got {omega}")
     qrm_coeff = _to_float("model.qrm_quartic_coeff", raw.get("model.qrm_quartic_coeff", "12.0"))
+    if not qrm_coeff >= 0.0:
+        # a negative quartic term turns h_qq(1) = 2 c / eta negative: an inverted potential
+        raise ConfigError("model.qrm_quartic_coeff", f"must be nonnegative, got {qrm_coeff}")
 
     bath_type = raw.get("bath.type", "markovian").lower()
     if bath_type not in ("markovian", "structured"):
@@ -193,6 +196,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("bath.n_th", f"must be nonnegative, got {n_th}")
     params_file = raw.get("bath.params_file")
     omega_c = _to_float("bath.omega_c", raw["bath.omega_c"]) if "bath.omega_c" in raw else None
+    if omega_c is not None and not omega_c > 0.0:
+        raise ConfigError("bath.omega_c", f"must be positive, got {omega_c}")
     if bath_type == "structured" and (temperature is not None or n_th is not None):
         raise ConfigError(
             "bath.temperature",

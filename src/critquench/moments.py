@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,13 +41,21 @@ from .errors import DomainError, PhysicalityError
 from .model import ModelSpec
 from .protocol import QuenchProtocol, ramp_shape
 
+if TYPE_CHECKING:
+    from .auxbath import AuxBathParams
+
 #: Radicand values above this (negative) floor are clamped to zero.
 PHYSICALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Markovian thermal bath: overall rate kappa and occupation n_th."""
+    """Markovian thermal bath: overall rate kappa and occupation n_th.
+
+    Both bath types answer ``is_isolated``, ``lyapunov_terms(model)`` and
+    ``propagate(...)`` (see :class:`critquench.auxbath.AuxBathParams`),
+    so no caller needs to know which one it holds.
+    """
 
     kappa: float = 0.0
     n_th: float = 0.0
@@ -68,6 +77,16 @@ class BathSpec:
     @property
     def is_isolated(self) -> bool:
         return self.kappa == 0.0
+
+    def lyapunov_terms(self, model: ModelSpec):
+        """Drift base and diffusion of the system mode (:func:`thermal_bath`)."""
+        return thermal_bath(self.kappa, self.n_th)
+
+    def propagate(self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None):
+        """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2, 2)."""
+        return propagate_moments_batch(
+            tau_q, g_final, r_n, model, self.kappa, self.n_th, settings=settings, s_samples=s_samples
+        )
 
 
 ISOLATED = BathSpec()
@@ -190,25 +209,21 @@ class CovarianceTrajectory:
 def integrate(
     protocol: QuenchProtocol,
     model: ModelSpec = model_mod.THERMODYNAMIC,
-    bath: BathSpec = ISOLATED,
+    bath: BathSpec | AuxBathParams = ISOLATED,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
     samples: int = 201,
 ) -> CovarianceTrajectory:
-    """Propagate one Markovian quench from the vacuum and sample it uniformly.
+    """Propagate one quench from the vacuum ``V = I`` and sample it uniformly.
 
-    The final state is reproducible to better than 1e-8 relative under
-    a hundredfold tolerance tightening (verified in the test suite).
+    ``bath`` is a :class:`BathSpec` or a structured bath's oscillator
+    table; the chain then starts in its own vacuum, uncoupled from the
+    system, which is not the ground state of the coupled network.  The
+    final state is reproducible to better than 1e-8 relative under a
+    hundredfold tolerance tightening (verified in the test suite).
     """
     s_samples = np.linspace(0.0, 1.0, samples) if samples and samples > 1 else None
-    ss, vs = propagate_moments_batch(
-        protocol.tau_q,
-        protocol.g_final,
-        protocol.r_n,
-        model,
-        bath.kappa,
-        bath.n_th,
-        settings=settings,
-        s_samples=s_samples,
+    ss, vs = bath.propagate(
+        protocol.tau_q, protocol.g_final, protocol.r_n, model, settings=settings, s_samples=s_samples
     )
     return CovarianceTrajectory(ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, model=model)
 
@@ -252,9 +267,9 @@ def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -
     """Fixed point of the Lyapunov flow at frozen coupling g.
 
     Solves ``Gamma(g) V + V Gamma(g)^T + D = 0`` for a bath given as
-    drift base and diffusion (:func:`thermal_bath`, or a chain's
-    ``drift_base()`` and ``d_matrix``).  Requires a strictly damped
-    drift: the isolated flow (kappa = 0) has no attracting fixed point.
+    drift base and diffusion (``bath.lyapunov_terms(model)`` of either
+    bath type).  Requires a strictly damped drift: the isolated flow
+    (kappa = 0) has no attracting fixed point.
     """
     from scipy.linalg import solve_continuous_lyapunov
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InsufficientDataError, NonLoggableDataError, RegimeError
 from .model import MEAN_FIELD, CriticalExponents
@@ -118,9 +117,11 @@ class ScalingPrediction:
         return f"{self.observable} [{self.regime.value}, r_n={self.r_n}]: {self.exponent} = {self.value!r}"
 
 
-def _as_fraction(x) -> Fraction:
+def _ramp_exponent(r_n) -> Fraction:
     # floats convert exactly (1/2, 5/4 and friends are dyadic)
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if not (r_n > 0 and math.isfinite(r_n)):
+        raise DomainError(f"r_n must be positive and finite, got {r_n}")
+    return Fraction(r_n)
 
 
 def predicted_akz_exponent(
@@ -146,9 +147,7 @@ def predicted_akz_exponent(
     fall from about 0.70 to 0.64 over ``tau_q = 2e2..6e3``, against 0.4
     from the formula.  The formula is returned for every ``r_n > 0``.
     """
-    r_n = _as_fraction(r_n)
-    if r_n <= 0:
-        raise DomainError(f"r_n must be positive, got {r_n}")
+    r_n = _ramp_exponent(r_n)
     gamma = exponents.gamma_of(observable)
     if not at_critical:
         return ScalingPrediction(observable, Regime.AKZ_LINEAR, Fraction(1), r_n)
@@ -174,7 +173,7 @@ def predict_regime(
     exponent); isolated off-critical sweeps decay adiabatically as
     ``tau_q^-2``; open sweeps delegate to the excess prediction.
     """
-    r_n = _as_fraction(r_n)
+    r_n = _ramp_exponent(r_n)
     if not isolated:
         return predicted_akz_exponent(exponents, observable, r_n, at_critical=critical)
     if not critical:
@@ -223,11 +222,14 @@ def optimal_quench_time(r_c: float, r_o: float, gamma_a: float, z_nu: float) -> 
 
 
 def inflection_time(r_c: float, r_o: float, gamma_a: float, z_nu: float) -> float:
-    """Numerically located inflection of the tradeoff curve.
+    """Inflection point of the tradeoff curve, in closed form.
 
     Applies for -z_nu - 1 < gamma_a < 0, where both branches grow and
-    the curvature changes sign once.  The root of the second derivative
-    is bracketed around the closed-form ratio estimate and bisected.
+    the curvature changes sign once.  With ``u = gamma_a / (z_nu + 1)``
+    the second derivative
+    ``u (u + 1) r_c tau^(-u-2) - u (1 - u) r_o tau^(-u-1)`` vanishes only
+    at ``tau = r_c (1 + u) / (r_o (1 - u))``, which is
+    ``r_c (1 + gamma_a + z_nu) / (r_o (1 - gamma_a + z_nu))``.
     """
     _check_rates(r_c, r_o, z_nu)
     if not -z_nu - 1.0 < gamma_a < 0.0:
@@ -240,19 +242,6 @@ def inflection_time(r_c: float, r_o: float, gamma_a: float, z_nu: float) -> floa
             f"no inflection for gamma_a = {gamma_a}; the curvature never "
             "changes sign when |gamma_a| >= z_nu + 1"
         )
-    u = gamma_a / (z_nu + 1.0)
-    v = 1.0 - u
-
-    def second_derivative(tau):
-        return u * (u + 1.0) * r_c * tau ** (-u - 2.0) + v * (v - 1.0) * r_o * tau ** (v - 2.0)
-
-    guess = inflection_time_ratio_form(r_c, r_o, gamma_a, z_nu)
-    lo, hi = guess / 64.0, guess * 64.0
-    return float(brentq(second_derivative, lo, hi, xtol=1e-300, rtol=1e-15))
-
-
-def inflection_time_ratio_form(r_c: float, r_o: float, gamma_a: float, z_nu: float) -> float:
-    """Ratio reading of the inflection formula: rc(1+g+zn) / (ro(1-g+zn))."""
     return r_c * (1.0 + gamma_a + z_nu) / (r_o * (1.0 - gamma_a + z_nu))
 
 

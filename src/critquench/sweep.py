@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import auxbath, moments
+from . import moments
 from ._ode import IntegratorSettings
 from .config import ExperimentConfig
 from .errors import ConfigError, IntegrationFailure
@@ -46,20 +46,11 @@ def _observable_arrays_at_final(config: ExperimentConfig, v):
     return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
 
 
-def _markovian_leg(config: ExperimentConfig, taus, bath: moments.BathSpec, eta=None, settings=None):
+def _leg(config: ExperimentConfig, taus, bath, settings=None) -> dict[str, np.ndarray]:
     if settings is None:
         settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
-    _, ys = moments.propagate_moments_batch(
-        taus,
-        config.g_final,
-        config.r_n,
-        config.model,
-        bath.kappa,
-        bath.n_th,
-        eta=eta,
-        settings=settings,
-    )
-    return _observable_arrays_at_final(config, ys[-1])
+    _, vs = bath.propagate(taus, config.g_final, config.r_n, config.model, settings=settings)
+    return _observable_arrays_at_final(config, vs[-1])
 
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -77,30 +68,15 @@ def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray
         return hit
     # read at call time: reference runs tighten it by rebinding the name
     settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
-    values = _markovian_leg(config, taus, moments.ISOLATED, settings=settings)
+    values = _leg(config, taus, moments.ISOLATED, settings=settings)
     if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
         _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
     _ISOLATED_CACHE[key] = values
     return values
 
 
-def _structured_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
-    _, vs, _ = auxbath.propagate_covariance_batch(
-        taus,
-        config.g_final,
-        config.r_n,
-        config.bath,
-        model=config.model,
-        settings=settings,
-    )
-    return _observable_arrays_at_final(config, vs[-1])
-
-
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    if config.bath_type == "structured":
-        return _structured_leg(config, taus)
-    return _markovian_leg(config, taus, config.bath)
+    return _leg(config, taus, config.bath)
 
 
 def _nan_values(config: ExperimentConfig, count: int) -> dict[str, np.ndarray]:
@@ -323,8 +299,15 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
     eta_rep = np.repeat(etas, taus.size)
     tau_tile = np.tile(taus, etas.size)
-    iso = _markovian_leg(config, tau_tile, moments.ISOLATED, eta=eta_rep)
-    opn = _markovian_leg(config, tau_tile, config.bath, eta=eta_rep)
+    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
+    legs = []
+    for bath in (moments.ISOLATED, config.bath):
+        _, vs = moments.propagate_moments_batch(
+            tau_tile, config.g_final, config.r_n, config.model, bath.kappa, bath.n_th,
+            eta=eta_rep, settings=settings,
+        )
+        legs.append(_observable_arrays_at_final(config, vs[-1]))
+    iso, opn = legs
 
     tag = f"cfg={config.config_hash}"
     table = []

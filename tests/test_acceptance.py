@@ -41,7 +41,6 @@ from critquench.auxbath import (
     DEFAULT_OHMIC,
     AuxBathParams,
     AuxOscillator,
-    integrate_lyapunov,
     load_params,
     physicality_defect,
     symplectic_form,
@@ -478,13 +477,13 @@ class TestCriterion8PropertySuite:
                 AuxOscillator(o.omega, 0.0, o.d, o.gamma) for o in DEFAULT_OHMIC.oscillators
             ),
         )
-        v = integrate_lyapunov(protocol, params=params, samples=0).final
+        v = integrate(protocol, bath=params, samples=0).final
         ref = integrate(protocol, samples=0).final
         err = float(np.max(np.abs(v[np.ix_([0, 5], [0, 5])] - ref)))
         report([("8 aux decoupled equivalence", err < 1e-6, f"max covariance gap = {err:.2e}")])
 
     def test_covariance_physicality(self):
-        traj = integrate_lyapunov(QuenchProtocol(1.0, 50.0), params=DEFAULT_OHMIC, samples=26)
+        traj = integrate(QuenchProtocol(1.0, 50.0), bath=DEFAULT_OHMIC, samples=26)
         defect = min(physicality_defect(v, symplectic_form(5)) for v in traj.vs)
         report([("8 V+iJ physicality", defect > -1e-8, f"min eigenvalue = {defect:.2e}")])
 

@@ -19,13 +19,11 @@ from critquench.auxbath import (
     assert_physical,
     build_system,
     dump_params,
-    integrate_lyapunov,
     load_params,
     ohmic_spectral_density,
     physicality_defect,
     propagate_covariance_batch,
     symplectic_form,
-    vacuum_covariance,
 )
 from critquench.errors import DomainError, PhysicalityError
 from critquench.model import THERMODYNAMIC
@@ -172,13 +170,13 @@ class TestLyapunovRhs:
     def test_vacuum_fixed_point_of_damped_decoupled_chain(self):
         params = _decoupled(DEFAULT_OHMIC)
         system = build_system(THERMODYNAMIC, 0.0, params)
-        rhs = lyapunov_rhs(vacuum_covariance(system.n_modes), system, 0.0)
+        rhs = lyapunov_rhs(np.eye(system.dim), system, 0.0)
         assert np.max(np.abs(rhs)) < 1e-12
 
     def test_vacuum_invariant_without_damping(self):
         params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
         system = build_system(THERMODYNAMIC, 0.0, params)
-        rhs = lyapunov_rhs(vacuum_covariance(system.n_modes), system, 0.0)
+        rhs = lyapunov_rhs(np.eye(system.dim), system, 0.0)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_rhs_symmetric_for_random_input(self):
@@ -203,7 +201,7 @@ class TestPropagation:
     )
     def test_decoupled_matches_closed_single_mode(self, protocol):
         params = _decoupled(DEFAULT_OHMIC)
-        traj = integrate_lyapunov(protocol, params=params, samples=0)
+        traj = integrate(protocol, bath=params, samples=0)
         rec = observables_from_covariance(traj.final, protocol.g_final)
         ref = observables_from_covariance(
             integrate(protocol, settings=TIGHT, samples=0).final, protocol.g_final
@@ -214,7 +212,7 @@ class TestPropagation:
         assert rec.residual_energy == pytest.approx(ref.residual_energy, abs=1e-6)
 
     def test_physicality_preserved_along_driven_damped_run(self):
-        traj = integrate_lyapunov(QuenchProtocol(1.0, 50.0), params=DEFAULT_OHMIC, samples=26)
+        traj = integrate(QuenchProtocol(1.0, 50.0), bath=DEFAULT_OHMIC, samples=26)
         for v in traj.vs:
             assert_physical(v, symplectic_form(5), tol=1e-8)
 
@@ -224,17 +222,15 @@ class TestPropagation:
         # absorption flux (about a fifth of the emission rate), so the
         # occupancy drifts linearly at order kappa^2 per hundred periods
         params = DEFAULT_OHMIC
-        traj = integrate_lyapunov(
-            QuenchProtocol(0.0, 50.0), params=params, settings=TIGHT, samples=11
-        )
+        traj = integrate(QuenchProtocol(0.0, 50.0), bath=params, settings=TIGHT, samples=11)
         n = traj.observable_arrays()[0]
         assert float(n[1]) < 10.0 * params.kappa**2  # t = 5: dressing level
         assert np.max(n) < 100.0 * params.kappa**2  # no runaway over t = 50
 
     def test_step_halving_reproducible(self):
         p = QuenchProtocol(1.0, 50.0)
-        coarse = integrate_lyapunov(p, params=DEFAULT_OHMIC, samples=0).final
-        fine = integrate_lyapunov(p, params=DEFAULT_OHMIC, settings=TIGHT, samples=0).final
+        coarse = integrate(p, bath=DEFAULT_OHMIC, samples=0).final
+        fine = integrate(p, bath=DEFAULT_OHMIC, settings=TIGHT, samples=0).final
         assert np.max(np.abs(coarse - fine)) / np.max(np.abs(fine)) < 1e-8
 
     def test_batch_layout(self):
@@ -245,13 +241,13 @@ class TestPropagation:
 
 class TestObservables:
     def test_vacuum(self):
-        v = vacuum_covariance(5)
+        v = np.eye(10)
         rec = observables_from_covariance(v, 0.0)
         assert rec.n == 0.0
         assert rec.dx == 1.0 and rec.dp == 1.0
 
     def test_direct_substitution(self):
-        v = vacuum_covariance(5)
+        v = np.eye(10)
         v[0, 0] = 7.0
         v[5, 5] = 7.0
         rec = observables_from_covariance(v, 0.0)
@@ -271,7 +267,7 @@ class TestObservables:
         assert observables_from_covariance(block, 0.3) == rec
 
     def test_unphysical_covariance_rejected(self):
-        v = vacuum_covariance(5)
+        v = np.eye(10)
         v[0, 0] = -1.0
         with pytest.raises(PhysicalityError):
             observables_from_covariance(v, 0.0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critquench import cli, sweep
+from critquench import auxbath, cli, sweep
 from critquench.config import build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
@@ -72,6 +72,7 @@ class TestConfigParsing:
             ("integrator.atol = 0", "integrator.atol"),
             ("integrator.rtol = nan", "integrator.rtol"),
             ("bath.kappa = nan", "bath.kappa"),
+            ("model.qrm_quartic_coeff = -1", "model.qrm_quartic_coeff"),
             ("sweep.tau_max = inf", "sweep.tau_max"),
         ],
     )
@@ -92,16 +93,15 @@ class TestConfigParsing:
         assert err.value.field == "bath.kappa"
         # an omitted key still means "the table's kappa"
         cfg = build_config(parse_config_text("bath.type = structured\n"))
-        assert cfg.bath.kappa == sweep.auxbath.DEFAULT_OHMIC.kappa
+        assert cfg.bath.kappa == auxbath.DEFAULT_OHMIC.kappa
 
     def test_structured_zero_kappa_exit_two(self, tmp_path, capsys):
-        text = (
-            "bath.type = structured\nbath.kappa = 0.0\n"
-            "sweep.tau_min = 10\nsweep.tau_max = 100\n"
-        )
-        path = write_config(tmp_path, text)
-        assert cli.main(["sweep", "--config", str(path)]) == 2
-        assert "bath.kappa" in capsys.readouterr().err
+        # each bad structured-bath value fails at load and names its key
+        for key, value in (("bath.kappa", "0.0"), ("bath.omega_c", "-1"), ("bath.omega_c", "0")):
+            text = f"bath.type = structured\n{key} = {value}\nsweep.tau_min = 10\nsweep.tau_max = 100\n"
+            path = write_config(tmp_path, text)
+            assert cli.main(["sweep", "--config", str(path)]) == 2
+            assert key in capsys.readouterr().err
 
     def test_structured_bath_takes_finite_size_model(self):
         # the chain reads the model's quadrature form: a huge QRM is the
@@ -222,7 +222,7 @@ class TestRunSweep:
             "sweep.points_per_decade = 5\nobservables = e_r\n"
         )
         result = sweep.run_sweep(load_config(write_config(tmp_path, text)))
-        kappa = sweep.auxbath.DEFAULT_OHMIC.kappa
+        kappa = auxbath.DEFAULT_OHMIC.kappa
         assert f"bath = structured  kappa = {kappa:g}  " in result.report_text
 
     def test_params_file_read_once_at_load(self, tmp_path):
@@ -293,6 +293,15 @@ class TestCli:
         assert cli.main(["predict", "--observable", "parity"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rn", "inf"], ["--isolated", "--rn", "-2"], ["--isolated", "--rn", "-1"]],
+        ids=["inf", "isolated-minus-two", "isolated-minus-one"],
+    )
+    def test_predict_rejects_bad_rn(self, capsys, flags):
+        assert cli.main(["predict", "--observable", "e_r", *flags]) == 2
+        assert "r_n" in capsys.readouterr().err
+
     def test_sweep_end_to_end(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE + f"output.path = {tmp_path / 'out'}\n")
         code = cli.main(["sweep", "--config", str(path)])
@@ -327,7 +336,7 @@ class TestCli:
 
     def test_non_finite_params_file_exit_two(self, tmp_path, capsys):
         params = tmp_path / "bath.params"
-        sweep.auxbath.dump_params(params, sweep.auxbath.DEFAULT_OHMIC)
+        auxbath.dump_params(params, auxbath.DEFAULT_OHMIC)
         params.write_text(re.sub(r"gamma = .*", "gamma = nan", params.read_text(), count=1))
         text = (
             f"bath.type = structured\nbath.params_file = {params}\n"

@@ -1,13 +1,18 @@
 """Power-law fitting and the exponent predictions it is compared against."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import critquench
 from critquench.errors import (
     DomainError,
     InsufficientDataError,
@@ -20,7 +25,6 @@ from critquench.scaling import (
     fit_power_law,
     fit_report_lines,
     inflection_time,
-    inflection_time_ratio_form,
     kz_akz_tradeoff,
     optimal_quench_time,
     predict_regime,
@@ -209,14 +213,21 @@ class TestInflectionTime:
         assert inflection_time(1.0, 2.0, -0.5, 0.5) == pytest.approx(base / 2.0, rel=1e-9)
 
     def test_ratio_form_matches_numeric(self):
+        r_c, r_o, z_nu = 2.0, 3.0, 0.5
         for gamma in (-0.2, -0.8, -1.3):
-            numeric = inflection_time(2.0, 3.0, gamma, 0.5)
-            ratio = inflection_time_ratio_form(2.0, 3.0, gamma, 0.5)
+            tau_star = inflection_time(r_c, r_o, gamma, z_nu)
+            # the ratio reading rc (1+g+zn) / (ro (1-g+zn)) of the printed formula
+            ratio = r_c * (1.0 + gamma + z_nu) / (r_o * (1.0 - gamma + z_nu))
+            assert tau_star == pytest.approx(ratio, rel=1e-12)
+            # it is a root of the second derivative, whose two terms cancel there
+            u = gamma / (z_nu + 1.0)
+            closed = u * (u + 1.0) * r_c * tau_star ** (-u - 2.0)
+            opened = u * (1.0 - u) * r_o * tau_star ** (-u - 1.0)
+            assert abs(closed - opened) < 1e-12 * abs(closed)
             # the product reading rc (1+g+zn)(1-g+zn) / ro of the same
             # printed formula misses the inflection
-            product = 2.0 * (1.0 + gamma + 0.5) * (1.0 - gamma + 0.5) / 3.0
-            assert numeric == pytest.approx(ratio, rel=1e-9)
-            assert abs(numeric - product) > 1e-3 * numeric
+            product = r_c * (1.0 + gamma + z_nu) * (1.0 - gamma + z_nu) / r_o
+            assert abs(tau_star - product) > 1e-3 * tau_star
 
     def test_regime_errors(self):
         with pytest.raises(RegimeError, match="minimum"):
@@ -240,3 +251,15 @@ class TestFitReport:
         pred = predicted_akz_exponent(MEAN_FIELD, "e_r", r_n=1)
         lines = fit_report_lines("e_r", fit, pred, tolerance=0.05, config_hash="deadbeef0123")
         assert any("verdict = FAIL" in line for line in lines)
+
+
+class TestPackageImport:
+    def test_import_loads_no_scipy(self):
+        # scipy is needed only by steady_state_covariance, which imports it on call
+        src = str(Path(critquench.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, critquench; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
