@@ -46,14 +46,23 @@ class IntegratorSettings:
 
 DEFAULT_SETTINGS = IntegratorSettings()
 
+# Stage weights as (1, i) rows: each stage sum is the (1, i) @ (i, M) np.dot
+# on the flat view of the stage stack that np.tensordot would make and call.
+_A_ROWS = [tab.A[i, :i].reshape(1, i) for i in range(tab.N_STAGES)]
+_B_ROW = tab.B.reshape(1, -1)
+_E5_ROW = tab.E5.reshape(1, -1)
+_E3_ROW = tab.E3.reshape(1, -1)
+_C = tab.C.tolist()
 
-def _error_norm(k_stack, h, scale):
+
+def _error_norm(k_flat, h, scale):
     # Combined 5th/3rd-order estimate; the 3rd-order term damps
     # overcautious rejections on smooth stretches.
-    err5 = np.tensordot(tab.E5, k_stack, axes=(0, 0)) / scale
-    err3 = np.tensordot(tab.E3, k_stack, axes=(0, 0)) / scale
-    err5_sq = np.real(np.vdot(err5, err5))
-    err3_sq = np.real(np.vdot(err3, err3))
+    scale = scale.reshape(1, -1)
+    err5 = np.dot(_E5_ROW, k_flat) / scale
+    err3 = np.dot(_E3_ROW, k_flat) / scale
+    err5_sq = np.vdot(err5, err5).real
+    err3_sq = np.vdot(err3, err3).real
     if err5_sq == 0.0 and err3_sq == 0.0:
         return 0.0
     denom = err5_sq + 0.01 * err3_sq
@@ -114,7 +123,9 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     f = rhs(t, y)
     h = _initial_step(rhs, t, y, f, 1.0, settings.max_step, rtol, atol)
 
-    k_stack = np.empty((tab.N_STAGES + 1,) + y.shape, dtype=y.dtype)
+    shape = y.shape
+    k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
+    k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
     n_steps = 0
     target_idx = 0
 
@@ -134,15 +145,18 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
 
         k_stack[0] = f
         for i in range(1, tab.N_STAGES):
-            dy = np.tensordot(tab.A[i, :i], k_stack[:i], axes=(0, 0))
-            k_stack[i] = rhs(t + tab.C[i] * h_try, y + h_try * dy)
-        y_new = y + h_try * np.tensordot(tab.B, k_stack[: tab.N_STAGES], axes=(0, 0))
+            # y + h_try * dy, built in the fresh product
+            dy = np.dot(_A_ROWS[i], k_flat[:i]).reshape(shape)
+            dy *= h_try
+            dy += y
+            k_stack[i] = rhs(t + _C[i] * h_try, dy)
+        y_new = y + h_try * np.dot(_B_ROW, k_flat[: tab.N_STAGES]).reshape(shape)
         t_new = t_goal if clipped else t + h_try
         f_new = rhs(t_new, y_new)
         k_stack[tab.N_STAGES] = f_new
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(k_stack, h_try, scale)
+        err = _error_norm(k_flat, h_try, scale)
         n_steps += 1
 
         if not np.isfinite(err):

@@ -144,6 +144,8 @@ def _cmd_steady_state(args) -> int:
 
 
 def _cmd_dump_trajectory(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     config = load_config(args.config)
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
     settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)

@@ -376,6 +376,24 @@ class TestCli:
             assert len(out.read_text().strip().split("\n")) == 2
             assert f"wrote 1 samples to {out}" in capsys.readouterr().out
 
+    def test_dump_trajectory_rejects_negative_samples(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "traj.tsv"
+        args = ["--config", str(path), "--tau", "25", "--samples", "-3", "--out", str(out)]
+        assert cli.main(["dump-trajectory", *args]) == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_steady_state_cold_bath(self, tmp_path, capsys):
+        # omega / T past the expm1 range reads as the zero-temperature bath
+        outputs = []
+        for temperature in ("1e-3", "1e-6", "0"):
+            text = f"model.kind = thermodynamic\nbath.kappa = 1e-4\nbath.temperature = {temperature}\n"
+            path = write_config(tmp_path, text)
+            assert cli.main(["steady-state", "--config", str(path), "--g", "0.5"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_steady_state(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert cli.main(["steady-state", "--config", str(path), "--g", "0.0"]) == 0

@@ -73,6 +73,14 @@ class TestBathSpec:
     def test_zero_temperature_short_circuit(self):
         assert BathSpec.from_temperature(1e-3, 0.0).n_th == 0.0
 
+    def test_cold_bath_past_expm1_range(self):
+        # omega / T = 1000 and 1e6 overflow expm1; the occupation is 0
+        assert BathSpec.from_temperature(1e-4, 1e-3).n_th == 0.0
+        assert BathSpec.from_temperature(1e-4, 1e-6).n_th == 0.0
+        # just inside the range the closed form is kept bit for bit
+        temperature = 1.0 / 709.0
+        assert BathSpec.from_temperature(1e-4, temperature).n_th == 1.0 / math.expm1(1.0 / temperature)
+
     def test_zero_kappa_kills_rates(self):
         bath = BathSpec(kappa=0.0, n_th=5.0)
         drift, diffusion = thermal_bath(bath.kappa, bath.n_th)
@@ -136,25 +144,50 @@ class TestMomentRhs:
 
     def test_pure_function_of_time_and_state(self):
         # the drift buffer is reused across calls; evaluating s1, s2, s1
-        # must reproduce the first result bit for bit
+        # must reproduce the first result bit for bit and leave the
+        # earlier results alone (the stepper keeps them across calls),
+        # for mixed ramps and for an all-linear batch, which skips the power
         rng = np.random.default_rng(2)
         m = rng.normal(size=(3, 2, 2))
         v = m @ np.swapaxes(m, 1, 2) + np.eye(2)
-        drift_base, diffusion = thermal_bath([0.0, 0.1, 0.2], 1.0)
-        rhs = lyapunov_batch_rhs(
-            drift_base,
-            diffusion,
-            ModelSpec(kind=ModelKind.LMG, eta=30.0),
-            np.array([1.0, 5.0, 9.0]),
-            np.array([1.0, 0.8, 0.5]),
-            np.array([1.0, 2.0, 0.5]),
-            eta=np.array([30.0, 100.0, 1e3]),
-        )
-        first = rhs(0.3, v)
-        second = rhs(0.9, v)
-        assert not np.array_equal(first, second)
-        np.testing.assert_array_equal(rhs(0.3, v), first)
-        np.testing.assert_array_equal(drift_base, thermal_bath([0.0, 0.1, 0.2], 1.0)[0])
+        for r_n in ([1.0, 2.0, 0.5], [1.0, 1.0, 1.0]):
+            drift_base, diffusion = thermal_bath([0.0, 0.1, 0.2], 1.0)
+            rhs = lyapunov_batch_rhs(
+                drift_base,
+                diffusion,
+                ModelSpec(kind=ModelKind.LMG, eta=30.0),
+                np.array([1.0, 5.0, 9.0]),
+                np.array([1.0, 0.8, 0.5]),
+                np.array(r_n),
+                eta=np.array([30.0, 100.0, 1e3]),
+            )
+            first = rhs(0.3, v)
+            kept = first.copy()
+            second = rhs(0.9, v)
+            assert not np.shares_memory(first, second)
+            assert not np.array_equal(first, second)
+            third = rhs(0.3, v)
+            assert not np.shares_memory(first, third)
+            np.testing.assert_array_equal(third, first)
+            np.testing.assert_array_equal(first, kept)
+            np.testing.assert_array_equal(drift_base, thermal_bath([0.0, 0.1, 0.2], 1.0)[0])
+
+    @pytest.mark.parametrize("kind", [ModelKind.THERMODYNAMIC, ModelKind.QRM, ModelKind.LMG])
+    def test_linear_batch_matches_mixed_batch_bitwise(self, kind):
+        # the all-linear shortcut must give each member the dV/ds it gets
+        # inside a batch that also holds a nonlinear ramp
+        model = THERMODYNAMIC if kind is ModelKind.THERMODYNAMIC else ModelSpec(kind=kind, eta=40.0)
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 2, 2))
+        v = m @ np.swapaxes(m, 1, 2) + np.eye(2)
+        kappa = np.array([0.0, 1e-3, 0.2, 0.05])
+        tau = np.array([3.0, 40.0, 700.0, 9.0])
+        g_final = np.array([1.0, 0.9, 0.6, 1.0])
+        drift_base, diffusion = thermal_bath(kappa, 0.5)
+        mixed = lyapunov_batch_rhs(drift_base, diffusion, model, tau, g_final, np.array([1.0, 1.0, 1.0, 0.5]))
+        linear = lyapunov_batch_rhs(drift_base[:3], diffusion[:3], model, tau[:3], g_final[:3], np.ones(3))
+        for s in (0.0, 0.137, 0.5, 0.999, 1.0):
+            assert linear(s, v[:3]).tobytes() == mixed(s, v)[:3].tobytes()
 
 
 class TestIntegrate:

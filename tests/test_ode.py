@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from critquench._ode import IntegratorSettings, solve_to
+from critquench import _rk_tableau as tab
+from critquench._ode import MAX_FACTOR, MIN_FACTOR, SAFETY, IntegratorSettings, _initial_step, solve_to
 from critquench.errors import IntegrationFailure
 
 
@@ -126,3 +127,86 @@ class TestAgainstScipy:
         mine = solve_to(rhs, 0.0, 6.0, y0)[1][-1]
         ref = solve_ivp(rhs, (0.0, 6.0), y0, method="DOP853", rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(mine - ref.y[:, -1])) < 1e-8
+
+
+def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples=()):
+    """Reference stepper: ``solve_to``'s step control with every stage sum
+    written as ``np.tensordot`` over the stage axis (no budget checks)."""
+    rtol, atol = settings.rtol, settings.atol
+    y = np.array(y0, copy=True)
+    targets = sorted({float(s) for s in t_samples if t0 < s < t1}) + [float(t1)]
+    ts = [float(s) for s in t_samples if s <= t0]
+    ys = [y.copy() for _ in ts]
+    t = float(t0)
+    f = rhs(t, y)
+    h = _initial_step(rhs, t, y, f, 1.0, settings.max_step, rtol, atol)
+    k = np.empty((tab.N_STAGES + 1,) + y.shape, dtype=y.dtype)
+    for t_goal in targets:
+        while t < t_goal:
+            h_try = min(h, settings.max_step)
+            clipped = t + h_try >= t_goal
+            if clipped:
+                h_try = t_goal - t
+            k[0] = f
+            for i in range(1, tab.N_STAGES):
+                dy = np.tensordot(tab.A[i, :i], k[:i], axes=(0, 0))
+                k[i] = rhs(t + tab.C[i] * h_try, y + h_try * dy)
+            y_new = y + h_try * np.tensordot(tab.B, k[: tab.N_STAGES], axes=(0, 0))
+            t_new = t_goal if clipped else t + h_try
+            f_new = rhs(t_new, y_new)
+            k[tab.N_STAGES] = f_new
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err5 = np.tensordot(tab.E5, k, axes=(0, 0)) / scale
+            err3 = np.tensordot(tab.E3, k, axes=(0, 0)) / scale
+            err5_sq = np.real(np.vdot(err5, err5))
+            err3_sq = np.real(np.vdot(err3, err3))
+            if err5_sq == 0.0 and err3_sq == 0.0:
+                err = 0.0
+            else:
+                err = abs(h_try) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * err5.size)
+            if not np.isfinite(err):
+                h = h_try * MIN_FACTOR
+                continue
+            if err > 1.0:
+                h = h_try * max(MIN_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+                continue
+            t, y, f = t_new, y_new, f_new
+            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+            h = max(h, h_try * max(MIN_FACTOR, factor)) if clipped else h_try * max(MIN_FACTOR, factor)
+        ts.append(t)
+        ys.append(y.copy())
+    return np.asarray(ts), np.stack(ys)
+
+
+class TestStageArithmetic:
+    """``solve_to`` reproduces the tensordot stage sums bit for bit."""
+
+    def assert_same_bits(self, rhs, t1, y0, **kwargs):
+        ts, ys = solve_to(rhs, 0.0, t1, y0, **kwargs)
+        ref_ts, ref_ys = tensordot_solve_to(rhs, 0.0, t1, y0, **kwargs)
+        assert ts.tobytes() == ref_ts.tobytes()
+        assert ys.dtype == ref_ys.dtype and ys.shape == ref_ys.shape
+        assert ys.tobytes() == ref_ys.tobytes()
+
+    def test_real_matrix_batch(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(5, 2, 2))
+        rates = np.linspace(1.0, 3.0, 5)[:, None, None]
+
+        def rhs(t, y):
+            m = (np.cos(t) * a) @ y
+            return rates * (m + m.swapaxes(-1, -2) + np.eye(2))
+
+        y0 = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+        self.assert_same_bits(rhs, 4.0, y0, settings=IntegratorSettings(rtol=1e-9, atol=1e-11, max_step=0.3))
+
+    def test_complex_state(self):
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        y0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        self.assert_same_bits(lambda t, y: -1j * (h @ y) + np.exp(-t), 3.0, y0)
+
+    def test_scalar_state_with_samples(self):
+        samples = np.array([0.0, 0.4, 1.1, 2.5, 3.0])
+        self.assert_same_bits(lambda t, y: -np.cos(t) * y, 3.0, np.array(1.5), t_samples=samples)
