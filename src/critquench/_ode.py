@@ -8,6 +8,13 @@ step sequence and the tolerance bounds that RMS, not each member's own
 error: one member may exceed it by up to the square root of the number
 of elements.
 
+Independent propagations of the same shape (the isolated and open legs
+of a sweep) can advance in lockstep (:func:`solve_legs`): every stage
+sum and RHS evaluation runs once over all legs, while each leg keeps its
+own step control (time, step size, error norm, accept/reject and
+growth) through the same :class:`_StepControl` that :func:`solve_to`
+uses, so each leg's trajectory is the one it would have alone.
+
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
 long (up to 1e5 oscillation-resolved time units) and high order keeps
@@ -16,6 +23,7 @@ the step count affordable at tolerances around 1e-10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +61,19 @@ _B_ROW = tab.B.reshape(1, -1)
 _E5_ROW = tab.E5.reshape(1, -1)
 _E3_ROW = tab.E3.reshape(1, -1)
 _C = tab.C.tolist()
+# stage nodes as an (N, 1, 1) stack, for the (L, 1) time columns of solve_legs
+_C_COLS = tab.C.reshape(-1, 1, 1)
 
 
-def _error_norm(k_flat, h, scale):
+def _error_terms(k_flat, scale):
+    """Scaled 5th- and 3rd-order error estimates, each of shape (1, M)."""
+    scale = scale.reshape(1, -1)
+    return np.dot(_E5_ROW, k_flat) / scale, np.dot(_E3_ROW, k_flat) / scale
+
+
+def _error_norm(err5, err3, h):
     # Combined 5th/3rd-order estimate; the 3rd-order term damps
     # overcautious rejections on smooth stretches.
-    scale = scale.reshape(1, -1)
-    err5 = np.dot(_E5_ROW, k_flat) / scale
-    err3 = np.dot(_E3_ROW, k_flat) / scale
     err5_sq = np.vdot(err5, err5).real
     err3_sq = np.vdot(err3, err3).real
     if err5_sq == 0.0 and err3_sq == 0.0:
@@ -69,8 +82,8 @@ def _error_norm(k_flat, h, scale):
     return abs(h) * err5_sq / np.sqrt(denom * err5.size)
 
 
-def _initial_step(rhs, t0, y0, f0, direction, max_step, rtol, atol):
-    """Hairer's starting-step heuristic for an order-8 method."""
+def _initial_probe(y0, f0, rtol, atol):
+    """First half of Hairer's heuristic: the trial step ``h0`` and its norms."""
     scale = atol + rtol * np.abs(y0)
     d0 = np.sqrt(np.real(np.vdot(y0 / scale, y0 / scale)) / y0.size)
     d1 = np.sqrt(np.real(np.vdot(f0 / scale, f0 / scale)) / y0.size)
@@ -78,15 +91,103 @@ def _initial_step(rhs, t0, y0, f0, direction, max_step, rtol, atol):
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1)
+    return h0, d1, scale
+
+
+def _initial_from_probe(h0, d1, scale, f0, f1, max_step):
+    """Second half of the heuristic, from the RHS ``f1`` at the trial step."""
     diff = (f1 - f0) / scale
-    d2 = np.sqrt(np.real(np.vdot(diff, diff)) / y0.size) / h0
+    d2 = np.sqrt(np.real(np.vdot(diff, diff)) / f0.size) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100 * h0, h1, max_step)
+
+
+def _initial_step(rhs, t0, y0, f0, direction, max_step, rtol, atol):
+    """Hairer's starting-step heuristic for an order-8 method."""
+    h0, d1, scale = _initial_probe(y0, f0, rtol, atol)
+    y1 = y0 + h0 * direction * f0
+    f1 = rhs(t0 + h0 * direction, y1)
+    return _initial_from_probe(h0, d1, scale, f0, f1, max_step)
+
+
+class _StepControl:
+    """Step control of one propagation from ``t0`` to ``t1``.
+
+    Holds the sample targets and the samples taken, the time, the
+    proposed step and the step count; :meth:`attempt` clamps the next
+    attempt and :meth:`settle` accepts or rejects it by its error norm.
+    Both steppers drive their propagations through this class only.
+    """
+
+    def __init__(self, t0, t1, y0, settings: IntegratorSettings, t_samples):
+        if not t1 > t0:
+            raise ValueError("require t1 > t0")
+        self.settings = settings
+        self.targets = [float(t1)]
+        self.ts: list[float] = []
+        self.ys: list[np.ndarray] = []
+        if t_samples is not None:
+            interior = [float(s) for s in np.atleast_1d(t_samples) if t0 < s < t1]
+            self.targets = sorted(set(interior)) + self.targets
+            for s in np.atleast_1d(t_samples):
+                if s <= t0:
+                    self.ts.append(float(s))
+                    self.ys.append(y0.copy())
+        self.t = float(t0)
+        self.h = math.nan  # set from the starting-step heuristic
+        self.n_steps = 0
+        self.target_idx = 0
+        self.done = False
+
+    def attempt(self) -> float:
+        """Length of the next attempt, clamped to ``max_step`` and the next target.
+
+        Raises :class:`IntegrationFailure` when the step size underflows
+        or the step budget is exhausted, carrying the last good time.
+        """
+        t, h = self.t, self.h
+        if self.n_steps >= self.settings.max_steps:
+            raise IntegrationFailure("step budget exhausted", t_last=t)
+        min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
+        if not h >= min_step:  # also catches a NaN step
+            raise IntegrationFailure("step size underflow", t_last=t)
+        # clamp the attempt, not the proposal, so landing on a sample
+        # time does not collapse the step size afterwards
+        t_goal = self.targets[self.target_idx]
+        h_try = min(h, self.settings.max_step)
+        self.clipped = t + h_try >= t_goal
+        if self.clipped:
+            h_try = t_goal - t
+        self.h_try = h_try
+        self.t_new = t_goal if self.clipped else t + h_try
+        return h_try
+
+    def settle(self, err) -> bool:
+        """Accept or reject the attempt by its error norm; True when accepted."""
+        self.n_steps += 1
+        h_try = self.h_try
+        if not np.isfinite(err):
+            self.h = h_try * MIN_FACTOR
+            return False
+        if err > 1.0:
+            self.h = h_try * max(MIN_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+            return False
+        self.t = self.t_new
+        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+        grown = h_try * max(MIN_FACTOR, factor)
+        self.h = max(self.h, grown) if self.clipped else grown
+        return True
+
+    def sample(self, y) -> None:
+        """Record the state of an accepted step that landed on a target."""
+        if self.clipped:
+            self.ts.append(self.t)
+            self.ys.append(y.copy())
+            self.target_idx += 1
+            self.done = self.target_idx == len(self.targets)
 
 
 def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
@@ -101,48 +202,18 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     Raises :class:`IntegrationFailure` when the step size underflows or
     the step budget is exhausted, carrying the last good time.
     """
-    if not t1 > t0:
-        raise ValueError("require t1 > t0")
     y = np.array(y0, copy=True)
+    leg = _StepControl(t0, t1, y, settings, t_samples)
     rtol, atol = settings.rtol, settings.atol
-
-    targets = [float(t1)]
-    if t_samples is not None:
-        interior = [float(s) for s in np.atleast_1d(t_samples) if t0 < s < t1]
-        targets = sorted(set(interior)) + targets
-
-    out_ts: list[float] = []
-    out_ys: list[np.ndarray] = []
-    if t_samples is not None:
-        for s in np.atleast_1d(t_samples):
-            if s <= t0:
-                out_ts.append(float(s))
-                out_ys.append(y.copy())
-
-    t = float(t0)
-    f = rhs(t, y)
-    h = _initial_step(rhs, t, y, f, 1.0, settings.max_step, rtol, atol)
+    f = rhs(leg.t, y)
+    leg.h = _initial_step(rhs, leg.t, y, f, 1.0, settings.max_step, rtol, atol)
 
     shape = y.shape
     k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
     k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
-    n_steps = 0
-    target_idx = 0
-
-    while target_idx < len(targets):
-        t_goal = targets[target_idx]
-        if n_steps >= settings.max_steps:
-            raise IntegrationFailure("step budget exhausted", t_last=t)
-        min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
-        if not h >= min_step:  # also catches a NaN step
-            raise IntegrationFailure("step size underflow", t_last=t)
-        # clamp the attempt, not the proposal, so landing on a sample
-        # time does not collapse the step size afterwards
-        h_try = min(h, settings.max_step)
-        clipped = t + h_try >= t_goal
-        if clipped:
-            h_try = t_goal - t
-
+    while not leg.done:
+        h_try = leg.attempt()
+        t = leg.t
         k_stack[0] = f
         for i in range(1, tab.N_STAGES):
             # y + h_try * dy, built in the fresh product
@@ -151,32 +222,91 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
             dy += y
             k_stack[i] = rhs(t + _C[i] * h_try, dy)
         y_new = y + h_try * np.dot(_B_ROW, k_flat[: tab.N_STAGES]).reshape(shape)
-        t_new = t_goal if clipped else t + h_try
+        f_new = rhs(leg.t_new, y_new)
+        k_stack[tab.N_STAGES] = f_new
+
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        if leg.settle(_error_norm(*_error_terms(k_flat, scale), h_try)):
+            y, f = y_new, f_new
+            leg.sample(y)
+
+    return np.asarray(leg.ts), np.stack(leg.ys)
+
+
+def solve_legs(rhs, t0, t1, y0, settings, t_samples=None):
+    """Integrate independent legs, stacked on the leading axis of ``y0``, in lockstep.
+
+    ``settings`` holds one :class:`IntegratorSettings` per leg.  Each
+    stage is one ``rhs(t, y)`` call over all legs, with ``t`` an
+    ``(L, 1)`` column of per-leg times, and one stage sum over all
+    legs; each leg keeps its own time, step size, error norm (over its
+    own elements only), accept/reject decision and growth factor.  A
+    leg that has reached ``t1`` idles there with a zero step until the
+    last leg is done.  Returns ``(ts, ys)`` as :func:`solve_to` does,
+    with ys of shape (S, L, ...); raises :class:`IntegrationFailure` as
+    soon as any leg fails.
+
+    Every leg follows the step sequence of :func:`solve_to` on that leg
+    alone, and its arithmetic is the same elementwise, so the samples
+    agree bit for bit as long as the BLAS ``gemv`` behind the stage sums
+    blocks each leg's elements as it would alone.  With OpenBLAS 0.3
+    (Haswell kernels) that holds when the per-leg element count is a
+    multiple of 4, as for every stack of 2x2 covariances; otherwise a
+    leg may differ from its standalone run in the last bit.
+    """
+    y = np.array(y0, copy=True)
+    n_legs = y.shape[0]
+    if len(settings) != n_legs:
+        raise ValueError(f"need one settings per leg, got {len(settings)} for {n_legs} legs")
+    legs = [_StepControl(t0, t1, y[j], s, t_samples) for j, s in enumerate(settings)]
+    shape = y.shape
+    col = (n_legs,) + (1,) * (y.ndim - 1)  # one value per leg, broadcast over its state
+    size = y[0].size
+    rtol = np.repeat([s.rtol for s in settings], size).reshape(shape)
+    atol = np.repeat([s.atol for s in settings], size).reshape(shape)
+
+    t_col = np.full((n_legs, 1), float(t0))
+    f = rhs(t_col, y)
+    probes = [_initial_probe(y[j], f[j], s.rtol, s.atol) for j, s in enumerate(settings)]
+    h0 = np.array([p[0] for p in probes])
+    f1 = rhs(t_col + h0[:, None], y + h0.reshape(col) * f)
+    for j, (leg, (h0_j, d1, scale)) in enumerate(zip(legs, probes)):
+        leg.h = _initial_from_probe(h0_j, d1, scale, f[j], f1[j], leg.settings.max_step)
+
+    own = [slice(j * size, (j + 1) * size) for j in range(n_legs)]  # each leg's flat elements
+    k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
+    k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
+    while not all(leg.done for leg in legs):
+        h_try = np.array([0.0 if leg.done else leg.attempt() for leg in legs])
+        t_new = np.array([[leg.t if leg.done else leg.t_new] for leg in legs])
+        stage_t = np.array([[leg.t] for leg in legs]) + _C_COLS * h_try[:, None]
+        # each leg's step spread over its whole state: a broadcast (L, 1, ...)
+        # product costs more per stage than the copy
+        h_full = np.repeat(h_try, size).reshape(shape)
+        k_stack[0] = f
+        for i in range(1, tab.N_STAGES):
+            dy = np.dot(_A_ROWS[i], k_flat[:i]).reshape(shape)
+            dy *= h_full
+            dy += y
+            k_stack[i] = rhs(stage_t[i], dy)
+        y_new = y + h_full * np.dot(_B_ROW, k_flat[: tab.N_STAGES]).reshape(shape)
         f_new = rhs(t_new, y_new)
         k_stack[tab.N_STAGES] = f_new
 
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(k_flat, h_try, scale)
-        n_steps += 1
-
-        if not np.isfinite(err):
-            h = h_try * MIN_FACTOR
-            continue
-        if err > 1.0:
-            h = h_try * max(MIN_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
-            continue
-
-        # accepted
-        t, y, f = t_new, y_new, f_new
-        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
-        if clipped:
-            h = max(h, h_try * max(MIN_FACTOR, factor))
+        err5, err3 = _error_terms(k_flat, scale)
+        accepted = [
+            not leg.done and leg.settle(_error_norm(err5[:, part], err3[:, part], leg.h_try))
+            for leg, part in zip(legs, own)
+        ]
+        if all(accepted):
+            y, f = y_new, f_new
         else:
-            h = h_try * max(MIN_FACTOR, factor)
-        if clipped:
-            out_ts.append(t)
-            out_ys.append(y.copy())
-            target_idx += 1
+            keep = np.reshape(accepted, col)
+            y = np.where(keep, y_new, y)
+            f = np.where(keep, f_new, f)
+        for j, leg in enumerate(legs):
+            if accepted[j]:
+                leg.sample(y[j])
 
-    return np.asarray(out_ts), np.stack(out_ys)
-
+    return np.asarray(legs[0].ts), np.stack([np.stack(leg.ys) for leg in legs], axis=1)

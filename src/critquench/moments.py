@@ -24,7 +24,11 @@ its own drift base and diffusion.
 Sweeps are propagated as one vectorized batch in rescaled time
 ``s = t / tau_q``: members with different quench times, couplings,
 ramp shapes, sizes and bath rates share a single adaptive step
-sequence, which is what keeps thousand-point sweeps fast.
+sequence per leg, which is what keeps thousand-point sweeps fast.
+Several Markovian baths over the same members (the isolated and open
+legs of a sweep) propagate as legs in lockstep: one RHS call per stage
+covers every leg, while each leg keeps its own step sequence, the one
+it would take alone.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as model_mod
-from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
+from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_legs, solve_to
 from .errors import DomainError, PhysicalityError
 from .model import ModelSpec
-from .protocol import QuenchProtocol, ramp_shape
+from .protocol import QuenchProtocol, ramp_profile
 
 if TYPE_CHECKING:
     from .auxbath import AuxBathParams
@@ -112,7 +116,10 @@ class ObservableRecord:
 
 
 def broadcast_members(*params) -> list[np.ndarray]:
-    """Per-member sweep parameters, broadcast to one common 1-d length."""
+    """Per-member sweep parameters, broadcast to one common 1-d length.
+
+    A parameter with a leading legs axis makes every result (L, B).
+    """
     arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in params))
     return [np.ascontiguousarray(a) for a in arrs]
 
@@ -151,16 +158,21 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output is exactly
     symmetric, so a flow started from a symmetric V stays exactly
     symmetric through every Runge-Kutta stage.
+
+    For legs in lockstep, ``drift_base`` and ``diffusion`` carry a
+    leading legs axis, (L, B, 2n, 2n), and ``s`` is an (L, 1) column of
+    per-leg times over the (legs, members) grid; ``tau_q``, ``g_final``,
+    ``r_n`` and ``eta`` stay per member.
     """
-    drift = np.array(np.broadcast_to(drift_base, (tau_q.size,) + np.shape(drift_base)[-2:]))
+    lead = np.broadcast_shapes(np.shape(drift_base)[:-2], tau_q.shape)
+    drift = np.array(np.broadcast_to(drift_base, lead + np.shape(drift_base)[-2:]))
     # tau spread over whole matrices: a broadcast (B, 1, 1) product costs
     # more per call than the arithmetic it does
     tau = np.array(np.broadcast_to(tau_q[:, None, None], drift.shape))
-    linear = bool(np.all(r_n == 1.0))
+    ramp = ramp_profile(r_n)
 
     def rhs(s, v):
-        # a linear batch skips ramp_shape and its np.power: 1 - (1 - s)**1 is s
-        set_system_block(drift, model, g_final * (s if linear else ramp_shape(s, r_n)), eta=eta)
+        set_system_block(drift, model, g_final * ramp(s), eta=eta)
         m = drift @ v
         out = m + m.swapaxes(-1, -2)
         out += diffusion
@@ -186,18 +198,32 @@ def propagate_moments_batch(
     All parameter arguments broadcast against each other; ``eta``
     defaults to the model's size but may be an array for size sweeps.
     Returns ``(s_times, V)`` with V of shape (S, B, 2, 2).
+
+    ``kappa`` and ``n_th`` may instead carry a leading legs axis, shape
+    (L, 1) or (L, B): one Markovian bath per leg over the same members.
+    The legs then advance in lockstep (:func:`critquench._ode.solve_legs`),
+    each with its own step cap and step control, so each leg's V is the
+    one its bath gives alone; V has shape (S, L, B, 2, 2).
     """
     tau, g_f, r_n, eta, kappa, n_th = broadcast_members(
         tau_q, g_final, r_n, model.eta if eta is None else eta, kappa, n_th
     )
+    legs = kappa.ndim == 2
+    if legs:  # every row holds the same members
+        tau, g_f, r_n, eta = tau[0], g_f[0], r_n[0], eta[0]
     drift_base, diffusion = thermal_bath(kappa, n_th)
     rhs = lyapunov_batch_rhs(drift_base, diffusion, model, tau, g_f, r_n, eta=eta)
     v0 = np.broadcast_to(np.eye(2), drift_base.shape).copy()
-    # cap the rescaled-time step so strongly damped members stay stable
-    rate = max(2.5 * model.omega, float(np.max(kappa, initial=0.0)))
-    cap = 3.5 / (rate * float(np.max(tau)))
-    eff = replace(settings, max_step=min(settings.max_step, cap))
-    return solve_to(rhs, 0.0, 1.0, v0, settings=eff, t_samples=s_samples)
+
+    def capped(leg_kappa):
+        # cap the rescaled-time step so strongly damped members stay stable
+        rate = max(2.5 * model.omega, float(np.max(leg_kappa, initial=0.0)))
+        cap = 3.5 / (rate * float(np.max(tau)))
+        return replace(settings, max_step=min(settings.max_step, cap))
+
+    if legs:
+        return solve_legs(rhs, 0.0, 1.0, v0, [capped(k) for k in kappa], t_samples=s_samples)
+    return solve_to(rhs, 0.0, 1.0, v0, settings=capped(kappa), t_samples=s_samples)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ mode frequency; hbar = k_B = 1 throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,18 @@ import numpy as np
 from .errors import DomainError
 
 
-def ramp_shape(s, r_n):
-    """Dimensionless ramp profile ``1 - (1 - s)**r_n`` for s in [0, 1].
+def ramp_profile(r_n):
+    """The profile ``s -> 1 - (1 - s)**r_n`` for fixed exponents ``r_n``.
 
+    Everything a call would otherwise recompute about ``r_n`` (the array,
+    the ``r_n == 1`` mask, whether any member is linear) is settled here
+    once, so a propagation's right-hand side pays only the arithmetic.
     The base is clamped to zero so that rounding noise at s = 1 cannot
-    produce a negative base under a fractional exponent.  ``r_n == 1``
-    short-circuits to ``s`` so the linear ramp is exact to the last bit;
-    a scalar ``r_n == 1`` returns before any power is computed.
+    produce a negative base under a fractional exponent.  Linear members
+    take ``s`` itself, so the linear ramp is exact to the last bit: an
+    all-linear ``r_n`` returns ``s`` before any power is computed, and
+    ``np.where`` runs only when some members are linear and some not.
+    ``s`` is a float or an array broadcasting against ``r_n``.
 
     Per-member exponents go through one array ``np.power`` and must stay
     on that path: numpy's vectorized (AVX-512) ``pow`` differs from its
@@ -30,12 +36,30 @@ def ramp_shape(s, r_n):
     members one at a time, or through ``math.pow``, would move the
     sweep outputs of nonlinear ramps.
     """
-    s = np.asarray(s, dtype=float)
     r_n = np.asarray(r_n, dtype=float)
-    if r_n.ndim == 0 and r_n == 1.0:
-        return s
-    generic = 1.0 - np.power(np.maximum(1.0 - s, 0.0), r_n)
-    return generic if r_n.ndim == 0 else np.where(r_n == 1.0, s, generic)
+    linear = r_n == 1.0
+    if linear.all():
+        return _linear_profile
+
+    def profile(s):
+        return 1.0 - np.power(np.maximum(1.0 - s, 0.0), r_n)
+
+    if not linear.any():
+        return profile
+    return lambda s: np.where(linear, s, profile(s))
+
+
+def _linear_profile(s):
+    return s
+
+
+def ramp_shape(s, r_n):
+    """Dimensionless ramp profile ``1 - (1 - s)**r_n`` for s in [0, 1].
+
+    One evaluation of :func:`ramp_profile`; an all-linear ``r_n``
+    returns ``s`` itself.
+    """
+    return ramp_profile(r_n)(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -49,10 +73,10 @@ class QuenchProtocol:
     def __post_init__(self):
         if not 0.0 <= self.g_final <= 1.0:
             raise DomainError(f"g_final must lie in [0, 1], got {self.g_final}")
-        if not self.tau_q > 0.0:
-            raise DomainError(f"tau_q must be positive, got {self.tau_q}")
-        if not self.r_n > 0.0:
-            raise DomainError(f"r_n must be positive, got {self.r_n}")
+        if not 0.0 < self.tau_q < math.inf:
+            raise DomainError(f"tau_q must be positive and finite, got {self.tau_q}")
+        if not 0.0 < self.r_n < math.inf:
+            raise DomainError(f"r_n must be positive and finite, got {self.r_n}")
 
     def coupling(self, t):
         """g(t) for scalar or array t; t must lie within [0, tau_q]."""
@@ -72,8 +96,8 @@ def impulse_boundary_exponent(z_nu: float, r_n: float) -> float:
     """
     if not z_nu > 0.0:
         raise DomainError(f"z_nu must be positive, got {z_nu}")
-    if not r_n > 0.0:
-        raise DomainError(f"r_n must be positive, got {r_n}")
+    if not 0.0 < r_n < math.inf:
+        raise DomainError(f"r_n must be positive and finite, got {r_n}")
     return -r_n / (z_nu * r_n + 1.0)
 
 

@@ -8,8 +8,11 @@ table (one row per quench time) plus a plain-text fit report whose
 every line carries the config hash.
 
 The whole quench-time grid runs as one batch per leg, in one process.
-A leg falls back to row-by-row runs only when its batch fails, so a
-failing quench time is isolated and the rest of the sweep completes.
+When both legs are Markovian they share one state shape and run as one
+lockstep propagation, each leg with its own step control; otherwise
+(structured baths, a cached isolated leg) the legs run one after the
+other.  A leg falls back to row-by-row runs only when its batch fails,
+so a failing quench time is isolated and the rest of the sweep completes.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ def _leg(config: ExperimentConfig, taus, bath, settings=None) -> dict[str, np.nd
     return _observable_arrays_at_final(config, vs[-1])
 
 
-def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    key = (
+def _isolated_key(config: ExperimentConfig, taus) -> tuple:
+    return (
         config.model,
         config.g_final,
         config.r_n,
@@ -63,16 +66,34 @@ def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray
         config.bath_type,
         tuple(float(t) for t in taus),
     )
+
+
+def _cache_isolated(key: tuple, values: dict[str, np.ndarray]) -> None:
+    if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
+        _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
+    _ISOLATED_CACHE[key] = values
+
+
+def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
+    key = _isolated_key(config, taus)
     hit = _ISOLATED_CACHE.get(key)
     if hit is not None:
         return hit
     # read at call time: reference runs tighten it by rebinding the name
     settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
     values = _leg(config, taus, moments.ISOLATED, settings=settings)
-    if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
-        _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
-    _ISOLATED_CACHE[key] = values
+    _cache_isolated(key, values)
     return values
+
+
+def _lockstep_legs(config: ExperimentConfig, taus, baths, eta=None) -> list[dict[str, np.ndarray]]:
+    """Final observables of Markovian baths propagated as legs in lockstep."""
+    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
+    _, vs = moments.propagate_moments_batch(
+        taus, config.g_final, config.r_n, config.model,
+        [[b.kappa] for b in baths], [[b.n_th] for b in baths], eta=eta, settings=settings,
+    )
+    return [_observable_arrays_at_final(config, v) for v in vs[-1]]
 
 
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -105,10 +126,23 @@ def _leg_with_row_fallback(config: ExperimentConfig, taus, leg) -> tuple[dict, d
 def compute_chunk(config: ExperimentConfig, taus) -> tuple[dict, dict, dict[int, str]]:
     """Isolated and open observable arrays for the whole quench-time grid.
 
-    Both legs run as one batch over ``taus``; the errors map row index
-    to the message of a row that failed in its row-by-row fallback.
+    Both legs run as one batch over ``taus``: in lockstep when both are
+    Markovian and the isolated leg is not cached, else one after the
+    other.  A failed lockstep run falls back to the separate legs, and
+    the errors map row index to the message of a row that failed in
+    their row-by-row fallback.
     """
     taus = np.asarray(taus, dtype=float)
+    key = _isolated_key(config, taus)
+    # both legs 2x2 Markovian and the isolated one not cached: one lockstep run
+    if not config.is_isolated and isinstance(config.bath, moments.BathSpec) and key not in _ISOLATED_CACHE:
+        try:
+            iso, opn = _lockstep_legs(config, taus, (moments.ISOLATED, config.bath))
+        except IntegrationFailure:
+            pass  # the legs below run one by one and isolate the failing rows
+        else:
+            _cache_isolated(key, iso)
+            return dict(iso), opn, {}
     iso, errors = _leg_with_row_fallback(
         config, taus, lambda cfg, ts: dict(_isolated_leg_cached(cfg, ts))
     )
@@ -282,8 +316,9 @@ class SizeCrossoverResult:
 def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     """Fit the excess exponent at each system size in ``size.eta_list``.
 
-    Sizes are swept in one batch per leg; all quench times for all
-    sizes share the adaptive step sequence.
+    Sizes are swept in one batch per leg, and the two legs run in
+    lockstep; all quench times for all sizes share each leg's adaptive
+    step sequence.
     """
     config.require_sweep()
     if config.model.kind is ModelKind.THERMODYNAMIC:
@@ -299,15 +334,7 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
     eta_rep = np.repeat(etas, taus.size)
     tau_tile = np.tile(taus, etas.size)
-    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
-    legs = []
-    for bath in (moments.ISOLATED, config.bath):
-        _, vs = moments.propagate_moments_batch(
-            tau_tile, config.g_final, config.r_n, config.model, bath.kappa, bath.n_th,
-            eta=eta_rep, settings=settings,
-        )
-        legs.append(_observable_arrays_at_final(config, vs[-1]))
-    iso, opn = legs
+    iso, opn = _lockstep_legs(config, tau_tile, (moments.ISOLATED, config.bath), eta=eta_rep)
 
     tag = f"cfg={config.config_hash}"
     table = []

@@ -194,6 +194,32 @@ class TestRunSweep:
         for row_a, row_b in zip(res_a.rows, res_b.rows):
             assert row_a.values["e_r"][0] == row_b.values["e_r"][0]
 
+    @pytest.mark.parametrize("r_n", ["1", "0.5"])
+    def test_lockstep_legs_match_separate_legs(self, tmp_path, monkeypatch, r_n):
+        # a Markovian chunk runs its legs in lockstep; each leg's values are
+        # those of the leg run alone, bit for bit
+        text = BASE.replace("sweep.tau_min = 10", "sweep.tau_min = 5").replace("sweep.tau_max = 100", "sweep.tau_max = 20")
+        cfg = load_config(write_config(tmp_path, text + f"protocol.r_n = {r_n}\n"))
+        taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+        real = sweep.moments.propagate_moments_batch
+        kappa_ndims = []
+
+        def spy(tau_q, g_final, r_n, model, kappa, *args, **kwargs):
+            kappa_ndims.append(np.ndim(kappa))
+            return real(tau_q, g_final, r_n, model, kappa, *args, **kwargs)
+
+        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", spy)
+        sweep._ISOLATED_CACHE.clear()
+        iso, opn, errors = sweep.compute_chunk(cfg, taus)
+        assert not errors
+        sweep._ISOLATED_CACHE.clear()
+        alone = (sweep._isolated_leg_cached(cfg, taus), sweep._open_leg(cfg, taus))
+        assert kappa_ndims == [2, 0, 0]  # one lockstep call, then the two legs alone
+        for got, want in zip((iso, opn), alone):
+            assert got.keys() == want.keys()
+            for obs in want:
+                assert got[obs].tobytes() == want[obs].tobytes()
+
     def test_failed_rows_marked_and_run_continues(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path))
         real = sweep.moments.propagate_moments_batch
@@ -382,6 +408,14 @@ class TestCli:
         args = ["--config", str(path), "--tau", "25", "--samples", "-3", "--out", str(out)]
         assert cli.main(["dump-trajectory", *args]) == 2
         assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dump_trajectory_rejects_infinite_tau(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "traj.tsv"
+        args = ["--config", str(path), "--tau", "inf", "--samples", "5", "--out", str(out)]
+        assert cli.main(["dump-trajectory", *args]) == 2
+        assert "tau_q" in capsys.readouterr().err
         assert not out.exists()
 
     def test_steady_state_cold_bath(self, tmp_path, capsys):

@@ -61,6 +61,8 @@ class TestValidation:
             dict(g_final=0.5, tau_q=-2.0),
             dict(g_final=0.5, tau_q=1.0, r_n=0.0),
             dict(g_final=0.5, tau_q=1.0, r_n=-1.0),
+            dict(g_final=0.5, tau_q=math.inf),
+            dict(g_final=0.5, tau_q=1.0, r_n=math.inf),
         ],
     )
     def test_invalid_protocols_rejected(self, kwargs):
@@ -112,3 +114,8 @@ class TestImpulseBoundaryExponent:
             impulse_boundary_exponent(0.0, 1.0)
         with pytest.raises(DomainError):
             impulse_boundary_exponent(0.5, -1.0)
+
+    def test_non_finite_ramp_exponent_rejected(self):
+        # r_n = inf would return -inf / inf = nan
+        with pytest.raises(DomainError, match="finite"):
+            impulse_boundary_exponent(0.5, math.inf)
