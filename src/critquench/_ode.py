@@ -8,12 +8,13 @@ step sequence and the tolerance bounds that RMS, not each member's own
 error: one member may exceed it by up to the square root of the number
 of elements.
 
-Independent propagations of the same shape (the isolated and open legs
-of a sweep) can advance in lockstep (:func:`solve_legs`): every stage
-sum and RHS evaluation runs once over all legs, while each leg keeps its
-own step control (time, step size, error norm, accept/reject and
-growth) through the same :class:`_StepControl` that :func:`solve_to`
-uses, so each leg's trajectory is the one it would have alone.
+There is one stage loop, :func:`solve_legs`, which advances independent
+propagations of the same shape (the isolated and open legs of a sweep)
+in lockstep: every stage sum and RHS evaluation runs once over all
+legs, while each leg keeps its own step control (time, step size, error
+norm, accept/reject and growth) through :class:`_StepControl`, so each
+leg's trajectory is the one it would have alone.  :func:`solve_to` is
+its one-leg call.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
@@ -60,15 +61,8 @@ _A_ROWS = [tab.A[i, :i].reshape(1, i) for i in range(tab.N_STAGES)]
 _B_ROW = tab.B.reshape(1, -1)
 _E5_ROW = tab.E5.reshape(1, -1)
 _E3_ROW = tab.E3.reshape(1, -1)
-_C = tab.C.tolist()
 # stage nodes as an (N, 1, 1) stack, for the (L, 1) time columns of solve_legs
 _C_COLS = tab.C.reshape(-1, 1, 1)
-
-
-def _error_terms(k_flat, scale):
-    """Scaled 5th- and 3rd-order error estimates, each of shape (1, M)."""
-    scale = scale.reshape(1, -1)
-    return np.dot(_E5_ROW, k_flat) / scale, np.dot(_E3_ROW, k_flat) / scale
 
 
 def _error_norm(err5, err3, h):
@@ -105,21 +99,13 @@ def _initial_from_probe(h0, d1, scale, f0, f1, max_step):
     return min(100 * h0, h1, max_step)
 
 
-def _initial_step(rhs, t0, y0, f0, direction, max_step, rtol, atol):
-    """Hairer's starting-step heuristic for an order-8 method."""
-    h0, d1, scale = _initial_probe(y0, f0, rtol, atol)
-    y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1)
-    return _initial_from_probe(h0, d1, scale, f0, f1, max_step)
-
-
 class _StepControl:
     """Step control of one propagation from ``t0`` to ``t1``.
 
     Holds the sample targets and the samples taken, the time, the
     proposed step and the step count; :meth:`attempt` clamps the next
     attempt and :meth:`settle` accepts or rejects it by its error norm.
-    Both steppers drive their propagations through this class only.
+    :func:`solve_legs` keeps one per leg.
     """
 
     def __init__(self, t0, t1, y0, settings: IntegratorSettings, t_samples):
@@ -201,36 +187,15 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
 
     Raises :class:`IntegrationFailure` when the step size underflows or
     the step budget is exhausted, carrying the last good time.
+
+    This is :func:`solve_legs` with a single leg; ``rhs`` sees a scalar
+    time and the state without the legs axis.
     """
-    y = np.array(y0, copy=True)
-    leg = _StepControl(t0, t1, y, settings, t_samples)
-    rtol, atol = settings.rtol, settings.atol
-    f = rhs(leg.t, y)
-    leg.h = _initial_step(rhs, leg.t, y, f, 1.0, settings.max_step, rtol, atol)
-
-    shape = y.shape
-    k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
-    k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
-    while not leg.done:
-        h_try = leg.attempt()
-        t = leg.t
-        k_stack[0] = f
-        for i in range(1, tab.N_STAGES):
-            # y + h_try * dy, built in the fresh product
-            dy = np.dot(_A_ROWS[i], k_flat[:i]).reshape(shape)
-            dy *= h_try
-            dy += y
-            k_stack[i] = rhs(t + _C[i] * h_try, dy)
-        y_new = y + h_try * np.dot(_B_ROW, k_flat[: tab.N_STAGES]).reshape(shape)
-        f_new = rhs(leg.t_new, y_new)
-        k_stack[tab.N_STAGES] = f_new
-
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        if leg.settle(_error_norm(*_error_terms(k_flat, scale), h_try)):
-            y, f = y_new, f_new
-            leg.sample(y)
-
-    return np.asarray(leg.ts), np.stack(leg.ys)
+    y0 = np.asarray(y0)
+    ts, ys = solve_legs(
+        lambda t, y: rhs(t[0, 0], y[0, ...])[None], t0, t1, y0[None], [settings], t_samples=t_samples
+    )
+    return ts, ys[:, 0]
 
 
 def solve_legs(rhs, t0, t1, y0, settings, t_samples=None):
@@ -246,13 +211,14 @@ def solve_legs(rhs, t0, t1, y0, settings, t_samples=None):
     with ys of shape (S, L, ...); raises :class:`IntegrationFailure` as
     soon as any leg fails.
 
-    Every leg follows the step sequence of :func:`solve_to` on that leg
-    alone, and its arithmetic is the same elementwise, so the samples
-    agree bit for bit as long as the BLAS ``gemv`` behind the stage sums
-    blocks each leg's elements as it would alone.  With OpenBLAS 0.3
-    (Haswell kernels) that holds when the per-leg element count is a
-    multiple of 4, as for every stack of 2x2 covariances; otherwise a
-    leg may differ from its standalone run in the last bit.
+    Every leg follows the step sequence it takes alone (a one-leg call,
+    which is what :func:`solve_to` makes), and its arithmetic is the
+    same elementwise, so the samples agree bit for bit as long as the
+    BLAS ``gemv`` behind the stage sums blocks each leg's elements as it
+    would alone.  With OpenBLAS 0.3 (Haswell kernels) that holds when the
+    per-leg element count is a multiple of 4, as for every stack of 2x2
+    covariances; otherwise a leg may differ from its standalone run in
+    the last bit.
     """
     y = np.array(y0, copy=True)
     n_legs = y.shape[0]
@@ -276,13 +242,21 @@ def solve_legs(rhs, t0, t1, y0, settings, t_samples=None):
     own = [slice(j * size, (j + 1) * size) for j in range(n_legs)]  # each leg's flat elements
     k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
     k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
+    # per-attempt step and time columns, rewritten in place every attempt
+    h_col, t_now, t_new = (np.empty((n_legs, 1)) for _ in range(3))
+    stage_t = np.empty((tab.N_STAGES, n_legs, 1))
+    # each leg's step spread over its whole state: a broadcast (L, 1, ...)
+    # product costs more per stage than the copy
+    h_rows = np.empty((n_legs, size))
+    h_full = h_rows.reshape(shape)
     while not all(leg.done for leg in legs):
-        h_try = np.array([0.0 if leg.done else leg.attempt() for leg in legs])
-        t_new = np.array([[leg.t if leg.done else leg.t_new] for leg in legs])
-        stage_t = np.array([[leg.t] for leg in legs]) + _C_COLS * h_try[:, None]
-        # each leg's step spread over its whole state: a broadcast (L, 1, ...)
-        # product costs more per stage than the copy
-        h_full = np.repeat(h_try, size).reshape(shape)
+        for j, leg in enumerate(legs):
+            h_col[j, 0] = 0.0 if leg.done else leg.attempt()
+            t_now[j, 0] = leg.t
+            t_new[j, 0] = leg.t if leg.done else leg.t_new
+        np.multiply(_C_COLS, h_col, out=stage_t)
+        stage_t += t_now
+        h_rows[...] = h_col
         k_stack[0] = f
         for i in range(1, tab.N_STAGES):
             dy = np.dot(_A_ROWS[i], k_flat[:i]).reshape(shape)
@@ -293,15 +267,16 @@ def solve_legs(rhs, t0, t1, y0, settings, t_samples=None):
         f_new = rhs(t_new, y_new)
         k_stack[tab.N_STAGES] = f_new
 
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err5, err3 = _error_terms(k_flat, scale)
+        # scaled 5th- and 3rd-order error estimates, each of shape (1, M)
+        scale = (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))).reshape(1, -1)
+        err5, err3 = np.dot(_E5_ROW, k_flat) / scale, np.dot(_E3_ROW, k_flat) / scale
         accepted = [
             not leg.done and leg.settle(_error_norm(err5[:, part], err3[:, part], leg.h_try))
             for leg, part in zip(legs, own)
         ]
         if all(accepted):
             y, f = y_new, f_new
-        else:
+        elif any(accepted):
             keep = np.reshape(accepted, col)
             y = np.where(keep, y_new, y)
             f = np.where(keep, f_new, f)

@@ -248,6 +248,8 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     unknown = [obs for obs in observables if obs not in OBSERVABLES]
     if unknown:
         raise ConfigError("observables", f"unknown observables {unknown}; known: {list(OBSERVABLES)}")
+    if len(set(observables)) < len(observables):
+        raise ConfigError("observables", f"observables listed more than once: {list(observables)}")
 
     rtol = _to_float("integrator.rtol", raw.get("integrator.rtol", "1e-10"))
     atol = _to_float("integrator.atol", raw.get("integrator.atol", "1e-12"))

@@ -26,9 +26,9 @@ Sweeps are propagated as one vectorized batch in rescaled time
 ramp shapes, sizes and bath rates share a single adaptive step
 sequence per leg, which is what keeps thousand-point sweeps fast.
 Several Markovian baths over the same members (the isolated and open
-legs of a sweep) propagate as legs in lockstep: one RHS call per stage
-covers every leg, while each leg keeps its own step sequence, the one
-it would take alone.
+legs of a sweep) propagate as legs in lockstep, one RHS call per stage
+covering every leg, and each leg takes the step sequence it takes alone
+(one bath is the one-leg case, :func:`critquench._ode.solve_to`).
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ table (one row per quench time) plus a plain-text fit report whose
 every line carries the config hash.
 
 The whole quench-time grid runs as one batch per leg, in one process.
-When both legs are Markovian they share one state shape and run as one
-lockstep propagation, each leg with its own step control; otherwise
-(structured baths, a cached isolated leg) the legs run one after the
-other.  A leg falls back to row-by-row runs only when its batch fails,
-so a failing quench time is isolated and the rest of the sweep completes.
+Markovian legs run as one lockstep propagation, each leg with its own
+step control, so the isolated column is the same whatever the bath; a
+structured bath's legs run one after the other, with the isolated leg
+cached.  Only when the batch fails does every row run alone, so a
+failing quench time loses both its legs and the rest of the sweep
+completes.
 """
 
 from __future__ import annotations
@@ -56,34 +57,17 @@ def _leg(config: ExperimentConfig, taus, bath, settings=None) -> dict[str, np.nd
     return _observable_arrays_at_final(config, vs[-1])
 
 
-def _isolated_key(config: ExperimentConfig, taus) -> tuple:
-    return (
-        config.model,
-        config.g_final,
-        config.r_n,
-        config.rtol,
-        config.atol,
-        config.bath_type,
-        tuple(float(t) for t in taus),
-    )
-
-
-def _cache_isolated(key: tuple, values: dict[str, np.ndarray]) -> None:
-    if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
-        _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
-    _ISOLATED_CACHE[key] = values
-
-
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    key = _isolated_key(config, taus)
+    key = (config.model, config.g_final, config.r_n, config.rtol, config.atol, config.bath_type, tuple(taus.tolist()))
     hit = _ISOLATED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # read at call time: reference runs tighten it by rebinding the name
-    settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
-    values = _leg(config, taus, moments.ISOLATED, settings=settings)
-    _cache_isolated(key, values)
-    return values
+    if hit is None:
+        # read at call time: reference runs tighten it by rebinding the name
+        settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
+        hit = _leg(config, taus, moments.ISOLATED, settings=settings)
+        if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
+            _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
+        _ISOLATED_CACHE[key] = hit
+    return hit
 
 
 def _lockstep_legs(config: ExperimentConfig, taus, baths, eta=None) -> list[dict[str, np.ndarray]]:
@@ -100,58 +84,55 @@ def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
     return _leg(config, taus, config.bath)
 
 
-def _nan_values(config: ExperimentConfig, count: int) -> dict[str, np.ndarray]:
-    return {obs: np.full(count, math.nan) for obs in config.observables}
+def _legs(config: ExperimentConfig, taus) -> tuple[dict, dict]:
+    """Isolated and open final observables of one batch over ``taus``.
+
+    Markovian legs run in lockstep; a structured bath's isolated leg,
+    which does not depend on the bath, is cached.  An isolated config
+    has one leg, which fills both columns.
+    """
+    if config.bath_type == "structured":
+        legs = [_isolated_leg_cached(config, taus)]
+        if not config.is_isolated:
+            legs.append(_open_leg(config, taus))
+    else:
+        baths = [moments.ISOLATED] if config.is_isolated else [moments.ISOLATED, config.bath]
+        legs = _lockstep_legs(config, taus, baths)
+    return dict(legs[0]), dict(legs[-1])
 
 
-def _leg_with_row_fallback(config: ExperimentConfig, taus, leg) -> tuple[dict, dict[int, str]]:
-    """Run a leg as one batch; on failure retry row by row to isolate it."""
+def _leg_with_row_fallback(config: ExperimentConfig, taus, legs) -> tuple[dict, dict, dict[int, str]]:
+    """Run the legs as one batch; on failure retry row by row to isolate it.
+
+    A row that fails loses the values of both legs; the errors map its
+    index to the failure message.
+    """
     try:
-        return leg(config, taus), {}
+        return *legs(config, taus), {}
     except IntegrationFailure:
         pass
-    values = _nan_values(config, len(taus))
+    values = tuple({obs: np.full(len(taus), math.nan) for obs in config.observables} for _ in range(2))
     errors: dict[int, str] = {}
     for i, tau in enumerate(taus):
         try:
-            single = leg(config, np.asarray([tau]))
+            single = legs(config, np.asarray([tau]))
         except IntegrationFailure as exc:
             errors[i] = str(exc)
             continue
-        for obs in values:
-            values[obs][i] = single[obs][0]
-    return values, errors
+        for leg_values, leg_single in zip(values, single):
+            for obs in leg_values:
+                leg_values[obs][i] = leg_single[obs][0]
+    return *values, errors
 
 
 def compute_chunk(config: ExperimentConfig, taus) -> tuple[dict, dict, dict[int, str]]:
     """Isolated and open observable arrays for the whole quench-time grid.
 
-    Both legs run as one batch over ``taus``: in lockstep when both are
-    Markovian and the isolated leg is not cached, else one after the
-    other.  A failed lockstep run falls back to the separate legs, and
-    the errors map row index to the message of a row that failed in
-    their row-by-row fallback.
+    Both legs run as one batch over ``taus`` (:func:`_legs`); if that
+    fails, every row runs alone, and the errors map row index to the
+    message of a row that failed.
     """
-    taus = np.asarray(taus, dtype=float)
-    key = _isolated_key(config, taus)
-    # both legs 2x2 Markovian and the isolated one not cached: one lockstep run
-    if not config.is_isolated and isinstance(config.bath, moments.BathSpec) and key not in _ISOLATED_CACHE:
-        try:
-            iso, opn = _lockstep_legs(config, taus, (moments.ISOLATED, config.bath))
-        except IntegrationFailure:
-            pass  # the legs below run one by one and isolate the failing rows
-        else:
-            _cache_isolated(key, iso)
-            return dict(iso), opn, {}
-    iso, errors = _leg_with_row_fallback(
-        config, taus, lambda cfg, ts: dict(_isolated_leg_cached(cfg, ts))
-    )
-    if config.is_isolated:
-        opn = {obs: np.array(vals, copy=True) for obs, vals in iso.items()}
-    else:
-        opn, open_errors = _leg_with_row_fallback(config, taus, _open_leg)
-        errors.update(open_errors)
-    return iso, opn, errors
+    return _leg_with_row_fallback(config, np.asarray(taus, dtype=float), _legs)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,100 @@
+"""The package names that the benchmark harness in ``perfbench/`` relies on.
+
+``perfbench/probe.py``, ``tracer.py`` and ``make_reference.py`` read and
+patch ``critquench`` attributes by name, and the tracer sees single-leg
+solves only through ``moments.solve_to`` and ``auxbath.solve_to``: a
+rename in the package would break the benchmark without failing any
+other test.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import critquench
+from critquench import _rk_tableau, auxbath, moments, sweep
+from critquench.config import build_config, parse_config_text
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+#: module behind each name the harness files bind to a critquench module
+ALIASES = {
+    "critquench": critquench,
+    "sweep": sweep,
+    "sweep_mod": sweep,
+    "moments": moments,
+    "auxbath": auxbath,
+    "_rk_tableau": _rk_tableau,
+}
+
+
+def harness_names() -> set[tuple[str, str]]:
+    """``(module, attribute)`` pairs read, patched or imported by the harness."""
+    names = set()
+    for file in ("probe.py", "tracer.py", "make_reference.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / file).read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ALIASES:
+                names.add((ALIASES[node.value.id].__name__, node.attr))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_patch":
+                module, name = node.args[:2]
+                names.add((ALIASES[module.id].__name__, name.value))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("critquench"):
+                names.update((node.module, alias.name) for alias in node.names)
+    # probe.py looks its sweep entry points up by name
+    names.update({("critquench.sweep", "run_sweep"), ("critquench.sweep", "run_size_crossover")})
+    return names
+
+
+def test_harness_names_exist():
+    names = harness_names()
+    # the scan finds the names the reference runs and the tracer patch
+    for expected in (
+        ("critquench.sweep", "_ISOLATED_CACHE"),
+        ("critquench.sweep", "STRUCTURED_ISOLATED_SETTINGS"),
+        ("critquench.auxbath", "_drift_spectral_radius"),
+        ("critquench.moments", "solve_to"),
+        ("critquench.auxbath", "solve_to"),
+        ("critquench.sweep", "_leg_with_row_fallback"),
+    ):
+        assert expected in names
+    missing = [(m, a) for m, a in sorted(names) if not hasattr(importlib.import_module(m), a)]
+    assert not missing
+
+
+def test_structured_batch_is_one_solve_per_leg(monkeypatch):
+    # the tracer infers steps from the scalar RHS times of each solve_to
+    text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
+    cfg = build_config(parse_config_text(text))
+    taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+    solves = {"moments": [], "auxbath": []}
+
+    def spy(module):
+        real = module.solve_to
+
+        def solve_to(rhs, t0, t1, y0, settings=moments.DEFAULT_SETTINGS, t_samples=None):
+            times = []
+            solves[module.__name__.rsplit(".", 1)[1]].append((y0.shape[0], times))
+
+            def counted(t, y):
+                times.append(t)
+                return rhs(t, y)
+
+            return real(counted, t0, t1, y0, settings=settings, t_samples=t_samples)
+
+        monkeypatch.setattr(module, "solve_to", solve_to)
+
+    spy(moments)
+    spy(auxbath)
+    sweep._ISOLATED_CACHE.clear()
+    try:
+        sweep.compute_chunk(cfg, taus)
+    finally:
+        sweep._ISOLATED_CACHE.clear()
+    for leg in ("moments", "auxbath"):
+        ((members, times),) = solves[leg]
+        assert members == taus.size
+        assert all(np.ndim(t) == 0 for t in times)
+        # f(t0), the initial-step probe, then one call per stage after the first
+        assert (len(times) - 2) % _rk_tableau.N_STAGES == 0
+        assert times[0] == 0.0 and times[-1] == 1.0

@@ -66,6 +66,7 @@ class TestConfigParsing:
             ("bath.kappa = -1", "bath.kappa"),
             ("bath.temperature = 1", "bath.temperature"),
             ("observables = purity", "observables"),
+            ("observables = e_r, e_r", "observables"),
             ("model.kind = ising", "model.kind"),
             ("model.eta = 100", "model.eta"),
             ("integrator.rtol = 0", "integrator.rtol"),
@@ -187,6 +188,8 @@ class TestRunSweep:
         assert fit.prediction.regime.value == "kz-isolated"
 
     def test_isolated_leg_reused_across_baths(self, tmp_path):
+        # each lockstep leg keeps its own step control, so the isolated
+        # column does not depend on the bath it runs next to
         cfg_a = load_config(write_config(tmp_path, BASE, "a.cfg"))
         cfg_b = load_config(write_config(tmp_path, BASE.replace("n_th = 2.0", "n_th = 4.0"), "b.cfg"))
         res_a = sweep.run_sweep(cfg_a)
@@ -240,6 +243,44 @@ class TestRunSweep:
         assert len(failed) == 1 and failed[0].tau_q == 100.0
         assert math.isnan(failed[0].values["e_r"][1])
         assert "failed rows = 1" in result.report_text
+
+    def test_lockstep_row_failure_loses_both_legs(self, tmp_path, monkeypatch):
+        # the open leg fails at one quench time: the batch falls back to
+        # single rows, each still one lockstep call of both legs
+        cfg = load_config(write_config(tmp_path))
+        taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+        bad = taus[2]
+        real = sweep.moments.propagate_moments_batch
+
+        def flaky(tau_q, g_final, r_n, model, kappa, *args, **kwargs):
+            if np.any(np.asarray(kappa) != 0.0) and np.any(np.asarray(tau_q) == bad):
+                raise IntegrationFailure("forced", t_last=0.5)
+            return real(tau_q, g_final, r_n, model, kappa, *args, **kwargs)
+
+        alone = [sweep.compute_chunk(cfg, [tau]) for tau in taus]
+        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", flaky)
+        result = sweep.run_sweep(cfg)
+        assert [r.failed for r in result.rows] == [tau == bad for tau in taus]
+        for row, (iso, opn, _) in zip(result.rows, alone):
+            for obs, (iso_v, opn_v, delta) in row.values.items():
+                if row.failed:
+                    assert math.isnan(iso_v) and math.isnan(opn_v) and math.isnan(delta)
+                else:
+                    assert (iso_v, opn_v) == (iso[obs][0], opn[obs][0])
+
+    def test_isolated_cache_holds_structured_legs_only(self, tmp_path):
+        sweep._ISOLATED_CACHE.clear()
+        sweep.run_sweep(load_config(write_config(tmp_path)))
+        crossover = BASE.replace("thermodynamic", "qrm").replace("sweep.tau_max = 100", "sweep.tau_max = 30")
+        sweep.run_size_crossover(load_config(write_config(tmp_path, crossover + "size.eta_list = 10, 100, 1000\n")))
+        assert not sweep._ISOLATED_CACHE
+        text = (
+            "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\n"
+            "sweep.points_per_decade = 5\nobservables = e_r\n"
+        )
+        sweep.run_sweep(load_config(write_config(tmp_path, text)))
+        assert len(sweep._ISOLATED_CACHE) == 1
+        sweep._ISOLATED_CACHE.clear()
 
     def test_report_prints_the_table_kappa(self, tmp_path):
         # a structured config without bath.kappa runs with the table's value

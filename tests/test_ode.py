@@ -10,7 +10,8 @@ from critquench._ode import (
     MIN_FACTOR,
     SAFETY,
     IntegratorSettings,
-    _initial_step,
+    _initial_from_probe,
+    _initial_probe,
     solve_legs,
     solve_to,
 )
@@ -147,7 +148,8 @@ def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples
     ys = [y.copy() for _ in ts]
     t = float(t0)
     f = rhs(t, y)
-    h = _initial_step(rhs, t, y, f, 1.0, settings.max_step, rtol, atol)
+    h0, d1, scale = _initial_probe(y, f, rtol, atol)
+    h = _initial_from_probe(h0, d1, scale, f, rhs(t + h0, y + h0 * f), settings.max_step)
     k = np.empty((tab.N_STAGES + 1,) + y.shape, dtype=y.dtype)
     for t_goal in targets:
         while t < t_goal:
