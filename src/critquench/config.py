@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import auxbath
 from .errors import ConfigError
-from .model import OBSERVABLES, THERMODYNAMIC, ModelKind, ModelSpec
+from .model import CRITICAL_COUPLING, OBSERVABLES, THERMODYNAMIC, ModelKind, ModelSpec
 from .moments import ISOLATED, BathSpec
 
 ENV_PREFIX = "CRITQUENCH_"
@@ -146,6 +146,11 @@ class ExperimentConfig:
     @property
     def is_isolated(self) -> bool:
         return self.bath.is_isolated
+
+    @property
+    def is_critical(self) -> bool:
+        """The ramp ends at the critical point."""
+        return self.g_final == CRITICAL_COUPLING
 
     def require_sweep(self) -> None:
         if self.tau_min is None or self.tau_max is None:

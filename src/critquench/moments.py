@@ -24,11 +24,9 @@ its own drift base and diffusion.
 Sweeps are propagated as one vectorized batch in rescaled time
 ``s = t / tau_q``: members with different quench times, couplings,
 ramp shapes, sizes and bath rates share a single adaptive step
-sequence per leg, which is what keeps thousand-point sweeps fast.
-Several Markovian baths over the same members (the isolated and open
-legs of a sweep) propagate as legs in lockstep, one RHS call per stage
-covering every leg, and each leg takes the step sequence it takes alone
-(one bath is the one-leg case, :func:`critquench._ode.solve_to`).
+sequence, which is what keeps thousand-point sweeps fast.  The
+isolated and open legs of a Markovian sweep are two blocks of members
+of one batch, the isolated block with ``kappa = 0``.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as model_mod
-from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_legs, solve_to
+from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, PhysicalityError
 from .model import ModelSpec
 from .protocol import QuenchProtocol, ramp_profile
@@ -116,10 +114,7 @@ class ObservableRecord:
 
 
 def broadcast_members(*params) -> list[np.ndarray]:
-    """Per-member sweep parameters, broadcast to one common 1-d length.
-
-    A parameter with a leading legs axis makes every result (L, B).
-    """
+    """Per-member sweep parameters, broadcast to one common 1-d length."""
     arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in params))
     return [np.ascontiguousarray(a) for a in arrs]
 
@@ -157,15 +152,11 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     the result depends on ``(s, V)`` only.  V must be symmetric, as
     ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output is exactly
     symmetric, so a flow started from a symmetric V stays exactly
-    symmetric through every Runge-Kutta stage.
-
-    For legs in lockstep, ``drift_base`` and ``diffusion`` carry a
-    leading legs axis, (L, B, 2n, 2n), and ``s`` is an (L, 1) column of
-    per-leg times over the (legs, members) grid; ``tau_q``, ``g_final``,
-    ``r_n`` and ``eta`` stay per member.
+    symmetric through every Runge-Kutta stage.  ``s`` is one scalar
+    time for the whole batch; ``tau_q``, ``g_final``, ``r_n`` and ``eta``
+    are per member.
     """
-    lead = np.broadcast_shapes(np.shape(drift_base)[:-2], tau_q.shape)
-    drift = np.array(np.broadcast_to(drift_base, lead + np.shape(drift_base)[-2:]))
+    drift = np.array(np.broadcast_to(drift_base, tau_q.shape + np.shape(drift_base)[-2:]))
     # tau spread over whole matrices: a broadcast (B, 1, 1) product costs
     # more per call than the arithmetic it does
     tau = np.array(np.broadcast_to(tau_q[:, None, None], drift.shape))
@@ -197,33 +188,21 @@ def propagate_moments_batch(
 
     All parameter arguments broadcast against each other; ``eta``
     defaults to the model's size but may be an array for size sweeps.
-    Returns ``(s_times, V)`` with V of shape (S, B, 2, 2).
-
-    ``kappa`` and ``n_th`` may instead carry a leading legs axis, shape
-    (L, 1) or (L, B): one Markovian bath per leg over the same members.
-    The legs then advance in lockstep (:func:`critquench._ode.solve_legs`),
-    each with its own step cap and step control, so each leg's V is the
-    one its bath gives alone; V has shape (S, L, B, 2, 2).
+    ``kappa`` and ``n_th`` are per member, so one batch may hold
+    isolated (``kappa = 0``) and open members side by side.  Returns
+    ``(s_times, V)`` with V of shape (S, B, 2, 2).
     """
     tau, g_f, r_n, eta, kappa, n_th = broadcast_members(
         tau_q, g_final, r_n, model.eta if eta is None else eta, kappa, n_th
     )
-    legs = kappa.ndim == 2
-    if legs:  # every row holds the same members
-        tau, g_f, r_n, eta = tau[0], g_f[0], r_n[0], eta[0]
     drift_base, diffusion = thermal_bath(kappa, n_th)
     rhs = lyapunov_batch_rhs(drift_base, diffusion, model, tau, g_f, r_n, eta=eta)
     v0 = np.broadcast_to(np.eye(2), drift_base.shape).copy()
-
-    def capped(leg_kappa):
-        # cap the rescaled-time step so strongly damped members stay stable
-        rate = max(2.5 * model.omega, float(np.max(leg_kappa, initial=0.0)))
-        cap = 3.5 / (rate * float(np.max(tau)))
-        return replace(settings, max_step=min(settings.max_step, cap))
-
-    if legs:
-        return solve_legs(rhs, 0.0, 1.0, v0, [capped(k) for k in kappa], t_samples=s_samples)
-    return solve_to(rhs, 0.0, 1.0, v0, settings=capped(kappa), t_samples=s_samples)
+    # cap the rescaled-time step so strongly damped members stay stable
+    rate = max(2.5 * model.omega, float(np.max(kappa)))
+    cap = 3.5 / (rate * float(np.max(tau)))
+    settings = replace(settings, max_step=min(settings.max_step, cap))
+    return solve_to(rhs, 0.0, 1.0, v0, settings=settings, t_samples=s_samples)
 
 
 @dataclass(frozen=True)

@@ -251,10 +251,14 @@ def fit_report_lines(
     prediction: ScalingPrediction,
     tolerance: float,
     config_hash: str,
+    passed: bool,
 ) -> list[str]:
-    """Render one observable's fit block; every line carries the config hash."""
+    """Render one observable's fit block; every line carries the config hash.
+
+    ``passed`` is the caller's verdict, printed as PASS or FAIL.
+    """
     gap = abs(fit.exponent - prediction.value)
-    verdict = "PASS" if gap <= tolerance else "FAIL"
+    verdict = "PASS" if passed else "FAIL"
     tag = f"cfg={config_hash}"
     return [
         f"observable = {observable}  regime = {prediction.regime.value}  r_n = {prediction.r_n}  {tag}",

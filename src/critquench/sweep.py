@@ -1,16 +1,17 @@
 """Config-driven sweeps over quench time and system size.
 
-A sweep propagates every requested quench time as one vectorized batch
-per leg (isolated and open), extracts final-time observables, fits the
-dissipative excess against the quench time and judges the fitted
-exponent against the applicable scaling prediction.  Output is a CSV
-table (one row per quench time) plus a plain-text fit report whose
-every line carries the config hash.
+A sweep propagates every requested quench time, in an isolated and an
+open leg, extracts final-time observables, fits the dissipative excess
+against the quench time and judges the fitted exponent against the
+applicable scaling prediction.  Output is a CSV table (one row per
+quench time) plus a plain-text fit report whose every line carries the
+config hash.
 
-The whole quench-time grid runs as one batch per leg, in one process.
-Markovian legs run as one lockstep propagation, each leg with its own
-step control, so the isolated column is the same whatever the bath; a
-structured bath's legs run one after the other, with the isolated leg
+The whole quench-time grid runs in one process.  A Markovian sweep is
+one batch: its isolated and open legs are two blocks of members on one
+shared step sequence, so the isolated column depends on the bath only
+at the level of the error control.  A structured bath's legs run one
+after the other, as their states differ in shape, with the isolated leg
 cached.  Only when the batch fails does every row run alone, so a
 failing quench time loses both its legs and the rest of the sweep
 completes.
@@ -58,26 +59,35 @@ def _leg(config: ExperimentConfig, taus, bath, settings=None) -> dict[str, np.nd
 
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    key = (config.model, config.g_final, config.r_n, config.rtol, config.atol, config.bath_type, tuple(taus.tolist()))
+    """Isolated final observables of a structured sweep, cached in-process."""
+    key = (config.model, config.g_final, config.r_n, tuple(taus.tolist()))
     hit = _ISOLATED_CACHE.get(key)
     if hit is None:
         # read at call time: reference runs tighten it by rebinding the name
-        settings = STRUCTURED_ISOLATED_SETTINGS if config.bath_type == "structured" else None
-        hit = _leg(config, taus, moments.ISOLATED, settings=settings)
+        hit = _leg(config, taus, moments.ISOLATED, settings=STRUCTURED_ISOLATED_SETTINGS)
         if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
             _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
         _ISOLATED_CACHE[key] = hit
     return hit
 
 
-def _lockstep_legs(config: ExperimentConfig, taus, baths, eta=None) -> list[dict[str, np.ndarray]]:
-    """Final observables of Markovian baths propagated as legs in lockstep."""
+def _markovian_legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dict]:
+    """Isolated and open final observables of a Markovian bath, as one batch.
+
+    The batch holds the isolated members (``kappa = 0``), then the open
+    ones; an isolated config has only the first block, which fills both
+    columns.  ``eta`` optionally gives each quench time its size.
+    """
+    baths = (moments.ISOLATED,) if config.is_isolated else (moments.ISOLATED, config.bath)
+    n = len(taus)
     settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     _, vs = moments.propagate_moments_batch(
-        taus, config.g_final, config.r_n, config.model,
-        [[b.kappa] for b in baths], [[b.n_th] for b in baths], eta=eta, settings=settings,
+        np.tile(taus, len(baths)), config.g_final, config.r_n, config.model,
+        np.repeat([b.kappa for b in baths], n), np.repeat([b.n_th for b in baths], n),
+        eta=None if eta is None else np.tile(eta, len(baths)), settings=settings,
     )
-    return [_observable_arrays_at_final(config, v) for v in vs[-1]]
+    values = _observable_arrays_at_final(config, vs[-1])
+    return {obs: v[:n] for obs, v in values.items()}, {obs: v[-n:] for obs, v in values.items()}
 
 
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -87,18 +97,13 @@ def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
 def _legs(config: ExperimentConfig, taus) -> tuple[dict, dict]:
     """Isolated and open final observables of one batch over ``taus``.
 
-    Markovian legs run in lockstep; a structured bath's isolated leg,
-    which does not depend on the bath, is cached.  An isolated config
-    has one leg, which fills both columns.
+    A structured bath's isolated leg, which does not depend on the
+    bath, is cached; an isolated config fills both columns with it.
     """
-    if config.bath_type == "structured":
-        legs = [_isolated_leg_cached(config, taus)]
-        if not config.is_isolated:
-            legs.append(_open_leg(config, taus))
-    else:
-        baths = [moments.ISOLATED] if config.is_isolated else [moments.ISOLATED, config.bath]
-        legs = _lockstep_legs(config, taus, baths)
-    return dict(legs[0]), dict(legs[-1])
+    if config.bath_type == "markovian":
+        return _markovian_legs(config, taus)
+    iso = _isolated_leg_cached(config, taus)
+    return dict(iso), dict(iso if config.is_isolated else _open_leg(config, taus))
 
 
 def _leg_with_row_fallback(config: ExperimentConfig, taus, legs) -> tuple[dict, dict, dict[int, str]]:
@@ -195,7 +200,7 @@ def _format_csv(config: ExperimentConfig, rows: list[SweepRow]) -> str:
 def _fit_observable(config: ExperimentConfig, taus, deltas, observable: str) -> FitOutcome:
     prediction = predict_regime(
         observable,
-        critical=config.g_final == 1.0,
+        critical=config.is_critical,
         isolated=config.is_isolated,
         r_n=config.r_n,
     )
@@ -277,6 +282,7 @@ def _render_report(config: ExperimentConfig, rows, fits: list[FitOutcome]) -> st
                     outcome.prediction,
                     config.fit_tolerance,
                     config.config_hash,
+                    outcome.passed,
                 )
             )
     return "\n".join(lines) + "\n"
@@ -297,9 +303,8 @@ class SizeCrossoverResult:
 def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     """Fit the excess exponent at each system size in ``size.eta_list``.
 
-    Sizes are swept in one batch per leg, and the two legs run in
-    lockstep; all quench times for all sizes share each leg's adaptive
-    step sequence.
+    Every size and quench time of both legs is one member of one batch,
+    so all of them share one adaptive step sequence.
     """
     config.require_sweep()
     if config.model.kind is ModelKind.THERMODYNAMIC:
@@ -315,7 +320,7 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
     eta_rep = np.repeat(etas, taus.size)
     tau_tile = np.tile(taus, etas.size)
-    iso, opn = _lockstep_legs(config, tau_tile, (moments.ISOLATED, config.bath), eta=eta_rep)
+    iso, opn = _markovian_legs(config, tau_tile, eta=eta_rep)
 
     tag = f"cfg={config.config_hash}"
     table = []
@@ -326,7 +331,7 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
         f"window = [{config.fit_window[0]:g}, {config.fit_window[1]:g}]  {tag}",
     ]
     for obs in config.observables:
-        prediction = predict_regime(obs, critical=config.g_final == 1.0, isolated=False, r_n=config.r_n)
+        prediction = predict_regime(obs, critical=config.is_critical, isolated=False, r_n=config.r_n)
         exponents = []
         for j, eta in enumerate(etas):
             sl = slice(j * taus.size, (j + 1) * taus.size)

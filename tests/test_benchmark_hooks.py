@@ -1,10 +1,11 @@
 """The package names that the benchmark harness in ``perfbench/`` relies on.
 
 ``perfbench/probe.py``, ``tracer.py`` and ``make_reference.py`` read and
-patch ``critquench`` attributes by name, and the tracer sees single-leg
-solves only through ``moments.solve_to`` and ``auxbath.solve_to``: a
-rename in the package would break the benchmark without failing any
-other test.
+patch ``critquench`` attributes by name, and the tracer counts steps
+only through ``moments.solve_to`` and ``auxbath.solve_to``, the one
+call behind every propagation (a Markovian sweep's isolated and open
+legs are one such call): a rename in the package would break the
+benchmark without failing any other test.
 """
 
 import ast
@@ -62,11 +63,8 @@ def test_harness_names_exist():
     assert not missing
 
 
-def test_structured_batch_is_one_solve_per_leg(monkeypatch):
-    # the tracer infers steps from the scalar RHS times of each solve_to
-    text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
-    cfg = build_config(parse_config_text(text))
-    taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+def spy_solves(monkeypatch):
+    """Record ``(members, RHS times)`` of every ``solve_to`` call, per module."""
     solves = {"moments": [], "auxbath": []}
 
     def spy(module):
@@ -86,6 +84,22 @@ def test_structured_batch_is_one_solve_per_leg(monkeypatch):
 
     spy(moments)
     spy(auxbath)
+    return solves
+
+
+def assert_tracer_call_pattern(times):
+    # the tracer infers steps from the scalar RHS times of each solve_to:
+    # f(t0), the initial-step probe, then one call per stage after the first
+    assert all(np.ndim(t) == 0 for t in times)
+    assert (len(times) - 2) % _rk_tableau.N_STAGES == 0
+    assert times[0] == 0.0 and times[-1] == 1.0
+
+
+def test_structured_batch_is_one_solve_per_leg(monkeypatch):
+    text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
+    cfg = build_config(parse_config_text(text))
+    taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+    solves = spy_solves(monkeypatch)
     sweep._ISOLATED_CACHE.clear()
     try:
         sweep.compute_chunk(cfg, taus)
@@ -94,7 +108,15 @@ def test_structured_batch_is_one_solve_per_leg(monkeypatch):
     for leg in ("moments", "auxbath"):
         ((members, times),) = solves[leg]
         assert members == taus.size
-        assert all(np.ndim(t) == 0 for t in times)
-        # f(t0), the initial-step probe, then one call per stage after the first
-        assert (len(times) - 2) % _rk_tableau.N_STAGES == 0
-        assert times[0] == 0.0 and times[-1] == 1.0
+        assert_tracer_call_pattern(times)
+
+
+def test_markovian_legs_are_one_solve(monkeypatch):
+    text = "bath.kappa = 1e-3\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
+    cfg = build_config(parse_config_text(text))
+    taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+    solves = spy_solves(monkeypatch)
+    sweep.compute_chunk(cfg, taus)
+    ((members, times),) = solves["moments"]
+    assert members == 2 * taus.size and not solves["auxbath"]
+    assert_tracer_call_pattern(times)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from critquench import auxbath, cli, sweep
-from critquench.config import build_config, env_overrides, load_config, parse_config_text
+from critquench.config import _KNOWN_KEYS, build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
 
@@ -43,6 +43,14 @@ class TestConfigParsing:
         assert cfg.points_per_decade == 5
         assert cfg.observables == ("e_r", "dp")
         assert cfg.fit_window == (10.0, 100.0)
+
+    def test_readme_table_names_every_key(self):
+        # the key table in the README lists exactly the keys the parser accepts
+        readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert documented == _KNOWN_KEYS
 
     def test_comments_and_blank_lines(self):
         raw = parse_config_text("# heading\n\nmodel.kind = qrm  # trailing\nmodel.eta = 50\n")
@@ -187,48 +195,74 @@ class TestRunSweep:
         fit = result.fit_for("e_r")
         assert fit.prediction.regime.value == "kz-isolated"
 
-    def test_isolated_leg_reused_across_baths(self, tmp_path):
-        # each lockstep leg keeps its own step control, so the isolated
-        # column does not depend on the bath it runs next to
+    def test_isolated_column_follows_the_bath_within_1e_8(self, tmp_path):
+        # the isolated members share the open members' step sequence, so
+        # the isolated column moves with the bath, but only at the level
+        # of the error control
         cfg_a = load_config(write_config(tmp_path, BASE, "a.cfg"))
         cfg_b = load_config(write_config(tmp_path, BASE.replace("n_th = 2.0", "n_th = 4.0"), "b.cfg"))
         res_a = sweep.run_sweep(cfg_a)
         res_b = sweep.run_sweep(cfg_b)
         for row_a, row_b in zip(res_a.rows, res_b.rows):
-            assert row_a.values["e_r"][0] == row_b.values["e_r"][0]
+            for obs in cfg_a.observables:
+                iso_a, iso_b = row_a.values[obs][0], row_b.values[obs][0]
+                assert abs(iso_a - iso_b) <= 1e-8 * abs(iso_a)
 
     @pytest.mark.parametrize("r_n", ["1", "0.5"])
-    def test_lockstep_legs_match_separate_legs(self, tmp_path, monkeypatch, r_n):
-        # a Markovian chunk runs its legs in lockstep; each leg's values are
-        # those of the leg run alone, bit for bit
-        text = BASE.replace("sweep.tau_min = 10", "sweep.tau_min = 5").replace("sweep.tau_max = 100", "sweep.tau_max = 20")
-        cfg = load_config(write_config(tmp_path, text + f"protocol.r_n = {r_n}\n"))
+    def test_markovian_legs_are_one_batch(self, tmp_path, monkeypatch, r_n):
+        # one propagation: the isolated block, then the open block, kappa
+        # per member; the two columns are that call's halves bit for bit
+        cfg = load_config(write_config(tmp_path, BASE + f"protocol.r_n = {r_n}\n"))
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
         real = sweep.moments.propagate_moments_batch
-        kappa_ndims = []
+        calls = []
 
         def spy(tau_q, g_final, r_n, model, kappa, *args, **kwargs):
-            kappa_ndims.append(np.ndim(kappa))
-            return real(tau_q, g_final, r_n, model, kappa, *args, **kwargs)
+            ss, vs = real(tau_q, g_final, r_n, model, kappa, *args, **kwargs)
+            calls.append((np.asarray(tau_q), np.asarray(kappa), vs[-1]))
+            return ss, vs
 
         monkeypatch.setattr(sweep.moments, "propagate_moments_batch", spy)
-        sweep._ISOLATED_CACHE.clear()
         iso, opn, errors = sweep.compute_chunk(cfg, taus)
         assert not errors
-        sweep._ISOLATED_CACHE.clear()
-        alone = (sweep._isolated_leg_cached(cfg, taus), sweep._open_leg(cfg, taus))
-        assert kappa_ndims == [2, 0, 0]  # one lockstep call, then the two legs alone
-        for got, want in zip((iso, opn), alone):
-            assert got.keys() == want.keys()
-            for obs in want:
-                assert got[obs].tobytes() == want[obs].tobytes()
+        ((tau_q, kappa, v_final),) = calls
+        b = taus.size
+        assert kappa.ndim == 1 and kappa.tolist() == [0.0] * b + [cfg.bath.kappa] * b
+        assert tau_q.tolist() == taus.tolist() * 2
+        for column, half in ((iso, v_final[:b]), (opn, v_final[b:])):
+            _, _, dp, _, e_r = sweep.moments.observable_arrays(half, cfg.g_final, cfg.model.omega)
+            assert column["e_r"].tobytes() == e_r.tobytes()
+            assert column["dp"].tobytes() == dp.tobytes()
+
+    def test_size_crossover_is_one_batch(self, monkeypatch):
+        # every size and quench time of both legs is one member of one call
+        cfg = load_config(CONFIG_DIR / "qrm_size_crossover.cfg")
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(tau_q, g_final, r_n, model, kappa, n_th, eta=None, **kwargs):
+            seen.append((np.asarray(tau_q), np.asarray(kappa), np.asarray(eta)))
+            raise Stop
+
+        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", spy)
+        with pytest.raises(Stop):
+            sweep.run_size_crossover(cfg)
+        ((tau_q, kappa, eta),) = seen
+        b = 44
+        assert kappa.ndim == 1 and kappa.tolist() == [0.0] * b + [cfg.bath.kappa] * b
+        assert tau_q.shape == eta.shape == (2 * b,)
+        assert tau_q[:b].tolist() == tau_q[b:].tolist() and eta[:b].tolist() == eta[b:].tolist()
+        assert sorted(set(eta.tolist())) == sorted(set(cfg.eta_list))
 
     def test_failed_rows_marked_and_run_continues(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path))
         real = sweep.moments.propagate_moments_batch
 
         def flaky(tau_q, *args, **kwargs):
-            taus = np.atleast_1d(np.asarray(tau_q, dtype=float))
+            # a row run alone is one batch of its isolated and open member
+            taus = np.unique(np.asarray(tau_q, dtype=float))
             if taus.size == 1 and abs(taus[0] - 100.0) < 1e-9:
                 raise IntegrationFailure("forced", t_last=0.5)
             if taus.size > 1:
@@ -246,7 +280,7 @@ class TestRunSweep:
 
     def test_lockstep_row_failure_loses_both_legs(self, tmp_path, monkeypatch):
         # the open leg fails at one quench time: the batch falls back to
-        # single rows, each still one lockstep call of both legs
+        # single rows, each still one call for both legs
         cfg = load_config(write_config(tmp_path))
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
         bad = taus[2]

@@ -18,9 +18,8 @@ from critquench import (
     thermal_bath,
 )
 from critquench.errors import DomainError, PhysicalityError
-from critquench.moments import ISOLATED, lyapunov_batch_rhs, propagate_moments_batch, write_trajectory
+from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
-from critquench.sweep import tau_grid
 
 from helpers_fock import propagate_master_equation
 
@@ -234,47 +233,6 @@ class TestIntegrate:
             traj = integrate(QuenchProtocol(0.75, tau), bath=bath, samples=0)
             values.append(observables_from_covariance(traj.final, 0.75).residual_energy)
         assert abs(values[1] - values[0]) / values[0] < 0.05
-
-
-class TestLockstepLegs:
-    """Baths stacked as legs give every leg's standalone V bit for bit."""
-
-    SETTINGS = IntegratorSettings(rtol=1e-10, atol=1e-12)
-
-    def assert_legs_match(self, taus, r_n, model, baths, eta=None, s_samples=None):
-        kappa = [[b.kappa] for b in baths]
-        n_th = [[b.n_th] for b in baths]
-        ss, vs = propagate_moments_batch(
-            taus, 1.0, r_n, model, kappa, n_th, eta=eta, settings=self.SETTINGS, s_samples=s_samples
-        )
-        assert vs.shape == (ss.size, len(baths), taus.size, 2, 2)
-        for j, bath in enumerate(baths):
-            leg_ss, alone = propagate_moments_batch(
-                taus, 1.0, r_n, model, bath.kappa, bath.n_th, eta=eta, settings=self.SETTINGS, s_samples=s_samples
-            )
-            assert ss.tobytes() == leg_ss.tobytes()
-            assert vs[:, j].tobytes() == alone.tobytes()
-
-    @pytest.mark.parametrize("r_n", [1.0, 0.5, "mixed"])
-    def test_thermal_sweep(self, r_n):
-        taus = tau_grid(5.0, 20.0, 5)
-        if r_n == "mixed":  # linear and nonlinear members in one batch
-            r_n = np.resize([1.0, 0.5], taus.size)
-        self.assert_legs_match(taus, r_n, THERMODYNAMIC, (ISOLATED, BathSpec(kappa=1e-3, n_th=2.0)))
-
-    def test_size_crossover(self):
-        taus = tau_grid(10.0, 30.0, 5)
-        etas = np.array([10.0, 100.0, 1000.0])
-        model = ModelSpec(kind=ModelKind.QRM, eta=100.0)
-        self.assert_legs_match(
-            np.tile(taus, etas.size), 1.0, model, (ISOLATED, BathSpec(kappa=1e-3)), eta=np.repeat(etas, taus.size)
-        )
-
-    def test_samples_and_three_legs(self):
-        baths = (ISOLATED, BathSpec(kappa=1e-2, n_th=0.5), BathSpec(kappa=0.3))
-        self.assert_legs_match(
-            np.array([4.0, 9.0]), 2.0, THERMODYNAMIC, baths, s_samples=np.linspace(0.0, 1.0, 7)
-        )
 
 
 class TestAgainstFockDynamics:

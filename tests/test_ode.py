@@ -10,9 +10,7 @@ from critquench._ode import (
     MIN_FACTOR,
     SAFETY,
     IntegratorSettings,
-    _initial_from_probe,
-    _initial_probe,
-    solve_legs,
+    _initial_step,
     solve_to,
 )
 from critquench.errors import IntegrationFailure
@@ -148,8 +146,7 @@ def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples
     ys = [y.copy() for _ in ts]
     t = float(t0)
     f = rhs(t, y)
-    h0, d1, scale = _initial_probe(y, f, rtol, atol)
-    h = _initial_from_probe(h0, d1, scale, f, rhs(t + h0, y + h0 * f), settings.max_step)
+    h = _initial_step(rhs, t, y, f, settings.max_step, rtol, atol)
     k = np.empty((tab.N_STAGES + 1,) + y.shape, dtype=y.dtype)
     for t_goal in targets:
         while t < t_goal:
@@ -220,104 +217,3 @@ class TestStageArithmetic:
     def test_scalar_state_with_samples(self):
         samples = np.array([0.0, 0.4, 1.1, 2.5, 3.0])
         self.assert_same_bits(lambda t, y: -np.cos(t) * y, 3.0, np.array(1.5), t_samples=samples)
-
-
-def stack_rhs(a, rate, times=None):
-    """``dY/dt = rate (M + M^T) - Y`` with ``M = (1 - t^2) A Y`` on stacks of 2x2 matrices.
-
-    Arithmetic only, so one leg's RHS (``a[j]``, ``rate[j]``, scalar t)
-    and the stacked one (``t`` an (L, 1) column) agree elementwise.
-    ``times`` collects the scalar evaluation times.
-    """
-
-    def rhs(t, y):
-        if times is not None:
-            times.append(t)
-        tt = np.reshape(t, (-1,) + (1,) * (y.ndim - 1)) if np.ndim(t) else t
-        m = (a * (1.0 - tt * tt)) @ y
-        out = m + m.swapaxes(-1, -2)
-        out *= rate
-        out -= y
-        return out
-
-    return rhs
-
-
-def rejected_attempts(times):
-    """Indices of rejected attempts, read from one solve's RHS times."""
-    ends = np.asarray(times[1 + tab.N_STAGES :: tab.N_STAGES])
-    return list(np.flatnonzero(ends[1:] <= ends[:-1]))
-
-
-class TestLockstepLegs:
-    """Legs in lockstep reproduce standalone ``solve_to`` runs bit for bit."""
-
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(2, 4, 2, 2))
-    rate = np.array([1.0, 6.0]).reshape(2, 1, 1, 1)
-    y0 = np.broadcast_to(np.eye(2), (2, 4, 2, 2)).copy()
-
-    def standalone(self, settings, t_samples=None):
-        runs = []
-        for j, leg_settings in enumerate(settings):
-            times = []
-            rhs = stack_rhs(self.a[j], self.rate[j], times)
-            runs.append((*solve_to(rhs, 0.0, 2.0, self.y0[j], leg_settings, t_samples), times))
-        return runs
-
-    def assert_legs_match(self, settings, t_samples=None):
-        runs = self.standalone(settings, t_samples)
-        ts, ys = solve_legs(stack_rhs(self.a, self.rate), 0.0, 2.0, self.y0, settings, t_samples)
-        assert ys.shape == (ts.size,) + self.y0.shape
-        for j, (leg_ts, leg_ys, _) in enumerate(runs):
-            assert ts.tobytes() == leg_ts.tobytes()
-            assert ys[:, j].tobytes() == leg_ys.tobytes()
-        return runs
-
-    def test_own_step_control_per_leg(self):
-        # different max_step and decay rates: the legs reject on different
-        # attempts and finish after different numbers of attempts
-        settings = [
-            IntegratorSettings(rtol=1e-9, atol=1e-11, max_step=0.5),
-            IntegratorSettings(rtol=1e-9, atol=1e-11, max_step=0.2),
-        ]
-        runs = self.assert_legs_match(settings)
-        rejected = [rejected_attempts(times) for *_, times in runs]
-        assert rejected[0] and rejected[1] and rejected[0] != rejected[1]
-        assert len(runs[0][2]) != len(runs[1][2])
-
-    def test_samples(self):
-        settings = [IntegratorSettings(rtol=1e-8, atol=1e-10)] * 2
-        samples = np.array([0.0, 0.3, 0.75, 1.9, 2.0])
-        self.assert_legs_match(settings, t_samples=samples)
-
-    def test_single_leg(self):
-        # a single leg is a standalone solve with the time as a column
-        ts, ys = solve_legs(stack_rhs(self.a[:1], self.rate[:1]), 0.0, 2.0, self.y0[:1], [IntegratorSettings()])
-        leg_ts, leg_ys = solve_to(stack_rhs(self.a[0], self.rate[0]), 0.0, 2.0, self.y0[0])
-        assert ts.tobytes() == leg_ts.tobytes() and ys[:, 0].tobytes() == leg_ys.tobytes()
-
-    def test_failing_leg_raises(self):
-        healthy = stack_rhs(self.a, self.rate)
-
-        def rhs(t, y):
-            # leg 1 turns NaN past t = 0.5
-            out = healthy(t, y)
-            out[1] *= np.where(np.reshape(t, -1)[1] > 0.5, np.nan, 1.0)
-            return out
-
-        def leg_rhs(t, y):
-            out = stack_rhs(self.a[1], self.rate[1])(t, y)
-            return out * (np.nan if t > 0.5 else 1.0)
-
-        settings = IntegratorSettings(max_steps=5000)
-        with pytest.raises(IntegrationFailure) as alone:
-            solve_to(leg_rhs, 0.0, 2.0, self.y0[1], settings)
-        with pytest.raises(IntegrationFailure) as err:
-            solve_legs(rhs, 0.0, 2.0, self.y0, [settings] * 2)
-        assert err.value.t_last == alone.value.t_last
-        assert 0.0 < err.value.t_last <= 0.5
-
-    def test_one_settings_per_leg(self):
-        with pytest.raises(ValueError):
-            solve_legs(stack_rhs(self.a, self.rate), 0.0, 2.0, self.y0, [IntegratorSettings()])

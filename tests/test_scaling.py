@@ -241,7 +241,7 @@ class TestFitReport:
         taus = np.geomspace(1.0, 1e3, 9)
         fit = fit_power_law(taus, 2.0 * taus ** (2.0 / 3.0))
         pred = predicted_akz_exponent(MEAN_FIELD, "e_r", r_n=1)
-        lines = fit_report_lines("e_r", fit, pred, tolerance=0.05, config_hash="deadbeef0123")
+        lines = fit_report_lines("e_r", fit, pred, tolerance=0.05, config_hash="deadbeef0123", passed=True)
         assert any("verdict = PASS" in line for line in lines)
         assert all("cfg=deadbeef0123" in line for line in lines)
 
@@ -249,7 +249,7 @@ class TestFitReport:
         taus = np.geomspace(1.0, 1e3, 9)
         fit = fit_power_law(taus, 2.0 * taus**1.0)
         pred = predicted_akz_exponent(MEAN_FIELD, "e_r", r_n=1)
-        lines = fit_report_lines("e_r", fit, pred, tolerance=0.05, config_hash="deadbeef0123")
+        lines = fit_report_lines("e_r", fit, pred, tolerance=0.05, config_hash="deadbeef0123", passed=False)
         assert any("verdict = FAIL" in line for line in lines)
 
 
