@@ -262,6 +262,10 @@ PARAMS_FILE_DOC = """\
 """
 
 
+_SCALAR_KEYS = ("kappa", "omega_c")
+_OSCILLATOR_KEYS = ("omega", "c_re", "c_im", "d_re", "d_im", "gamma")
+
+
 def load_params(path) -> AuxBathParams:
     """Read an auxiliary-bath parameter file (see PARAMS_FILE_DOC)."""
     scalars: dict[str, float] = {}
@@ -280,22 +284,22 @@ def load_params(path) -> AuxBathParams:
                 raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().lower()
+            block, known = (scalars, _SCALAR_KEYS) if current is None else (current, _OSCILLATOR_KEYS)
+            if key not in known:
+                raise DomainError(f"{path}:{lineno}: unknown key {key!r}; expected one of {list(known)}")
             try:
                 parsed = float(value.strip())
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: non-numeric value {value.strip()!r}") from None
             if not math.isfinite(parsed):
                 raise DomainError(f"{path}:{lineno}: non-finite value {value.strip()!r}")
-            if current is None:
-                scalars[key] = parsed
-            else:
-                current[key] = parsed
-    for required in ("kappa", "omega_c"):
+            block[key] = parsed
+    for required in _SCALAR_KEYS:
         if required not in scalars:
             raise DomainError(f"{path}: missing scalar key {required!r}")
     oscillators = []
     for i, block in enumerate(blocks):
-        missing = {"omega", "c_re", "c_im", "d_re", "d_im", "gamma"} - set(block)
+        missing = set(_OSCILLATOR_KEYS) - set(block)
         if missing:
             raise DomainError(f"{path}: oscillator {i + 1} missing keys {sorted(missing)}")
         oscillators.append(

@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import moments
-from ._ode import IntegratorSettings
 from .config import load_config
 from .errors import ConfigError, DomainError, IntegrationFailure
 from .model import OBSERVABLES
@@ -148,8 +147,7 @@ def _cmd_dump_trajectory(args) -> int:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     config = load_config(args.config)
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
-    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
-    traj = moments.integrate(protocol, config.model, config.bath, settings, args.samples)
+    traj = moments.integrate(protocol, config.model, config.bath, config.settings, args.samples)
     moments.write_trajectory(args.out, traj)
     print(f"wrote {traj.ts.size} samples to {args.out}")
     return EXIT_OK

@@ -51,9 +51,7 @@ def _observable_arrays_at_final(config: ExperimentConfig, v):
     return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
 
 
-def _leg(config: ExperimentConfig, taus, bath, settings=None) -> dict[str, np.ndarray]:
-    if settings is None:
-        settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
+def _leg(config: ExperimentConfig, taus, bath, settings: IntegratorSettings) -> dict[str, np.ndarray]:
     _, vs = bath.propagate(taus, config.g_final, config.r_n, config.model, settings=settings)
     return _observable_arrays_at_final(config, vs[-1])
 
@@ -80,18 +78,17 @@ def _markovian_legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dic
     """
     baths = (moments.ISOLATED,) if config.is_isolated else (moments.ISOLATED, config.bath)
     n = len(taus)
-    settings = IntegratorSettings(rtol=config.rtol, atol=config.atol)
     _, vs = moments.propagate_moments_batch(
         np.tile(taus, len(baths)), config.g_final, config.r_n, config.model,
         np.repeat([b.kappa for b in baths], n), np.repeat([b.n_th for b in baths], n),
-        eta=None if eta is None else np.tile(eta, len(baths)), settings=settings,
+        eta=None if eta is None else np.tile(eta, len(baths)), settings=config.settings,
     )
     values = _observable_arrays_at_final(config, vs[-1])
     return {obs: v[:n] for obs, v in values.items()}, {obs: v[-n:] for obs, v in values.items()}
 
 
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    return _leg(config, taus, config.bath)
+    return _leg(config, taus, config.bath, config.settings)
 
 
 def _legs(config: ExperimentConfig, taus) -> tuple[dict, dict]:

@@ -108,6 +108,12 @@ class TestParams:
             path.write_text(text)
             with pytest.raises(DomainError, match=re.escape(f"{path}:{lineno}: non-finite")):
                 load_params(path)
+        # unknown keys are named, not ignored: the chain has no temperature
+        good = "kappa = 1e-5\nomega_c = 20\n" + block + "gamma = 0.1\n"
+        for text, lineno in (("temperature = 10\n" + good, 1), (good.replace("gamma", "gama"), 9)):
+            path.write_text(text)
+            with pytest.raises(DomainError, match=re.escape(f"{path}:{lineno}: unknown key")):
+                load_params(path)
 
 
 class TestBuildSystem:

@@ -1,7 +1,8 @@
 """The package names that the benchmark harness in ``perfbench/`` relies on.
 
 ``perfbench/probe.py``, ``tracer.py`` and ``make_reference.py`` read and
-patch ``critquench`` attributes by name, and the tracer counts steps
+patch ``critquench`` attributes by name, read the loaded ``config`` by
+attribute, and the tracer counts steps
 only through ``moments.solve_to`` and ``auxbath.solve_to``, the one
 call behind every propagation (a Markovian sweep's isolated and open
 legs are one such call): a rename in the package would break the
@@ -9,6 +10,7 @@ benchmark without failing any other test.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 
 import critquench
 from critquench import _rk_tableau, auxbath, moments, sweep
-from critquench.config import build_config, parse_config_text
+from critquench.config import ExperimentConfig, build_config, parse_config_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: module behind each name the harness files bind to a critquench module
@@ -28,6 +30,8 @@ ALIASES = {
     "auxbath": auxbath,
     "_rk_tableau": _rk_tableau,
 }
+#: owner of the attributes the harness reads off the ``config`` it loads
+CONFIG = "critquench.config.ExperimentConfig"
 
 
 def harness_names() -> set[tuple[str, str]]:
@@ -37,6 +41,8 @@ def harness_names() -> set[tuple[str, str]]:
         for node in ast.walk(ast.parse((PERFBENCH / file).read_text())):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ALIASES:
                 names.add((ALIASES[node.value.id].__name__, node.attr))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config":
+                names.add((CONFIG, node.attr))
             elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_patch":
                 module, name = node.args[:2]
                 names.add((ALIASES[module.id].__name__, name.value))
@@ -59,8 +65,18 @@ def test_harness_names_exist():
         ("critquench.sweep", "_leg_with_row_fallback"),
     ):
         assert expected in names
-    missing = [(m, a) for m, a in sorted(names) if not hasattr(importlib.import_module(m), a)]
+    for expected in ("observables", "eta_list", "config_hash"):
+        assert (CONFIG, expected) in names
+    missing = [(m, a) for m, a in sorted(names) if not exists(m, a)]
     assert not missing
+
+
+def exists(owner: str, name: str) -> bool:
+    # a dataclass field without a default is no class attribute: read the fields
+    if owner == CONFIG:
+        properties = {n for n, v in vars(ExperimentConfig).items() if isinstance(v, property)}
+        return name in {f.name for f in dataclasses.fields(ExperimentConfig)} | properties
+    return hasattr(importlib.import_module(owner), name)
 
 
 def spy_solves(monkeypatch):

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critquench import auxbath, cli, sweep
-from critquench.config import _KNOWN_KEYS, build_config, env_overrides, load_config, parse_config_text
+from critquench import auxbath, cli, moments, sweep
+from critquench.config import _DEFAULTS, _KNOWN_KEYS, build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
 
@@ -51,10 +51,25 @@ class TestConfigParsing:
         rows = [line for line in section.splitlines() if line.startswith("| `")]
         documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
         assert documented == _KNOWN_KEYS
+        # and every default in its row, as the parser applies it
+        for key, default in _DEFAULTS.items():
+            if default:
+                (row,) = [row for row in rows if f"`{key}`" in row.split("|")[1]]
+                assert f"`{default}`" in row.split("|")[2], key
 
     def test_comments_and_blank_lines(self):
         raw = parse_config_text("# heading\n\nmodel.kind = qrm  # trailing\nmodel.eta = 50\n")
         assert raw["model.kind"] == "qrm"
+
+    def test_repeated_key_rejected(self, tmp_path, monkeypatch):
+        # a key set twice in one file is an error, not "the last line wins"
+        with pytest.raises(ConfigError, match=re.escape("set more than once (exp.cfg:1 and 3)")) as err:
+            parse_config_text("bath.kappa = 1e-3\nbath.n_th = 1\nbath.kappa = 2e-3\n", source="exp.cfg")
+        assert err.value.field == "bath.kappa"
+        # environment and explicit overrides still replace a file key
+        monkeypatch.setenv("CRITQUENCH_BATH_KAPPA", "2e-3")
+        assert load_config(write_config(tmp_path)).bath.kappa == 2e-3
+        assert load_config(write_config(tmp_path), overrides={"bath.kappa": "3e-3"}).bath.kappa == 3e-3
 
     def test_unknown_key_rejected(self):
         # a config that still sets a removed sweep switch must fail, not be ignored
@@ -94,6 +109,11 @@ class TestConfigParsing:
         text = BASE.replace("bath.type = markovian", "bath.type = structured")
         with pytest.raises(ConfigError):
             build_config(parse_config_text(text))
+        # the chain is damped at T = 0: the error names the key actually given
+        for key in ("bath.temperature", "bath.n_th"):
+            with pytest.raises(ConfigError, match="zero-temperature") as err:
+                build_config(parse_config_text(f"bath.type = structured\n{key} = 1\n"))
+            assert err.value.field == key
 
     def test_structured_rejects_explicit_zero_kappa(self):
         text = "bath.type = structured\nbath.kappa = 0\n"
@@ -130,6 +150,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             build_config(parse_config_text(BASE + "bath.omega_c = 20\n"))
         assert err.value.field == "bath.params_file"
+
+    def test_integrator_settings_reach_every_propagation(self, tmp_path, monkeypatch):
+        # integrator.* drives every propagation of a config except the
+        # structured isolated leg, which runs at its own tighter settings
+        seen = []
+        for module in (moments, auxbath):
+            real = module.solve_to
+
+            def solve_to(rhs, t0, t1, y0, settings, t_samples=None, _module=module.__name__, _real=real):
+                seen.append((_module.rsplit(".", 1)[1], settings.rtol, settings.atol))
+                return _real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+
+            monkeypatch.setattr(module, "solve_to", solve_to)
+        tight = "integrator.rtol = 1e-9\nintegrator.atol = 1e-11\nsweep.points_per_decade = 5\nobservables = e_r\n"
+        markovian = build_config(parse_config_text("bath.kappa = 1e-3\n" + tight))
+        structured = build_config(parse_config_text("bath.type = structured\n" + tight))
+        taus = np.array([5.0, 10.0])
+        config_tols = ("moments", 1e-9, 1e-11)
+        iso_tols = ("moments", sweep.STRUCTURED_ISOLATED_SETTINGS.rtol, sweep.STRUCTURED_ISOLATED_SETTINGS.atol)
+
+        sweep.compute_chunk(markovian, taus)
+        assert seen == [config_tols]
+        seen.clear()
+        sweep._ISOLATED_CACHE.clear()
+        try:
+            sweep.compute_chunk(structured, taus)
+        finally:
+            sweep._ISOLATED_CACHE.clear()
+        assert seen == [iso_tols, ("auxbath", 1e-9, 1e-11)]
+        seen.clear()
+        path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
+        out = tmp_path / "traj.tsv"
+        assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "5", "--out", str(out)]) == 0
+        assert seen == [config_tols]
 
     def test_env_overrides(self):
         env = {"CRITQUENCH_SWEEP_TAU_MIN": "20", "CRITQUENCH_OBSERVABLES": "n"}
