@@ -10,9 +10,9 @@ of elements.
 
 There is one stage loop, :func:`solve_to`; its step control (clamping,
 budget and underflow checks, accept/reject and growth, sampling) lives
-in :class:`_StepControl`.  The isolated and open legs of a Markovian
-sweep are two blocks of members of one batch, so they take one step
-sequence together.
+in :class:`_StepControl`.  The isolated and open legs of a sweep are
+two blocks of members of one batch, so they take one step sequence
+together.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are

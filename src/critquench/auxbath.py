@@ -87,10 +87,12 @@ class AuxBathParams:
         system = build_system(model, 0.0, self)
         return system.drift_base(), system.d_matrix
 
-    def propagate(self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None):
+    def propagate(
+        self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None, kappa=None, eta=None
+    ):
         """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2n, 2n)."""
         return propagate_covariance_batch(
-            tau_q, g_final, r_n, self, model=model, settings=settings, s_samples=s_samples
+            tau_q, g_final, r_n, self, model=model, settings=settings, s_samples=s_samples, kappa=kappa, eta=eta
         )[:2]
 
 
@@ -236,22 +238,53 @@ def propagate_covariance_batch(
     model: ModelSpec = model_mod.THERMODYNAMIC,
     settings: IntegratorSettings = DEFAULT_SETTINGS,
     s_samples=None,
+    kappa=None,
+    eta=None,
 ):
     """Vectorized Lyapunov propagation from the product vacuum ``V = I``.
 
-    Returns ``(s_times, V, system)`` with V of shape (S, B, 2n, 2n).
-    The explicit stepper is stability-limited by the strongly damped
-    chain members, so the step is capped at a fraction of the inverse
-    drift spectral radius; accuracy then rides far below tolerance.
+    ``kappa`` is per member (default: the table's), so one batch may
+    hold a sweep's isolated members (the same network at ``kappa = 0``)
+    beside its open ones; ``eta`` defaults to the model's size.  The
+    batch runs in physical time on one step sequence: from 0 to each
+    distinct quench time in turn, one :func:`solve_to` call each, with
+    the members whose quench has ended leaving the batch there.  The explicit stepper is stability-limited
+    by the strongly damped chain, in physical time and alike for every
+    member: the step is capped at ``3.5`` over the drift's spectral
+    radius, and the controller holds it near the stability edge of the
+    fastest chain mode, so most steps are shorter than the cap.
+
+    Returns ``(s_times, V, system)`` with V of shape (S, B, 2n, 2n) and
+    member ``b`` sampled at ``t = s tau_b``; sampling (``s_samples``)
+    needs members of one quench time.  ``system`` is the table's network.
     """
-    system = build_system(model, 0.0, params)
-    tau, g_f, r_n = broadcast_members(tau_q, g_final, r_n)
-    rhs = lyapunov_batch_rhs(system.drift_base(), system.d_matrix, model, tau, g_f, r_n)
-    v0 = np.broadcast_to(np.eye(system.dim), (tau.size,) + (system.dim,) * 2).copy()
-    cap = 3.5 / (_drift_spectral_radius(system) * float(np.max(tau)))
+    tau, g_f, r_n, kappa, eta = broadcast_members(
+        tau_q, g_final, r_n, params.kappa if kappa is None else kappa, model.eta if eta is None else eta
+    )
+    ends = np.unique(tau)
+    if s_samples is not None and ends.size > 1:
+        raise ValueError("sampling needs members of one quench time")
+    systems = {k: build_system(model, 0.0, replace(params, kappa=k)) for k in {params.kappa, *kappa.tolist()}}
+    drift_base = np.stack([systems[k].drift_base() for k in kappa.tolist()])
+    system = systems[params.kappa]
+    # read at call time: reference runs tighten the cap by rebinding the name
+    cap = 3.5 / max(_drift_spectral_radius(s) for s in systems.values())
     eff = replace(settings, max_step=min(settings.max_step, cap))
-    ss, vs = solve_to(rhs, 0.0, 1.0, v0, settings=eff, t_samples=s_samples)
-    return ss, vs, system
+    t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * ends[0]
+
+    v = np.broadcast_to(np.eye(system.dim), (tau.size,) + (system.dim,) * 2).copy()
+    active, start = np.arange(tau.size), 0.0
+    for end in ends.tolist():
+        members = tau[active]
+        rhs = lyapunov_batch_rhs(
+            drift_base[active], system.d_matrix, model, members, g_f[active], r_n[active], eta[active], end=members
+        )
+        ts, vs = solve_to(rhs, start, end, v[active], settings=eff, t_samples=t_samples)
+        v[active] = vs[-1]
+        active, start = active[members > end], end
+    if t_samples is None:
+        return np.ones(1), v[None], system
+    return ts / ends[0], vs, system
 
 
 PARAMS_FILE_DOC = """\
@@ -271,13 +304,14 @@ def load_params(path) -> AuxBathParams:
     scalars: dict[str, float] = {}
     blocks: list[dict[str, float]] = []
     current: dict[str, float] | None = None
+    line_of: dict[str, int] = {}  # line of each key in the current block
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line == "[oscillator]":
-                current = {}
+                current, line_of = {}, {}
                 blocks.append(current)
                 continue
             if "=" not in line:
@@ -287,6 +321,10 @@ def load_params(path) -> AuxBathParams:
             block, known = (scalars, _SCALAR_KEYS) if current is None else (current, _OSCILLATOR_KEYS)
             if key not in known:
                 raise DomainError(f"{path}:{lineno}: unknown key {key!r}; expected one of {list(known)}")
+            if key in line_of:
+                lines = f"lines {line_of[key]} and {lineno}"
+                raise DomainError(f"{path}:{lineno}: key {key!r} set more than once ({lines})")
+            line_of[key] = lineno
             try:
                 parsed = float(value.strip())
             except ValueError:

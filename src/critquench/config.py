@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import auxbath
-from ._ode import IntegratorSettings
+from ._ode import DEFAULT_SETTINGS, IntegratorSettings
 from .errors import ConfigError
 from .model import CRITICAL_COUPLING, OBSERVABLES, ModelKind, ModelSpec
 from .moments import BathSpec
@@ -47,8 +47,8 @@ _DEFAULTS: dict[str, str | None] = {
     "fit.tolerance": "0.05",
     "observables": ", ".join(OBSERVABLES),
     "output.path": "out",
-    "integrator.rtol": "1e-10",
-    "integrator.atol": "1e-12",
+    "integrator.rtol": repr(DEFAULT_SETTINGS.rtol),
+    "integrator.atol": repr(DEFAULT_SETTINGS.atol),
     "size.eta_list": "",
 }
 _KNOWN_KEYS = frozenset(_DEFAULTS)

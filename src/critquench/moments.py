@@ -21,12 +21,15 @@ on the 2x2 covariance of the system mode alone; the structured bath
 (:mod:`critquench.auxbath`) appends a chain of damped oscillators with
 its own drift base and diffusion.
 
-Sweeps are propagated as one vectorized batch in rescaled time
-``s = t / tau_q``: members with different quench times, couplings,
-ramp shapes, sizes and bath rates share a single adaptive step
-sequence, which is what keeps thousand-point sweeps fast.  The
-isolated and open legs of a Markovian sweep are two blocks of members
-of one batch, the isolated block with ``kappa = 0``.
+Sweeps are propagated as one vectorized batch: members with different
+quench times, couplings, ramp shapes, sizes and bath rates share a
+single adaptive step sequence, which is what keeps thousand-point
+sweeps fast.  A Markovian batch runs in rescaled time
+``s = t / tau_q``; a structured one in physical time, as its damped
+chain bounds the step alike for every member there (see
+:func:`lyapunov_batch_rhs`).  The isolated and open legs of a sweep are
+two blocks of members of one batch, the isolated block with
+``kappa = 0``.
 """
 
 from __future__ import annotations
@@ -92,10 +95,17 @@ class BathSpec:
         """Drift base and diffusion of the system mode (:func:`thermal_bath`)."""
         return thermal_bath(self.kappa, self.n_th)
 
-    def propagate(self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None):
-        """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2, 2)."""
+    def propagate(
+        self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None, kappa=None, eta=None
+    ):
+        """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2, 2).
+
+        ``kappa`` (default: the bath's) and ``eta`` (default: the
+        model's size) may be per member.
+        """
         return propagate_moments_batch(
-            tau_q, g_final, r_n, model, self.kappa, self.n_th, settings=settings, s_samples=s_samples
+            tau_q, g_final, r_n, model, self.kappa if kappa is None else kappa, self.n_th,
+            eta=eta, settings=settings, s_samples=s_samples,
         )
 
 
@@ -143,31 +153,37 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
     return drift
 
 
-def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None):
-    """``dV/ds = tau_q (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
+def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0):
+    """``dV/du = (tau_q / end) (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
 
+    The solver's time ``u`` is one scalar for the whole batch; each
+    member reads its ramp at its own clock ``s = u / end``, which runs
+    from 0 to 1 as ``u`` runs to ``end``.  ``end = 1`` (the default)
+    makes ``u`` the rescaled time ``s = t / tau_q`` of every member;
+    ``end = tau_q`` makes it the physical time ``t``.
     ``drift_base`` (one matrix, or one per member) holds every drift
     entry but the ramped system block, which each call rewrites in a
     buffer allocated once here; the other entries are never touched, so
-    the result depends on ``(s, V)`` only.  V must be symmetric, as
+    the result depends on ``(u, V)`` only.  V must be symmetric, as
     ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output is exactly
     symmetric, so a flow started from a symmetric V stays exactly
-    symmetric through every Runge-Kutta stage.  ``s`` is one scalar
-    time for the whole batch; ``tau_q``, ``g_final``, ``r_n`` and ``eta``
-    are per member.
+    symmetric through every Runge-Kutta stage.  ``tau_q``, ``g_final``,
+    ``r_n``, ``eta`` and ``end`` are per member.
     """
     drift = np.array(np.broadcast_to(drift_base, tau_q.shape + np.shape(drift_base)[-2:]))
-    # tau spread over whole matrices: a broadcast (B, 1, 1) product costs
-    # more per call than the arithmetic it does
-    tau = np.array(np.broadcast_to(tau_q[:, None, None], drift.shape))
+    # the rate spread over whole matrices, as a broadcast (B, 1, 1) product
+    # costs more per call than the arithmetic it does; a unit rate is skipped
+    rate = tau_q / end
+    rate = None if np.all(rate == 1.0) else np.array(np.broadcast_to(rate[:, None, None], drift.shape))
     ramp = ramp_profile(r_n)
 
-    def rhs(s, v):
-        set_system_block(drift, model, g_final * ramp(s), eta=eta)
+    def rhs(u, v):
+        set_system_block(drift, model, g_final * ramp(u / end), eta=eta)
         m = drift @ v
         out = m + m.swapaxes(-1, -2)
         out += diffusion
-        out *= tau
+        if rate is not None:
+            out *= rate
         return out
 
     return rhs

@@ -7,14 +7,15 @@ applicable scaling prediction.  Output is a CSV table (one row per
 quench time) plus a plain-text fit report whose every line carries the
 config hash.
 
-The whole quench-time grid runs in one process.  A Markovian sweep is
-one batch: its isolated and open legs are two blocks of members on one
-shared step sequence, so the isolated column depends on the bath only
-at the level of the error control.  A structured bath's legs run one
-after the other, as their states differ in shape, with the isolated leg
-cached.  Only when the batch fails does every row run alone, so a
-failing quench time loses both its legs and the rest of the sweep
-completes.
+The whole quench-time grid runs in one process, as one batch for
+either bath: the isolated and open legs are two blocks of members on
+one shared step sequence, the isolated block at ``kappa = 0``, so the
+isolated column depends on the bath only at the level of the error
+control, and the two legs' step errors cancel in the excess.  A
+structured batch runs in physical time, and each quench time leaves it
+when its ramp ends.  Only when the batch fails does every row run
+alone, so a failing quench time loses both its legs and the rest of
+the sweep completes.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from .errors import ConfigError, IntegrationFailure
 from .model import ModelKind
 from .scaling import PowerLawFit, ScalingPrediction, fit_power_law, fit_report_lines, predict_regime
 
-#: The structured-bath excess can be as small as 1e-9 of the working
-#: scale, so its isolated reference leg always runs extra tight.
+# unused since a structured sweep is one batch; the benchmark reads it (ROADMAP item 1)
 STRUCTURED_ISOLATED_SETTINGS = IntegratorSettings(rtol=1e-13, atol=1e-15)
-
-_ISOLATED_CACHE: dict[tuple, dict[str, np.ndarray]] = {}
+_ISOLATED_CACHE: dict[tuple, dict[str, np.ndarray]] = {}  # filled only by _isolated_leg_cached (ROADMAP item 1)
 _ISOLATED_CACHE_MAX = 32
 
 
@@ -58,10 +57,10 @@ def _leg(config: ExperimentConfig, taus, bath, settings: IntegratorSettings) -> 
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
     """Isolated final observables of a structured sweep, cached in-process."""
+    # no caller since _legs runs both legs as one batch; the benchmark patches it (ROADMAP item 1)
     key = (config.model, config.g_final, config.r_n, tuple(taus.tolist()))
     hit = _ISOLATED_CACHE.get(key)
     if hit is None:
-        # read at call time: reference runs tighten it by rebinding the name
         hit = _leg(config, taus, moments.ISOLATED, settings=STRUCTURED_ISOLATED_SETTINGS)
         if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
             _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
@@ -69,38 +68,27 @@ def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray
     return hit
 
 
-def _markovian_legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dict]:
-    """Isolated and open final observables of a Markovian bath, as one batch.
-
-    The batch holds the isolated members (``kappa = 0``), then the open
-    ones; an isolated config has only the first block, which fills both
-    columns.  ``eta`` optionally gives each quench time its size.
-    """
-    baths = (moments.ISOLATED,) if config.is_isolated else (moments.ISOLATED, config.bath)
-    n = len(taus)
-    _, vs = moments.propagate_moments_batch(
-        np.tile(taus, len(baths)), config.g_final, config.r_n, config.model,
-        np.repeat([b.kappa for b in baths], n), np.repeat([b.n_th for b in baths], n),
-        eta=None if eta is None else np.tile(eta, len(baths)), settings=config.settings,
-    )
-    values = _observable_arrays_at_final(config, vs[-1])
-    return {obs: v[:n] for obs, v in values.items()}, {obs: v[-n:] for obs, v in values.items()}
-
-
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
+    # no caller since _legs runs both legs as one batch; the benchmark patches it (ROADMAP item 1)
     return _leg(config, taus, config.bath, config.settings)
 
 
-def _legs(config: ExperimentConfig, taus) -> tuple[dict, dict]:
+def _legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dict]:
     """Isolated and open final observables of one batch over ``taus``.
 
-    A structured bath's isolated leg, which does not depend on the
-    bath, is cached; an isolated config fills both columns with it.
+    The batch holds the isolated members (``kappa = 0``), then the open
+    ones, for either bath; an isolated config has only the first block,
+    which fills both columns.  ``eta`` optionally gives each quench time
+    its size.
     """
-    if config.bath_type == "markovian":
-        return _markovian_legs(config, taus)
-    iso = _isolated_leg_cached(config, taus)
-    return dict(iso), dict(iso if config.is_isolated else _open_leg(config, taus))
+    kappas = (0.0,) if config.is_isolated else (0.0, config.bath.kappa)
+    n = len(taus)
+    _, vs = config.bath.propagate(
+        np.tile(taus, len(kappas)), config.g_final, config.r_n, config.model, settings=config.settings,
+        kappa=np.repeat(kappas, n), eta=None if eta is None else np.tile(eta, len(kappas)),
+    )
+    values = _observable_arrays_at_final(config, vs[-1])
+    return {obs: v[:n] for obs, v in values.items()}, {obs: v[-n:] for obs, v in values.items()}
 
 
 def _leg_with_row_fallback(config: ExperimentConfig, taus, legs) -> tuple[dict, dict, dict[int, str]]:
@@ -317,7 +305,7 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
     eta_rep = np.repeat(etas, taus.size)
     tau_tile = np.tile(taus, etas.size)
-    iso, opn = _markovian_legs(config, tau_tile, eta=eta_rep)
+    iso, opn = _legs(config, tau_tile, eta=eta_rep)
 
     tag = f"cfg={config.config_hash}"
     table = []

@@ -22,21 +22,30 @@ Run from the repository root with ``PYTHONPATH=src``:
     g(s)^2) ds``: a term launched at ``t = 0`` and carried to the end with
     the dynamical phase of a squeezing oscillation.  With ``--refit`` it
     also sweeps the config and refits it with that ripple removed.
+
+``python tests/ledger_probe.py steps configs/ohmic_critical.cfg``
+    propagates a config's quench-time grid once (both legs, no fit) and
+    prints, for each ``solve_to`` call in order, its time span, the
+    members it carries, the attempted steps, the rejected ones, the
+    accepted steps that sat at ``max_step`` and its wall time; then the
+    totals, with the member-attempts (members times attempts, summed).
 """
 
 import argparse
 import math
+import time
 
 import numpy as np
 from scipy.integrate import quad
 from test_acceptance import fit_log_corrected
 
+from critquench import _ode
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
 from critquench.moments import observable_arrays, propagate_moments_batch
 from critquench.protocol import ramp_shape
 from critquench.scaling import fit_power_law
-from critquench.sweep import compute_chunk, run_sweep
+from critquench.sweep import compute_chunk, run_sweep, tau_grid
 
 _OBS_INDEX = {"dp": 2, "e_r": 4}
 
@@ -118,6 +127,49 @@ def cmd_ripple(args):
             )
 
 
+def cmd_steps(args):
+    config = load_config(args.config)
+    taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
+    real = _ode._StepControl
+    solves = []
+
+    class Counted(real):
+        # the step control of one solve_to call, counting as it settles
+        def __init__(self, t0, t1, y0, settings, t_samples):
+            super().__init__(t0, t1, y0, settings, t_samples)
+            self.span, self.members = (t0, t1), y0.shape[0]
+            self.rejected = self.at_cap = 0
+            self.started = self.ended = time.perf_counter()
+            solves.append(self)
+
+        def settle(self, err):
+            accepted = super().settle(err)
+            self.rejected += not accepted
+            self.at_cap += accepted and self.h_try == self.settings.max_step
+            self.ended = time.perf_counter()
+            return accepted
+
+    _ode._StepControl = Counted
+    try:
+        t0 = time.perf_counter()
+        compute_chunk(config, taus)
+        wall = time.perf_counter() - t0
+    finally:
+        _ode._StepControl = real
+    print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}")
+    print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s")
+    for i, s in enumerate(solves):
+        print(
+            f"  {i:>5}  {s.span[0]:g}..{s.span[1]:g}  {s.members}  {s.n_steps}  {s.rejected}"
+            f"  {s.at_cap}  {s.ended - s.started:.3f}"
+        )
+    print(
+        f"  total: {len(solves)} solves, {sum(s.n_steps for s in solves)} attempts,"
+        f" {sum(s.rejected for s in solves)} rejected, {sum(s.at_cap for s in solves)} at max_step,"
+        f" {sum(s.members * s.n_steps for s in solves)} member-attempts, {wall:.3f} s wall"
+    )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -135,8 +187,11 @@ def main(argv=None):
     p_rip.add_argument("--tau", type=float, required=True, help="start of the scan")
     p_rip.add_argument("--points", type=int, default=39)
     p_rip.add_argument("--refit", action="store_true", help="refit the sweep without the ripple")
+    p_steps = sub.add_parser("steps", help="step counts of every solve_to call of a config's legs")
+    p_steps.add_argument("config", help="path to the experiment config")
     args = parser.parse_args(argv)
-    {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple}[args.command](args)
+    commands = {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple, "steps": cmd_steps}
+    commands[args.command](args)
 
 
 if __name__ == "__main__":

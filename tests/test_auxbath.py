@@ -1,6 +1,7 @@
 """Auxiliary-oscillator network: construction, Lyapunov flow, physicality."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from critquench import (
     IntegratorSettings,
     QuenchProtocol,
+    auxbath,
     integrate,
     observables_from_covariance,
     steady_state_covariance,
+    sweep,
 )
 from critquench.auxbath import (
     DEFAULT_OHMIC,
@@ -25,11 +28,13 @@ from critquench.auxbath import (
     propagate_covariance_batch,
     symplectic_form,
 )
+from critquench.config import build_config, parse_config_text
 from critquench.errors import DomainError, PhysicalityError
 from critquench.model import THERMODYNAMIC
 from critquench.moments import lyapunov_batch_rhs
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def lyapunov_rhs(v, system, g):
@@ -114,6 +119,21 @@ class TestParams:
             path.write_text(text)
             with pytest.raises(DomainError, match=re.escape(f"{path}:{lineno}: unknown key")):
                 load_params(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # a key set twice in one block is an error, not "the last line wins"
+        shipped = (CONFIG_DIR / "ohmic_4osc.params").read_text()
+        path = tmp_path / "repeated.params"
+        for key, line, repeat, lines in (
+            ("gamma", "gamma = 11.9298\n", "gamma = 5.0\n", (14, 15)),
+            ("kappa", "omega_c = 20\n", "kappa = 2e-5\n", (5, 7)),
+        ):
+            path.write_text(shipped.replace(line, line + repeat, 1))
+            message = f"{path}:{lines[1]}: key {key!r} set more than once (lines {lines[0]} and {lines[1]})"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                load_params(path)
+        # a key repeated across blocks belongs to each oscillator once
+        assert load_params(CONFIG_DIR / "ohmic_4osc.params") == DEFAULT_OHMIC
 
 
 class TestBuildSystem:
@@ -243,6 +263,34 @@ class TestPropagation:
         taus = np.array([20.0, 40.0])
         ss, vs, system = propagate_covariance_batch(taus, 1.0, 1.0, DEFAULT_OHMIC)
         assert vs.shape == (1, 2, system.dim, system.dim)
+        # members of different quench times end at different physical times
+        with pytest.raises(ValueError, match="one quench time"):
+            propagate_covariance_batch(taus, 1.0, 1.0, DEFAULT_OHMIC, s_samples=[0.0, 0.5, 1.0])
+
+
+class TestStructuredSweep:
+    def test_nonlinear_excess_matches_a_tight_run(self, monkeypatch):
+        # the isolated and open members share one step sequence, so their
+        # step errors cancel in the excess; isolated members run apart on
+        # their own steps left these short nonlinear ramps off by ~3e-2
+        text = (
+            "bath.type = structured\nprotocol.r_n = 1.25\nsweep.tau_min = 10\nsweep.tau_max = 40\n"
+            "sweep.points_per_decade = 5\n"
+        )
+
+        def excess(extra):
+            cfg = build_config(parse_config_text(text + extra))
+            iso, opn, errors = sweep.compute_chunk(cfg, sweep.tau_grid(cfg.tau_min, cfg.tau_max, 5))
+            assert not errors
+            return {obs: opn[obs] - iso[obs] for obs in cfg.observables}
+
+        shipped = excess("")
+        radius = auxbath._drift_spectral_radius
+        monkeypatch.setattr(auxbath, "_drift_spectral_radius", lambda system: 4.0 * radius(system))
+        tight = excess("integrator.rtol = 1e-13\n")
+        for obs, delta in tight.items():
+            assert delta.size == 4
+            assert np.all(np.abs(shipped[obs] - delta) <= 1e-6 * np.abs(delta)), obs
 
 
 class TestObservables:

@@ -3,10 +3,11 @@
 ``perfbench/probe.py``, ``tracer.py`` and ``make_reference.py`` read and
 patch ``critquench`` attributes by name, read the loaded ``config`` by
 attribute, and the tracer counts steps
-only through ``moments.solve_to`` and ``auxbath.solve_to``, the one
-call behind every propagation (a Markovian sweep's isolated and open
-legs are one such call): a rename in the package would break the
-benchmark without failing any other test.
+only through ``moments.solve_to`` and ``auxbath.solve_to``, the calls
+behind every propagation (a Markovian sweep's isolated and open legs
+are one such call, a structured sweep's one per quench time): a rename
+in the package would break the benchmark without failing any other
+test.
 """
 
 import ast
@@ -103,28 +104,27 @@ def spy_solves(monkeypatch):
     return solves
 
 
-def assert_tracer_call_pattern(times):
+def assert_tracer_call_pattern(times, t0=0.0, t1=1.0):
     # the tracer infers steps from the scalar RHS times of each solve_to:
     # f(t0), the initial-step probe, then one call per stage after the first
     assert all(np.ndim(t) == 0 for t in times)
     assert (len(times) - 2) % _rk_tableau.N_STAGES == 0
-    assert times[0] == 0.0 and times[-1] == 1.0
+    assert times[0] == t0 and times[-1] == t1
 
 
 def test_structured_batch_is_one_solve_per_leg(monkeypatch):
+    # one batch of both legs in physical time: one solve per quench time,
+    # chained from 0 to tau_max, the ended members leaving at each boundary
     text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
     cfg = build_config(parse_config_text(text))
     taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
     solves = spy_solves(monkeypatch)
-    sweep._ISOLATED_CACHE.clear()
-    try:
-        sweep.compute_chunk(cfg, taus)
-    finally:
-        sweep._ISOLATED_CACHE.clear()
-    for leg in ("moments", "auxbath"):
-        ((members, times),) = solves[leg]
-        assert members == taus.size
-        assert_tracer_call_pattern(times)
+    sweep.compute_chunk(cfg, taus)
+    assert not solves["moments"] and not sweep._ISOLATED_CACHE
+    assert len(solves["auxbath"]) == taus.size
+    for k, (members, times) in enumerate(solves["auxbath"]):
+        assert members == 2 * (taus.size - k)
+        assert_tracer_call_pattern(times, 0.0 if k == 0 else taus[k - 1], taus[k])
 
 
 def test_markovian_legs_are_one_solve(monkeypatch):

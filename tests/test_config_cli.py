@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critquench import auxbath, cli, moments, sweep
+from critquench import DEFAULT_SETTINGS, auxbath, cli, moments, sweep
 from critquench.config import _DEFAULTS, _KNOWN_KEYS, build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
@@ -56,6 +56,10 @@ class TestConfigParsing:
             if default:
                 (row,) = [row for row in rows if f"`{key}`" in row.split("|")[1]]
                 assert f"`{default}`" in row.split("|")[2], key
+
+    def test_empty_config_takes_the_integrator_defaults(self):
+        # the config's integrator defaults are the library's, declared once
+        assert build_config(parse_config_text("")).settings == DEFAULT_SETTINGS
 
     def test_comments_and_blank_lines(self):
         raw = parse_config_text("# heading\n\nmodel.kind = qrm  # trailing\nmodel.eta = 50\n")
@@ -152,8 +156,7 @@ class TestConfigParsing:
         assert err.value.field == "bath.params_file"
 
     def test_integrator_settings_reach_every_propagation(self, tmp_path, monkeypatch):
-        # integrator.* drives every propagation of a config except the
-        # structured isolated leg, which runs at its own tighter settings
+        # integrator.* drives every propagation of a config
         seen = []
         for module in (moments, auxbath):
             real = module.solve_to
@@ -168,17 +171,12 @@ class TestConfigParsing:
         structured = build_config(parse_config_text("bath.type = structured\n" + tight))
         taus = np.array([5.0, 10.0])
         config_tols = ("moments", 1e-9, 1e-11)
-        iso_tols = ("moments", sweep.STRUCTURED_ISOLATED_SETTINGS.rtol, sweep.STRUCTURED_ISOLATED_SETTINGS.atol)
 
         sweep.compute_chunk(markovian, taus)
         assert seen == [config_tols]
         seen.clear()
-        sweep._ISOLATED_CACHE.clear()
-        try:
-            sweep.compute_chunk(structured, taus)
-        finally:
-            sweep._ISOLATED_CACHE.clear()
-        assert seen == [iso_tols, ("auxbath", 1e-9, 1e-11)]
+        sweep.compute_chunk(structured, taus)
+        assert seen == [("auxbath", 1e-9, 1e-11)] * taus.size
         seen.clear()
         path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
         out = tmp_path / "traj.tsv"
@@ -367,8 +365,7 @@ class TestRunSweep:
             "sweep.points_per_decade = 5\nobservables = e_r\n"
         )
         sweep.run_sweep(load_config(write_config(tmp_path, text)))
-        assert len(sweep._ISOLATED_CACHE) == 1
-        sweep._ISOLATED_CACHE.clear()
+        assert not sweep._ISOLATED_CACHE
 
     def test_report_prints_the_table_kappa(self, tmp_path):
         # a structured config without bath.kappa runs with the table's value
