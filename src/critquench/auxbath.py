@@ -19,8 +19,8 @@ Lyapunov equation
 with J the symplectic form, H the quadratic-form matrix of the chain
 Hamiltonian and Upsilon built from the damping vectors.  The system
 block of H is the model's quadrature form, so the drift is a cached
-base plus the ramped system block, and the flow runs on the Lyapunov
-engine of :mod:`critquench.moments`.
+base plus the ramped system block.  The flow runs on the one Lyapunov
+engine, :func:`critquench.moments.propagate_batch`, in physical time.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import model as model_mod
-from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
+from ._ode import DEFAULT_SETTINGS, IntegratorSettings
+from ._ode import solve_to  # noqa: F401  unused here; the benchmark patches it (ROADMAP item 1)
 from .errors import DomainError, PhysicalityError
 from .model import ModelSpec
-from .moments import broadcast_members, lyapunov_batch_rhs, set_system_block
+from .moments import broadcast_members, physicality_defect, propagate_batch, set_system_block, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,6 @@ def ohmic_spectral_density(omega, kappa: float, omega_c: float):
     """J(w) = 2 kappa^2 pi w exp(-w / w_c), the bath the default table fits."""
     omega = np.asarray(omega, dtype=float)
     return 2.0 * np.pi * kappa**2 * omega * np.exp(-omega / omega_c)
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """J = [[0, I], [-I, 0]] in the (q..., p...) ordering."""
-    j = np.zeros((2 * n_modes, 2 * n_modes))
-    j[:n_modes, n_modes:] = np.eye(n_modes)
-    j[n_modes:, :n_modes] = -np.eye(n_modes)
-    return j
 
 
 @dataclass(frozen=True)
@@ -211,12 +204,6 @@ def build_system(model: ModelSpec, g: float, params: AuxBathParams) -> Symplecti
     )
 
 
-def physicality_defect(v: np.ndarray, j: np.ndarray) -> float:
-    """Most negative eigenvalue of V + iJ (>= 0 for physical states)."""
-    eigs = np.linalg.eigvalsh(v.astype(complex) + 1j * j)
-    return float(np.min(eigs))
-
-
 def assert_physical(v: np.ndarray, j: np.ndarray, tol: float = 1e-8) -> None:
     defect = physicality_defect(v, j)
     if defect < -tol:
@@ -246,45 +233,22 @@ def propagate_covariance_batch(
     ``kappa`` is per member (default: the table's), so one batch may
     hold a sweep's isolated members (the same network at ``kappa = 0``)
     beside its open ones; ``eta`` defaults to the model's size.  The
-    batch runs in physical time on one step sequence: from 0 to each
-    distinct quench time in turn, one :func:`solve_to` call each, with
-    the members whose quench has ended leaving the batch there.  The explicit stepper is stability-limited
-    by the strongly damped chain, in physical time and alike for every
-    member: the step is capped at ``3.5`` over the drift's spectral
-    radius, and the controller holds it near the stability edge of the
-    fastest chain mode, so most steps are shorter than the cap.
-
-    Returns ``(s_times, V, system)`` with V of shape (S, B, 2n, 2n) and
-    member ``b`` sampled at ``t = s tau_b``; sampling (``s_samples``)
-    needs members of one quench time.  ``system`` is the table's network.
+    batch runs on :func:`critquench.moments.propagate_batch` in physical
+    time at the drift's spectral radius: the damped chain holds the step
+    near the stability edge of its fastest mode, alike for every member.
+    Returns ``(s_times, V, system)``, ``system`` the table's network.
     """
     tau, g_f, r_n, kappa, eta = broadcast_members(
         tau_q, g_final, r_n, params.kappa if kappa is None else kappa, model.eta if eta is None else eta
     )
-    ends = np.unique(tau)
-    if s_samples is not None and ends.size > 1:
-        raise ValueError("sampling needs members of one quench time")
     systems = {k: build_system(model, 0.0, replace(params, kappa=k)) for k in {params.kappa, *kappa.tolist()}}
     drift_base = np.stack([systems[k].drift_base() for k in kappa.tolist()])
     system = systems[params.kappa]
+    diffusion = np.broadcast_to(system.d_matrix, drift_base.shape)
     # read at call time: reference runs tighten the cap by rebinding the name
-    cap = 3.5 / max(_drift_spectral_radius(s) for s in systems.values())
-    eff = replace(settings, max_step=min(settings.max_step, cap))
-    t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * ends[0]
-
-    v = np.broadcast_to(np.eye(system.dim), (tau.size,) + (system.dim,) * 2).copy()
-    active, start = np.arange(tau.size), 0.0
-    for end in ends.tolist():
-        members = tau[active]
-        rhs = lyapunov_batch_rhs(
-            drift_base[active], system.d_matrix, model, members, g_f[active], r_n[active], eta[active], end=members
-        )
-        ts, vs = solve_to(rhs, start, end, v[active], settings=eff, t_samples=t_samples)
-        v[active] = vs[-1]
-        active, start = active[members > end], end
-    if t_samples is None:
-        return np.ones(1), v[None], system
-    return ts / ends[0], vs, system
+    rate = max(_drift_spectral_radius(s) for s in systems.values())
+    ss, vs = propagate_batch(drift_base, diffusion, model, tau, tau, g_f, r_n, eta, rate, settings, s_samples)
+    return ss, vs, system
 
 
 PARAMS_FILE_DOC = """\

@@ -145,6 +145,7 @@ def _cmd_steady_state(args) -> int:
 def _cmd_dump_trajectory(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    moments.trajectory_delimiter(args.out)  # reject a bad --out before propagating
     config = load_config(args.config)
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
     traj = moments.integrate(protocol, config.model, config.bath, config.settings, args.samples)

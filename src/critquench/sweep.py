@@ -296,7 +296,7 @@ def run_size_crossover(config: ExperimentConfig) -> SizeCrossoverResult:
         raise ConfigError("model.kind", "size crossover needs a finite-size model (qrm or lmg)")
     if config.bath_type != "markovian":
         raise ConfigError("bath.type", "size crossover supports markovian baths only")
-    etas = np.unique(config.eta_list)
+    etas = np.array(sorted(set(config.eta_list)))
     if etas.size < 3:
         raise ConfigError("size.eta_list", "need at least 3 distinct sizes")
     if config.is_isolated:

@@ -120,9 +120,9 @@ def test_structured_batch_is_one_solve_per_leg(monkeypatch):
     taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
     solves = spy_solves(monkeypatch)
     sweep.compute_chunk(cfg, taus)
-    assert not solves["moments"] and not sweep._ISOLATED_CACHE
-    assert len(solves["auxbath"]) == taus.size
-    for k, (members, times) in enumerate(solves["auxbath"]):
+    assert not solves["auxbath"] and not sweep._ISOLATED_CACHE
+    assert len(solves["moments"]) == taus.size
+    for k, (members, times) in enumerate(solves["moments"]):
         assert members == 2 * (taus.size - k)
         assert_tracer_call_pattern(times, 0.0 if k == 0 else taus[k - 1], taus[k])
 

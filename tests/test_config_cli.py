@@ -1,7 +1,10 @@
 """Config parsing, sweep orchestration, CSV/report contracts, CLI exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +179,7 @@ class TestConfigParsing:
         assert seen == [config_tols]
         seen.clear()
         sweep.compute_chunk(structured, taus)
-        assert seen == [("auxbath", 1e-9, 1e-11)] * taus.size
+        assert seen == [("moments", 1e-9, 1e-11)] * taus.size
         seen.clear()
         path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
         out = tmp_path / "traj.tsv"
@@ -329,6 +332,49 @@ class TestRunSweep:
         assert len(failed) == 1 and failed[0].tau_q == 100.0
         assert math.isnan(failed[0].values["e_r"][1])
         assert "failed rows = 1" in result.report_text
+
+    def test_unphysical_member_is_a_failed_row(self, monkeypatch):
+        # a member that ends with V + iJ not positive fails its row; the rest stay finite
+        text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
+        cfg = build_config(parse_config_text(text))
+        taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+        real = moments.solve_to
+
+        def solve_to(rhs, t0, t1, y0, settings, t_samples=None):
+            ts, vs = real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+            if t1 == taus[1]:
+                vs[-1, 0] = 0.5 * np.eye(y0.shape[-1])  # the isolated member of taus[1]
+            return ts, vs
+
+        monkeypatch.setattr(moments, "solve_to", solve_to)
+        iso, opn, errors = sweep.compute_chunk(cfg, taus)
+        assert list(errors) == [1] and "unphysical state" in errors[1]
+        for leg in (iso, opn):
+            assert np.isnan(leg["e_r"][1]) and np.all(np.isfinite(np.delete(leg["e_r"], 1)))
+
+    def test_sweeps_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma lazily, at about 1 MB of resident memory
+        code = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from critquench import sweep
+from critquench.config import build_config, parse_config_text
+grid = "sweep.tau_min = 10\\nsweep.tau_max = 20\\nsweep.points_per_decade = 5\\nobservables = e_r\\n"
+sweep.run_sweep(build_config(parse_config_text(grid + "bath.kappa = 1e-3\\n")))
+sweep.run_sweep(build_config(parse_config_text(grid + "bath.type = structured\\n")))
+size = "model.kind = qrm\\nmodel.eta = 100\\nbath.kappa = 1e-3\\nsize.eta_list = 10, 100, 1000\\n"
+sweep.run_size_crossover(build_config(parse_config_text(grid + size)))
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        if out.stdout.strip() == "preloaded":
+            pytest.skip("import numpy alone loads numpy.ma")
+        assert out.stdout.strip() == "False"
 
     def test_lockstep_row_failure_loses_both_legs(self, tmp_path, monkeypatch):
         # the open leg fails at one quench time: the batch falls back to
@@ -534,6 +580,17 @@ class TestCli:
         args = ["--config", str(path), "--tau", "25", "--samples", "-3", "--out", str(out)]
         assert cli.main(["dump-trajectory", *args]) == 2
         assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dump_trajectory_rejects_a_bad_out_before_propagating(self, tmp_path, monkeypatch, capsys):
+        def integrate(*args, **kwargs):
+            raise AssertionError("propagated before checking --out")
+
+        monkeypatch.setattr(moments, "integrate", integrate)
+        path = write_config(tmp_path)
+        out = tmp_path / "x.txt"
+        assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "25", "--out", str(out)]) == 2
+        assert ".tsv or .csv" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dump_trajectory_rejects_infinite_tau(self, tmp_path, capsys):

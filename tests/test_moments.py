@@ -17,7 +17,8 @@ from critquench import (
     steady_state_covariance,
     thermal_bath,
 )
-from critquench.errors import DomainError, PhysicalityError
+from critquench import moments
+from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
 
@@ -188,6 +189,53 @@ class TestMomentRhs:
         linear = lyapunov_batch_rhs(drift_base[:3], diffusion[:3], model, tau[:3], g_final[:3], np.ones(3))
         for s in (0.0, 0.137, 0.5, 0.999, 1.0):
             assert linear(s, v[:3]).tobytes() == mixed(s, v)[:3].tobytes()
+
+
+def spy_solve_spans(monkeypatch):
+    """Record ``(t0, t1, members)`` of every ``solve_to`` call of the engine."""
+    spans, real = [], moments.solve_to
+
+    def solve_to(rhs, t0, t1, y0, settings, t_samples=None):
+        spans.append((t0, t1, y0.shape[0]))
+        return real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+
+    monkeypatch.setattr(moments, "solve_to", solve_to)
+    return spans
+
+
+class TestEngine:
+    def test_members_leave_at_their_end(self, monkeypatch):
+        # physical time: one solve per distinct end, the end-1 member leaving after the first
+        tau = np.array([2.0, 1.0, 2.0])
+        drift_base, diffusion = thermal_bath(np.full(3, 0.1), 0.0)
+        spans = spy_solve_spans(monkeypatch)
+        args = (THERMODYNAMIC, tau, tau, np.ones(3), np.ones(3), np.full(3, THERMODYNAMIC.eta), 2.5)
+        ss, vs = moments.propagate_batch(drift_base, diffusion, *args)
+        assert spans == [(0.0, 1.0, 3), (1.0, 2.0, 2)]
+        assert ss.tolist() == [1.0] and vs.shape == (1, 3, 2, 2)
+        # the member that left carries its own quench to its end
+        alone = integrate(QuenchProtocol(1.0, 1.0), bath=BathSpec(kappa=0.1), samples=0).final
+        assert np.allclose(vs[0, 1], alone, rtol=1e-8, atol=0.0)
+        with pytest.raises(ValueError, match="one quench time"):
+            moments.propagate_batch(drift_base, diffusion, *args, s_samples=[0.0, 1.0])
+
+    def test_markovian_batch_of_mixed_quench_times_is_one_solve(self, monkeypatch):
+        spans = spy_solve_spans(monkeypatch)
+        moments.propagate_moments_batch([5.0, 10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, 1e-3, 0.0)
+        assert spans == [(0.0, 1.0, 3)]
+
+    def test_unphysical_final_state_fails_at_its_end(self, monkeypatch):
+        real = moments.solve_to
+
+        def squeezed(rhs, t0, t1, y0, settings, t_samples=None):
+            ts, vs = real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+            vs[-1, 1] = 0.5 * np.eye(2)  # V + iJ has eigenvalue -1/2
+            return ts, vs
+
+        monkeypatch.setattr(moments, "solve_to", squeezed)
+        with pytest.raises(IntegrationFailure, match="unphysical state") as err:
+            moments.propagate_moments_batch([5.0, 10.0], 1.0, 1.0, THERMODYNAMIC, 1e-3, 0.0)
+        assert err.value.t_last == 1.0
 
 
 class TestIntegrate:
