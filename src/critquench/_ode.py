@@ -12,7 +12,11 @@ There is one stage loop, :func:`solve_to`; its step control (clamping,
 budget and underflow checks, accept/reject and growth, sampling) lives
 in :class:`_StepControl`.  The isolated and open legs of a sweep are
 two blocks of members of one batch, so they take one step sequence
-together.
+together.  The loop allocates its stage stack and one stage-state
+buffer once per call: every stage state is built in that buffer and
+handed to the right-hand side, whose result is copied into the stack at
+once, so a result aliasing its argument is safe; ``|y|`` of an accepted
+step is carried into the next error scale.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
@@ -189,12 +193,15 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
 
     k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
     k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
+    # every stage state y + h_try * dy is built in this one buffer
+    dy_flat = np.empty((1, k_flat.shape[1]), dtype=y.dtype)
+    dy = dy_flat.reshape(shape)
+    abs_y = np.abs(y)
     while not step.done:
         t, h_try = step.t, step.attempt()
         k_stack[0] = f
         for i in range(1, tab.N_STAGES):
-            # y + h_try * dy, built in the fresh product
-            dy = np.dot(_A_ROWS[i], k_flat[:i]).reshape(shape)
+            np.dot(_A_ROWS[i], k_flat[:i], out=dy_flat)
             dy *= h_try
             dy += y
             k_stack[i] = rhs(t + _C[i] * h_try, dy)
@@ -203,10 +210,11 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
         k_stack[tab.N_STAGES] = f_new
 
         # scaled 5th- and 3rd-order error estimates, each of shape (1, M)
-        scale = (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))).reshape(1, -1)
+        abs_y_new = np.abs(y_new)
+        scale = (atol + rtol * np.maximum(abs_y, abs_y_new)).reshape(1, -1)
         err5, err3 = np.dot(_E5_ROW, k_flat) / scale, np.dot(_E3_ROW, k_flat) / scale
         if step.settle(_error_norm(err5, err3, h_try)):
-            y, f = y_new, f_new
+            y, f, abs_y = y_new, f_new, abs_y_new
             step.sample(y)
 
     return np.asarray(step.ts), np.stack(step.ys)

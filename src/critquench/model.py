@@ -143,6 +143,27 @@ def ground_state_covariance(g: float) -> np.ndarray:
     return np.diag([1.0 / root, root])
 
 
+def quadrature_coefficients(model: ModelSpec, eta=None):
+    """Per-member polynomial coefficients of the quadrature form in ``x = g^2``.
+
+    Returns ``(a, b)`` with ``h_qq = a0 + a1 x + a2 x^2`` and
+    ``h_pp = b0 + b1 x``; ``a`` and ``b`` are tuples of arrays of the
+    shape of ``eta`` (default: the model's size).  The thermodynamic
+    limit is ``a = (w, -w, 0)``, ``b = (w, 0)``; QRM adds the quartic
+    ``a2 = 2 c w / eta``; LMG has ``a1 = -w (1 - 3/(4 eta))`` and
+    ``b1 = w / (4 eta)``.  This table is the one place the models'
+    forms are written (see :func:`quadrature_form`).
+    """
+    eta = np.asarray(model.eta if eta is None else eta, dtype=float)
+    omega = np.full_like(eta, model.omega)
+    zero = np.zeros_like(eta)
+    if model.kind is ModelKind.LMG:
+        return (omega, -omega * (1.0 - 0.75 / eta), zero), (omega, 0.25 * omega / eta)
+    if model.kind is ModelKind.QRM:
+        return (omega, -omega, 2.0 * model.qrm_quartic_coeff * omega / eta), (omega, zero)
+    return (omega, -omega, zero), (omega, zero)
+
+
 def quadrature_form(model: ModelSpec, g, eta=None):
     """Coefficients (h_qq, h_pp) of ``H = (h_qq q^2 + h_pp p^2) / 2``.
 
@@ -152,19 +173,14 @@ def quadrature_form(model: ModelSpec, g, eta=None):
     by twice its drive ``G = g^2 w/2 - c g^4 w/eta``; LMG keeps
     ``h_qq = w - g^2 w (1 - 3/(4 eta))`` and stiffens the momentum to
     ``h_pp = w + g^2 w/(4 eta)``.  ``eta`` defaults to the model's size
-    and may be an array broadcasting against g (size sweeps).
-    Unvalidated: this is the propagation's hot path.
+    and may be an array broadcasting against g (size sweeps).  Evaluates
+    the table of :func:`quadrature_coefficients` by Horner's rule at
+    ``x = g^2``; unvalidated.
     """
+    (a0, a1, a2), (b0, b1) = quadrature_coefficients(model, eta)
     g = np.asarray(g, dtype=float)
-    eta = model.eta if eta is None else eta
-    omega = model.omega
-    g2w = g * g * omega
-    if model.kind is ModelKind.LMG:
-        return omega - g2w * (1.0 - 0.75 / eta), omega + 0.25 * g2w / eta
-    if model.kind is ModelKind.QRM:
-        drive = 0.5 * g2w - model.qrm_quartic_coeff * g2w * g * g / eta
-        return omega - 2.0 * drive, omega
-    return omega - g2w, omega
+    x = g * g
+    return a0 + x * (a1 + x * a2), b0 + x * b1
 
 
 def excitation_gap(model: ModelSpec, g) -> float:

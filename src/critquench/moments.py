@@ -146,15 +146,31 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def physicality_defect(v: np.ndarray, j: np.ndarray):
-    """Most negative eigenvalue of V + iJ (>= 0 for physical states), per matrix of a stack."""
-    return np.linalg.eigvalsh(v + 1j * j)[..., 0]
+    """Most negative eigenvalue of V + iJ (>= 0 for physical states), per matrix of a stack.
+
+    Taken from the real symmetric embedding ``[[V, -J], [J, V]]``, which
+    has every eigenvalue of the Hermitian ``V + iJ`` twice, so only the
+    real symmetric eigensolver is needed.
+    """
+    v = np.asarray(v, dtype=float)
+    d = v.shape[-1]
+    embedding = np.empty(v.shape[:-2] + (2 * d, 2 * d))
+    embedding[..., :d, :d] = v
+    embedding[..., d:, d:] = v
+    embedding[..., d:, :d] = j
+    embedding[..., :d, d:] = -j
+    return np.linalg.eigvalsh(embedding)[..., 0]
 
 
 def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.ndarray:
     """Write the ramped system block of ``J H(g)`` into ``drift`` in place.
 
     ``drift`` is one matrix or a stack over members (then ``g`` and
-    ``eta`` broadcast over the stack); returns it for chaining.
+    ``eta`` broadcast over the stack); returns it for chaining.  Used at
+    a frozen coupling (:func:`steady_state_covariance`,
+    :meth:`critquench.auxbath.SymplecticSystem.drift`); a propagation
+    writes the same block from the coefficient table itself
+    (:func:`lyapunov_batch_rhs`).
     """
     n = drift.shape[-1] // 2
     h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
@@ -163,35 +179,61 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
     return drift
 
 
+def _horner(coeffs, x, out) -> None:
+    """``coeffs[0] + x coeffs[1] + x^2 coeffs[2] + ...`` written into ``out``."""
+    np.multiply(coeffs[-1], x, out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= x
+    out += coeffs[0]
+
+
 def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0):
     """``dV/du = (tau_q / end) (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
 
     Each member reads its ramp at its own clock ``s = u / end`` of the
     solver's one time ``u``, rescaled time at ``end = 1`` (the default)
     and physical time at ``end = tau_q`` (see :func:`propagate_batch`).
-    ``drift_base`` (one matrix, or one per member) holds every drift
-    entry but the ramped system block, which each call rewrites in a
-    buffer allocated once here; the other entries are never touched, so
-    the result depends on ``(u, V)`` only.  V must be symmetric, as
-    ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output is exactly
-    symmetric, so a flow started from a symmetric V stays exactly
-    symmetric through every Runge-Kutta stage.  ``tau_q``, ``g_final``,
-    ``r_n``, ``eta`` and ``end`` are per member.
+    The rate ``tau_q / end`` is folded in once, here, into a drift
+    buffer holding ``drift_base`` (one matrix, or one per member), into
+    the diffusion and into the coefficients of
+    :func:`critquench.model.quadrature_coefficients`.  A call writes
+    only the ramped entries, by Horner's rule at ``x = g^2`` with
+    ``g = g_final ramp(s)``: ``Gamma[p_1, q_1] = -rate h_qq(x)``, and
+    ``Gamma[q_1, p_1] = rate h_pp(x)`` where ``h_pp`` moves with the
+    coupling (LMG); a constant ``h_pp`` is written once.  No other entry
+    is touched, so the result depends on ``(u, V)`` only.  V must be
+    symmetric, as ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output
+    is a fresh, exactly symmetric array, so a flow started from a
+    symmetric V stays exactly symmetric through every Runge-Kutta
+    stage.  ``tau_q``, ``g_final``, ``r_n``, ``eta`` and ``end`` are per
+    member.
     """
-    drift = np.array(np.broadcast_to(drift_base, tau_q.shape + np.shape(drift_base)[-2:]))
-    # the rate spread over whole matrices, as a broadcast (B, 1, 1) product
-    # costs more per call than the arithmetic it does; a unit rate is skipped
     rate = tau_q / end
-    rate = None if np.all(rate == 1.0) else np.array(np.broadcast_to(rate[:, None, None], drift.shape))
+    drift, diffusion = rate[:, None, None] * drift_base, rate[:, None, None] * diffusion
+    a, b = model_mod.quadrature_coefficients(model, eta)
+    n = drift.shape[-1] // 2
+    # (coefficients, entry) of each ramped entry; a coefficient that is
+    # zero for every member is dropped, and a constant entry written once
+    ramped = []
+    for coeffs, entry in (([-c * rate for c in a], drift[:, n, 0]), ([c * rate for c in b], drift[:, 0, n])):
+        while len(coeffs) > 1 and not np.any(coeffs[-1]):
+            coeffs.pop()
+        if len(coeffs) == 1:
+            entry[...] = coeffs[0]
+        else:
+            ramped.append((coeffs, entry))
+    m = np.empty_like(drift)
     ramp = ramp_profile(r_n)
 
     def rhs(u, v):
-        set_system_block(drift, model, g_final * ramp(u / end), eta=eta)
-        m = drift @ v
+        g = g_final * ramp(u / end)
+        x = g * g
+        for coeffs, entry in ramped:
+            _horner(coeffs, x, entry)
+        np.matmul(drift, v, out=m)
         out = m + m.swapaxes(-1, -2)
         out += diffusion
-        if rate is not None:
-            out *= rate
         return out
 
     return rhs

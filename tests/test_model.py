@@ -19,6 +19,7 @@ from critquench.model import (
     ground_state_covariance,
     quadrature_form,
 )
+from critquench.model import quadrature_coefficients
 from critquench.scaling import predict_regime
 
 from helpers_fock import fock_expectations, fock_ground_state
@@ -248,6 +249,52 @@ class TestQuadraticCoefficients:
             )
             h_qq, h_pp = quadrature_form(member, g[i])
             assert q_arr[i] == h_qq and p_arr[i] == h_pp
+
+
+def closed_form(model, g, eta):
+    """(h_qq, h_pp) as the :func:`quadrature_form` docstring writes them."""
+    w = model.omega
+    g2w = g * g * w
+    if model.kind is ModelKind.LMG:
+        return w - g2w * (1.0 - 3.0 / (4.0 * eta)), w + g2w / (4.0 * eta)
+    if model.kind is ModelKind.QRM:
+        return w - 2.0 * (0.5 * g2w - model.qrm_quartic_coeff * g2w * g * g / eta), w + 0.0 * g
+    return w - g2w, w + 0.0 * g
+
+
+class TestCoefficientTable:
+    """The coefficient table evaluated at x = g^2 is the printed closed form."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ModelSpec(),
+            ModelSpec(kind=ModelKind.QRM, eta=25.0),
+            ModelSpec(kind=ModelKind.QRM, eta=25.0, qrm_quartic_coeff=QRM_QUARTIC_COEFF_NORMAL_ORDERED),
+            ModelSpec(kind=ModelKind.QRM, eta=math.inf),
+            ModelSpec(kind=ModelKind.LMG, eta=40.0, omega=1.3),
+            ModelSpec(kind=ModelKind.LMG, eta=math.inf, omega=0.7),
+        ],
+        ids=["thermodynamic", "qrm", "qrm-normal-ordered", "qrm-inf", "lmg", "lmg-inf"],
+    )
+    def test_table_matches_closed_form_within_two_ulp(self, model):
+        rng = np.random.default_rng(13)
+        g = rng.uniform(0.0, 1.0, 200)
+        sizes = [model.eta] if model.kind is ModelKind.THERMODYNAMIC else [model.eta, 3.0, 1e3, math.inf]
+        eta_arr = rng.choice(sizes, g.size)
+        for eta in (model.eta, eta_arr):
+            (a0, a1, a2), (b0, b1) = quadrature_coefficients(model, eta)
+            assert np.shape(a0) == np.shape(b1) == np.shape(eta)
+            x = g * g
+            h_qq, h_pp = a0 + x * (a1 + x * a2), b0 + x * b1
+            want_qq, want_pp = closed_form(model, g, eta)
+            # the rounding scale of each form is that of its largest term
+            scale_qq = model.omega * (1.0 + x + 2.0 * model.qrm_quartic_coeff * x * x / eta)
+            assert np.all(np.abs(h_qq - want_qq) <= 2.0 * np.spacing(scale_qq))
+            assert np.all(np.abs(h_pp - want_pp) <= 2.0 * np.spacing(model.omega * (1.0 + x)))
+            # quadrature_form is this table's evaluation
+            form = np.broadcast_arrays(*quadrature_form(model, g, eta=eta))
+            assert form[0].tobytes() == h_qq.tobytes() and form[1].tobytes() == h_pp.tobytes()
 
 
 class TestModelSpecValidation:

@@ -21,6 +21,8 @@ from critquench import moments
 from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
+from critquench.moments import physicality_defect, set_system_block, symplectic_form
+from critquench.protocol import ramp_shape
 
 from helpers_fock import propagate_master_equation
 
@@ -189,6 +191,55 @@ class TestMomentRhs:
         linear = lyapunov_batch_rhs(drift_base[:3], diffusion[:3], model, tau[:3], g_final[:3], np.ones(3))
         for s in (0.0, 0.137, 0.5, 0.999, 1.0):
             assert linear(s, v[:3]).tobytes() == mixed(s, v)[:3].tobytes()
+
+
+class TestFoldedRhs:
+    """The RHS with its rate and coefficients folded in at build time
+    equals ``rate (Gamma V + V Gamma^T + D)`` with Gamma from set_system_block."""
+
+    MODELS = [THERMODYNAMIC, ModelSpec(kind=ModelKind.QRM, eta=30.0), ModelSpec(kind=ModelKind.LMG, eta=30.0, omega=1.2)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["thermodynamic", "qrm", "lmg"])
+    @pytest.mark.parametrize("r_n", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.5, 1.0]], ids=["linear", "mixed"])
+    @pytest.mark.parametrize("clock", ["rescaled", "physical"])
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_matches_unfolded_lyapunov_form(self, model, r_n, clock, n_modes):
+        rng = np.random.default_rng(17)
+        tau = np.array([3.0, 40.0, 700.0, 9.5])
+        g_final = np.array([1.0, 0.9, 0.6, 0.95])
+        eta = None if model.kind is ModelKind.THERMODYNAMIC else np.array([30.0, 5.0, 1e3, np.inf])
+        r_n = np.array(r_n)
+        dim = 2 * n_modes
+        drift_base = rng.normal(size=(4, dim, dim))
+        m = rng.normal(size=(4, dim, dim))
+        diffusion = m @ m.swapaxes(-1, -2)
+        v = rng.normal(size=(4, dim, dim))
+        v = v @ v.swapaxes(-1, -2) + np.eye(dim)
+        end = 1.0 if clock == "rescaled" else tau
+        rhs = lyapunov_batch_rhs(drift_base, diffusion, model, tau, g_final, r_n, eta=eta, end=end)
+        for u in np.array([0.0, 0.37, 0.81, 1.0]) * np.min(end):
+            got = rhs(u, v)
+            g = g_final * ramp_shape(u / end, r_n)
+            gamma = set_system_block(drift_base.copy(), model, g, eta=eta)
+            gv = gamma @ v
+            want = (tau / end)[:, None, None] * (gv + gv.swapaxes(-1, -2) + diffusion)
+            for b in range(4):
+                assert np.max(np.abs(got[b] - want[b])) <= 1e-14 * np.max(np.abs(want[b]))
+
+
+class TestPhysicalityDefect:
+    @pytest.mark.parametrize("dim", [2, 10])
+    def test_real_embedding_matches_complex_eigensolver(self, dim):
+        rng = np.random.default_rng(dim)
+        j = symplectic_form(dim // 2)
+        m = rng.normal(size=(40, dim, dim))
+        # scales below and above the uncertainty bound: unphysical and physical states
+        v = (m @ m.swapaxes(-1, -2)) / dim * rng.uniform(0.05, 3.0, 40)[:, None, None]
+        v += np.eye(dim) * rng.uniform(0.0, 2.0, 40)[:, None, None]
+        want = np.linalg.eigvalsh(v + 1j * j)[..., 0]
+        assert np.any(want < -1e-3) and np.any(want > 1e-3)
+        np.testing.assert_allclose(physicality_defect(v, j), want, rtol=0.0, atol=1e-13)
+        assert physicality_defect(v[0], j) == pytest.approx(want[0], abs=1e-13)
 
 
 def spy_solve_spans(monkeypatch):

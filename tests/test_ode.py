@@ -122,6 +122,24 @@ class TestSamplingAndControl:
         assert err.value.t_last == 0.0
 
 
+class TestBufferAliasing:
+    """The stage state is built in a buffer reused across stages and
+    steps; a right-hand side may return that very buffer or a view of it."""
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [lambda t, y: y, lambda t, y: y[...]],
+        ids=["argument", "view"],
+    )
+    def test_growth_returning_the_argument(self, rhs):
+        samples = np.linspace(0.0, 2.0, 9)
+        y0 = np.array([[1.0, 2.0], [0.5, -1.0]])
+        ts, ys = solve_to(rhs, 0.0, 2.0, y0, t_samples=samples)
+        assert np.array_equal(ts, samples)
+        want = np.exp(samples)[:, None, None] * y0
+        np.testing.assert_allclose(ys, want, rtol=1e-9, atol=0.0)
+
+
 class TestAgainstScipy:
     def test_random_linear_system(self):
         rng = np.random.default_rng(7)
