@@ -5,8 +5,8 @@ Covers the single-mode normal-phase Hamiltonian
 model (QRM) and the Lipkin-Meshkov-Glick (LMG) model at large size,
 its leading 1/eta finite-size corrections for both models, the
 mean-field critical-exponent catalog, and closed-form ground-state
-quantities (energy, gap, squeezed covariance) used as oracles by
-the dynamical modules.
+quantities (energy, gap, squeezed covariance), which no propagation
+calls: they are public API and the test suite's oracles.
 """
 
 from __future__ import annotations

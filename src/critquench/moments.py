@@ -167,9 +167,10 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
 
     ``drift`` is one matrix or a stack over members (then ``g`` and
     ``eta`` broadcast over the stack); returns it for chaining.  Used at
-    a frozen coupling (:func:`steady_state_covariance`,
-    :meth:`critquench.auxbath.SymplecticSystem.drift`); a propagation
-    writes the same block from the coefficient table itself
+    a frozen coupling (:func:`steady_state_covariance`, and the
+    structured bath's step cap in
+    :func:`critquench.auxbath.propagate_covariance_batch`); a
+    propagation writes the same block from the coefficient table itself
     (:func:`lyapunov_batch_rhs`).
     """
     n = drift.shape[-1] // 2
@@ -402,15 +403,20 @@ def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -
     Solves ``Gamma(g) V + V Gamma(g)^T + D = 0`` for a bath given as
     drift base and diffusion (``bath.lyapunov_terms(model)`` of either
     bath type).  Requires a strictly damped drift: the isolated flow
-    (kappa = 0) has no attracting fixed point.
+    (kappa = 0) has no attracting fixed point, and a bath that shifts
+    the critical point leaves a growing mode near ``g = 1``.
     """
     from scipy.linalg import solve_continuous_lyapunov
 
     if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
         raise DomainError("coupling g must lie in [0, 1]")
     drift = set_system_block(np.array(drift_base, dtype=float), model, g)
-    if not np.max(np.linalg.eigvals(drift).real) < 0.0:
-        raise DomainError("steady state requires a strictly damped drift (kappa > 0)")
+    growth = float(np.max(np.linalg.eigvals(drift).real)) + 0.0  # + 0.0 turns -0.0 into 0 for the message
+    if not growth < 0.0:
+        raise DomainError(
+            f"steady state requires a strictly damped drift, but at g = {g:g} its largest eigenvalue"
+            f" real part is {growth:.3g}"
+        )
     return solve_continuous_lyapunov(drift, -np.asarray(diffusion))
 
 

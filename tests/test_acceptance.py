@@ -37,17 +37,17 @@ from critquench import (
     observables_from_covariance,
     optimal_quench_time,
 )
-from critquench.auxbath import (
-    DEFAULT_OHMIC,
-    AuxBathParams,
-    AuxOscillator,
-    load_params,
-    physicality_defect,
-    symplectic_form,
-)
+from critquench.auxbath import DEFAULT_OHMIC, AuxBathParams, AuxOscillator, load_params
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import lyapunov_batch_rhs, observable_arrays, propagate_moments_batch, thermal_bath
+from critquench.moments import (
+    lyapunov_batch_rhs,
+    observable_arrays,
+    physicality_defect,
+    propagate_moments_batch,
+    symplectic_form,
+    thermal_bath,
+)
 from critquench.scaling import fit_power_law, kz_akz_tradeoff, predicted_akz_exponent
 from critquench.sweep import run_size_crossover, run_sweep
 

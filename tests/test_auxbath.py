@@ -19,28 +19,51 @@ from critquench.auxbath import (
     DEFAULT_OHMIC,
     AuxBathParams,
     AuxOscillator,
-    assert_physical,
     build_system,
     dump_params,
     load_params,
     ohmic_spectral_density,
-    physicality_defect,
     propagate_covariance_batch,
-    symplectic_form,
 )
 from critquench.config import build_config, parse_config_text
 from critquench.errors import DomainError, PhysicalityError
 from critquench.model import THERMODYNAMIC
-from critquench.moments import lyapunov_batch_rhs
+from critquench.moments import lyapunov_batch_rhs, physicality_defect, set_system_block, symplectic_form
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def lyapunov_rhs(v, system, g):
+def network(params: AuxBathParams, g: float, model=THERMODYNAMIC):
+    """Drift at coupling g and diffusion of the system + chain network."""
+    drift, diffusion = build_system(model, params)
+    return set_system_block(drift, model, g), diffusion
+
+
+def upsilon(params: AuxBathParams, model=THERMODYNAMIC) -> np.ndarray:
+    """``sum_k lambda_k lambda_k^dag`` of the jumps ``L_k = sqrt(gamma_k) b_k = lambda_k . J x``."""
+    n = params.n_oscillators + 1
+    wc = params.omega_c * model.omega
+    ups = np.zeros((2 * n, 2 * n), dtype=complex)
+    for idx, osc in enumerate(params.oscillators):
+        # J x = (p, -q), so lambda . J x = s (q_k + i p_k) = sqrt(gamma) b_k
+        s = np.sqrt(osc.gamma * wc / 2.0)
+        lam = np.zeros(2 * n, dtype=complex)
+        lam[1 + idx], lam[n + 1 + idx] = 1j * s, -s
+        ups += np.outer(lam, lam.conj())
+    return ups
+
+
+def hamiltonian(drift: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """H of ``Gamma = J H - Im(Upsilon) J``, recovered as ``-J (Gamma + Im(Upsilon) J)``."""
+    j = symplectic_form(drift.shape[-1] // 2)
+    return -j @ (drift + np.imag(ups) @ j)
+
+
+def lyapunov_rhs(v, terms, g, model=THERMODYNAMIC):
     """dV/dt at frozen coupling g, from the batch RHS with B = 1."""
     one = np.array([1.0])
-    rhs = lyapunov_batch_rhs(system.drift_base(), system.d_matrix, system.model, one, np.array([g]), one)
+    rhs = lyapunov_batch_rhs(*terms, model, one, np.array([g]), one)
     return rhs(1.0, v[None])[0]
 
 
@@ -139,33 +162,39 @@ class TestParams:
 class TestBuildSystem:
     def test_decoupled_system_block_is_single_mode(self):
         params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
-        system = build_system(THERMODYNAMIC, 0.7, params)
-        h = system.h_matrix(0.7)
-        n = system.n_modes
+        drift, _ = network(params, 0.7)
+        h = hamiltonian(drift, upsilon(params))
+        n = drift.shape[-1] // 2
         assert h[0, 0] == pytest.approx(1.0 - 0.49, abs=1e-15)
         assert h[n, n] == 1.0
         assert np.all(h[0, 1:n] == 0.0) and np.all(h[0, n + 1 :] == 0.0)
 
     def test_oscillator_frequencies_on_diagonal(self):
-        system = build_system(THERMODYNAMIC, 0.0, DEFAULT_OHMIC)
-        n = system.n_modes
+        drift, _ = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
+        h = hamiltonian(drift, upsilon(DEFAULT_OHMIC))
+        n = drift.shape[-1] // 2
         wc = DEFAULT_OHMIC.omega_c
         for idx, osc in enumerate(DEFAULT_OHMIC.oscillators):
-            assert system.h_base[1 + idx, 1 + idx] == pytest.approx(osc.omega * wc, rel=1e-15)
-            assert system.h_base[n + 1 + idx, n + 1 + idx] == pytest.approx(
-                osc.omega * wc, rel=1e-15
-            )
+            assert h[1 + idx, 1 + idx] == pytest.approx(osc.omega * wc, rel=1e-15)
+            assert h[n + 1 + idx, n + 1 + idx] == pytest.approx(osc.omega * wc, rel=1e-15)
 
     def test_symplectic_form_squares_to_minus_identity(self):
         j = symplectic_form(5)
         assert np.array_equal(j @ j, -np.eye(10))
 
     def test_h_symmetric_and_d_psd(self):
-        system = build_system(THERMODYNAMIC, 0.9, DEFAULT_OHMIC)
-        h = system.h
+        drift, diffusion = network(DEFAULT_OHMIC, 0.9)
+        ups = upsilon(DEFAULT_OHMIC)
+        n = drift.shape[-1] // 2
+        h = hamiltonian(drift, ups)
         assert np.array_equal(h, h.T)
-        eigs = np.linalg.eigvalsh(system.d_matrix)
-        assert np.min(eigs) >= -1e-15
+        # the drift's halves are H[n:] and -H[:n] off the damping
+        # diagonal, which holds -gamma w_c / 2 on each oscillator's q_k and p_k
+        damping = np.diag(np.real(ups))
+        assert np.array_equal(drift + np.diag(damping), np.vstack([h[n:], -h[:n]]))
+        assert np.all(damping[[0, n]] == 0.0) and np.all(damping[1:n] == damping[n + 1 :])
+        assert np.array_equal(diffusion, 2.0 * np.real(ups))
+        assert np.min(np.linalg.eigvalsh(diffusion)) >= -1e-15
 
     def test_drift_damping_identity_random_params(self):
         # D + i (Gamma J + J Gamma^T) must reproduce 2 Upsilon exactly;
@@ -182,35 +211,34 @@ class TestBuildSystem:
                 for k in range(3)
             )
             params = AuxBathParams(kappa=1e-3, omega_c=5.0, oscillators=oscs)
-            system = build_system(THERMODYNAMIC, float(rng.uniform(0.0, 1.0)), params)
-            gamma = system.drift(system.g)
-            combo = system.d_matrix + 1j * (gamma @ system.j + system.j @ gamma.T)
-            assert np.max(np.abs(combo - 2.0 * system.upsilon)) < 1e-12
-
-    def test_coupling_validated(self):
-        with pytest.raises(DomainError):
-            build_system(THERMODYNAMIC, 1.5, DEFAULT_OHMIC)
+            drift, diffusion = network(params, float(rng.uniform(0.0, 1.0)))
+            ups = upsilon(params)
+            j = symplectic_form(drift.shape[-1] // 2)
+            combo = diffusion + 1j * (drift @ j + j @ drift.T)
+            assert np.max(np.abs(combo - 2.0 * ups)) < 1e-12
+            assert np.min(np.linalg.eigvalsh(combo)) >= -1e-12
+            h = hamiltonian(drift, ups)
+            assert np.array_equal(h, h.T)
 
 
 class TestLyapunovRhs:
     def test_vacuum_fixed_point_of_damped_decoupled_chain(self):
-        params = _decoupled(DEFAULT_OHMIC)
-        system = build_system(THERMODYNAMIC, 0.0, params)
-        rhs = lyapunov_rhs(np.eye(system.dim), system, 0.0)
+        terms = network(_decoupled(DEFAULT_OHMIC), 0.0)
+        rhs = lyapunov_rhs(np.eye(terms[0].shape[-1]), terms, 0.0)
         assert np.max(np.abs(rhs)) < 1e-12
 
     def test_vacuum_invariant_without_damping(self):
-        params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
-        system = build_system(THERMODYNAMIC, 0.0, params)
-        rhs = lyapunov_rhs(np.eye(system.dim), system, 0.0)
+        terms = network(_decoupled(DEFAULT_OHMIC, keep_gamma=False), 0.0)
+        rhs = lyapunov_rhs(np.eye(terms[0].shape[-1]), terms, 0.0)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_rhs_symmetric_for_random_input(self):
         rng = np.random.default_rng(3)
-        system = build_system(THERMODYNAMIC, 0.5, DEFAULT_OHMIC)
-        m = rng.normal(size=(system.dim, system.dim))
+        terms = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
+        dim = terms[0].shape[-1]
+        m = rng.normal(size=(dim, dim))
         v = m + m.T
-        rhs = lyapunov_rhs(v, system, 0.5)
+        rhs = lyapunov_rhs(v, terms, 0.5)
         assert np.array_equal(rhs, rhs.T)
 
 
@@ -239,8 +267,7 @@ class TestPropagation:
 
     def test_physicality_preserved_along_driven_damped_run(self):
         traj = integrate(QuenchProtocol(1.0, 50.0), bath=DEFAULT_OHMIC, samples=26)
-        for v in traj.vs:
-            assert_physical(v, symplectic_form(5), tol=1e-8)
+        assert np.min(physicality_defect(traj.vs, symplectic_form(5))) >= -1e-8
 
     def test_weak_coupling_occupancy_floor(self):
         # T = 0 structured bath at g = 0 keeps the system at the kappa^2
@@ -261,8 +288,10 @@ class TestPropagation:
 
     def test_batch_layout(self):
         taus = np.array([20.0, 40.0])
-        ss, vs, system = propagate_covariance_batch(taus, 1.0, 1.0, DEFAULT_OHMIC)
-        assert vs.shape == (1, 2, system.dim, system.dim)
+        ss, vs = propagate_covariance_batch(taus, 1.0, 1.0, DEFAULT_OHMIC)
+        dim = vs.shape[-1]
+        assert dim == 2 * (DEFAULT_OHMIC.n_oscillators + 1)
+        assert vs.shape == (1, 2, dim, dim)
         # members of different quench times end at different physical times
         with pytest.raises(ValueError, match="one quench time"):
             propagate_covariance_batch(taus, 1.0, 1.0, DEFAULT_OHMIC, s_samples=[0.0, 0.5, 1.0])
@@ -329,8 +358,12 @@ class TestObservables:
 
 class TestSteadyState:
     def test_algebraic_fixed_point(self):
-        system = build_system(THERMODYNAMIC, 0.5, DEFAULT_OHMIC)
-        v = steady_state_covariance(THERMODYNAMIC, 0.5, system.drift_base(), system.d_matrix)
-        resid = lyapunov_rhs(v, system, 0.5)
+        terms = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
+        v = steady_state_covariance(THERMODYNAMIC, 0.5, *terms)
+        resid = lyapunov_rhs(v, terms, 0.5)
         assert np.max(np.abs(resid)) < 1e-10
-        assert physicality_defect(0.5 * (v + v.T), system.j) > -1e-8
+        assert physicality_defect(0.5 * (v + v.T), symplectic_form(5)) > -1e-8
+
+    def test_coupling_validated(self):
+        with pytest.raises(DomainError, match="coupling g"):
+            steady_state_covariance(THERMODYNAMIC, 1.5, *build_system(THERMODYNAMIC, DEFAULT_OHMIC))

@@ -628,6 +628,15 @@ class TestCli:
         assert cli.main(["steady-state", "--config", str(path), "--g", "0.5"]) == 0
         assert "dx" in capsys.readouterr().out
 
+    def test_steady_state_past_the_shifted_critical_point(self, tmp_path, capsys):
+        # kappa > 0, but the bath moves the critical point below g = 1:
+        # the error names the growing mode, not a missing damping
+        path = write_config(tmp_path, "bath.type = structured\n")
+        assert cli.main(["steady-state", "--config", str(path), "--g", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "at g = 1 its largest eigenvalue real part is 8.82e-05" in err
+        assert "kappa > 0" not in err
+
     def test_dump_trajectory_structured(self, tmp_path, capsys):
         text = (
             "model.kind = thermodynamic\nbath.type = structured\n"
