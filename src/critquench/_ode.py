@@ -12,11 +12,27 @@ There is one stage loop, :func:`solve_to`; its step control (clamping,
 budget and underflow checks, accept/reject and growth, sampling) lives
 in :class:`_StepControl`.  The isolated and open legs of a sweep are
 two blocks of members of one batch, so they take one step sequence
-together.  The loop allocates its stage stack and one stage-state
-buffer once per call: every stage state is built in that buffer and
+together.
+
+Each stage state is one ``np.dot``.  The loop allocates one stack of
+``N_STAGES + 2`` rows per call: ``k_12 ... k_0`` in reverse (stage
+``k_j`` in row ``12 - j``), then ``y`` in the last row.  Stage ``i``
+needs ``k_{i-1} ... k_0`` and ``y``, a contiguous suffix of the stack,
+so ``y + h sum_j a_ij k_j`` is the dot of that suffix with a weight row
+holding ``h a_ij`` and a final 1; ``y_new`` is the same dot with the
+``B`` row.  ``y`` comes last so that the increments are summed before
+it is added: with ``y`` first, each partial sum would round at
+``eps |y|``, and the structured excess drifts several times further
+from a long-double run.  The weights are scaled by ``h`` once per
+attempt.  Every stage state, and ``y_new``, is built in one buffer and
 handed to the right-hand side, whose result is copied into the stack at
-once, so a result aliasing its argument is safe; ``|y|`` of an accepted
-step is carried into the next error scale.
+once, so a result aliasing its argument is safe.  The first-same-as-last
+evaluation has its own row (``k_12``); it moves into ``k_0``'s row, and
+``y_new`` into ``y``'s, only when the step is accepted.  ``|y|`` of an
+accepted step is carried into the next error scale.  The 5th- and
+3rd-order error sums are two dots over the contiguous ``k_12 ... k_0``
+with reversed weight rows: ``np.dot`` would copy a reversed view of the
+stack, and one fused (2, 13) dot changes the bits under OpenBLAS.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
@@ -57,12 +73,16 @@ class IntegratorSettings:
 
 DEFAULT_SETTINGS = IntegratorSettings()
 
-# Stage weights as (1, i) rows: each stage sum is the (1, i) @ (i, M) np.dot
-# on the flat view of the stage stack that np.tensordot would make and call.
-_A_ROWS = [tab.A[i, :i].reshape(1, i) for i in range(tab.N_STAGES)]
-_B_ROW = tab.B.reshape(1, -1)
-_E5_ROW = tab.E5.reshape(1, -1)
-_E3_ROW = tab.E3.reshape(1, -1)
+# Weight rows over the stage stack of solve_to (rows k_12 ... k_0, then y):
+# row i (1 <= i < N_STAGES) builds stage state i from its suffix of i + 1
+# rows, row N_STAGES builds y_new from the 13-row suffix after k_12.  The
+# last column is y's; it is set to 1 after the table is scaled by h.  Each
+# sum is the (1, n) @ (n, M) np.dot that np.tensordot would make and call.
+_WEIGHTS = np.zeros((tab.N_STAGES + 1, tab.N_STAGES + 2))
+_WEIGHTS[:, 1:-1] = np.vstack([tab.A, tab.B])[:, ::-1]
+# error weights reversed to the stack's k_12 ... k_0, as contiguous (1, 13) rows
+_E5_ROW = tab.E5[::-1].reshape(1, -1).copy()
+_E3_ROW = tab.E3[::-1].reshape(1, -1).copy()
 _C = tab.C.tolist()
 
 
@@ -183,38 +203,47 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     Raises :class:`IntegrationFailure` when the step size underflows or
     the step budget is exhausted, carrying the last good time.
     """
-    y = np.array(y0, copy=True)
-    step = _StepControl(t0, t1, y, settings, t_samples)
+    y0 = np.asarray(y0)
+    step = _StepControl(t0, t1, y0, settings, t_samples)
     rtol, atol = settings.rtol, settings.atol
-    shape = y.shape
+    shape, last = y0.shape, tab.N_STAGES
 
+    stack = np.empty((last + 2,) + shape, dtype=y0.dtype)
+    flat = stack.reshape(last + 2, -1)
+    y = stack[last + 1, ...]
+    y[...] = y0
     f = rhs(step.t, y)
     step.h = _initial_step(rhs, step.t, y, f, settings.max_step, rtol, atol)
+    stack[last] = f  # k_0
 
-    k_stack = np.empty((tab.N_STAGES + 1,) + shape, dtype=y.dtype)
-    k_flat = k_stack.reshape(tab.N_STAGES + 1, -1)
-    # every stage state y + h_try * dy is built in this one buffer
-    dy_flat = np.empty((1, k_flat.shape[1]), dtype=y.dtype)
+    # the weights scaled by the attempt's h; row i's (1, i + 1) weight
+    # suffix and the stack suffix it weighs
+    coef = np.empty(_WEIGHTS.shape, dtype=y.real.dtype)
+    w_rows = [coef[i : i + 1, last + 1 - i :] for i in range(last + 1)]
+    k_rows = [flat[last + 1 - i :] for i in range(last + 1)]
+    k_all = flat[: last + 1]
+    # every stage state and y_new is built in this one buffer
+    dy_flat = np.empty((1, flat.shape[1]), dtype=y.dtype)
     dy = dy_flat.reshape(shape)
     abs_y = np.abs(y)
     while not step.done:
         t, h_try = step.t, step.attempt()
-        k_stack[0] = f
-        for i in range(1, tab.N_STAGES):
-            np.dot(_A_ROWS[i], k_flat[:i], out=dy_flat)
-            dy *= h_try
-            dy += y
-            k_stack[i] = rhs(t + _C[i] * h_try, dy)
-        y_new = y + h_try * np.dot(_B_ROW, k_flat[: tab.N_STAGES]).reshape(shape)
-        f_new = rhs(step.t_new, y_new)
-        k_stack[tab.N_STAGES] = f_new
+        np.multiply(_WEIGHTS, h_try, out=coef)
+        coef[:, -1] = 1.0
+        for i in range(1, last):
+            np.dot(w_rows[i], k_rows[i], out=dy_flat)
+            stack[last - i] = rhs(t + _C[i] * h_try, dy)
+        np.dot(w_rows[last], k_rows[last], out=dy_flat)  # y_new
+        stack[0] = rhs(step.t_new, dy)
 
         # scaled 5th- and 3rd-order error estimates, each of shape (1, M)
-        abs_y_new = np.abs(y_new)
+        abs_y_new = np.abs(dy)
         scale = (atol + rtol * np.maximum(abs_y, abs_y_new)).reshape(1, -1)
-        err5, err3 = np.dot(_E5_ROW, k_flat) / scale, np.dot(_E3_ROW, k_flat) / scale
+        err5, err3 = np.dot(_E5_ROW, k_all) / scale, np.dot(_E3_ROW, k_all) / scale
         if step.settle(_error_norm(err5, err3, h_try)):
-            y, f, abs_y = y_new, f_new, abs_y_new
+            y[...] = dy
+            stack[last] = stack[0]
+            abs_y = abs_y_new
             step.sample(y)
 
     return np.asarray(step.ts), np.stack(step.ys)

@@ -198,10 +198,15 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     The rate ``tau_q / end`` is folded in once, here, into a drift
     buffer holding ``drift_base`` (one matrix, or one per member), into
     the diffusion and into the coefficients of
-    :func:`critquench.model.quadrature_coefficients`.  A call writes
-    only the ramped entries, by Horner's rule at ``x = g^2`` with
-    ``g = g_final ramp(s)``: ``Gamma[p_1, q_1] = -rate h_qq(x)``, and
-    ``Gamma[q_1, p_1] = rate h_pp(x)`` where ``h_pp`` moves with the
+    :func:`critquench.model.quadrature_coefficients`.  The table also
+    absorbs ``g_final^2`` per power of ``g^2``, and, for a member whose
+    ramp is linear, ``1 / end^2``: its ``g^2 = g_final^2 u^2 / end^2``.
+    A call evaluates the ramped entries by Horner's rule at
+    ``X = u^2``, a float when every ramp is linear; otherwise ``X`` is
+    per member, ``ramp(s)^2``, and ``u^2`` for the linear members, so a
+    linear member gets the same bits in a mixed batch as alone.  It
+    writes only those entries: ``Gamma[p_1, q_1] = -rate h_qq``, and
+    ``Gamma[q_1, p_1] = rate h_pp`` where ``h_pp`` moves with the
     coupling (LMG); a constant ``h_pp`` is written once.  No other entry
     is touched, so the result depends on ``(u, V)`` only.  V must be
     symmetric, as ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output
@@ -214,6 +219,8 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     drift, diffusion = rate[:, None, None] * drift_base, rate[:, None, None] * diffusion
     a, b = model_mod.quadrature_coefficients(model, eta)
     n = drift.shape[-1] // 2
+    linear = np.asarray(r_n) == 1.0
+    x_scale = g_final * g_final / np.where(linear, end * end, 1.0)
     # (coefficients, entry) of each ramped entry; a coefficient that is
     # zero for every member is dropped, and a constant entry written once
     ramped = []
@@ -223,13 +230,12 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
         if len(coeffs) == 1:
             entry[...] = coeffs[0]
         else:
-            ramped.append((coeffs, entry))
+            ramped.append(([c * x_scale**k for k, c in enumerate(coeffs)], entry))
     m = np.empty_like(drift)
-    ramp = ramp_profile(r_n)
+    all_linear, ramp = bool(linear.all()), ramp_profile(r_n)
 
     def rhs(u, v):
-        g = g_final * ramp(u / end)
-        x = g * g
+        x = u * u if all_linear else np.where(linear, u * u, np.square(ramp(u / end)))
         for coeffs, entry in ramped:
             _horner(coeffs, x, entry)
         np.matmul(drift, v, out=m)

@@ -29,6 +29,12 @@ Run from the repository root with ``PYTHONPATH=src``:
     members it carries, the attempted steps, the rejected ones, the
     accepted steps that sat at ``max_step`` and its wall time; then the
     totals, with the member-attempts (members times attempts, summed).
+
+``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 --cap-divisor 4``
+    propagates one quench of a structured config, its isolated and open
+    members as one batch, once as a sweep does and once in long double
+    at rtol 1e-13 with the step cap divided by ``--cap-divisor``, and
+    prints both excesses per observable and their relative difference.
 """
 
 import argparse
@@ -38,6 +44,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 from test_acceptance import fit_log_corrected
+from test_auxbath import EXCESS_OBSERVABLES, long_double_excess, structured_excess
 
 from critquench import _ode
 from critquench.config import load_config
@@ -170,6 +177,19 @@ def cmd_steps(args):
     )
 
 
+def cmd_oracle(args):
+    config = load_config(args.config)
+    if config.bath_type != "structured":
+        raise SystemExit(f"{args.config}: the oracle needs a structured bath")
+    protocol = (config.bath, config.model, args.tau, config.g_final, config.r_n)
+    shipped = structured_excess(*protocol, settings=config.settings)
+    oracle = long_double_excess(*protocol, cap_divisor=args.cap_divisor)
+    print(f"{args.config}  tau_q = {args.tau:g}  long double at cap/{args.cap_divisor:g}  hash {config.config_hash}")
+    for obs in EXCESS_OBSERVABLES:
+        rel = abs(shipped[obs] - oracle[obs]) / abs(oracle[obs])
+        print(f"  {obs:>3}: shipped {shipped[obs]:.15e}  oracle {oracle[obs]:.15e}  rel diff {rel:.3e}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -189,8 +209,12 @@ def main(argv=None):
     p_rip.add_argument("--refit", action="store_true", help="refit the sweep without the ripple")
     p_steps = sub.add_parser("steps", help="step counts of every solve_to call of a config's legs")
     p_steps.add_argument("config", help="path to the experiment config")
+    p_oracle = sub.add_parser("oracle", help="a structured excess against a long-double run")
+    p_oracle.add_argument("config", help="path to a structured-bath config")
+    p_oracle.add_argument("--tau", type=float, required=True, help="quench time")
+    p_oracle.add_argument("--cap-divisor", type=float, default=4.0, help="step cap divisor of the long-double run")
     args = parser.parse_args(argv)
-    commands = {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple, "steps": cmd_steps}
+    commands = {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple, "steps": cmd_steps, "oracle": cmd_oracle}
     commands[args.command](args)
 
 

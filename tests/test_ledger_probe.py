@@ -1,6 +1,7 @@
 """The ledger probe behind docs/DECISIONS.md still runs against the engine."""
 
 import ledger_probe
+import pytest
 
 
 def test_ramp_prints_fits_and_linear_response(capsys):
@@ -32,3 +33,17 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         total = f"total: {len(rows)} solves, {sum(attempts)} attempts,"
         assert lines[-1].strip().startswith(total)
         assert f" {sum(m * a for m, a in zip(members, attempts))} member-attempts, " in lines[-1]
+
+
+def test_oracle_prints_both_excesses(tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("bath.type = structured\nprotocol.g_final = 0.75\nobservables = e_r\n")
+    ledger_probe.main(["oracle", str(config), "--tau", "5", "--cap-divisor", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{config}  tau_q = 5  long double at cap/2  hash ")
+    assert [line.split()[0] for line in lines[1:]] == ["n:", "dx:", "dp:", "e_r:"]
+    for line in lines[1:]:
+        words = line.split()
+        shipped, oracle, rel = float(words[2]), float(words[4]), float(words[-1])
+        assert rel == pytest.approx(abs(shipped - oracle) / abs(oracle), rel=1e-2)
+        assert rel < 1e-5

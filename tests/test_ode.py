@@ -154,9 +154,26 @@ class TestAgainstScipy:
         assert np.max(np.abs(mine - ref.y[:, -1])) < 1e-8
 
 
-def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples=()):
+def y_last_sum(weights, k, y, h):
+    """``solve_to``'s stage sum: the weights times ``h``, reversed, with 1 for ``y``
+    appended, over ``k_{n-1} ... k_0, y``, so the increments add up before ``y``."""
+    n = len(weights)
+    w = np.append(h * np.asarray(weights)[::-1], 1.0)
+    return np.tensordot(w, np.stack([*k[n - 1 :: -1], y]), axes=(0, 0))
+
+
+def y_first_sum(weights, k, y, h):
+    """The textbook stage sum ``y + h tensordot(weights, k)``."""
+    return y + h * np.tensordot(weights, k[: len(weights)], axes=(0, 0))
+
+
+def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples=(), stage_sum=y_last_sum):
     """Reference stepper: ``solve_to``'s step control with every stage sum
-    written as ``np.tensordot`` over the stage axis (no budget checks)."""
+    written as ``np.tensordot`` over the stage axis (no budget checks).
+
+    ``stage_sum(weights, k, y, h)`` builds a stage state and ``y_new``;
+    the error estimates are summed over ``k_12 ... k_0`` with reversed
+    weights, as ``solve_to`` sums them."""
     rtol, atol = settings.rtol, settings.atol
     y = np.array(y0, copy=True)
     targets = sorted({float(s) for s in t_samples if t0 < s < t1}) + [float(t1)]
@@ -174,15 +191,14 @@ def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples
                 h_try = t_goal - t
             k[0] = f
             for i in range(1, tab.N_STAGES):
-                dy = np.tensordot(tab.A[i, :i], k[:i], axes=(0, 0))
-                k[i] = rhs(t + tab.C[i] * h_try, y + h_try * dy)
-            y_new = y + h_try * np.tensordot(tab.B, k[: tab.N_STAGES], axes=(0, 0))
+                k[i] = rhs(t + tab.C[i] * h_try, stage_sum(tab.A[i, :i], k, y, h_try))
+            y_new = stage_sum(tab.B, k, y, h_try)
             t_new = t_goal if clipped else t + h_try
             f_new = rhs(t_new, y_new)
             k[tab.N_STAGES] = f_new
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err5 = np.tensordot(tab.E5, k, axes=(0, 0)) / scale
-            err3 = np.tensordot(tab.E3, k, axes=(0, 0)) / scale
+            err5 = np.tensordot(tab.E5[::-1], k[::-1], axes=(0, 0)) / scale
+            err3 = np.tensordot(tab.E3[::-1], k[::-1], axes=(0, 0)) / scale
             err5_sq = np.real(np.vdot(err5, err5))
             err3_sq = np.real(np.vdot(err3, err3))
             if err5_sq == 0.0 and err3_sq == 0.0:
@@ -204,14 +220,17 @@ def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples
 
 
 class TestStageArithmetic:
-    """``solve_to`` reproduces the tensordot stage sums bit for bit."""
+    """``solve_to`` reproduces the tensordot stage sums, ``y`` added last, bit
+    for bit, and stays within 10 rtol of the textbook ``y + h sum a k``."""
 
-    def assert_same_bits(self, rhs, t1, y0, **kwargs):
-        ts, ys = solve_to(rhs, 0.0, t1, y0, **kwargs)
-        ref_ts, ref_ys = tensordot_solve_to(rhs, 0.0, t1, y0, **kwargs)
+    def assert_same_bits(self, rhs, t1, y0, settings=IntegratorSettings(), **kwargs):
+        ts, ys = solve_to(rhs, 0.0, t1, y0, settings=settings, **kwargs)
+        ref_ts, ref_ys = tensordot_solve_to(rhs, 0.0, t1, y0, settings=settings, **kwargs)
         assert ts.tobytes() == ref_ts.tobytes()
         assert ys.dtype == ref_ys.dtype and ys.shape == ref_ys.shape
         assert ys.tobytes() == ref_ys.tobytes()
+        _, old_ys = tensordot_solve_to(rhs, 0.0, t1, y0, settings=settings, stage_sum=y_first_sum, **kwargs)
+        assert np.max(np.abs(ys - old_ys)) <= 10.0 * settings.rtol * np.max(np.abs(old_ys))
 
     def test_real_matrix_batch(self):
         rng = np.random.default_rng(11)
