@@ -31,7 +31,6 @@ from .moments import (
     ISOLATED,
     BathSpec,
     CovarianceTrajectory,
-    ObservableRecord,
     integrate,
     observables_from_covariance,
     steady_state_covariance,
@@ -67,7 +66,6 @@ __all__ = [
     "ModelSpec",
     "NonLoggableDataError",
     "OBSERVABLES",
-    "ObservableRecord",
     "PhysicalityError",
     "PowerLawFit",
     "QuenchProtocol",

@@ -132,13 +132,10 @@ def _cmd_predict(args) -> int:
 def _cmd_steady_state(args) -> int:
     config = load_config(args.config)
     v = moments.steady_state_covariance(config.model, args.g, *config.bath.lyapunov_terms(config.model))
-    record = moments.observables_from_covariance(v, args.g, config.model.omega)
+    obs = moments.observables_from_covariance(v, args.g, config.model.omega)
     print(f"g = {args.g:g}")
-    print(f"n = {record.n:.12g}")
-    print(f"dx = {record.dx:.12g}")
-    print(f"dp = {record.dp:.12g}")
-    print(f"energy = {record.energy:.12g}")
-    print(f"residual_energy = {record.residual_energy:.12g}")
+    for name, label in (("n", "n"), ("dx", "dx"), ("dp", "dp"), ("energy", "energy"), ("e_r", "residual_energy")):
+        print(f"{label} = {obs[name]:.12g}")
     return EXIT_OK
 
 
@@ -146,6 +143,8 @@ def _cmd_dump_trajectory(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     moments.trajectory_delimiter(args.out)  # reject a bad --out before propagating
+    if not Path(args.out).parent.is_dir():
+        raise FileNotFoundError(f"no directory for --out {args.out}")
     config = load_config(args.config)
     protocol = QuenchProtocol(g_final=config.g_final, tau_q=args.tau, r_n=config.r_n)
     traj = moments.integrate(protocol, config.model, config.bath, config.settings, args.samples)

@@ -5,8 +5,10 @@ Covers the single-mode normal-phase Hamiltonian
 model (QRM) and the Lipkin-Meshkov-Glick (LMG) model at large size,
 its leading 1/eta finite-size corrections for both models, the
 mean-field critical-exponent catalog, and closed-form ground-state
-quantities (energy, gap, squeezed covariance), which no propagation
-calls: they are public API and the test suite's oracles.
+quantities (energy, gap, squeezed covariance).  No propagation calls
+them; the ground-state energy is the reference of the residual energy
+``e_r`` (:func:`critquench.moments.observables_from_covariance`), and
+the rest are public API and the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ THERMODYNAMIC = ModelSpec()
 
 
 def _check_coupling(g) -> None:
+    """Raise :class:`DomainError` unless every entry of ``g`` lies in [0, 1] (NaN does not)."""
     g_arr = np.asarray(g, dtype=float)
-    if np.any(g_arr < 0.0) or np.any(g_arr > CRITICAL_COUPLING):
+    if not np.all((g_arr >= 0.0) & (g_arr <= CRITICAL_COUPLING)):
         raise DomainError("coupling g must lie in [0, 1]")
 
 

@@ -109,17 +109,6 @@ class BathSpec:
 ISOLATED = BathSpec()
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
-    """Physical observables extracted from one Gaussian state."""
-
-    n: float
-    dx: float
-    dp: float
-    energy: float
-    residual_energy: float
-
-
 def broadcast_members(*params) -> list[np.ndarray]:
     """Per-member sweep parameters, broadcast to one common 1-d length."""
     arrs = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in params))
@@ -338,13 +327,6 @@ class CovarianceTrajectory:
     def final(self) -> np.ndarray:
         return self.vs[-1]
 
-    def couplings(self) -> np.ndarray:
-        return self.protocol.coupling(self.ts)
-
-    def observable_arrays(self):
-        """Vectorized (n, dx, dp, energy, e_r) along the trajectory."""
-        return observable_arrays(self.vs, self.couplings(), self.model.omega)
-
 
 def integrate(
     protocol: QuenchProtocol,
@@ -368,17 +350,21 @@ def integrate(
     return CovarianceTrajectory(ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, model=model)
 
 
-def observable_arrays(v, g, omega):
-    """(n, dx, dp, energy, e_r) of the system mode from covariances (..., 2n, 2n).
+def observables_from_covariance(v, g, omega: float = 1.0) -> dict[str, np.ndarray]:
+    """Observables of the system mode from covariances ``(..., 2n, 2n)`` at coupling g.
 
+    Returns ``{"n", "dx", "dp", "energy", "e_r"}``, each of the leading
+    shape of ``v``; ``g`` in [0, 1] broadcasts against it.
     ``dx^2 = V[q1, q1]`` and ``dp^2 = V[p1, p1]`` in the ``x = a + a^dag``
     convention, ``n = (dx^2 + dp^2)/4 - 1/2``.  The energy uses the
-    single-mode normal-phase Hamiltonian, so the residual energy is
-    nonnegative for every physical state (it equals
-    ``(w/4)[(1-g^2) dx^2 + dp^2] - (w/2) sqrt(1-g^2)``, bounded below by
-    zero through the uncertainty relation).  Clamps rounding-level
-    negative variances.
+    single-mode normal-phase Hamiltonian, and ``e_r`` is its excess over
+    :func:`critquench.model.ground_state_energy`, nonnegative for every
+    physical state (it equals ``(w/4)[(1-g^2) dx^2 + dp^2] - (w/2)
+    sqrt(1-g^2)``, bounded below by zero through the uncertainty
+    relation).  Clamps rounding-level negative variances.
     """
+    e_0 = model_mod.ground_state_energy(omega, g)  # checks g in [0, 1]
+    v = np.asarray(v, dtype=float)
     n_modes = v.shape[-1] // 2
     x2 = v[..., 0, 0]
     p2 = v[..., n_modes, n_modes]
@@ -389,18 +375,7 @@ def observable_arrays(v, g, omega):
     x2 = np.maximum(x2, 0.0)
     p2 = np.maximum(p2, 0.0)
     energy = omega * n - 0.25 * g * g * omega * x2
-    e_r = energy - 0.5 * omega * (np.sqrt(1.0 - g * g) - 1.0)
-    return n, np.sqrt(x2), np.sqrt(p2), energy, e_r
-
-
-def observables_from_covariance(v, g: float, omega: float = 1.0) -> ObservableRecord:
-    """Physical observables of the system mode of one covariance at coupling g."""
-    if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
-        raise DomainError("coupling g must lie in [0, 1]")
-    n, dx, dp, energy, e_r = observable_arrays(np.asarray(v, dtype=float), g, omega)
-    return ObservableRecord(
-        n=float(n), dx=float(dx), dp=float(dp), energy=float(energy), residual_energy=float(e_r)
-    )
+    return {"n": n, "dx": np.sqrt(x2), "dp": np.sqrt(p2), "energy": energy, "e_r": energy - e_0}
 
 
 def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -> np.ndarray:
@@ -414,8 +389,7 @@ def steady_state_covariance(model: ModelSpec, g: float, drift_base, diffusion) -
     """
     from scipy.linalg import solve_continuous_lyapunov
 
-    if not 0.0 <= g <= model_mod.CRITICAL_COUPLING:
-        raise DomainError("coupling g must lie in [0, 1]")
+    model_mod._check_coupling(g)
     drift = set_system_block(np.array(drift_base, dtype=float), model, g)
     growth = float(np.max(np.linalg.eigvals(drift).real)) + 0.0  # + 0.0 turns -0.0 into 0 for the message
     if not growth < 0.0:
@@ -449,9 +423,11 @@ def write_trajectory(path, trajectory: CovarianceTrajectory) -> None:
     sep = trajectory_delimiter(path)
     vs = trajectory.vs
     n_modes = vs.shape[-1] // 2
-    n, dx, dp, _, e_r = trajectory.observable_arrays()
+    g = trajectory.protocol.coupling(trajectory.ts)
+    obs = observables_from_covariance(vs, g, trajectory.model.omega)
     columns = np.column_stack(
-        [trajectory.ts, trajectory.couplings(), vs[:, 0, 0], vs[:, n_modes, n_modes], vs[:, 0, n_modes], n, dx, dp, e_r]
+        [trajectory.ts, g, vs[:, 0, 0], vs[:, n_modes, n_modes], vs[:, 0, n_modes]]
+        + [obs[name] for name in TRAJECTORY_COLUMNS[5:]]
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(sep.join(TRAJECTORY_COLUMNS) + "\n")

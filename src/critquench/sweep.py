@@ -45,14 +45,9 @@ def tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarr
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _observable_arrays_at_final(config: ExperimentConfig, v):
-    n, dx, dp, _, e_r = moments.observable_arrays(v, config.g_final, config.model.omega)
-    return {"n": n, "dx": dx, "dp": dp, "e_r": e_r}
-
-
 def _leg(config: ExperimentConfig, taus, bath, settings: IntegratorSettings) -> dict[str, np.ndarray]:
     _, vs = bath.propagate(taus, config.g_final, config.r_n, config.model, settings=settings)
-    return _observable_arrays_at_final(config, vs[-1])
+    return moments.observables_from_covariance(vs[-1], config.g_final, config.model.omega)
 
 
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
@@ -87,7 +82,7 @@ def _legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dict]:
         np.tile(taus, len(kappas)), config.g_final, config.r_n, config.model, settings=config.settings,
         kappa=np.repeat(kappas, n), eta=None if eta is None else np.tile(eta, len(kappas)),
     )
-    values = _observable_arrays_at_final(config, vs[-1])
+    values = moments.observables_from_covariance(vs[-1], config.g_final, config.model.omega)
     return {obs: v[:n] for obs, v in values.items()}, {obs: v[-n:] for obs, v in values.items()}
 
 

@@ -49,12 +49,10 @@ from test_auxbath import EXCESS_OBSERVABLES, long_double_excess, structured_exce
 from critquench import _ode
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import observable_arrays, propagate_moments_batch
+from critquench.moments import observables_from_covariance, propagate_moments_batch
 from critquench.protocol import ramp_shape
 from critquench.scaling import fit_power_law
 from critquench.sweep import compute_chunk, run_sweep, tau_grid
-
-_OBS_INDEX = {"dp": 2, "e_r": 4}
 
 
 def local_exponents(taus, deltas):
@@ -87,10 +85,10 @@ def cmd_ramp(args):
     tau_b = np.concatenate([taus, taus, [taus[-1]]])
     kap_b = np.concatenate([np.zeros(n), np.full(n, args.kappa), [args.kappa / 10.0]])
     _, ys = propagate_moments_batch(tau_b, 1.0, args.rn, THERMODYNAMIC, kap_b, 0.0)
-    obs = observable_arrays(ys[-1], 1.0, 1.0)
+    obs = observables_from_covariance(ys[-1], 1.0, 1.0)
     print(f"r_n = {args.rn:g}  kappa = {args.kappa:g}  tau_q = {args.tau_min:g}..{args.tau_max:g}")
     for name in ("e_r", "dp"):
-        values = obs[_OBS_INDEX[name]]
+        values = obs[name]
         deltas = values[n : 2 * n] - values[:n]
         pure = fit_power_law(taus, deltas)
         b, c, rms = fit_log_corrected(taus, deltas)

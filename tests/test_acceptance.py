@@ -42,7 +42,6 @@ from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
 from critquench.moments import (
     lyapunov_batch_rhs,
-    observable_arrays,
     physicality_defect,
     propagate_moments_batch,
     symplectic_form,
@@ -250,18 +249,18 @@ def steeper_ramps():
         [np.repeat([0.0, 1e-6, 0.0, WEAK_KAPPA], n_tau), [WEAK_KAPPA / 10.0]]
     )
     _, ys = propagate_moments_batch(tau_b, 1.0, rn_b, THERMODYNAMIC, kap_b, 0.0)
-    obs = observable_arrays(ys[-1], 1.0, 1.0)
+    obs = observables_from_covariance(ys[-1], 1.0, 1.0)
     out = {"taus": taus}
     for j, rn in enumerate((1.0, 2.0)):
         iso = slice(2 * j * n_tau, (2 * j + 1) * n_tau)
         opn = slice((2 * j + 1) * n_tau, (2 * j + 2) * n_tau)
-        for name, k in (("e_r", 4), ("dp", 2)):
-            delta = obs[k][opn] - obs[k][iso]
+        for name in ("e_r", "dp"):
+            delta = obs[name][opn] - obs[name][iso]
             if rn == 1.0:
                 out[rn, name] = fit_power_law(taus, delta).exponent
             else:
                 out["delta", name] = delta
-                out["delta_tenth", name] = obs[k][-1] - obs[k][iso][-1]
+                out["delta_tenth", name] = obs[name][-1] - obs[name][iso][-1]
     return out
 
 
@@ -455,7 +454,7 @@ class TestCriterion8PropertySuite:
     def test_thermal_fixed_point(self):
         bath = BathSpec(kappa=1e-2, n_th=3.0)
         traj = integrate(QuenchProtocol(0.0, 2000.0), bath=bath, samples=0)
-        err = abs(observables_from_covariance(traj.final, 0.0).n - 3.0)
+        err = abs(observables_from_covariance(traj.final, 0.0)["n"] - 3.0)
         report([("8 thermal fixed point", err < 1e-6, f"|n - n_th| = {err:.2e}")])
 
     def test_ground_state_stationarity(self):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critquench import DEFAULT_SETTINGS, auxbath, cli, moments, sweep
+from critquench import DEFAULT_SETTINGS, QuenchProtocol, auxbath, cli, moments, sweep
 from critquench.config import _DEFAULTS, _KNOWN_KEYS, build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
@@ -285,9 +285,9 @@ class TestRunSweep:
         assert kappa.ndim == 1 and kappa.tolist() == [0.0] * b + [cfg.bath.kappa] * b
         assert tau_q.tolist() == taus.tolist() * 2
         for column, half in ((iso, v_final[:b]), (opn, v_final[b:])):
-            _, _, dp, _, e_r = sweep.moments.observable_arrays(half, cfg.g_final, cfg.model.omega)
-            assert column["e_r"].tobytes() == e_r.tobytes()
-            assert column["dp"].tobytes() == dp.tobytes()
+            obs = sweep.moments.observables_from_covariance(half, cfg.g_final, cfg.model.omega)
+            assert column["e_r"].tobytes() == obs["e_r"].tobytes()
+            assert column["dp"].tobytes() == obs["dp"].tobytes()
 
     def test_size_crossover_is_one_batch(self, monkeypatch):
         # every size and quench time of both legs is one member of one call
@@ -574,6 +574,23 @@ class TestCli:
             assert len(out.read_text().strip().split("\n")) == 2
             assert f"wrote 1 samples to {out}" in capsys.readouterr().out
 
+    def test_dump_trajectory_columns_are_the_extractor(self, tmp_path):
+        # every observable column, to its 17 printed digits, is the one
+        # extractor applied to the trajectory of the same config
+        path = write_config(tmp_path)
+        out = tmp_path / "traj.tsv"
+        args = ["--config", str(path), "--tau", "25", "--samples", "9", "--out", str(out)]
+        assert cli.main(["dump-trajectory", *args]) == 0
+        header, *rows = [line.split("\t") for line in out.read_text().strip().split("\n")]
+        cfg = load_config(path)
+        protocol = QuenchProtocol(g_final=cfg.g_final, tau_q=25.0, r_n=cfg.r_n)
+        traj = moments.integrate(protocol, cfg.model, cfg.bath, cfg.settings, 9)
+        obs = moments.observables_from_covariance(traj.vs, protocol.coupling(traj.ts), cfg.model.omega)
+        assert len(rows) == 9
+        for name in ("n", "dx", "dp", "e_r"):
+            column = [row[header.index(name)] for row in rows]
+            assert column == [f"{v:.17g}" for v in obs[name]], name
+
     def test_dump_trajectory_rejects_negative_samples(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "traj.tsv"
@@ -588,10 +605,12 @@ class TestCli:
 
         monkeypatch.setattr(moments, "integrate", integrate)
         path = write_config(tmp_path)
-        out = tmp_path / "x.txt"
-        assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "25", "--out", str(out)]) == 2
-        assert ".tsv or .csv" in capsys.readouterr().err
-        assert not out.exists()
+        # a bad extension, and a file in a directory that does not exist
+        bad_outs = ((tmp_path / "x.txt", ".tsv or .csv"), (tmp_path / "no" / "such" / "t.tsv", "no directory"))
+        for out, message in bad_outs:
+            assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "25", "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_dump_trajectory_rejects_infinite_tau(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -297,14 +297,14 @@ class TestIntegrate:
     def test_thermal_fixed_point(self):
         bath = BathSpec(kappa=1e-2, n_th=3.0)
         traj = integrate(QuenchProtocol(0.0, 2000.0), bath=bath, samples=0)
-        assert observables_from_covariance(traj.final, 0.0).n == pytest.approx(3.0, abs=1e-8)
+        assert observables_from_covariance(traj.final, 0.0)["n"] == pytest.approx(3.0, abs=1e-8)
 
     def test_thermalization_half_life(self):
         kappa = 1e-2
         bath = BathSpec(kappa=kappa, n_th=3.0)
         t_half = math.log(2.0) / kappa
         traj = integrate(QuenchProtocol(0.0, t_half), bath=bath, samples=0)
-        assert observables_from_covariance(traj.final, 0.0).n == pytest.approx(1.5, rel=0.05)
+        assert observables_from_covariance(traj.final, 0.0)["n"] == pytest.approx(1.5, rel=0.05)
 
     def test_isolated_kz_ratio(self):
         # residual energy of critical ramps drops as tau^(-1/3)
@@ -312,7 +312,7 @@ class TestIntegrate:
         for tau in (1e3, 1e4):
             traj = integrate(QuenchProtocol(1.0, tau), samples=0)
             rec = observables_from_covariance(traj.final, 1.0)
-            results.append(rec.residual_energy)
+            results.append(rec["e_r"])
         ratio = results[0] / results[1]
         assert ratio == pytest.approx(10.0 ** (1.0 / 3.0), rel=0.10)
 
@@ -330,7 +330,7 @@ class TestIntegrate:
         values = []
         for tau in (1e3, 1e4):
             traj = integrate(QuenchProtocol(0.75, tau), bath=bath, samples=0)
-            values.append(observables_from_covariance(traj.final, 0.75).residual_energy)
+            values.append(observables_from_covariance(traj.final, 0.75)["e_r"])
         assert abs(values[1] - values[0]) / values[0] < 0.05
 
 
@@ -342,7 +342,7 @@ class TestAgainstFockDynamics:
         n_ref, x2_ref, p2_ref = propagate_master_equation(g_f, tau, kappa, n_th, cutoff=60)
         traj = integrate(QuenchProtocol(g_f, tau), bath=BathSpec(kappa=kappa, n_th=n_th), samples=0)
         v = traj.final
-        assert observables_from_covariance(v, g_f).n == pytest.approx(n_ref, abs=1e-8)
+        assert observables_from_covariance(v, g_f)["n"] == pytest.approx(n_ref, abs=1e-8)
         assert v[0, 0] == pytest.approx(x2_ref, abs=1e-8)
         assert v[1, 1] == pytest.approx(p2_ref, abs=1e-8)
 
@@ -350,7 +350,7 @@ class TestAgainstFockDynamics:
         g_f, tau = 0.8, 9.0
         n_ref, x2_ref, p2_ref = propagate_master_equation(g_f, tau, 0.0, 0.0, cutoff=60)
         v = integrate(QuenchProtocol(g_f, tau), samples=0).final
-        assert observables_from_covariance(v, g_f).n == pytest.approx(n_ref, abs=1e-8)
+        assert observables_from_covariance(v, g_f)["n"] == pytest.approx(n_ref, abs=1e-8)
         assert v[0, 0] == pytest.approx(x2_ref, abs=1e-8)
 
 
@@ -369,8 +369,8 @@ class TestInvariants:
     def test_heisenberg_bound_open_dynamics(self):
         bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0)
         traj = integrate(QuenchProtocol(1.0, 500.0), bath=bath, samples=101)
-        _, dx, dp, _, _ = traj.observable_arrays()
-        assert np.all(dx * dp >= 1.0 - 1e-9)
+        obs = observables_from_covariance(traj.vs, traj.protocol.coupling(traj.ts))
+        assert np.all(obs["dx"] * obs["dp"] >= 1.0 - 1e-9)
 
     @pytest.mark.parametrize("kind", [ModelKind.QRM, ModelKind.LMG])
     def test_large_size_reduces_to_thermodynamic(self, kind):
@@ -384,26 +384,26 @@ class TestInvariants:
 class TestObservables:
     def test_vacuum(self):
         rec = observables_from_covariance(VACUUM, 0.0)
-        assert rec.n == 0.0
-        assert rec.dx == 1.0 and rec.dp == 1.0
-        assert rec.energy == 0.0 and rec.residual_energy == 0.0
+        assert rec["n"] == 0.0
+        assert rec["dx"] == 1.0 and rec["dp"] == 1.0
+        assert rec["energy"] == 0.0 and rec["e_r"] == 0.0
 
     def test_direct_substitution(self):
         rec = observables_from_covariance(7.0 * np.eye(2), 0.0)
-        assert rec.n == 3.0
-        assert rec.dx == pytest.approx(math.sqrt(7.0), rel=1e-15)
-        assert rec.dp == pytest.approx(math.sqrt(7.0), rel=1e-15)
-        assert rec.energy == pytest.approx(3.0, abs=1e-15)
+        assert rec["n"] == 3.0
+        assert rec["dx"] == pytest.approx(math.sqrt(7.0), rel=1e-15)
+        assert rec["dp"] == pytest.approx(math.sqrt(7.0), rel=1e-15)
+        assert rec["energy"] == pytest.approx(3.0, abs=1e-15)
 
     def test_ground_state_has_zero_residual_energy(self):
         g = 0.6
         rec = observables_from_covariance(ground_state_covariance(g), g)
-        assert abs(rec.residual_energy) < 1e-10
-        assert rec.energy == pytest.approx(ground_state_energy(1.0, g), abs=1e-12)
+        assert abs(rec["e_r"]) < 1e-10
+        assert rec["energy"] == pytest.approx(ground_state_energy(1.0, g), abs=1e-12)
 
     def test_small_negative_radicand_clamped(self):
         rec = observables_from_covariance(np.diag([-2e-12, 2.0 + 2e-12]), 0.0)
-        assert rec.dx == 0.0
+        assert rec["dx"] == 0.0
 
     def test_large_negative_radicand_rejected(self):
         with pytest.raises(PhysicalityError):
@@ -412,6 +412,28 @@ class TestObservables:
     def test_coupling_validated(self):
         with pytest.raises(DomainError):
             observables_from_covariance(VACUUM, 1.5)
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-12, -1e-300, math.nan])
+    def test_coupling_array_validated(self, bad):
+        # one entry outside [0, 1] rejects the whole stack
+        with pytest.raises(DomainError, match=r"coupling g must lie in \[0, 1\]"):
+            observables_from_covariance(np.stack([VACUUM] * 3), np.array([0.2, bad, 1.0]))
+
+    def test_stack_equals_each_matrix_alone(self):
+        # (S, B, 2n, 2n) with a coupling per member: bit for bit the
+        # values of each matrix taken alone
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(3, 4, 6, 6))
+        vs = m @ m.swapaxes(-1, -2) + np.eye(6)
+        gs = np.array([0.0, 0.3, 0.9, 1.0])
+        stack = observables_from_covariance(vs, gs, 1.5)
+        assert list(stack) == ["n", "dx", "dp", "energy", "e_r"]
+        for s in range(3):
+            for b in range(4):
+                alone = observables_from_covariance(vs[s, b], gs[b], 1.5)
+                for name, value in alone.items():
+                    assert stack[name].shape == (3, 4)
+                    assert stack[name][s, b].tobytes() == np.float64(value).tobytes(), (name, s, b)
 
 
 def thermal_steady_state(bath, g):

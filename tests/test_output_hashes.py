@@ -1,12 +1,19 @@
 """Byte-identity of shipped outputs, checked on the quickest configs.
 
-``python tests/output_hashes.py`` checks every recorded config; these
-three linear ramps take a few seconds in all.
+``python tests/output_hashes.py`` checks every recorded config.  The
+quick ones are three thermodynamic linear-ramp sweeps and the QRM size
+crossover, which covers a finite-size model and the size-crossover
+writer; together they take a few seconds.
 """
 
 import output_hashes
 
-QUICK_CONFIGS = ["isolated_adiabatic.cfg", "isolated_kz.cfg", "offcritical_linear_weak_coupling.cfg"]
+QUICK_CONFIGS = [
+    "isolated_adiabatic.cfg",
+    "isolated_kz.cfg",
+    "offcritical_linear_weak_coupling.cfg",
+    "qrm_size_crossover.cfg",
+]
 
 
 def test_quick_configs_match_their_recorded_hashes(capsys):
