@@ -143,6 +143,8 @@ def _cmd_dump_trajectory(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     moments.trajectory_delimiter(args.out)  # reject a bad --out before propagating
+    if Path(args.out).is_dir():
+        raise ValueError(f"--out {args.out} is a directory")
     if not Path(args.out).parent.is_dir():
         raise FileNotFoundError(f"no directory for --out {args.out}")
     config = load_config(args.config)

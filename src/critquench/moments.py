@@ -178,7 +178,7 @@ def _horner(coeffs, x, out) -> None:
     out += coeffs[0]
 
 
-def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0):
+def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0, frozen=False):
     """``dV/du = (tau_q / end) (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
 
     Each member reads its ramp at its own clock ``s = u / end`` of the
@@ -202,7 +202,9 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     is a fresh, exactly symmetric array, so a flow started from a
     symmetric V stays exactly symmetric through every Runge-Kutta
     stage.  ``tau_q``, ``g_final``, ``r_n``, ``eta`` and ``end`` are per
-    member.
+    member.  With ``frozen``, the output is zero on the chain block
+    (every mode but the system mode, in both indices), so the stages
+    hold that block fixed and :func:`chain_flow` advances it.
     """
     rate = tau_q / end
     drift, diffusion = rate[:, None, None] * drift_base, rate[:, None, None] * diffusion
@@ -222,6 +224,10 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
             ramped.append(([c * x_scale**k for k, c in enumerate(coeffs)], entry))
     m = np.empty_like(drift)
     all_linear, ramp = bool(linear.all()), ramp_profile(r_n)
+    keep = None
+    if frozen:
+        keep = np.ones(drift.shape[-2:])
+        _by_mode(keep)[:, 1:, :, 1:] = 0.0
 
     def rhs(u, v):
         x = u * u if all_linear else np.where(linear, u * u, np.square(ramp(u / end)))
@@ -230,9 +236,85 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
         np.matmul(drift, v, out=m)
         out = m + m.swapaxes(-1, -2)
         out += diffusion
+        if keep is not None:
+            out *= keep
         return out
 
     return rhs
+
+
+def _by_mode(a: np.ndarray) -> np.ndarray:
+    """A view of a stack of (2n, 2n) matrices as (..., 2, n, 2, n): (quadrature, mode) per index.
+
+    Mode 0 is the system mode, so ``[..., 1:, :, 1:]`` is the chain block
+    (every other mode, in both indices) and ``[..., 1:, :, 0]`` the
+    chain-system cross block.  Splitting an axis never copies, so writes
+    through the view reach ``a``.
+    """
+    n = a.shape[-1] // 2
+    return a.reshape(*a.shape[:-2], 2, n, 2, n)
+
+
+def chain_flow(drift_base, diffusion, rate):
+    """Exact flow of a batch's chain block over one step, as a ``subflow`` for :func:`solve_to`.
+
+    The chain block ``C`` of V (every mode but the system mode, in both
+    indices) obeys ``dC/du = G C + C G^T + D_cc + K X^T + X K^T``, where
+    ``G = rate Gamma_cc``, ``K = rate Gamma[chain, system]`` and
+    ``X = V[chain, system]`` is the cross block; no coefficient moves
+    with the coupling.  The chain's vacuum must be stationary,
+    ``G + G^T + rate D_cc = 0``, as it is exactly for every chain
+    :func:`critquench.auxbath.build_system` writes.  Then ``E = C - I``
+    obeys ``dE/du = G E + E G^T + F`` with ``F = K X^T + X K^T``, and,
+    holding F at its value at the step's end, the flow over a step of
+    length ``h`` is exact:
+
+        E <- Phi_h (E + L) Phi_h^T - L,   Phi_h = exp(h G),   G L + L G^T = F.
+
+    ``Phi_h`` comes from one eigendecomposition of G, and L from the
+    inverse of the Lyapunov operator on the row-major ``vec`` of the
+    block, both computed once.  Every member must share G.  Returns
+    ``subflow(t, t_new, v)``, which updates the batch ``v`` in place
+    and leaves C exactly symmetric; a member without forcing (``K = 0``)
+    keeps ``C = I`` exactly.
+    """
+    b, dim = drift_base.shape[:2]
+    m = dim - 2
+    r = np.asarray(rate, dtype=float)[:, None, None]
+    gamma = r * _by_mode(drift_base)[:, :, 1:, :, 1:].reshape(b, m, m)
+    if np.any(gamma != gamma[:1]):
+        raise ValueError("the members of a frozen-chain batch must share one chain drift")
+    if np.any(gamma + gamma.swapaxes(-1, -2) + r * _by_mode(diffusion)[:, :, 1:, :, 1:].reshape(b, m, m)):
+        raise ValueError("a frozen chain needs a stationary vacuum: Gamma_cc + Gamma_cc^T + D_cc = 0")
+    gamma, eye = gamma[0], np.eye(m)
+    k = r * _by_mode(drift_base)[:, :, 1:, :, 0].reshape(b, m, 2)
+    # Phi_h = Re sum_k exp(h lam_k) P[:, k] P^-1[k, :] is one real product
+    # with the (re, im) pairs of exp(h lam).  P^-1 is read off the inverse of
+    # P's real form [[Re, -Im], [Im, Re]]: a complex inverse maps 0.4 MB
+    # more of LAPACK into every structured run.
+    lam, vecs = np.linalg.eig(gamma)
+    real_inv = np.linalg.inv(np.block([[vecs.real, -vecs.imag], [vecs.imag, vecs.real]]))
+    outer = vecs.T[:, :, None] * (real_inv[:m, :m] + 1j * real_inv[m:, :m])[:, None, :]
+    expand = np.stack([outer.real, -outer.imag], axis=1).reshape(2 * m, m * m).T
+    # row-major vec(L) = vec(F) @ lyapunov_inv.T, and F = K X^T + (K X^T)^T
+    # is vec(K X^T) @ (1 + transpose).T
+    lyapunov_inv = np.linalg.inv(np.kron(gamma, eye) + np.kron(eye, gamma))
+    transpose = np.eye(m * m).reshape(m, m, m, m).swapaxes(2, 3).reshape(m * m, m * m)
+    weights = (lyapunov_inv @ (np.eye(m * m) + transpose)).T
+
+    def subflow(t, t_new, v):
+        phi = (expand @ np.exp((t_new - t) * lam).view(float)).reshape(m, m)
+        modes = _by_mode(v)
+        block = modes[:, :, 1:, :, 1:]
+        kx = k @ modes[:, :, 1:, :, 0].reshape(b, m, 2).swapaxes(-1, -2)
+        lyap = (kx.reshape(b, -1) @ weights).reshape(kx.shape)
+        a = block.reshape(b, m, m) - eye
+        a += lyap
+        a = np.matmul(phi, (a.reshape(-1, m) @ phi.T).reshape(a.shape))
+        a -= lyap
+        block[...] = (eye + 0.5 * (a + a.swapaxes(-1, -2))).reshape(block.shape)
+
+    return subflow
 
 
 def propagate_moments_batch(
@@ -276,7 +358,13 @@ def propagate_batch(
     physical time the damped chain bounds the step alike for every
     member, but a Markovian batch is limited by accuracy early on
     (``critical_akz_zero_temperature.cfg``: 11 solves and 9,379 attempts,
-    against one solve of 7,366 in rescaled time).  A member ending with
+    against one solve of 7,366 in rescaled time).  A network with more
+    than the system mode (the structured bath's chain) has its chain
+    block frozen in the stages (``lyapunov_batch_rhs(..., frozen=True)``)
+    and advanced exactly once per accepted step by :func:`chain_flow`,
+    the ``subflow`` of every ``solve_to`` call; the bath's ``rate`` then
+    only has to bound the blocks the stages integrate.  A Markovian
+    batch has no chain and builds no sub-flow.  A member ending with
     an eigenvalue of ``V + iJ`` below ``-(PHYSICALITY_TOL + rtol max|V|)``
     raises :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``, V of shape (S, B, 2n, 2n),
     member ``b`` sampled at ``s end_b``; sampling needs one end.
@@ -290,14 +378,17 @@ def propagate_batch(
     t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * stops[0]
 
     v = np.broadcast_to(np.eye(drift_base.shape[-1]), drift_base.shape).copy()
+    frozen = drift_base.shape[-1] > 2  # a chain beside the system mode
     active, start = np.arange(tau.size), 0.0
     for stop in stops:
         # a shared end stays the scalar it is, so its RHS divides by no array
         clock = end if np.ndim(end) == 0 else ends[active]
+        terms = drift_base[active], diffusion[active]
         rhs = lyapunov_batch_rhs(
-            drift_base[active], diffusion[active], model, tau[active], g_f[active], r_n[active], eta[active], clock
+            *terms, model, tau[active], g_f[active], r_n[active], eta[active], clock, frozen=frozen
         )
-        ts, vs = solve_to(rhs, start, stop, v[active], settings=settings, t_samples=t_samples)
+        flow = replace(settings, subflow=chain_flow(*terms, tau[active] / clock) if frozen else None)
+        ts, vs = solve_to(rhs, start, stop, v[active], settings=flow, t_samples=t_samples)
         v[active] = vs[-1]
         active, start = active[ends[active] > stop], stop
 

@@ -29,17 +29,23 @@ Run from the repository root with ``PYTHONPATH=src``:
     members it carries, the attempted steps, the rejected ones, the
     accepted steps that sat at ``max_step`` and its wall time; then the
     totals, with the member-attempts (members times attempts, summed).
+    The first line also gives the step cap; for a structured config, the
+    largest eigenvalue modulus ``|z|`` of the Lyapunov flow the stages
+    integrate (the chain block frozen), ``h |z|`` at the cap, and the
+    modulus the frozen chain block would have set.
 
 ``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 --cap-divisor 4``
     propagates one quench of a structured config, its isolated and open
     members as one batch, once as a sweep does and once in long double
-    at rtol 1e-13 with the step cap divided by ``--cap-divisor``, and
+    through the full flow (no frozen block) at rtol 1e-13 with its
+    stability cap ``3.5 / radius`` divided by ``--cap-divisor``, and
     prints both excesses per observable and their relative difference.
 """
 
 import argparse
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -47,9 +53,10 @@ from test_acceptance import fit_log_corrected
 from test_auxbath import EXCESS_OBSERVABLES, long_double_excess, structured_excess
 
 from critquench import _ode
+from critquench.auxbath import build_system
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import observables_from_covariance, propagate_moments_batch
+from critquench.moments import observables_from_covariance, propagate_moments_batch, set_system_block
 from critquench.protocol import ramp_shape
 from critquench.scaling import fit_power_law
 from critquench.sweep import compute_chunk, run_sweep, tau_grid
@@ -132,6 +139,29 @@ def cmd_ripple(args):
             )
 
 
+def stage_spectrum(config):
+    """Largest eigenvalue moduli of a structured config's Lyapunov flow at g = 0 and 1.
+
+    Returns ``(stages, chain)``: the flow the Runge-Kutta stages integrate,
+    on every entry of V outside the frozen chain block, and the chain
+    block's own flow, over the isolated and open networks.
+    """
+    stages = chain_only = 0.0
+    for kappa in {0.0, config.bath.kappa}:
+        drift = build_system(config.model, replace(config.bath, kappa=kappa))[0]
+        dim = drift.shape[-1]
+        chain = np.zeros((dim, dim), dtype=bool)
+        modes = np.r_[1 : dim // 2, dim // 2 + 1 : dim]
+        chain[np.ix_(modes, modes)] = True
+        live, frozen = ~chain.ravel(), chain.ravel()
+        for g in (0.0, 1.0):
+            d = set_system_block(drift.copy(), config.model, g)
+            flow = np.kron(d, np.eye(dim)) + np.kron(np.eye(dim), d)
+            stages = max(stages, np.max(np.abs(np.linalg.eigvals(flow[np.ix_(live, live)]))))
+            chain_only = max(chain_only, np.max(np.abs(np.linalg.eigvals(flow[np.ix_(frozen, frozen)]))))
+    return float(stages), float(chain_only)
+
+
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
@@ -161,7 +191,12 @@ def cmd_steps(args):
         wall = time.perf_counter() - t0
     finally:
         _ode._StepControl = real
-    print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}")
+    cap = solves[0].settings.max_step
+    limits = f"  step cap {cap:.6g}"
+    if config.bath_type == "structured":
+        stages, chain = stage_spectrum(config)
+        limits += f", stages' fastest |z| {stages:.4g} (h|z| {cap * stages:.3f}), frozen chain block's {chain:.4g}"
+    print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}{limits}")
     print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s")
     for i, s in enumerate(solves):
         print(

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from critquench import (
+    BathSpec,
     IntegratorSettings,
     QuenchProtocol,
     auxbath,
     integrate,
+    moments,
     observables_from_covariance,
     steady_state_covariance,
     sweep,
@@ -31,6 +33,7 @@ from critquench.config import build_config, parse_config_text
 from critquench.errors import DomainError, PhysicalityError
 from critquench.model import THERMODYNAMIC
 from critquench.moments import (
+    chain_flow,
     lyapunov_batch_rhs,
     physicality_defect,
     set_system_block,
@@ -39,6 +42,8 @@ from critquench.moments import (
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+#: quadrature indices of the default table's chain (every mode but the system mode)
+CHAIN = np.r_[1:5, 6:10]
 
 
 def network(params: AuxBathParams, g: float, model=THERMODYNAMIC):
@@ -91,9 +96,10 @@ def structured_excess(params, model, tau, g_final, r_n=1.0, settings=IntegratorS
 
 
 def long_double_excess(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0):
-    """The same excess from a long-double run: ``solve_to`` of
-    ``lyapunov_batch_rhs`` on ``np.longdouble`` drift, diffusion and V,
-    at rtol 1e-13, atol 1e-15 and the engine's step cap divided by
+    """The same excess from a long-double run: ``solve_to`` of the full
+    ``lyapunov_batch_rhs`` (no frozen block, no sub-flow) on
+    ``np.longdouble`` drift, diffusion and V, at rtol 1e-13, atol 1e-15
+    and the full flow's stability cap ``3.5 / radius`` divided by
     ``cap_divisor``."""
     terms = [build_system(model, replace(params, kappa=k)) for k in (0.0, params.kappa)]
     drifts = np.stack([drift for drift, _ in terms])
@@ -365,14 +371,101 @@ class TestStructuredSweep:
             assert np.all(np.abs(shipped[obs] - delta) <= 1e-6 * np.abs(delta)), obs
 
 
+class TestFrozenChain:
+    """The stages hold the chain block fixed and ``chain_flow`` advances it exactly."""
+
+    def test_rhs_zeroes_only_the_chain_block(self):
+        terms = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
+        rng = np.random.default_rng(8)
+        m = rng.normal(size=(1, 10, 10))
+        v = m + m.swapaxes(-1, -2)
+        one = np.array([1.0])
+        args = (*terms, THERMODYNAMIC, one, np.array([0.5]), one)
+        full = lyapunov_batch_rhs(*args)(0.7, v)
+        frozen = lyapunov_batch_rhs(*args, frozen=True)(0.7, v)
+        block = np.ix_([0], CHAIN, CHAIN)
+        assert np.all(frozen[block] == 0.0)
+        frozen[block] = full[block]
+        assert np.array_equal(frozen, full)
+
+    def test_one_step_matches_the_integrated_chain_block(self):
+        # with the cross block held, one exact step is the chain block's own flow
+        drift, diffusion = build_system(THERMODYNAMIC, replace(DEFAULT_OHMIC, kappa=1e-2))
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(10, 10))
+        v = np.eye(10) + 0.01 * (m + m.T)
+        block = np.ix_(CHAIN, CHAIN)
+
+        def chain_rhs(t, c):
+            w = v.copy()
+            w[block] = c
+            out = drift @ w
+            return (out + out.T + diffusion)[block]
+
+        ref = solve_to(chain_rhs, 0.0, 0.3, v[block], TIGHT)[1][-1]
+        flowed = v[None].copy()
+        chain_flow(drift[None], diffusion[None], np.ones(1))(2.0, 2.3, flowed)
+        assert np.max(np.abs(flowed[0][block] - ref)) < 1e-11
+        assert np.array_equal(flowed[0], flowed[0].T)
+        outside = np.ones((10, 10), dtype=bool)
+        outside[block] = False
+        assert np.array_equal(flowed[0][outside], v[outside])
+
+    def test_kappa_zero_members_keep_the_vacuum_chain(self):
+        # without forcing the flow has nothing to move: C stays I bit for bit
+        _, vs = propagate_covariance_batch(60.0, 1.0, 1.0, DEFAULT_OHMIC, kappa=[0.0, DEFAULT_OHMIC.kappa])
+        isolated, open_ = vs[-1, 0][np.ix_(CHAIN, CHAIN)], vs[-1, 1][np.ix_(CHAIN, CHAIN)]
+        assert np.array_equal(isolated, np.eye(8))
+        assert 0.0 < np.max(np.abs(open_ - np.eye(8))) < 1e-6
+        assert np.array_equal(vs[-1], vs[-1].swapaxes(-1, -2))
+
+    def test_markovian_batches_build_no_subflow(self, monkeypatch):
+        def no_flow(*args):
+            raise AssertionError("a Markovian batch built a chain flow")
+
+        flows = []
+
+        def solve(rhs, t0, t1, y0, settings, t_samples):
+            flows.append(settings.subflow)
+            return solve_to(rhs, t0, t1, y0, settings, t_samples)
+
+        monkeypatch.setattr(moments, "solve_to", solve)
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, "chain_flow", no_flow)
+            BathSpec(kappa=1e-3).propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-3])
+        assert flows and all(flow is None for flow in flows)
+        flows.clear()
+        DEFAULT_OHMIC.propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC)
+        assert len(flows) == 2 and all(callable(flow) for flow in flows)
+
+    def test_rejects_a_chain_it_cannot_flow(self):
+        tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
+        drifts = np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables])
+        diffusion = np.broadcast_to(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1], drifts.shape)
+        chain_flow(drifts, diffusion, np.ones(2))  # the decoupled table keeps its chain
+        with pytest.raises(ValueError, match="stationary vacuum"):
+            chain_flow(drifts, 2.0 * diffusion, np.ones(2))
+        drifts[1, 2, 2] -= 1.0
+        with pytest.raises(ValueError, match="share one chain"):
+            chain_flow(drifts, diffusion, np.ones(2))
+
+
 class TestLongDoubleOracle:
-    def test_excess_matches_a_long_double_run(self):
-        # a long-double run at a quarter of the step cap is the reference
-        # for the structured excess; the shipped batch lands 2.8e-7 from it
-        shipped = structured_excess(DEFAULT_OHMIC, THERMODYNAMIC, 50.0, 0.75)
-        oracle = long_double_excess(DEFAULT_OHMIC, THERMODYNAMIC, 50.0, 0.75)
+    """A long-double run of the full flow at a quarter of its stability cap
+    is the reference for the structured excess; the shipped batch, its
+    chain block advanced by the exact sub-flow, lands within 1.3e-7 of it."""
+
+    def assert_matches_the_oracle(self, g_final, r_n):
+        shipped = structured_excess(DEFAULT_OHMIC, THERMODYNAMIC, 50.0, g_final, r_n)
+        oracle = long_double_excess(DEFAULT_OHMIC, THERMODYNAMIC, 50.0, g_final, r_n)
         for obs in EXCESS_OBSERVABLES:
             assert abs(shipped[obs] - oracle[obs]) <= 1e-6 * abs(oracle[obs]), obs
+
+    def test_excess_matches_a_long_double_run(self):
+        self.assert_matches_the_oracle(0.75, 1.0)
+
+    def test_nonlinear_ramp_matches_a_long_double_run(self):
+        self.assert_matches_the_oracle(1.0, 1.25)
 
 
 class TestObservables:

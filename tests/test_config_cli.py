@@ -611,6 +611,12 @@ class TestCli:
             assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "25", "--out", str(out)]) == 2
             assert message in capsys.readouterr().err
             assert not out.exists()
+        # and an existing directory, which is left as it was
+        out = tmp_path / "d.tsv"
+        out.mkdir()
+        assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "25", "--out", str(out)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_dump_trajectory_rejects_infinite_tau(self, tmp_path, capsys):
         path = write_config(tmp_path)

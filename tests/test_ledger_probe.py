@@ -23,6 +23,9 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         ledger_probe.main(["steps", str(config)])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{config}  3 quench times in [5, 10]")
+        # the cap, and for the chain the eigenvalue that sets it
+        assert "  step cap " in lines[0]
+        assert ("stages' fastest |z| " in lines[0]) == (len(members) > 1)
         rows = [line.split() for line in lines[2:-1]]
         assert [int(row[2]) for row in rows] == members
         # a structured batch chains its solves from 0 to tau_max in physical time

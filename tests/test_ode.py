@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from critquench import _ode
 from critquench import _rk_tableau as tab
 from critquench._ode import (
     MAX_FACTOR,
@@ -138,6 +139,49 @@ class TestBufferAliasing:
         assert np.array_equal(ts, samples)
         want = np.exp(samples)[:, None, None] * y0
         np.testing.assert_allclose(ys, want, rtol=1e-9, atol=0.0)
+
+
+class TestSubflow:
+    """``settings.subflow`` runs once after each accepted step, before sampling."""
+
+    def test_runs_once_per_accepted_step_and_never_on_a_rejection(self, monkeypatch):
+        attempts = []  # (t_n, t_{n+1}, accepted) of every attempt
+
+        class Recording(_ode._StepControl):
+            def settle(self, err):
+                t = self.t
+                accepted = super().settle(err)
+                attempts.append((t, self.t_new, accepted))
+                return accepted
+
+        monkeypatch.setattr(_ode, "_StepControl", Recording)
+        calls = []
+
+        def subflow(t, t_new, y):
+            calls.append((t, t_new, y.copy()))
+
+        def rhs(t, y):
+            return -50.0 * (1.0 + np.sin(t)) * y
+
+        y0 = np.array([1.0, 2.0])
+        ts, ys = solve_to(rhs, 0.0, 3.0, y0, IntegratorSettings(subflow=subflow))
+        assert any(not accepted for *_, accepted in attempts)
+        assert [(t, t_new) for t, t_new, _ in calls] == [(t, t_new) for t, t_new, ok in attempts if ok]
+        # a subflow that changes nothing leaves every bit as it was
+        bare_ts, bare_ys = solve_to(rhs, 0.0, 3.0, y0)
+        assert ts.tobytes() == bare_ts.tobytes() and ys.tobytes() == bare_ys.tobytes()
+        assert calls[-1][2].tobytes() == ys[-1].tobytes()
+
+    def test_samples_and_later_steps_see_the_update(self):
+        # the stages hold y fixed and the subflow is the whole flow
+        def decay(t, t_new, y):
+            y *= np.exp(t - t_new)
+
+        samples = np.array([0.5, 1.25, 2.0])
+        settings = IntegratorSettings(max_step=0.1, subflow=decay)
+        ts, ys = solve_to(lambda t, y: np.zeros_like(y), 0.0, 2.0, np.array([3.0]), settings, t_samples=samples)
+        assert np.array_equal(ts, samples)
+        np.testing.assert_allclose(ys[:, 0], 3.0 * np.exp(-samples), rtol=1e-13)
 
 
 class TestAgainstScipy:

@@ -1,9 +1,11 @@
 """Byte-identity of shipped outputs, checked on the quickest configs.
 
 ``python tests/output_hashes.py`` checks every recorded config.  The
-quick ones are three thermodynamic linear-ramp sweeps and the QRM size
+quick ones are three thermodynamic linear-ramp sweeps, the QRM size
 crossover, which covers a finite-size model and the size-crossover
-writer; together they take a few seconds.
+writer, and one structured-bath sweep, which covers the chain network,
+its frozen block and its exact sub-flow; together they take about ten
+seconds.
 """
 
 import output_hashes
@@ -12,6 +14,7 @@ QUICK_CONFIGS = [
     "isolated_adiabatic.cfg",
     "isolated_kz.cfg",
     "offcritical_linear_weak_coupling.cfg",
+    "ohmic_offcritical.cfg",
     "qrm_size_crossover.cfg",
 ]
 
