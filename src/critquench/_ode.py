@@ -36,15 +36,18 @@ stack, and one fused (2, 13) dot changes the bits under OpenBLAS.
 
 A propagation may carry an exact sub-flow, ``settings.subflow``: after
 each accepted step, and before the step is sampled, it is called once
-as ``subflow(t_n, t_{n+1}, y)`` and updates ``y`` in place; never on a
-rejection.  The structured bath advances its chain block this way while
-the stages hold that block fixed (:func:`critquench.moments.chain_flow`).
-The first-same-as-last ``k_0`` of the next step was evaluated before the
-sub-flow ran, so it carries the state the stages saw, not the updated
-one.  For the chain block that staleness is far below 1e-10 relative:
-on ``ohmic_critical`` at ``tau_q = 100``, with every step pinned at half
-the cap (rtol 1e-6), re-evaluating ``k_0`` after the sub-flow leaves the
-excess the same bit for bit.
+as ``subflow(t_n, t_{n+1}, y)``; never on a rejection.  It may update
+``y`` in place, or state of its own that the right-hand side reads.
+The structured bath does the latter: the stages carry only the system
+columns of the covariance, and the sub-flow advances the chain block
+beside them and refreshes the chain's forcing of those columns
+(:func:`critquench.moments.chain_flow`).  The first-same-as-last
+``k_0`` of the next step was evaluated before the sub-flow ran, so it
+carries the chain block the stages saw, not the updated one.  That
+staleness is far below 1e-10 relative: on ``ohmic_critical`` at
+``tau_q = 100``, with every step pinned at half the cap (rtol 1e-6),
+re-evaluating ``k_0`` after the sub-flow left the excess the same bit
+for bit (measured while the chain block was still part of ``y``).
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are

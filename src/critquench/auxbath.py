@@ -22,7 +22,9 @@ Lyapunov engine, :func:`critquench.moments.propagate_batch`, in
 physical time; the chain's own covariance block is linear, constant
 and damped, so the engine advances it exactly once per step instead of
 through the Runge-Kutta stages (exponential integrators: Hochbruck &
-Ostermann, Acta Numerica 19, 209 (2010)).
+Ostermann, Acta Numerica 19, 209 (2010)), and the stages carry only
+the system columns of V: the system block and the system-chain cross
+block.
 """
 
 from __future__ import annotations
@@ -187,14 +189,14 @@ def propagate_covariance_batch(
     batch runs on :func:`critquench.moments.propagate_batch` in physical
     time.  Its chain-chain covariance block, whose Lyapunov eigenvalues
     reach twice the drift's spectral radius ``rho`` (taken over every
-    network at ``g = 0`` and ``g = 1``), is frozen in the Runge-Kutta
-    stages and advanced exactly once per step
-    (:func:`critquench.moments.chain_flow`).  The fastest block the stages
-    integrate is then the system-chain one, at about ``rho + omega``, so
-    the stability rate is ``(rho + omega) / 2`` and the step cap
-    ``7 / (rho + omega)``, alike for every member and about twice the
-    ``3.5 / rho`` the chain block would allow.  Returns ``(s_times, V)``,
-    V of shape (S, B, 2n, 2n).
+    network at ``g = 0`` and ``g = 1``), stays out of the Runge-Kutta
+    stages, which carry only the system columns of V, and is advanced
+    exactly once per step (:func:`critquench.moments.chain_flow`).  The
+    fastest block the stages integrate is then the system-chain one, at
+    about ``rho + omega``, so the stability rate is ``(rho + omega) / 2``
+    and the step cap ``7 / (rho + omega)``, alike for every member and
+    about twice the ``3.5 / rho`` the chain block would allow.  Returns
+    ``(s_times, V)``, V of shape (S, B, 2n, 2n).
     """
     tau, g_f, r_n, kappa, eta = broadcast_members(
         tau_q, g_final, r_n, params.kappa if kappa is None else kappa, model.eta if eta is None else eta

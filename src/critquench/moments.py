@@ -22,7 +22,9 @@ on the 2x2 covariance of the system mode alone; the structured bath
 its own drift base and diffusion.
 
 Both baths run on one engine, :func:`propagate_batch`, and supply only
-their terms, clock and stability rate.  A sweep is one vectorized batch
+their terms, clock and stability rate; the right-hand sides and the
+exact chain sub-flow it hands to the stepper are in
+:mod:`critquench._flows`.  A sweep is one vectorized batch
 whose members (quench times, couplings, ramp shapes, sizes, and the
 isolated and open legs, the isolated block at ``kappa = 0``) share one
 adaptive step sequence, which keeps thousand-point sweeps fast.
@@ -37,10 +39,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as model_mod
+from ._flows import chain_flow, lyapunov_batch_rhs, system_columns_rhs
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, IntegrationFailure, PhysicalityError
 from .model import ModelSpec
-from .protocol import QuenchProtocol, ramp_profile
+from .protocol import QuenchProtocol
 
 if TYPE_CHECKING:
     from .auxbath import AuxBathParams
@@ -160,161 +163,13 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
     structured bath's step cap in
     :func:`critquench.auxbath.propagate_covariance_batch`); a
     propagation writes the same block from the coefficient table itself
-    (:func:`lyapunov_batch_rhs`).
+    (:func:`lyapunov_batch_rhs`, :func:`system_columns_rhs`).
     """
     n = drift.shape[-1] // 2
     h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
     np.negative(h_qq, out=drift[..., n, 0])
     drift[..., 0, n] = h_pp
     return drift
-
-
-def _horner(coeffs, x, out) -> None:
-    """``coeffs[0] + x coeffs[1] + x^2 coeffs[2] + ...`` written into ``out``."""
-    np.multiply(coeffs[-1], x, out=out)
-    for c in coeffs[-2:0:-1]:
-        out += c
-        out *= x
-    out += coeffs[0]
-
-
-def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0, frozen=False):
-    """``dV/du = (tau_q / end) (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
-
-    Each member reads its ramp at its own clock ``s = u / end`` of the
-    solver's one time ``u``, rescaled time at ``end = 1`` (the default)
-    and physical time at ``end = tau_q`` (see :func:`propagate_batch`).
-    The rate ``tau_q / end`` is folded in once, here, into a drift
-    buffer holding ``drift_base`` (one matrix, or one per member), into
-    the diffusion and into the coefficients of
-    :func:`critquench.model.quadrature_coefficients`.  The table also
-    absorbs ``g_final^2`` per power of ``g^2``, and, for a member whose
-    ramp is linear, ``1 / end^2``: its ``g^2 = g_final^2 u^2 / end^2``.
-    A call evaluates the ramped entries by Horner's rule at
-    ``X = u^2``, a float when every ramp is linear; otherwise ``X`` is
-    per member, ``ramp(s)^2``, and ``u^2`` for the linear members, so a
-    linear member gets the same bits in a mixed batch as alone.  It
-    writes only those entries: ``Gamma[p_1, q_1] = -rate h_qq``, and
-    ``Gamma[q_1, p_1] = rate h_pp`` where ``h_pp`` moves with the
-    coupling (LMG); a constant ``h_pp`` is written once.  No other entry
-    is touched, so the result depends on ``(u, V)`` only.  V must be
-    symmetric, as ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output
-    is a fresh, exactly symmetric array, so a flow started from a
-    symmetric V stays exactly symmetric through every Runge-Kutta
-    stage.  ``tau_q``, ``g_final``, ``r_n``, ``eta`` and ``end`` are per
-    member.  With ``frozen``, the output is zero on the chain block
-    (every mode but the system mode, in both indices), so the stages
-    hold that block fixed and :func:`chain_flow` advances it.
-    """
-    rate = tau_q / end
-    drift, diffusion = rate[:, None, None] * drift_base, rate[:, None, None] * diffusion
-    a, b = model_mod.quadrature_coefficients(model, eta)
-    n = drift.shape[-1] // 2
-    linear = np.asarray(r_n) == 1.0
-    x_scale = g_final * g_final / np.where(linear, end * end, 1.0)
-    # (coefficients, entry) of each ramped entry; a coefficient that is
-    # zero for every member is dropped, and a constant entry written once
-    ramped = []
-    for coeffs, entry in (([-c * rate for c in a], drift[:, n, 0]), ([c * rate for c in b], drift[:, 0, n])):
-        while len(coeffs) > 1 and not np.any(coeffs[-1]):
-            coeffs.pop()
-        if len(coeffs) == 1:
-            entry[...] = coeffs[0]
-        else:
-            ramped.append(([c * x_scale**k for k, c in enumerate(coeffs)], entry))
-    m = np.empty_like(drift)
-    all_linear, ramp = bool(linear.all()), ramp_profile(r_n)
-    keep = None
-    if frozen:
-        keep = np.ones(drift.shape[-2:])
-        _by_mode(keep)[:, 1:, :, 1:] = 0.0
-
-    def rhs(u, v):
-        x = u * u if all_linear else np.where(linear, u * u, np.square(ramp(u / end)))
-        for coeffs, entry in ramped:
-            _horner(coeffs, x, entry)
-        np.matmul(drift, v, out=m)
-        out = m + m.swapaxes(-1, -2)
-        out += diffusion
-        if keep is not None:
-            out *= keep
-        return out
-
-    return rhs
-
-
-def _by_mode(a: np.ndarray) -> np.ndarray:
-    """A view of a stack of (2n, 2n) matrices as (..., 2, n, 2, n): (quadrature, mode) per index.
-
-    Mode 0 is the system mode, so ``[..., 1:, :, 1:]`` is the chain block
-    (every other mode, in both indices) and ``[..., 1:, :, 0]`` the
-    chain-system cross block.  Splitting an axis never copies, so writes
-    through the view reach ``a``.
-    """
-    n = a.shape[-1] // 2
-    return a.reshape(*a.shape[:-2], 2, n, 2, n)
-
-
-def chain_flow(drift_base, diffusion, rate):
-    """Exact flow of a batch's chain block over one step, as a ``subflow`` for :func:`solve_to`.
-
-    The chain block ``C`` of V (every mode but the system mode, in both
-    indices) obeys ``dC/du = G C + C G^T + D_cc + K X^T + X K^T``, where
-    ``G = rate Gamma_cc``, ``K = rate Gamma[chain, system]`` and
-    ``X = V[chain, system]`` is the cross block; no coefficient moves
-    with the coupling.  The chain's vacuum must be stationary,
-    ``G + G^T + rate D_cc = 0``, as it is exactly for every chain
-    :func:`critquench.auxbath.build_system` writes.  Then ``E = C - I``
-    obeys ``dE/du = G E + E G^T + F`` with ``F = K X^T + X K^T``, and,
-    holding F at its value at the step's end, the flow over a step of
-    length ``h`` is exact:
-
-        E <- Phi_h (E + L) Phi_h^T - L,   Phi_h = exp(h G),   G L + L G^T = F.
-
-    ``Phi_h`` comes from one eigendecomposition of G, and L from the
-    inverse of the Lyapunov operator on the row-major ``vec`` of the
-    block, both computed once.  Every member must share G.  Returns
-    ``subflow(t, t_new, v)``, which updates the batch ``v`` in place
-    and leaves C exactly symmetric; a member without forcing (``K = 0``)
-    keeps ``C = I`` exactly.
-    """
-    b, dim = drift_base.shape[:2]
-    m = dim - 2
-    r = np.asarray(rate, dtype=float)[:, None, None]
-    gamma = r * _by_mode(drift_base)[:, :, 1:, :, 1:].reshape(b, m, m)
-    if np.any(gamma != gamma[:1]):
-        raise ValueError("the members of a frozen-chain batch must share one chain drift")
-    if np.any(gamma + gamma.swapaxes(-1, -2) + r * _by_mode(diffusion)[:, :, 1:, :, 1:].reshape(b, m, m)):
-        raise ValueError("a frozen chain needs a stationary vacuum: Gamma_cc + Gamma_cc^T + D_cc = 0")
-    gamma, eye = gamma[0], np.eye(m)
-    k = r * _by_mode(drift_base)[:, :, 1:, :, 0].reshape(b, m, 2)
-    # Phi_h = Re sum_k exp(h lam_k) P[:, k] P^-1[k, :] is one real product
-    # with the (re, im) pairs of exp(h lam).  P^-1 is read off the inverse of
-    # P's real form [[Re, -Im], [Im, Re]]: a complex inverse maps 0.4 MB
-    # more of LAPACK into every structured run.
-    lam, vecs = np.linalg.eig(gamma)
-    real_inv = np.linalg.inv(np.block([[vecs.real, -vecs.imag], [vecs.imag, vecs.real]]))
-    outer = vecs.T[:, :, None] * (real_inv[:m, :m] + 1j * real_inv[m:, :m])[:, None, :]
-    expand = np.stack([outer.real, -outer.imag], axis=1).reshape(2 * m, m * m).T
-    # row-major vec(L) = vec(F) @ lyapunov_inv.T, and F = K X^T + (K X^T)^T
-    # is vec(K X^T) @ (1 + transpose).T
-    lyapunov_inv = np.linalg.inv(np.kron(gamma, eye) + np.kron(eye, gamma))
-    transpose = np.eye(m * m).reshape(m, m, m, m).swapaxes(2, 3).reshape(m * m, m * m)
-    weights = (lyapunov_inv @ (np.eye(m * m) + transpose)).T
-
-    def subflow(t, t_new, v):
-        phi = (expand @ np.exp((t_new - t) * lam).view(float)).reshape(m, m)
-        modes = _by_mode(v)
-        block = modes[:, :, 1:, :, 1:]
-        kx = k @ modes[:, :, 1:, :, 0].reshape(b, m, 2).swapaxes(-1, -2)
-        lyap = (kx.reshape(b, -1) @ weights).reshape(kx.shape)
-        a = block.reshape(b, m, m) - eye
-        a += lyap
-        a = np.matmul(phi, (a.reshape(-1, m) @ phi.T).reshape(a.shape))
-        a -= lyap
-        block[...] = (eye + 0.5 * (a + a.swapaxes(-1, -2))).reshape(block.shape)
-
-    return subflow
 
 
 def propagate_moments_batch(
@@ -358,16 +213,22 @@ def propagate_batch(
     physical time the damped chain bounds the step alike for every
     member, but a Markovian batch is limited by accuracy early on
     (``critical_akz_zero_temperature.cfg``: 11 solves and 9,379 attempts,
-    against one solve of 7,366 in rescaled time).  A network with more
-    than the system mode (the structured bath's chain) has its chain
-    block frozen in the stages (``lyapunov_batch_rhs(..., frozen=True)``)
-    and advanced exactly once per accepted step by :func:`chain_flow`,
-    the ``subflow`` of every ``solve_to`` call; the bath's ``rate`` then
-    only has to bound the blocks the stages integrate.  A Markovian
-    batch has no chain and builds no sub-flow.  A member ending with
-    an eigenvalue of ``V + iJ`` below ``-(PHYSICALITY_TOL + rtol max|V|)``
-    raises :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``, V of shape (S, B, 2n, 2n),
-    member ``b`` sampled at ``s end_b``; sampling needs one end.
+    against one solve of 7,366 in rescaled time).  A Markovian batch
+    (N = 2) integrates V itself with :func:`lyapunov_batch_rhs`.  A
+    network with a chain beside the system mode is reordered as
+    (q_1, p_1, chain...): :func:`solve_to` integrates only the system
+    columns ``W = V[:, :, :2]`` (:func:`system_columns_rhs`; 20 numbers
+    per member of a 4-oscillator chain instead of 100), and the chain
+    block, one contiguous (B, N - 2, N - 2) array beside W, is advanced
+    exactly once per accepted step by :func:`chain_flow`, the
+    ``subflow`` of every ``solve_to`` call; the bath's ``rate`` then
+    only has to bound the blocks the stages integrate.  V is rebuilt,
+    exactly symmetric, at the end and at every sample time.  A member
+    ending with an eigenvalue of ``V + iJ`` below
+    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
+    :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``,
+    V of shape (S, B, 2n, 2n), member ``b`` sampled at ``s end_b``;
+    sampling needs one end.
     """
     ends = np.broadcast_to(end, tau.shape)
     stops = sorted(set(ends.tolist()))
@@ -377,21 +238,36 @@ def propagate_batch(
     settings = replace(settings, max_step=min(settings.max_step, cap))
     t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * stops[0]
 
-    v = np.broadcast_to(np.eye(drift_base.shape[-1]), drift_base.shape).copy()
-    frozen = drift_base.shape[-1] > 2  # a chain beside the system mode
+    dim = drift_base.shape[-1]
+    if dim == 2:
+        state, chain, order = np.broadcast_to(np.eye(2), drift_base.shape).copy(), None, None
+    else:
+        n = dim // 2
+        order = np.r_[0, n, 1:n, n + 1 : dim]
+        drift_base, diffusion = (a[:, order][:, :, order] for a in (drift_base, diffusion))
+        state = np.zeros(tau.shape + (dim, 2))
+        state[:, 0, 0] = state[:, 1, 1] = 1.0
+        chain = np.broadcast_to(np.eye(dim - 2), tau.shape + (dim - 2, dim - 2)).copy()
     active, start = np.arange(tau.size), 0.0
     for stop in stops:
         # a shared end stays the scalar it is, so its RHS divides by no array
         clock = end if np.ndim(end) == 0 else ends[active]
-        terms = drift_base[active], diffusion[active]
-        rhs = lyapunov_batch_rhs(
-            *terms, model, tau[active], g_f[active], r_n[active], eta[active], clock, frozen=frozen
-        )
-        flow = replace(settings, subflow=chain_flow(*terms, tau[active] / clock) if frozen else None)
-        ts, vs = solve_to(rhs, start, stop, v[active], settings=flow, t_samples=t_samples)
-        v[active] = vs[-1]
+        drifts, ramp = drift_base[active], (model, tau[active], g_f[active], r_n[active], eta[active], clock)
+        if chain is None:
+            rhs, flow = lyapunov_batch_rhs(drifts, diffusion[active], *ramp), None
+        else:
+            rhs, q = system_columns_rhs(drifts, diffusion[active], *ramp)
+            c = chain[active]
+            flow = chain_flow(drifts, diffusion[active], tau[active] / clock, c, q)
+            if t_samples is not None:
+                flow, sampled = _sampling(flow, c, t_samples)
+        ts, ys = solve_to(rhs, start, stop, state[active], replace(settings, subflow=flow), t_samples)
+        state[active] = ys[-1]
+        if chain is not None:
+            chain[active] = c
         active, start = active[ends[active] > stop], stop
 
+    v = state if chain is None else _covariance(state, chain, order)
     # a defect within the error control of the flow is not a fault: loose
     # tolerances leave a pure state up to about rtol |V| below the bound
     floor = PHYSICALITY_TOL + settings.rtol * np.max(np.abs(v), axis=(-2, -1))
@@ -402,7 +278,40 @@ def propagate_batch(
         raise IntegrationFailure(message, t_last=float(ends[worst]))
     if t_samples is None:
         return np.ones(1), v[None]
-    return ts / stops[0], vs
+    if chain is not None:
+        ys = _covariance(ys, np.stack([sampled.get(t, sampled[None]) for t in ts.tolist()]), order)
+    return ts / stops[0], ys
+
+
+def _sampling(flow, c, t_samples):
+    """``flow`` that also keeps a copy of the chain block ``c`` after each step ending on a sample time.
+
+    Returns the flow and the copies, keyed by time; key ``None`` holds
+    ``c`` as it is now, the state of the samples at or before the start.
+    """
+    targets, sampled = set(np.asarray(t_samples, dtype=float).tolist()), {None: c.copy()}
+
+    def subflow(t, t_new, w):
+        flow(t, t_new, w)
+        if t_new in targets:
+            sampled[t_new] = c.copy()
+
+    return subflow, sampled
+
+
+def _covariance(w, c, order):
+    """V in the bath's quadrature order from system columns ``w`` (..., N, 2) and chain block ``c``.
+
+    ``order`` is the (q_1, p_1, chain...) reordering of the quadratures;
+    V is exactly symmetric when the system block of ``w`` and ``c`` are.
+    """
+    dim = w.shape[-2]
+    v = np.empty(w.shape[:-1] + (dim,))
+    v[..., :2] = w
+    v[..., :2, 2:] = w[..., 2:, :].swapaxes(-1, -2)
+    v[..., 2:, 2:] = c
+    back = np.argsort(order)
+    return v[..., back, :][..., back]
 
 
 @dataclass(frozen=True)

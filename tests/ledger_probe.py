@@ -27,12 +27,15 @@ Run from the repository root with ``PYTHONPATH=src``:
     propagates a config's quench-time grid once (both legs, no fit) and
     prints, for each ``solve_to`` call in order, its time span, the
     members it carries, the attempted steps, the rejected ones, the
-    accepted steps that sat at ``max_step`` and its wall time; then the
-    totals, with the member-attempts (members times attempts, summed).
-    The first line also gives the step cap; for a structured config, the
-    largest eigenvalue modulus ``|z|`` of the Lyapunov flow the stages
-    integrate (the chain block frozen), ``h |z|`` at the cap, and the
-    modulus the frozen chain block would have set.
+    accepted steps that sat at ``max_step``, its wall time and the wall
+    time of its exact sub-flow (0 without a chain); then the totals,
+    with the member-attempts (members times attempts, summed).  The
+    first line also gives how many numbers per member the Runge-Kutta
+    stages carry, out of the covariance's, and the step cap; for a
+    structured config, the largest eigenvalue modulus ``|z|`` of the
+    Lyapunov flow the stages integrate (the chain block frozen),
+    ``h |z|`` at the cap, and the modulus the frozen chain block would
+    have set.
 
 ``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 --cap-divisor 4``
     propagates one quench of a structured config, its isolated and open
@@ -52,7 +55,7 @@ from scipy.integrate import quad
 from test_acceptance import fit_log_corrected
 from test_auxbath import EXCESS_OBSERVABLES, long_double_excess, structured_excess
 
-from critquench import _ode
+from critquench import _ode, moments
 from critquench.auxbath import build_system
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
@@ -165,7 +168,7 @@ def stage_spectrum(config):
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real = _ode._StepControl
+    real, real_flow = _ode._StepControl, moments.chain_flow
     solves = []
 
     class Counted(real):
@@ -173,7 +176,9 @@ def cmd_steps(args):
         def __init__(self, t0, t1, y0, settings, t_samples):
             super().__init__(t0, t1, y0, settings, t_samples)
             self.span, self.members = (t0, t1), y0.shape[0]
+            self.carried, self.dim = y0[0].size, y0.shape[1]
             self.rejected = self.at_cap = 0
+            self.flow_s = 0.0
             self.started = self.ended = time.perf_counter()
             solves.append(self)
 
@@ -184,24 +189,35 @@ def cmd_steps(args):
             self.ended = time.perf_counter()
             return accepted
 
-    _ode._StepControl = Counted
+    def timed_flow(*args):
+        # the sub-flow runs inside the solve_to call whose step control came last
+        flow = real_flow(*args)
+
+        def subflow(t, t_new, w):
+            start = time.perf_counter()
+            flow(t, t_new, w)
+            solves[-1].flow_s += time.perf_counter() - start
+
+        return subflow
+
+    _ode._StepControl, moments.chain_flow = Counted, timed_flow
     try:
         t0 = time.perf_counter()
         compute_chunk(config, taus)
         wall = time.perf_counter() - t0
     finally:
-        _ode._StepControl = real
+        _ode._StepControl, moments.chain_flow = real, real_flow
     cap = solves[0].settings.max_step
-    limits = f"  step cap {cap:.6g}"
+    limits = f"  stages carry {solves[0].carried} of {solves[0].dim ** 2} numbers per member, step cap {cap:.6g}"
     if config.bath_type == "structured":
         stages, chain = stage_spectrum(config)
         limits += f", stages' fastest |z| {stages:.4g} (h|z| {cap * stages:.3f}), frozen chain block's {chain:.4g}"
     print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}{limits}")
-    print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s")
+    print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s  subflow_s")
     for i, s in enumerate(solves):
         print(
             f"  {i:>5}  {s.span[0]:g}..{s.span[1]:g}  {s.members}  {s.n_steps}  {s.rejected}"
-            f"  {s.at_cap}  {s.ended - s.started:.3f}"
+            f"  {s.at_cap}  {s.ended - s.started:.4f}  {s.flow_s:.4f}"
         )
     print(
         f"  total: {len(solves)} solves, {sum(s.n_steps for s in solves)} attempts,"

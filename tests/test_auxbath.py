@@ -31,19 +31,27 @@ from critquench.auxbath import (
 )
 from critquench.config import build_config, parse_config_text
 from critquench.errors import DomainError, PhysicalityError
-from critquench.model import THERMODYNAMIC
+from critquench.model import THERMODYNAMIC, ModelKind, ModelSpec
 from critquench.moments import (
     chain_flow,
     lyapunov_batch_rhs,
     physicality_defect,
     set_system_block,
     symplectic_form,
+    system_columns_rhs,
 )
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 #: quadrature indices of the default table's chain (every mode but the system mode)
 CHAIN = np.r_[1:5, 6:10]
+#: the (q_1, p_1, chain...) order of the quadratures that the engine integrates in
+ORDER = np.r_[0, 5, CHAIN]
+
+
+def reordered(a):
+    """Matrices ``a`` (..., 10, 10) of the default table's network in the (q_1, p_1, chain...) order."""
+    return a[..., ORDER, :][..., ORDER]
 
 
 def network(params: AuxBathParams, g: float, model=THERMODYNAMIC):
@@ -372,44 +380,48 @@ class TestStructuredSweep:
 
 
 class TestFrozenChain:
-    """The stages hold the chain block fixed and ``chain_flow`` advances it exactly."""
+    """The stages carry the system columns, and ``chain_flow`` advances the chain block exactly."""
 
-    def test_rhs_zeroes_only_the_chain_block(self):
-        terms = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
+    def test_column_rhs_is_the_system_columns_of_the_full_rhs(self):
         rng = np.random.default_rng(8)
-        m = rng.normal(size=(1, 10, 10))
+        m = rng.normal(size=(2, 10, 10))
         v = m + m.swapaxes(-1, -2)
-        one = np.array([1.0])
-        args = (*terms, THERMODYNAMIC, one, np.array([0.5]), one)
-        full = lyapunov_batch_rhs(*args)(0.7, v)
-        frozen = lyapunov_batch_rhs(*args, frozen=True)(0.7, v)
-        block = np.ix_([0], CHAIN, CHAIN)
-        assert np.all(frozen[block] == 0.0)
-        frozen[block] = full[block]
-        assert np.array_equal(frozen, full)
+        tau, g_f, r_n = np.array([1.3, 0.8]), np.array([0.5, 0.9]), np.ones(2)
+        models = (THERMODYNAMIC, ModelSpec(kind=ModelKind.QRM, eta=30.0), ModelSpec(kind=ModelKind.LMG, eta=30.0))
+        for model in models:
+            terms = np.stack(build_system(model, DEFAULT_OHMIC))[:, None].repeat(2, axis=1)
+            drift, diffusion = reordered(terms)
+            eta = np.full(2, model.eta)
+            for exponent in (1.0, 1.25):
+                ramp = (model, tau, g_f, exponent * r_n, eta, tau)
+                full = reordered(lyapunov_batch_rhs(*terms, *ramp)(0.7, v))[:, :, :2]
+                rhs, q = system_columns_rhs(drift, diffusion, *ramp)
+                chain_flow(drift, diffusion, np.ones(2), reordered(v)[:, 2:, 2:].copy(), q)
+                columns = rhs(0.7, reordered(v)[:, :, :2].copy())
+                assert np.max(np.abs(columns - full)) <= 1e-13 * np.max(np.abs(full)), (model.kind, exponent)
+                assert np.array_equal(columns[:, 0, 1], columns[:, 1, 0])
 
     def test_one_step_matches_the_integrated_chain_block(self):
         # with the cross block held, one exact step is the chain block's own flow
-        drift, diffusion = build_system(THERMODYNAMIC, replace(DEFAULT_OHMIC, kappa=1e-2))
+        drift, diffusion = reordered(np.stack(build_system(THERMODYNAMIC, replace(DEFAULT_OHMIC, kappa=1e-2))))
         rng = np.random.default_rng(4)
         m = rng.normal(size=(10, 10))
         v = np.eye(10) + 0.01 * (m + m.T)
-        block = np.ix_(CHAIN, CHAIN)
 
         def chain_rhs(t, c):
             w = v.copy()
-            w[block] = c
+            w[2:, 2:] = c
             out = drift @ w
-            return (out + out.T + diffusion)[block]
+            return (out + out.T + diffusion)[2:, 2:]
 
-        ref = solve_to(chain_rhs, 0.0, 0.3, v[block], TIGHT)[1][-1]
-        flowed = v[None].copy()
-        chain_flow(drift[None], diffusion[None], np.ones(1))(2.0, 2.3, flowed)
-        assert np.max(np.abs(flowed[0][block] - ref)) < 1e-11
-        assert np.array_equal(flowed[0], flowed[0].T)
-        outside = np.ones((10, 10), dtype=bool)
-        outside[block] = False
-        assert np.array_equal(flowed[0][outside], v[outside])
+        ref = solve_to(chain_rhs, 0.0, 0.3, v[2:, 2:], TIGHT)[1][-1]
+        c, q, w = v[None, 2:, 2:].copy(), np.empty((1, 8, 2)), v[None, :, :2].copy()
+        chain_flow(drift[None], diffusion[None], np.ones(1), c, q)(2.0, 2.3, w)
+        assert np.max(np.abs(c[0] - ref)) < 1e-11
+        assert np.array_equal(c[0], c[0].T)
+        assert np.array_equal(w[0], v[:, :2])
+        # the chain's forcing of the system columns follows C
+        assert np.max(np.abs(q[0] - c[0] @ drift[:2, 2:].T)) < 1e-15
 
     def test_kappa_zero_members_keep_the_vacuum_chain(self):
         # without forcing the flow has nothing to move: C stays I bit for bit
@@ -418,6 +430,33 @@ class TestFrozenChain:
         assert np.array_equal(isolated, np.eye(8))
         assert 0.0 < np.max(np.abs(open_ - np.eye(8))) < 1e-6
         assert np.array_equal(vs[-1], vs[-1].swapaxes(-1, -2))
+
+    def test_sampled_trajectory_rebuilds_v_at_every_sample(self, monkeypatch):
+        # the last sample is the V the engine checks at the end, bit for bit
+        checked = []
+        defect = moments.physicality_defect
+
+        def spy(v, j):
+            checked.append(v.copy())
+            return defect(v, j)
+
+        protocol = QuenchProtocol(1.0, 20.0)
+        monkeypatch.setattr(moments, "physicality_defect", spy)
+        vs = integrate(protocol, bath=DEFAULT_OHMIC, samples=17).vs
+        assert vs.shape == (17, 10, 10) and len(checked) == 1
+        assert np.array_equal(vs[-1], checked[0][0])
+        unsampled = integrate(protocol, bath=DEFAULT_OHMIC, samples=0).final
+        assert np.max(np.abs(vs[-1] - unsampled)) < 1e-9 * np.max(np.abs(unsampled))
+        assert np.array_equal(vs, vs.swapaxes(-1, -2))
+        assert np.min(physicality_defect(vs, symplectic_form(5))) >= -1e-10
+        # the open member's chain block moves off the vacuum; the isolated one's never does
+        _, both = DEFAULT_OHMIC.propagate(
+            20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=np.linspace(0.0, 1.0, 17), kappa=[0.0, DEFAULT_OHMIC.kappa]
+        )
+        chains = both[:, :, CHAIN][:, :, :, CHAIN]
+        assert np.all(chains[:, 0] == np.eye(8))
+        assert np.array_equal(chains[0, 1], np.eye(8))
+        assert all(np.any(chain != np.eye(8)) for chain in chains[1:, 1])
 
     def test_markovian_batches_build_no_subflow(self, monkeypatch):
         def no_flow(*args):
@@ -440,14 +479,15 @@ class TestFrozenChain:
 
     def test_rejects_a_chain_it_cannot_flow(self):
         tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
-        drifts = np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables])
-        diffusion = np.broadcast_to(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1], drifts.shape)
-        chain_flow(drifts, diffusion, np.ones(2))  # the decoupled table keeps its chain
+        drifts = reordered(np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables]))
+        diffusion = np.broadcast_to(reordered(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1]), drifts.shape)
+        c, q = np.broadcast_to(np.eye(8), (2, 8, 8)).copy(), np.empty((2, 8, 2))
+        chain_flow(drifts, diffusion, np.ones(2), c, q)  # the decoupled table keeps its chain
         with pytest.raises(ValueError, match="stationary vacuum"):
-            chain_flow(drifts, 2.0 * diffusion, np.ones(2))
+            chain_flow(drifts, 2.0 * diffusion, np.ones(2), c, q)
         drifts[1, 2, 2] -= 1.0
         with pytest.raises(ValueError, match="share one chain"):
-            chain_flow(drifts, diffusion, np.ones(2))
+            chain_flow(drifts, diffusion, np.ones(2), c, q)
 
 
 class TestLongDoubleOracle:

@@ -343,7 +343,9 @@ class TestRunSweep:
         def solve_to(rhs, t0, t1, y0, settings, t_samples=None):
             ts, vs = real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
             if t1 == taus[1]:
-                vs[-1, 0] = 0.5 * np.eye(y0.shape[-1])  # the isolated member of taus[1]
+                # the isolated member of taus[1]: a system block of 0.5 I, its
+                # state's first two columns being those of V
+                vs[-1, 0] = 0.5 * np.eye(*y0.shape[-2:])
             return ts, vs
 
         monkeypatch.setattr(moments, "solve_to", solve_to)

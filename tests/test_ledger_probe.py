@@ -23,11 +23,16 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         ledger_probe.main(["steps", str(config)])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{config}  3 quench times in [5, 10]")
-        # the cap, and for the chain the eigenvalue that sets it
-        assert "  step cap " in lines[0]
+        # the numbers the stages carry, the cap, and for the chain the eigenvalue that sets it
+        carried = "20 of 100" if len(members) > 1 else "4 of 4"
+        assert f"  stages carry {carried} numbers per member, step cap " in lines[0]
         assert ("stages' fastest |z| " in lines[0]) == (len(members) > 1)
         rows = [line.split() for line in lines[2:-1]]
         assert [int(row[2]) for row in rows] == members
+        # the sub-flow's wall time, within its solve's; none without a chain
+        flows = [float(row[7]) for row in rows]
+        assert all(0.0 <= f <= float(row[6]) for f, row in zip(flows, rows))
+        assert all(f > 0.0 for f in flows) if len(members) > 1 else flows == [0.0]
         # a structured batch chains its solves from 0 to tau_max in physical time
         spans = [row[1].split("..") for row in rows]
         assert spans[0][0] == "0" and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))

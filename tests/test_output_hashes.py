@@ -3,9 +3,10 @@
 ``python tests/output_hashes.py`` checks every recorded config.  The
 quick ones are three thermodynamic linear-ramp sweeps, the QRM size
 crossover, which covers a finite-size model and the size-crossover
-writer, and one structured-bath sweep, which covers the chain network,
-its frozen block and its exact sub-flow; together they take about ten
-seconds.
+writer, and two structured-bath sweeps, which cover the chain network,
+its system-column stages and its exact sub-flow.  ``ohmic_nonlinear.cfg``
+is the only shipped config whose structured stages take the per-member
+ramp variable of a nonlinear ramp.
 """
 
 import output_hashes
@@ -14,6 +15,7 @@ QUICK_CONFIGS = [
     "isolated_adiabatic.cfg",
     "isolated_kz.cfg",
     "offcritical_linear_weak_coupling.cfg",
+    "ohmic_nonlinear.cfg",
     "ohmic_offcritical.cfg",
     "qrm_size_crossover.cfg",
 ]
