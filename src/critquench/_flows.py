@@ -6,7 +6,10 @@ Two right-hand sides of the Lyapunov equation
 one, and a reference on any network), and :func:`system_columns_rhs`
 on the system columns of a network with a chain beside the system
 mode.  :func:`chain_flow` is the exact sub-flow that advances such a
-network's chain block once per accepted step.  Each is built once per
+network's chain block, the block from index 2 on, once per accepted
+step.  Every network is in the mode-by-mode order of
+:mod:`critquench.moments`, so at any size the ramped entries are
+``Gamma[1, 0]`` and ``Gamma[0, 1]``.  Each is built once per
 ``solve_to`` call; only the ramped system block of ``Gamma`` moves with
 the coupling.
 """
@@ -85,10 +88,9 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     """
     rate, polys, x_of = _ramp(model, tau_q, g_final, r_n, eta, end)
     drift, diffusion = rate[:, None, None] * drift_base, rate[:, None, None] * diffusion
-    n = drift.shape[-1] // 2
     # (coefficients, entry) of each ramped entry; a constant entry is written once
     ramped = []
-    for coeffs, entry in zip(polys, (drift[:, n, 0], drift[:, 0, n])):
+    for coeffs, entry in zip(polys, (drift[:, 1, 0], drift[:, 0, 1])):
         if len(coeffs) == 1:
             entry[...] = coeffs[0]
         else:
@@ -108,13 +110,13 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
 
 
 def system_columns_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta, end):
-    """``dW/du`` of the system columns of a batch of (q_1, p_1, chain...)-ordered covariances.
+    """``dW/du`` of the system columns of a batch of covariances.
 
     ``W = V[:, :, :2]`` of shape (B, N, 2) holds the system block S in
     its first two rows and the chain-system cross block X below; the
     chain block C sits outside, frozen during the stages.  With the rate
-    and the ramp folded in as in :func:`lyapunov_batch_rhs` (``Gamma``
-    in this order, ``Gamma_ss`` its system block,
+    and the ramp folded in as in :func:`lyapunov_batch_rhs` (``Gamma_ss``
+    the system block of ``Gamma``,
     ``K_sc = Gamma[system, chain]``),
 
         dW/du = Gamma W + W Gamma_ss^T + [X^T K_sc^T; C K_sc^T] + D[:, :2],
@@ -169,8 +171,8 @@ def system_columns_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
 def chain_flow(drift_base, diffusion, rate, c, q):
     """Exact flow of a batch's chain block over one step, as a ``subflow`` for ``solve_to``.
 
-    The network is ordered (q_1, p_1, chain...).  The chain block ``C``
-    (B, N - 2, N - 2), one contiguous array, obeys
+    The chain block ``C = V[:, 2:, 2:]`` (B, N - 2, N - 2), one
+    contiguous array, obeys
     ``dC/du = G C + C G^T + D_cc + K X^T + X K^T``, where
     ``G = rate Gamma_cc``, ``K = rate Gamma[chain, system]`` and
     ``X = W[:, 2:]`` is the cross block of the system columns W that

@@ -9,8 +9,10 @@ default table realizes an Ohmic density
 
 Everything is quadratic, so the full state is the symmetrized
 covariance matrix ``V_jk = <x_j x_k + x_k x_j>`` over the quadratures
-``x = (q_1..q_{N+1}, p_1..p_{N+1})`` (system mode first,
-``a = (q_1 + i p_1)/sqrt(2)``), which obeys the Lyapunov equation
+``x = (q_1, p_1, q_2, p_2, ..., q_{N+1}, p_{N+1})``, mode by mode
+(system mode first, ``a = (q_1 + i p_1)/sqrt(2)``, then oscillator
+``k = 0, 1, ...`` at indices ``2k + 2`` and ``2k + 3``), which obeys
+the Lyapunov equation
 ``dV/dt = Gamma(t) V + V Gamma(t)^T + D``.  The bath is its drift base
 and diffusion (:func:`build_system`): ``J H`` of the network at
 ``g = 0``, with J the symplectic form and H the quadratic-form matrix,
@@ -19,8 +21,9 @@ plus each oscillator's local damping ``sqrt(gamma) b_k``, which adds
 to the diffusion's (rates in units of ``omega_c``).  Only the system
 block moves with the ramped coupling.  The flow runs on the one
 Lyapunov engine, :func:`critquench.moments.propagate_batch`, in
-physical time; the chain's own covariance block is linear, constant
-and damped, so the engine advances it exactly once per step instead of
+physical time and in the order it is built; the chain's own
+covariance block ``V[2:, 2:]`` is linear, constant and damped, so the
+engine advances it exactly once per step instead of
 through the Runge-Kutta stages (exponential integrators: Hochbruck &
 Ostermann, Acta Numerica 19, 209 (2010)), and the stages carry only
 the system columns of V: the system block and the system-chain cross
@@ -124,45 +127,34 @@ def build_system(model: ModelSpec, params: AuxBathParams):
 
     The drift base is ``J H`` at ``g = 0`` plus the chain's damping;
     :func:`critquench.moments.set_system_block` writes the ramped system
-    block.  Frequencies in ``params`` are scaled by ``omega_c`` (itself
-    in units of ``model.omega``).
+    block.  The quadratures are in the mode-by-mode order, system mode
+    at (0, 1) and oscillator ``k = 0, 1, ...`` at (2k + 2, 2k + 3).
+    Frequencies in ``params`` are scaled by ``omega_c`` (itself in
+    units of ``model.omega``).
     """
     n = params.n_oscillators + 1
     wc = params.omega_c * model.omega
     h = np.zeros((2 * n, 2 * n))
-    h[0, 0], h[n, n] = model_mod.quadrature_form(model, 0.0)
-
+    h[0, 0], h[1, 1] = model_mod.quadrature_form(model, 0.0)
+    damping = np.zeros(2 * n)
     for idx, osc in enumerate(params.oscillators):
-        qi, pi = 1 + idx, n + 1 + idx
-        w_k = osc.omega * wc
-        h[qi, qi] = w_k
-        h[pi, pi] = w_k
+        q, p = 2 * idx + 2, 2 * idx + 3
+        h[q, q] = h[p, p] = osc.omega * wc
         # kappa (a + a^dag)(c b + c* b^dag) = 2 kappa (Re c q1 qk - Im c q1 pk)
         c_k = complex(osc.c) * wc
-        h[0, qi] = h[qi, 0] = 2.0 * params.kappa * c_k.real
-        h[0, pi] = h[pi, 0] = -2.0 * params.kappa * c_k.imag
-
-    for idx in range(params.n_oscillators - 1):
-        d_k = complex(params.oscillators[idx].d) * wc
-        qi, pi = 1 + idx, n + 1 + idx
-        qj, pj = qi + 1, pi + 1
-        # d b_k b_{k+1}^dag + h.c. in quadratures
-        h[qi, qj] = h[qj, qi] = d_k.real
-        h[pi, pj] = h[pj, pi] = d_k.real
-        h[pi, qj] = h[qj, pi] = -d_k.imag
-        h[qi, pj] = h[pj, qi] = d_k.imag
-
-    drift = symplectic_form(n) @ h
-    diffusion = np.zeros_like(h)
-    for idx, osc in enumerate(params.oscillators):
-        k = np.array([1 + idx, n + 1 + idx])
+        h[0, q] = h[q, 0] = 2.0 * params.kappa * c_k.real
+        h[0, p] = h[p, 0] = -2.0 * params.kappa * c_k.imag
+        if osc.d:  # d b_k b_{k+1}^dag + h.c. in quadratures; the last d is 0
+            d_k = complex(osc.d) * wc
+            h[q, q + 2] = h[q + 2, q] = h[p, p + 2] = h[p + 2, p] = d_k.real
+            h[p, q + 2] = h[q + 2, p] = -d_k.imag
+            h[q, p + 2] = h[p + 2, q] = d_k.imag
         # L = sqrt(gamma) b = s (q + i p): rate s * s rather than the closed
         # form gamma wc / 2, which differs in the last bit for two of the
         # default oscillators and moves ohmic_critical's delta by 1.4e-7
         s = math.sqrt(osc.gamma * wc / 2.0)
-        drift[k, k] -= s * s
-        diffusion[k, k] = 2.0 * (s * s)
-    return drift, diffusion
+        damping[q] = damping[p] = s * s
+    return symplectic_form(n) @ h - np.diag(damping), np.diag(2.0 * damping)
 
 
 def _drift_spectral_radius(drifts) -> float:

@@ -2,9 +2,11 @@
 
 A zero-mean Gaussian state is fully described by its symmetrized
 quadrature covariance ``V_jk = <x_j x_k + x_k x_j>`` over
-``x = (q_1..q_n, p_1..p_n)``, system mode first with
-``a = (q_1 + i p_1)/sqrt(2)``; the vacuum is ``V = I``.  Every
-environment here is linear, so V obeys the Lyapunov equation
+``x = (q_1, p_1, q_2, p_2, ..., q_n, p_n)``, mode by mode, system mode
+first with ``a = (q_1 + i p_1)/sqrt(2)``; the vacuum is ``V = I``.
+Every network is built in this one order and integrated as built, so
+the system mode sits at indices (0, 1) for any n.  Every environment
+here is linear, so V obeys the Lyapunov equation
 
     dV/dt = Gamma(t) V + V Gamma(t)^T + D.
 
@@ -73,7 +75,7 @@ class BathSpec:
 
     @classmethod
     def from_temperature(cls, kappa: float, temperature: float, omega: float = 1.0):
-        """Build from a temperature in units of omega; T = 0 skips the exponential.
+        """Build from a temperature in the units ``omega`` is given in; T = 0 skips the exponential.
 
         Past the range of ``expm1`` (``omega / temperature`` above about
         709.78) the Bose occupation is below ``1 / DBL_MAX`` and is taken
@@ -129,12 +131,9 @@ def thermal_bath(kappa, n_th):
     return -0.5 * kappa[..., None, None] * eye, (kappa * (2.0 * n_th + 1.0))[..., None, None] * eye
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """J = [[0, I], [-I, 0]] in the (q..., p...) ordering."""
-    j = np.zeros((2 * n_modes, 2 * n_modes))
-    j[:n_modes, n_modes:] = np.eye(n_modes)
-    j[n_modes:, :n_modes] = -np.eye(n_modes)
-    return j
+def symplectic_form(n: int) -> np.ndarray:
+    """J of n modes in the mode-by-mode order: one ``[[0, 1], [-1, 0]]`` block per mode."""
+    return np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def physicality_defect(v: np.ndarray, j: np.ndarray):
@@ -155,7 +154,7 @@ def physicality_defect(v: np.ndarray, j: np.ndarray):
 
 
 def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.ndarray:
-    """Write the ramped system block of ``J H(g)`` into ``drift`` in place.
+    """Write the ramped entries ``drift[1, 0] = -h_qq`` and ``drift[0, 1] = h_pp`` of ``J H(g)`` in place.
 
     ``drift`` is one matrix or a stack over members (then ``g`` and
     ``eta`` broadcast over the stack); returns it for chaining.  Used at
@@ -165,10 +164,9 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
     propagation writes the same block from the coefficient table itself
     (:func:`lyapunov_batch_rhs`, :func:`system_columns_rhs`).
     """
-    n = drift.shape[-1] // 2
     h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
-    np.negative(h_qq, out=drift[..., n, 0])
-    drift[..., 0, n] = h_pp
+    np.negative(h_qq, out=drift[..., 1, 0])
+    drift[..., 0, 1] = h_pp
     return drift
 
 
@@ -213,22 +211,23 @@ def propagate_batch(
     physical time the damped chain bounds the step alike for every
     member, but a Markovian batch is limited by accuracy early on
     (``critical_akz_zero_temperature.cfg``: 11 solves and 9,379 attempts,
-    against one solve of 7,366 in rescaled time).  A Markovian batch
-    (N = 2) integrates V itself with :func:`lyapunov_batch_rhs`.  A
-    network with a chain beside the system mode is reordered as
-    (q_1, p_1, chain...): :func:`solve_to` integrates only the system
-    columns ``W = V[:, :, :2]`` (:func:`system_columns_rhs`; 20 numbers
-    per member of a 4-oscillator chain instead of 100), and the chain
-    block, one contiguous (B, N - 2, N - 2) array beside W, is advanced
-    exactly once per accepted step by :func:`chain_flow`, the
-    ``subflow`` of every ``solve_to`` call; the bath's ``rate`` then
-    only has to bound the blocks the stages integrate.  V is rebuilt,
-    exactly symmetric, at the end and at every sample time.  A member
-    ending with an eigenvalue of ``V + iJ`` below
-    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
-    :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``,
-    V of shape (S, B, 2n, 2n), member ``b`` sampled at ``s end_b``;
-    sampling needs one end.
+    against one solve of 7,366 in rescaled time).  The state of every
+    batch is the pair of its system columns ``W = V[:, :, :2]`` (B, N, 2),
+    which :func:`solve_to` integrates, and its chain block
+    ``C = V[:, 2:, 2:]``, one contiguous array beside W; a Markovian
+    batch is the case N = 2, where W is V and C is empty.  The right-hand
+    side is the one choice the size makes: at N = 2
+    :func:`lyapunov_batch_rhs` on V itself, otherwise
+    :func:`system_columns_rhs` on W (20 numbers per member of a
+    4-oscillator chain instead of 100), with C advanced exactly once per
+    accepted step by :func:`chain_flow`, the ``subflow`` of every
+    ``solve_to`` call; the bath's ``rate`` then only has to bound the
+    blocks the stages integrate.  V is rebuilt, exactly symmetric, at
+    the end and at every sample time.  A member ending with an
+    eigenvalue of ``V + iJ`` below ``-(PHYSICALITY_TOL + rtol max|V|)``
+    raises :class:`IntegrationFailure` at its end.  Returns
+    ``(s_times, V)``, V of shape (S, B, N, N), member ``b`` sampled at
+    ``s end_b``; sampling needs one end.
     """
     ends = np.broadcast_to(end, tau.shape)
     stops = sorted(set(ends.tolist()))
@@ -239,35 +238,27 @@ def propagate_batch(
     t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * stops[0]
 
     dim = drift_base.shape[-1]
-    if dim == 2:
-        state, chain, order = np.broadcast_to(np.eye(2), drift_base.shape).copy(), None, None
-    else:
-        n = dim // 2
-        order = np.r_[0, n, 1:n, n + 1 : dim]
-        drift_base, diffusion = (a[:, order][:, :, order] for a in (drift_base, diffusion))
-        state = np.zeros(tau.shape + (dim, 2))
-        state[:, 0, 0] = state[:, 1, 1] = 1.0
-        chain = np.broadcast_to(np.eye(dim - 2), tau.shape + (dim - 2, dim - 2)).copy()
+    state = np.zeros(tau.shape + (dim, 2))
+    state[:, 0, 0] = state[:, 1, 1] = 1.0
+    chain = np.broadcast_to(np.eye(dim - 2), tau.shape + (dim - 2, dim - 2)).copy()
     active, start = np.arange(tau.size), 0.0
     for stop in stops:
         # a shared end stays the scalar it is, so its RHS divides by no array
         clock = end if np.ndim(end) == 0 else ends[active]
         drifts, ramp = drift_base[active], (model, tau[active], g_f[active], r_n[active], eta[active], clock)
-        if chain is None:
+        c = chain[active]
+        if dim == 2:
             rhs, flow = lyapunov_batch_rhs(drifts, diffusion[active], *ramp), None
         else:
             rhs, q = system_columns_rhs(drifts, diffusion[active], *ramp)
-            c = chain[active]
             flow = chain_flow(drifts, diffusion[active], tau[active] / clock, c, q)
-            if t_samples is not None:
-                flow, sampled = _sampling(flow, c, t_samples)
+        if t_samples is not None:
+            flow, sampled = _sampling(flow, c, t_samples)
         ts, ys = solve_to(rhs, start, stop, state[active], replace(settings, subflow=flow), t_samples)
-        state[active] = ys[-1]
-        if chain is not None:
-            chain[active] = c
+        state[active], chain[active] = ys[-1], c
         active, start = active[ends[active] > stop], stop
 
-    v = state if chain is None else _covariance(state, chain, order)
+    v = _covariance(state, chain)
     # a defect within the error control of the flow is not a fault: loose
     # tolerances leave a pure state up to about rtol |V| below the bound
     floor = PHYSICALITY_TOL + settings.rtol * np.max(np.abs(v), axis=(-2, -1))
@@ -278,13 +269,11 @@ def propagate_batch(
         raise IntegrationFailure(message, t_last=float(ends[worst]))
     if t_samples is None:
         return np.ones(1), v[None]
-    if chain is not None:
-        ys = _covariance(ys, np.stack([sampled.get(t, sampled[None]) for t in ts.tolist()]), order)
-    return ts / stops[0], ys
+    return ts / stops[0], _covariance(ys, np.stack([sampled.get(t, sampled[None]) for t in ts.tolist()]))
 
 
 def _sampling(flow, c, t_samples):
-    """``flow`` that also keeps a copy of the chain block ``c`` after each step ending on a sample time.
+    """``flow``, if any, that also keeps a copy of the chain block ``c`` after each step ending on a sample time.
 
     Returns the flow and the copies, keyed by time; key ``None`` holds
     ``c`` as it is now, the state of the samples at or before the start.
@@ -292,17 +281,17 @@ def _sampling(flow, c, t_samples):
     targets, sampled = set(np.asarray(t_samples, dtype=float).tolist()), {None: c.copy()}
 
     def subflow(t, t_new, w):
-        flow(t, t_new, w)
+        if flow is not None:
+            flow(t, t_new, w)
         if t_new in targets:
             sampled[t_new] = c.copy()
 
     return subflow, sampled
 
 
-def _covariance(w, c, order):
-    """V in the bath's quadrature order from system columns ``w`` (..., N, 2) and chain block ``c``.
+def _covariance(w, c):
+    """V from system columns ``w`` (..., N, 2) and chain block ``c`` (..., N - 2, N - 2).
 
-    ``order`` is the (q_1, p_1, chain...) reordering of the quadratures;
     V is exactly symmetric when the system block of ``w`` and ``c`` are.
     """
     dim = w.shape[-2]
@@ -310,8 +299,7 @@ def _covariance(w, c, order):
     v[..., :2] = w
     v[..., :2, 2:] = w[..., 2:, :].swapaxes(-1, -2)
     v[..., 2:, 2:] = c
-    back = np.argsort(order)
-    return v[..., back, :][..., back]
+    return v
 
 
 @dataclass(frozen=True)
@@ -355,8 +343,9 @@ def observables_from_covariance(v, g, omega: float = 1.0) -> dict[str, np.ndarra
 
     Returns ``{"n", "dx", "dp", "energy", "e_r"}``, each of the leading
     shape of ``v``; ``g`` in [0, 1] broadcasts against it.
-    ``dx^2 = V[q1, q1]`` and ``dp^2 = V[p1, p1]`` in the ``x = a + a^dag``
-    convention, ``n = (dx^2 + dp^2)/4 - 1/2``.  The energy uses the
+    ``dx^2 = V[0, 0]`` and ``dp^2 = V[1, 1]``, the system mode's
+    ``q_1`` and ``p_1``, in the ``x = a + a^dag`` convention,
+    ``n = (dx^2 + dp^2)/4 - 1/2``.  The energy uses the
     single-mode normal-phase Hamiltonian, and ``e_r`` is its excess over
     :func:`critquench.model.ground_state_energy`, nonnegative for every
     physical state (it equals ``(w/4)[(1-g^2) dx^2 + dp^2] - (w/2)
@@ -365,9 +354,8 @@ def observables_from_covariance(v, g, omega: float = 1.0) -> dict[str, np.ndarra
     """
     e_0 = model_mod.ground_state_energy(omega, g)  # checks g in [0, 1]
     v = np.asarray(v, dtype=float)
-    n_modes = v.shape[-1] // 2
     x2 = v[..., 0, 0]
-    p2 = v[..., n_modes, n_modes]
+    p2 = v[..., 1, 1]
     low = min(float(np.min(x2)), float(np.min(p2)))
     if low < -PHYSICALITY_TOL:
         raise PhysicalityError(f"negative quadrature variance {low}")
@@ -422,11 +410,10 @@ def write_trajectory(path, trajectory: CovarianceTrajectory) -> None:
     """
     sep = trajectory_delimiter(path)
     vs = trajectory.vs
-    n_modes = vs.shape[-1] // 2
     g = trajectory.protocol.coupling(trajectory.ts)
     obs = observables_from_covariance(vs, g, trajectory.model.omega)
     columns = np.column_stack(
-        [trajectory.ts, g, vs[:, 0, 0], vs[:, n_modes, n_modes], vs[:, 0, n_modes]]
+        [trajectory.ts, g, vs[:, 0, 0], vs[:, 1, 1], vs[:, 0, 1]]
         + [obs[name] for name in TRAJECTORY_COLUMNS[5:]]
     )
     with open(path, "w", encoding="utf-8") as fh:

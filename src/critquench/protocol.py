@@ -3,8 +3,12 @@
 The control parameter is driven from g(0) = 0 to g(tau_q) = g_final
 through ``g(t) = g_final * (1 - (1 - t/tau_q)**r_n)``; ``r_n = 1`` is a
 plain linear ramp.  Everything downstream (moment propagation, scaling
-predictions) consumes these ramps.  Times are in units of the inverse
-mode frequency; hbar = k_B = 1 throughout the package.
+predictions) consumes these ramps.  Times are in the units the mode
+frequency ``model.omega`` is given in, not in units of ``1/omega``,
+and so are a Markovian bath's rate and temperature: ``omega = 2`` with
+``tau_q = 50`` is the run at ``omega = 1`` with ``tau_q = 100`` once
+the rate and temperature are halved too.  hbar = k_B = 1 throughout
+the package.
 """
 
 from __future__ import annotations

@@ -478,7 +478,7 @@ class TestCriterion8PropertySuite:
         )
         v = integrate(protocol, bath=params, samples=0).final
         ref = integrate(protocol, samples=0).final
-        err = float(np.max(np.abs(v[np.ix_([0, 5], [0, 5])] - ref)))
+        err = float(np.max(np.abs(v[:2, :2] - ref)))
         report([("8 aux decoupled equivalence", err < 1e-6, f"max covariance gap = {err:.2e}")])
 
     def test_covariance_physicality(self):

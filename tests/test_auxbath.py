@@ -43,16 +43,6 @@ from critquench.moments import (
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-#: quadrature indices of the default table's chain (every mode but the system mode)
-CHAIN = np.r_[1:5, 6:10]
-#: the (q_1, p_1, chain...) order of the quadratures that the engine integrates in
-ORDER = np.r_[0, 5, CHAIN]
-
-
-def reordered(a):
-    """Matrices ``a`` (..., 10, 10) of the default table's network in the (q_1, p_1, chain...) order."""
-    return a[..., ORDER, :][..., ORDER]
-
 
 def network(params: AuxBathParams, g: float, model=THERMODYNAMIC):
     """Drift at coupling g and diffusion of the system + chain network."""
@@ -69,7 +59,7 @@ def upsilon(params: AuxBathParams, model=THERMODYNAMIC) -> np.ndarray:
         # J x = (p, -q), so lambda . J x = s (q_k + i p_k) = sqrt(gamma) b_k
         s = np.sqrt(osc.gamma * wc / 2.0)
         lam = np.zeros(2 * n, dtype=complex)
-        lam[1 + idx], lam[n + 1 + idx] = 1j * s, -s
+        lam[2 * idx + 2], lam[2 * idx + 3] = 1j * s, -s
         ups += np.outer(lam, lam.conj())
     return ups
 
@@ -103,11 +93,12 @@ def structured_excess(params, model, tau, g_final, r_n=1.0, settings=IntegratorS
     return _final_excess(vs[-1], g_final, model)
 
 
-def long_double_excess(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0):
-    """The same excess from a long-double run: ``solve_to`` of the full
-    ``lyapunov_batch_rhs`` (no frozen block, no sub-flow) on
-    ``np.longdouble`` drift, diffusion and V, at rtol 1e-13, atol 1e-15
-    and the full flow's stability cap ``3.5 / radius`` divided by
+def full_flow_covariance(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0, dtype=np.longdouble):
+    """Final V (2, N, N) of one quench's ``kappa = 0`` and open members from
+    ``solve_to`` of the full ``lyapunov_batch_rhs`` on the network as
+    :func:`build_system` writes it (no frozen block, no sub-flow), with
+    drift, diffusion and V in ``dtype``, at rtol 1e-13, atol 1e-15 and
+    the full flow's stability cap ``3.5 / radius`` divided by
     ``cap_divisor``."""
     terms = [build_system(model, replace(params, kappa=k)) for k in (0.0, params.kappa)]
     drifts = np.stack([drift for drift, _ in terms])
@@ -115,13 +106,17 @@ def long_double_excess(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0):
     settings = IntegratorSettings(rtol=1e-13, atol=1e-15, max_step=3.5 / rate / cap_divisor)
     member = np.ones(2)
     tau_b = float(tau) * member
-    diffusion = np.stack([d for _, d in terms]).astype(np.longdouble)
+    diffusion = np.stack([d for _, d in terms]).astype(dtype)
     rhs = lyapunov_batch_rhs(
-        drifts.astype(np.longdouble), diffusion, model, tau_b, g_final * member, r_n * member, model.eta * member, tau_b
+        drifts.astype(dtype), diffusion, model, tau_b, g_final * member, r_n * member, model.eta * member, tau_b
     )
-    v0 = np.broadcast_to(np.eye(drifts.shape[-1], dtype=np.longdouble), drifts.shape).copy()
-    _, vs = solve_to(rhs, 0.0, float(tau), v0, settings=settings)
-    return _final_excess(vs[-1], g_final, model)
+    v0 = np.broadcast_to(np.eye(drifts.shape[-1], dtype=dtype), drifts.shape).copy()
+    return solve_to(rhs, 0.0, float(tau), v0, settings=settings)[1][-1]
+
+
+def long_double_excess(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0):
+    """The excess of :func:`full_flow_covariance` in long double."""
+    return _final_excess(full_flow_covariance(params, model, tau, g_final, r_n, cap_divisor), g_final, model)
 
 
 def _decoupled(params: AuxBathParams, keep_gamma: bool = True) -> AuxBathParams:
@@ -221,19 +216,18 @@ class TestBuildSystem:
         params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
         drift, _ = network(params, 0.7)
         h = hamiltonian(drift, upsilon(params))
-        n = drift.shape[-1] // 2
         assert h[0, 0] == pytest.approx(1.0 - 0.49, abs=1e-15)
-        assert h[n, n] == 1.0
-        assert np.all(h[0, 1:n] == 0.0) and np.all(h[0, n + 1 :] == 0.0)
+        assert h[1, 1] == 1.0
+        assert np.all(h[0, 2:] == 0.0)
 
     def test_oscillator_frequencies_on_diagonal(self):
         drift, _ = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
         h = hamiltonian(drift, upsilon(DEFAULT_OHMIC))
-        n = drift.shape[-1] // 2
         wc = DEFAULT_OHMIC.omega_c
         for idx, osc in enumerate(DEFAULT_OHMIC.oscillators):
-            assert h[1 + idx, 1 + idx] == pytest.approx(osc.omega * wc, rel=1e-15)
-            assert h[n + 1 + idx, n + 1 + idx] == pytest.approx(osc.omega * wc, rel=1e-15)
+            q, p = 2 * idx + 2, 2 * idx + 3
+            assert h[q, q] == pytest.approx(osc.omega * wc, rel=1e-15)
+            assert h[p, p] == pytest.approx(osc.omega * wc, rel=1e-15)
 
     def test_symplectic_form_squares_to_minus_identity(self):
         j = symplectic_form(5)
@@ -242,14 +236,15 @@ class TestBuildSystem:
     def test_h_symmetric_and_d_psd(self):
         drift, diffusion = network(DEFAULT_OHMIC, 0.9)
         ups = upsilon(DEFAULT_OHMIC)
-        n = drift.shape[-1] // 2
         h = hamiltonian(drift, ups)
         assert np.array_equal(h, h.T)
-        # the drift's halves are H[n:] and -H[:n] off the damping
-        # diagonal, which holds -gamma w_c / 2 on each oscillator's q_k and p_k
+        # off the damping diagonal, which holds -gamma w_c / 2 on each
+        # oscillator's q_k and p_k, the drift's q rows are H's p rows and
+        # its p rows are minus H's q rows
         damping = np.diag(np.real(ups))
-        assert np.array_equal(drift + np.diag(damping), np.vstack([h[n:], -h[:n]]))
-        assert np.all(damping[[0, n]] == 0.0) and np.all(damping[1:n] == damping[n + 1 :])
+        assert np.array_equal((drift + np.diag(damping))[0::2], h[1::2])
+        assert np.array_equal((drift + np.diag(damping))[1::2], -h[0::2])
+        assert np.all(damping[:2] == 0.0) and np.all(damping[2::2] == damping[3::2])
         assert np.array_equal(diffusion, 2.0 * np.real(ups))
         assert np.min(np.linalg.eigvalsh(diffusion)) >= -1e-15
 
@@ -270,7 +265,7 @@ class TestBuildSystem:
             params = AuxBathParams(kappa=1e-3, omega_c=5.0, oscillators=oscs)
             drift, diffusion = network(params, float(rng.uniform(0.0, 1.0)))
             ups = upsilon(params)
-            j = symplectic_form(drift.shape[-1] // 2)
+            j = symplectic_form(params.n_oscillators + 1)
             combo = diffusion + 1j * (drift @ j + j @ drift.T)
             assert np.max(np.abs(combo - 2.0 * ups)) < 1e-12
             assert np.min(np.linalg.eigvalsh(combo)) >= -1e-12
@@ -389,21 +384,20 @@ class TestFrozenChain:
         tau, g_f, r_n = np.array([1.3, 0.8]), np.array([0.5, 0.9]), np.ones(2)
         models = (THERMODYNAMIC, ModelSpec(kind=ModelKind.QRM, eta=30.0), ModelSpec(kind=ModelKind.LMG, eta=30.0))
         for model in models:
-            terms = np.stack(build_system(model, DEFAULT_OHMIC))[:, None].repeat(2, axis=1)
-            drift, diffusion = reordered(terms)
+            drift, diffusion = np.stack(build_system(model, DEFAULT_OHMIC))[:, None].repeat(2, axis=1)
             eta = np.full(2, model.eta)
             for exponent in (1.0, 1.25):
                 ramp = (model, tau, g_f, exponent * r_n, eta, tau)
-                full = reordered(lyapunov_batch_rhs(*terms, *ramp)(0.7, v))[:, :, :2]
+                full = lyapunov_batch_rhs(drift, diffusion, *ramp)(0.7, v)[:, :, :2]
                 rhs, q = system_columns_rhs(drift, diffusion, *ramp)
-                chain_flow(drift, diffusion, np.ones(2), reordered(v)[:, 2:, 2:].copy(), q)
-                columns = rhs(0.7, reordered(v)[:, :, :2].copy())
+                chain_flow(drift, diffusion, np.ones(2), v[:, 2:, 2:].copy(), q)
+                columns = rhs(0.7, v[:, :, :2].copy())
                 assert np.max(np.abs(columns - full)) <= 1e-13 * np.max(np.abs(full)), (model.kind, exponent)
                 assert np.array_equal(columns[:, 0, 1], columns[:, 1, 0])
 
     def test_one_step_matches_the_integrated_chain_block(self):
         # with the cross block held, one exact step is the chain block's own flow
-        drift, diffusion = reordered(np.stack(build_system(THERMODYNAMIC, replace(DEFAULT_OHMIC, kappa=1e-2))))
+        drift, diffusion = build_system(THERMODYNAMIC, replace(DEFAULT_OHMIC, kappa=1e-2))
         rng = np.random.default_rng(4)
         m = rng.normal(size=(10, 10))
         v = np.eye(10) + 0.01 * (m + m.T)
@@ -426,10 +420,21 @@ class TestFrozenChain:
     def test_kappa_zero_members_keep_the_vacuum_chain(self):
         # without forcing the flow has nothing to move: C stays I bit for bit
         _, vs = propagate_covariance_batch(60.0, 1.0, 1.0, DEFAULT_OHMIC, kappa=[0.0, DEFAULT_OHMIC.kappa])
-        isolated, open_ = vs[-1, 0][np.ix_(CHAIN, CHAIN)], vs[-1, 1][np.ix_(CHAIN, CHAIN)]
+        isolated, open_ = vs[-1, 0, 2:, 2:], vs[-1, 1, 2:, 2:]
         assert np.array_equal(isolated, np.eye(8))
         assert 0.0 < np.max(np.abs(open_ - np.eye(8))) < 1e-6
         assert np.array_equal(vs[-1], vs[-1].swapaxes(-1, -2))
+
+    def test_final_v_matches_the_full_flow_in_every_block(self):
+        # the engine's V, rebuilt from the system columns and the chain
+        # block, against the full flow of the network as built; checked
+        # per block (system, cross, chain), so a failure names the block
+        _, vs = propagate_covariance_batch(20.0, 1.0, 1.0, DEFAULT_OHMIC, kappa=[0.0, DEFAULT_OHMIC.kappa])
+        ref = full_flow_covariance(DEFAULT_OHMIC, THERMODYNAMIC, 20.0, 1.0, dtype=float)
+        v = vs[-1]
+        bound = 1e-10 * np.max(np.abs(v))
+        for block in (np.s_[:, :2, :2], np.s_[:, :2, 2:], np.s_[:, 2:, 2:]):
+            assert np.max(np.abs(v[block] - ref[block])) <= bound, block
 
     def test_sampled_trajectory_rebuilds_v_at_every_sample(self, monkeypatch):
         # the last sample is the V the engine checks at the end, bit for bit
@@ -453,7 +458,7 @@ class TestFrozenChain:
         _, both = DEFAULT_OHMIC.propagate(
             20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=np.linspace(0.0, 1.0, 17), kappa=[0.0, DEFAULT_OHMIC.kappa]
         )
-        chains = both[:, :, CHAIN][:, :, :, CHAIN]
+        chains = both[:, :, 2:, 2:]
         assert np.all(chains[:, 0] == np.eye(8))
         assert np.array_equal(chains[0, 1], np.eye(8))
         assert all(np.any(chain != np.eye(8)) for chain in chains[1:, 1])
@@ -479,8 +484,8 @@ class TestFrozenChain:
 
     def test_rejects_a_chain_it_cannot_flow(self):
         tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
-        drifts = reordered(np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables]))
-        diffusion = np.broadcast_to(reordered(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1]), drifts.shape)
+        drifts = np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables])
+        diffusion = np.broadcast_to(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1], drifts.shape)
         c, q = np.broadcast_to(np.eye(8), (2, 8, 8)).copy(), np.empty((2, 8, 2))
         chain_flow(drifts, diffusion, np.ones(2), c, q)  # the decoupled table keeps its chain
         with pytest.raises(ValueError, match="stationary vacuum"):
@@ -518,7 +523,7 @@ class TestObservables:
     def test_direct_substitution(self):
         v = np.eye(10)
         v[0, 0] = 7.0
-        v[5, 5] = 7.0
+        v[1, 1] = 7.0
         rec = observables_from_covariance(v, 0.0)
         assert rec["n"] == pytest.approx(3.0, abs=1e-15)
 
@@ -529,10 +534,10 @@ class TestObservables:
         m = rng.normal(size=(10, 10))
         v = m @ m.T + 10.0 * np.eye(10)
         rec = observables_from_covariance(v, 0.3)
-        assert rec["n"] == pytest.approx((v[0, 0] + v[5, 5]) / 4.0 - 0.5, rel=1e-14)
+        assert rec["n"] == pytest.approx((v[0, 0] + v[1, 1]) / 4.0 - 0.5, rel=1e-14)
         assert rec["dx"] == pytest.approx(np.sqrt(v[0, 0]), rel=1e-14)
-        assert rec["dp"] == pytest.approx(np.sqrt(v[5, 5]), rel=1e-14)
-        block = v[np.ix_([0, 5], [0, 5])]
+        assert rec["dp"] == pytest.approx(np.sqrt(v[1, 1]), rel=1e-14)
+        block = v[:2, :2]
         assert observables_from_covariance(block, 0.3) == rec
 
     def test_unphysical_covariance_rejected(self):

@@ -60,6 +60,23 @@ class TestConfigParsing:
                 (row,) = [row for row in rows if f"`{key}`" in row.split("|")[1]]
                 assert f"`{default}`" in row.split("|")[2], key
 
+    def test_omega_is_not_the_unit_of_time(self):
+        # tau_q, a Markovian kappa and the temperature are in the units
+        # omega is given in: doubling omega, kappa and T while halving
+        # tau_q leaves e_r / omega unchanged.  A structured bath's omega_c
+        # and oscillator table scale with omega, and its kappa is
+        # dimensionless
+        def residual_per_omega(text, omega, tau):
+            cfg = build_config(parse_config_text(f"{text}model.omega = {omega}\n"))
+            v = moments.integrate(QuenchProtocol(1.0, tau), cfg.model, cfg.bath, cfg.settings, samples=0).final
+            return float(moments.observables_from_covariance(v, 1.0, omega)["e_r"]) / omega
+
+        markovian = "bath.kappa = {}\nbath.temperature = {}\n"
+        structured = "bath.type = structured\n"
+        for slow, fast in ((markovian.format(1e-3, 2.0), markovian.format(2e-3, 4.0)), (structured, structured)):
+            want = residual_per_omega(slow, 1.0, 100.0)
+            assert residual_per_omega(fast, 2.0, 50.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_empty_config_takes_the_integrator_defaults(self):
         # the config's integrator defaults are the library's, declared once
         assert build_config(parse_config_text("")).settings == DEFAULT_SETTINGS

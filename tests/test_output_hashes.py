@@ -1,17 +1,20 @@
-"""Byte-identity of shipped outputs, checked on the quickest configs.
+"""Byte-identity of shipped outputs, checked on the quickest runs.
 
-``python tests/output_hashes.py`` checks every recorded config.  The
+``python tests/output_hashes.py`` checks every recorded run.  The
 quick ones are three thermodynamic linear-ramp sweeps, the QRM size
 crossover, which covers a finite-size model and the size-crossover
-writer, and two structured-bath sweeps, which cover the chain network,
-its system-column stages and its exact sub-flow.  ``ohmic_nonlinear.cfg``
-is the only shipped config whose structured stages take the per-member
-ramp variable of a nonlinear ramp.
+writer, two structured-bath sweeps, which cover the chain network,
+its system-column stages and its exact sub-flow, and a Markovian
+``dump-trajectory``, which covers the sampled path and the trajectory
+writer.  ``ohmic_nonlinear.cfg`` is the only shipped config whose
+structured stages take the per-member ramp variable of a nonlinear
+ramp.
 """
 
 import output_hashes
 
 QUICK_CONFIGS = [
+    "dump-trajectory critical_akz_thermal.cfg",
     "isolated_adiabatic.cfg",
     "isolated_kz.cfg",
     "offcritical_linear_weak_coupling.cfg",
