@@ -23,7 +23,7 @@ from .model import (
     CriticalExponents,
     ModelKind,
     ModelSpec,
-    gap,
+    excitation_gap,
     ground_state_energy,
     ground_state_covariance,
 )
@@ -36,7 +36,7 @@ from .moments import (
     steady_state_covariance,
     thermal_bath,
 )
-from .protocol import QuenchProtocol, impulse_boundary_exponent, linear_ramp
+from .protocol import QuenchProtocol, impulse_boundary_exponent
 from .scaling import (
     PowerLawFit,
     Regime,
@@ -77,12 +77,11 @@ __all__ = [
     "kz_akz_tradeoff",
     "optimal_quench_time",
     "predicted_akz_exponent",
-    "gap",
+    "excitation_gap",
     "ground_state_energy",
     "ground_state_covariance",
     "impulse_boundary_exponent",
     "integrate",
-    "linear_ramp",
     "observables_from_covariance",
     "steady_state_covariance",
     "thermal_bath",

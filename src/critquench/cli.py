@@ -66,27 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OBS_ALIASES = {
-    "n": "n",
-    "adaga": "n",
-    "number": "n",
-    "dx": "dx",
-    "delta_x": "dx",
-    "dp": "dp",
-    "delta_p": "dp",
-    "e_r": "e_r",
-    "er": "e_r",
-    "residual_energy": "e_r",
-}
-
-
-def _canonical_observable(name: str) -> str:
-    key = name.strip().lower()
-    if key not in _OBS_ALIASES:
-        raise ConfigError("observable", f"unknown observable {name!r}; known: {list(OBSERVABLES)}")
-    return _OBS_ALIASES[key]
-
-
 def _write_outputs(out_dir: str, stem: str, csv_text: str, report_text: str) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -117,14 +96,15 @@ def _cmd_size_crossover(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    observable = _canonical_observable(args.observable)
+    if args.observable not in OBSERVABLES:
+        raise ConfigError("observable", f"unknown observable {args.observable!r}; known: {list(OBSERVABLES)}")
     prediction = predict_regime(
-        observable,
+        args.observable,
         critical=not args.off_critical,
         isolated=args.isolated,
         r_n=args.rn,
     )
-    print(f"observable = {observable}  regime = {prediction.regime.value}  r_n = {prediction.r_n}")
+    print(f"observable = {args.observable}  regime = {prediction.regime.value}  r_n = {prediction.r_n}")
     print(f"exponent = {prediction.exponent} = {float(prediction.exponent)!r}")
     return EXIT_OK
 

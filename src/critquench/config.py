@@ -30,7 +30,6 @@ _DEFAULTS: dict[str, str | None] = {
     "model.kind": "thermodynamic",
     "model.eta": "inf",
     "model.omega": "1.0",
-    "model.qrm_quartic_coeff": "12.0",
     "bath.type": "markovian",
     "bath.kappa": "0.0",
     "bath.temperature": None,
@@ -176,8 +175,6 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     if kind is ModelKind.THERMODYNAMIC and math.isfinite(eta):
         raise ConfigError("model.eta", "finite eta requires model.kind qrm or lmg")
     omega = _number(raw, "model.omega", "positive")
-    # a negative quartic term turns h_qq(1) = 2 c / eta negative: an inverted potential
-    qrm_coeff = _number(raw, "model.qrm_quartic_coeff", "nonnegative")
 
     bath_type = raw.get("bath.type", _DEFAULTS["bath.type"]).lower()
     if bath_type not in ("markovian", "structured"):
@@ -246,7 +243,7 @@ def build_config(raw: dict[str, str]) -> ExperimentConfig:
     )
 
     # every key is valid: resolve the model and the bath once
-    model = ModelSpec(kind=kind, eta=eta, omega=omega, qrm_quartic_coeff=qrm_coeff)
+    model = ModelSpec(kind=kind, eta=eta, omega=omega)
     if bath_type == "structured":
         table = auxbath.load_params(params_file) if params_file is not None else auxbath.DEFAULT_OHMIC
         bath = auxbath.AuxBathParams(

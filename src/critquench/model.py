@@ -3,12 +3,14 @@
 Covers the single-mode normal-phase Hamiltonian
 ``w a^dag a - (g^2 w / 4)(a + a^dag)^2`` shared by the quantum Rabi
 model (QRM) and the Lipkin-Meshkov-Glick (LMG) model at large size,
-its leading 1/eta finite-size corrections for both models, the
-mean-field critical-exponent catalog, and closed-form ground-state
-quantities (energy, gap, squeezed covariance).  No propagation calls
-them; the ground-state energy is the reference of the residual energy
-``e_r`` (:func:`critquench.moments.observables_from_covariance`), and
-the rest are public API and the test suite's oracles.
+its leading 1/eta finite-size corrections for both models (the QRM
+quartic in its standard replacement, :data:`QRM_QUARTIC_COEFF`), the
+mean-field critical-exponent catalog, the excitation gap of each form
+and closed-form ground-state quantities (energy, squeezed covariance).
+No propagation calls them; the ground-state energy is the reference of
+the residual energy ``e_r``
+(:func:`critquench.moments.observables_from_covariance`), and the rest
+are public API and the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from .errors import DomainError
 CRITICAL_COUPLING = 1.0
 
 #: Coefficient c in the QRM finite-size drive G = g^2 w/2 - c g^4 w/eta.
-#: 12 is the standard replacement; 3/4 is what survives when the quartic
-#: correction (a + a^dag)^4 / 16 is normal ordered and truncated to
-#: quadratic terms.  Both are exposed; 12 is the default everywhere.
+#: 12 is the standard replacement of the quartic correction (Hwang, Puebla
+#: & Plenio, PRL 115, 180404 (2015)).  The normal-ordered reduction (3/4)
+#: and a Hartree closure of the quartic are ROADMAP item 12.
 QRM_QUARTIC_COEFF = 12.0
-QRM_QUARTIC_COEFF_NORMAL_ORDERED = 0.75
 
 #: Canonical observable keys used across fits, reports and CSV columns.
 OBSERVABLES = ("n", "dx", "dp", "e_r")
@@ -45,14 +46,17 @@ class ModelKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Which model variant to propagate and at what size."""
+    """Which model variant to propagate and at what size; ``kind`` may be given by name."""
 
     kind: ModelKind = ModelKind.THERMODYNAMIC
     eta: float = math.inf
     omega: float = 1.0
-    qrm_quartic_coeff: float = QRM_QUARTIC_COEFF
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", ModelKind(self.kind))
+        except ValueError:
+            raise DomainError(f"unknown model kind {self.kind!r}") from None
         if not self.eta > 0.0:
             raise DomainError(f"eta must be positive, got {self.eta}")
         if not self.omega > 0.0:
@@ -114,16 +118,6 @@ class CriticalExponents:
 MEAN_FIELD = CriticalExponents()
 
 
-def gap(omega: float, g, k: int = 1) -> float:
-    """Excitation energy of level k: ``k * omega * sqrt(1 - g^2)``."""
-    _check_coupling(g)
-    if k < 0 or k != int(k):
-        raise DomainError(f"level index k must be a nonnegative integer, got {k}")
-    g = np.asarray(g, dtype=float)
-    out = k * omega * np.sqrt(1.0 - g * g)
-    return out if out.ndim else float(out)
-
-
 def ground_state_energy(omega: float, g) -> float:
     """Normal-phase ground-state energy ``omega (sqrt(1 - g^2) - 1) / 2``."""
     _check_coupling(g)
@@ -153,9 +147,10 @@ def quadrature_coefficients(model: ModelSpec, eta=None):
     ``h_pp = b0 + b1 x``; ``a`` and ``b`` are tuples of arrays of the
     shape of ``eta`` (default: the model's size).  The thermodynamic
     limit is ``a = (w, -w, 0)``, ``b = (w, 0)``; QRM adds the quartic
-    ``a2 = 2 c w / eta``; LMG has ``a1 = -w (1 - 3/(4 eta))`` and
-    ``b1 = w / (4 eta)``.  This table is the one place the models'
-    forms are written (see :func:`quadrature_form`).
+    ``a2 = 2 c w / eta`` with ``c = QRM_QUARTIC_COEFF``; LMG has
+    ``a1 = -w (1 - 3/(4 eta))`` and ``b1 = w / (4 eta)``.  This table
+    is the one place the models' forms are written (see
+    :func:`quadrature_form`).
     """
     eta = np.asarray(model.eta if eta is None else eta, dtype=float)
     omega = np.full_like(eta, model.omega)
@@ -163,7 +158,7 @@ def quadrature_coefficients(model: ModelSpec, eta=None):
     if model.kind is ModelKind.LMG:
         return (omega, -omega * (1.0 - 0.75 / eta), zero), (omega, 0.25 * omega / eta)
     if model.kind is ModelKind.QRM:
-        return (omega, -omega, 2.0 * model.qrm_quartic_coeff * omega / eta), (omega, zero)
+        return (omega, -omega, 2.0 * QRM_QUARTIC_COEFF * omega / eta), (omega, zero)
     return (omega, -omega, zero), (omega, zero)
 
 

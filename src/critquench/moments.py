@@ -74,12 +74,13 @@ class BathSpec:
             raise DomainError(f"n_th must be nonnegative, got {self.n_th}")
 
     @classmethod
-    def from_temperature(cls, kappa: float, temperature: float, omega: float = 1.0):
+    def from_temperature(cls, kappa: float, temperature: float, omega: float):
         """Build from a temperature in the units ``omega`` is given in; T = 0 skips the exponential.
 
-        Past the range of ``expm1`` (``omega / temperature`` above about
-        709.78) the Bose occupation is below ``1 / DBL_MAX`` and is taken
-        as 0.
+        ``omega`` is the model's mode frequency (``model.omega``), whose
+        Bose occupation the bath holds.  Past the range of ``expm1``
+        (``omega / temperature`` above about 709.78) the occupation is
+        below ``1 / DBL_MAX`` and is taken as 0.
         """
         if temperature < 0.0:
             raise DomainError(f"temperature must be nonnegative, got {temperature}")

@@ -57,15 +57,6 @@ def _linear_profile(s):
     return s
 
 
-def ramp_shape(s, r_n):
-    """Dimensionless ramp profile ``1 - (1 - s)**r_n`` for s in [0, 1].
-
-    One evaluation of :func:`ramp_profile`; an all-linear ``r_n``
-    returns ``s`` itself.
-    """
-    return ramp_profile(r_n)(np.asarray(s, dtype=float))
-
-
 @dataclass(frozen=True)
 class QuenchProtocol:
     """Ramp of the dimensionless coupling: final value, duration, shape."""
@@ -87,7 +78,7 @@ class QuenchProtocol:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0) or np.any(t_arr > self.tau_q):
             raise DomainError(f"t outside [0, {self.tau_q}]")
-        g = self.g_final * ramp_shape(t_arr / self.tau_q, self.r_n)
+        g = self.g_final * ramp_profile(self.r_n)(t_arr / self.tau_q)
         return float(g) if np.ndim(t) == 0 else g
 
 
@@ -103,8 +94,3 @@ def impulse_boundary_exponent(z_nu: float, r_n: float) -> float:
     if not 0.0 < r_n < math.inf:
         raise DomainError(f"r_n must be positive and finite, got {r_n}")
     return -r_n / (z_nu * r_n + 1.0)
-
-
-def linear_ramp(g_final: float, tau_q: float) -> QuenchProtocol:
-    """Shorthand for the r_n = 1 protocol."""
-    return QuenchProtocol(g_final=g_final, tau_q=tau_q, r_n=1.0)

@@ -60,7 +60,7 @@ from critquench.auxbath import build_system
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
 from critquench.moments import observables_from_covariance, propagate_moments_batch, set_system_block
-from critquench.protocol import ramp_shape
+from critquench.protocol import ramp_profile
 from critquench.scaling import fit_power_law
 from critquench.sweep import compute_chunk, run_sweep, tau_grid
 
@@ -113,7 +113,7 @@ def cmd_ramp(args):
 
 def cmd_ripple(args):
     config = load_config(args.config)
-    gap, _ = quad(lambda s: np.sqrt(1.0 - (config.g_final * ramp_shape(s, config.r_n)) ** 2), 0, 1)
+    gap, _ = quad(lambda s: np.sqrt(1.0 - (config.g_final * ramp_profile(config.r_n)(s)) ** 2), 0, 1)
     freq = 2.0 * gap
     taus = np.linspace(args.tau, args.tau + 3.0 * (2.0 * np.pi / freq), args.points)
     iso, opn, _ = compute_chunk(config, taus)

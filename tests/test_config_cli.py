@@ -120,7 +120,6 @@ class TestConfigParsing:
             ("integrator.atol = 0", "integrator.atol"),
             ("integrator.rtol = nan", "integrator.rtol"),
             ("bath.kappa = nan", "bath.kappa"),
-            ("model.qrm_quartic_coeff = -1", "model.qrm_quartic_coeff"),
             ("sweep.tau_max = inf", "sweep.tau_max"),
         ],
     )
@@ -499,12 +498,16 @@ class TestCli:
         assert "2/3" in out and "0.666" in out
 
     def test_predict_aliases_and_flags(self, capsys):
-        assert cli.main(["predict", "--observable", "adaga", "--rn", "2"]) == 0
+        assert cli.main(["predict", "--observable", "n", "--rn", "2"]) == 0
         assert "3/2" in capsys.readouterr().out
         assert cli.main(["predict", "--observable", "dx", "--off-critical"]) == 0
         assert "exponent = 1" in capsys.readouterr().out
-        assert cli.main(["predict", "--observable", "er", "--isolated"]) == 0
+        assert cli.main(["predict", "--observable", "e_r", "--isolated"]) == 0
         assert "-1/3" in capsys.readouterr().out
+        # only the canonical names of the config's observables are accepted
+        for alias in ("adaga", "er", "E_R", " dp"):
+            assert cli.main(["predict", "--observable", alias]) == 2
+            assert "unknown observable" in capsys.readouterr().err
 
     def test_predict_unknown_observable(self, capsys):
         assert cli.main(["predict", "--observable", "parity"]) == 2

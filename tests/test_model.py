@@ -12,9 +12,8 @@ from critquench.model import (
     CriticalExponents,
     ModelKind,
     ModelSpec,
-    QRM_QUARTIC_COEFF_NORMAL_ORDERED,
+    QRM_QUARTIC_COEFF,
     excitation_gap,
-    gap,
     ground_state_energy,
     ground_state_covariance,
     quadrature_form,
@@ -42,12 +41,6 @@ class TestEffectiveDrive:
         m = ModelSpec(kind=ModelKind.QRM, eta=100.0)
         assert drive(m, 1.0) == pytest.approx(0.38, abs=1e-15)
 
-    def test_qrm_normal_ordered_variant(self):
-        m = ModelSpec(
-            kind=ModelKind.QRM, eta=100.0, qrm_quartic_coeff=QRM_QUARTIC_COEFF_NORMAL_ORDERED
-        )
-        assert drive(m, 1.0) == pytest.approx(0.5 - 0.75 / 100.0, abs=1e-15)
-
     def test_monotone_in_inverse_size(self):
         drives = [
             drive(ModelSpec(kind=ModelKind.QRM, eta=eta), 0.9)
@@ -67,17 +60,13 @@ class TestEffectiveDrive:
 
 class TestGapAndEnergy:
     def test_uncoupled_oscillator(self):
-        assert gap(1.0, 0.0, 1) == 1.0
+        assert excitation_gap(ModelSpec(), 0.0) == 1.0
 
     def test_critical_closing(self):
-        assert gap(1.0, 1.0, 5) == 0.0
+        assert excitation_gap(ModelSpec(), 1.0) == 0.0
 
     def test_direct_substitution(self):
-        assert gap(2.0, 0.6, 2) == pytest.approx(3.2, abs=1e-14)
-
-    def test_equal_spacing(self):
-        for k in range(7):
-            assert gap(1.3, 0.4, k) == pytest.approx(k * gap(1.3, 0.4, 1), abs=1e-14)
+        assert excitation_gap(ModelSpec(omega=2.0), 0.6) == pytest.approx(1.6, abs=1e-14)
 
     def test_ground_state_energy_values(self):
         assert ground_state_energy(1.0, 0.0) == 0.0
@@ -193,7 +182,7 @@ class TestQuadraticCoefficients:
         g = 0.7
         h_qq, h_pp = quadrature_form(ModelSpec(), g)
         assert h_qq == 1.0 - g * g and h_pp == 1.0
-        assert math.sqrt(h_qq * h_pp) == pytest.approx(gap(1.0, g, 1), rel=1e-14)
+        assert math.sqrt(h_qq * h_pp) == pytest.approx(math.sqrt(1.0 - g * g), rel=1e-14)
 
     def test_lmg_coefficients_printed_form(self):
         # h_qq = w - g^2 w (1 - 3/(4 eta)), h_pp = w + g^2 w/(4 eta); in the
@@ -228,10 +217,9 @@ class TestQuadraticCoefficients:
         "model",
         [
             ModelSpec(kind=ModelKind.QRM, eta=100.0),
-            ModelSpec(kind=ModelKind.QRM, eta=100.0, qrm_quartic_coeff=QRM_QUARTIC_COEFF_NORMAL_ORDERED),
             ModelSpec(kind=ModelKind.LMG, eta=100.0, omega=1.3),
         ],
-        ids=["qrm", "qrm-normal-ordered", "lmg"],
+        ids=["qrm", "lmg"],
     )
     def test_array_eta_matches_scalar_calls_bitwise(self, model):
         # size sweeps batch many eta in one call; each member must get
@@ -241,12 +229,7 @@ class TestQuadraticCoefficients:
         eta = rng.choice([3.0, 10.0, 100.0, 1e3, 1e4, math.inf], g.size)
         q_arr, p_arr = np.broadcast_arrays(*quadrature_form(model, g, eta=eta))
         for i in range(g.size):
-            member = ModelSpec(
-                kind=model.kind,
-                eta=eta[i],
-                omega=model.omega,
-                qrm_quartic_coeff=model.qrm_quartic_coeff,
-            )
+            member = ModelSpec(kind=model.kind, eta=eta[i], omega=model.omega)
             h_qq, h_pp = quadrature_form(member, g[i])
             assert q_arr[i] == h_qq and p_arr[i] == h_pp
 
@@ -258,7 +241,7 @@ def closed_form(model, g, eta):
     if model.kind is ModelKind.LMG:
         return w - g2w * (1.0 - 3.0 / (4.0 * eta)), w + g2w / (4.0 * eta)
     if model.kind is ModelKind.QRM:
-        return w - 2.0 * (0.5 * g2w - model.qrm_quartic_coeff * g2w * g * g / eta), w + 0.0 * g
+        return w - 2.0 * (0.5 * g2w - QRM_QUARTIC_COEFF * g2w * g * g / eta), w + 0.0 * g
     return w - g2w, w + 0.0 * g
 
 
@@ -270,12 +253,11 @@ class TestCoefficientTable:
         [
             ModelSpec(),
             ModelSpec(kind=ModelKind.QRM, eta=25.0),
-            ModelSpec(kind=ModelKind.QRM, eta=25.0, qrm_quartic_coeff=QRM_QUARTIC_COEFF_NORMAL_ORDERED),
             ModelSpec(kind=ModelKind.QRM, eta=math.inf),
             ModelSpec(kind=ModelKind.LMG, eta=40.0, omega=1.3),
             ModelSpec(kind=ModelKind.LMG, eta=math.inf, omega=0.7),
         ],
-        ids=["thermodynamic", "qrm", "qrm-normal-ordered", "qrm-inf", "lmg", "lmg-inf"],
+        ids=["thermodynamic", "qrm", "qrm-inf", "lmg", "lmg-inf"],
     )
     def test_table_matches_closed_form_within_two_ulp(self, model):
         rng = np.random.default_rng(13)
@@ -289,7 +271,7 @@ class TestCoefficientTable:
             h_qq, h_pp = a0 + x * (a1 + x * a2), b0 + x * b1
             want_qq, want_pp = closed_form(model, g, eta)
             # the rounding scale of each form is that of its largest term
-            scale_qq = model.omega * (1.0 + x + 2.0 * model.qrm_quartic_coeff * x * x / eta)
+            scale_qq = model.omega * (1.0 + x + 2.0 * QRM_QUARTIC_COEFF * x * x / eta)
             assert np.all(np.abs(h_qq - want_qq) <= 2.0 * np.spacing(scale_qq))
             assert np.all(np.abs(h_pp - want_pp) <= 2.0 * np.spacing(model.omega * (1.0 + x)))
             # quadrature_form is this table's evaluation
@@ -307,3 +289,13 @@ class TestModelSpecValidation:
             ModelSpec(kind=ModelKind.QRM, eta=-1.0)
         with pytest.raises(DomainError):
             ModelSpec(omega=0.0)
+
+    def test_kind_text_becomes_the_enum(self):
+        # a plain string must select the same form as the enum member
+        m = ModelSpec(kind="qrm", eta=100.0)
+        assert m.kind is ModelKind.QRM
+        assert quadrature_form(m, 1.0)[0] == pytest.approx(0.24, abs=1e-15)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(DomainError, match="bogus"):
+            ModelSpec(kind="bogus", eta=1.0)

@@ -22,7 +22,7 @@ from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
 from critquench.moments import physicality_defect, set_system_block, symplectic_form
-from critquench.protocol import ramp_shape
+from critquench.protocol import ramp_profile
 
 from helpers_fock import propagate_master_equation
 
@@ -67,22 +67,24 @@ class TestBathSpec:
     def test_rate_ordering(self):
         # Gamma_a >= Gamma_adag >= 0: damping, and diffusion at least the
         # zero-temperature value that keeps the vacuum fixed
-        bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0)
+        bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0, omega=1.0)
         drift, diffusion = thermal_bath(bath.kappa, bath.n_th)
         assert np.all(np.diag(drift) <= 0.0)
         assert np.all(np.diag(diffusion) >= -2.0 * np.diag(drift))
         assert bath.n_th == pytest.approx(1.0 / math.expm1(0.1), rel=1e-14)
+        # the occupation is that of the mode frequency it is given
+        assert BathSpec.from_temperature(1e-3, 4.0, 2.0).n_th == 1.0 / math.expm1(0.5)
 
     def test_zero_temperature_short_circuit(self):
-        assert BathSpec.from_temperature(1e-3, 0.0).n_th == 0.0
+        assert BathSpec.from_temperature(1e-3, 0.0, 1.0).n_th == 0.0
 
     def test_cold_bath_past_expm1_range(self):
         # omega / T = 1000 and 1e6 overflow expm1; the occupation is 0
-        assert BathSpec.from_temperature(1e-4, 1e-3).n_th == 0.0
-        assert BathSpec.from_temperature(1e-4, 1e-6).n_th == 0.0
+        assert BathSpec.from_temperature(1e-4, 1e-3, 1.0).n_th == 0.0
+        assert BathSpec.from_temperature(1e-4, 1e-6, 1.0).n_th == 0.0
         # just inside the range the closed form is kept bit for bit
         temperature = 1.0 / 709.0
-        assert BathSpec.from_temperature(1e-4, temperature).n_th == 1.0 / math.expm1(1.0 / temperature)
+        assert BathSpec.from_temperature(1e-4, temperature, 1.0).n_th == 1.0 / math.expm1(1.0 / temperature)
 
     def test_zero_kappa_kills_rates(self):
         bath = BathSpec(kappa=0.0, n_th=5.0)
@@ -101,7 +103,7 @@ class TestBathSpec:
         with pytest.raises(DomainError):
             BathSpec(kappa=0.1, n_th=-0.5)
         with pytest.raises(DomainError):
-            BathSpec.from_temperature(0.1, -1.0)
+            BathSpec.from_temperature(0.1, -1.0, 1.0)
         with pytest.raises(DomainError):
             BathSpec(kappa=math.nan)
 
@@ -219,7 +221,7 @@ class TestFoldedRhs:
         rhs = lyapunov_batch_rhs(drift_base, diffusion, model, tau, g_final, r_n, eta=eta, end=end)
         for u in np.array([0.0, 0.37, 0.81, 1.0]) * np.min(end):
             got = rhs(u, v)
-            g = g_final * ramp_shape(u / end, r_n)
+            g = g_final * ramp_profile(r_n)(u / end)
             gamma = set_system_block(drift_base.copy(), model, g, eta=eta)
             gv = gamma @ v
             want = (tau / end)[:, None, None] * (gv + gv.swapaxes(-1, -2) + diffusion)
@@ -326,7 +328,7 @@ class TestIntegrate:
     def test_saturation_of_open_residual_energy(self):
         # once kappa tau >> 1 a gapped endpoint reaches its steady state
         # and the final excess stops growing with the quench time
-        bath = BathSpec.from_temperature(kappa=1e-2, temperature=10.0)
+        bath = BathSpec.from_temperature(kappa=1e-2, temperature=10.0, omega=1.0)
         values = []
         for tau in (1e3, 1e4):
             traj = integrate(QuenchProtocol(0.75, tau), bath=bath, samples=0)
@@ -367,7 +369,7 @@ class TestInvariants:
         assert np.max(np.abs(purity - 0.25)) < 1e-8
 
     def test_heisenberg_bound_open_dynamics(self):
-        bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0)
+        bath = BathSpec.from_temperature(kappa=1e-3, temperature=10.0, omega=1.0)
         traj = integrate(QuenchProtocol(1.0, 500.0), bath=bath, samples=101)
         obs = observables_from_covariance(traj.vs, traj.protocol.coupling(traj.ts))
         assert np.all(obs["dx"] * obs["dp"] >= 1.0 - 1e-9)

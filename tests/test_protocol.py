@@ -11,8 +11,7 @@ from critquench.errors import DomainError
 from critquench.protocol import (
     QuenchProtocol,
     impulse_boundary_exponent,
-    linear_ramp,
-    ramp_shape,
+    ramp_profile,
 )
 
 
@@ -34,7 +33,7 @@ class TestCoupling:
             assert p.coupling(123.0) == 0.9
 
     def test_linear_is_exact_ratio(self):
-        p = linear_ramp(1.0, 3.0)
+        p = QuenchProtocol(1.0, 3.0)
         for t in np.linspace(0.0, 3.0, 17):
             assert p.coupling(float(t)) == t / 3.0
 
@@ -95,7 +94,7 @@ class TestMonotonicityAndContinuity:
         s = np.linspace(0.0, 1.0, 10_001)
         base = np.maximum(1.0 - s, 0.0)
         generic = 1.0 - np.power(base, 1.0 + 0.0)
-        exact = ramp_shape(s, 1.0)
+        exact = ramp_profile(1.0)(s)
         assert np.max(np.abs(generic - exact)) <= 4.0 * math.ulp(1.0)
 
 
