@@ -1,24 +1,28 @@
 """The flows :func:`critquench.moments.propagate_batch` hands to the stepper.
 
-Two right-hand sides of the Lyapunov equation
-``dV/dt = Gamma(t) V + V Gamma(t)^T + D`` for a batch of members:
-:func:`lyapunov_batch_rhs` on the full covariance (the Markovian 2x2
-one, and a reference on any network), and :func:`system_columns_rhs`
-on the system columns of a network with a chain beside the system
-mode.  :func:`chain_flow` is the exact sub-flow that advances such a
-network's chain block, the block from index 2 on, once per accepted
-step.  Every network is in the mode-by-mode order of
+:func:`lyapunov_batch_rhs` is the right-hand side of the Lyapunov
+equation ``dV/dt = Gamma(t) V + V Gamma(t)^T + D`` for a batch of
+covariances: the Markovian 2x2 one, and a reference on any network.
+A network with a chain beside the system mode is integrated in the
+isolated mode's frame instead: the stages carry the 2x2 propagator of
+:func:`propagator_rhs`, and :class:`ChainFrame` is the sub-flow that
+advances the rest of V from it, with the exponential weights of
+:meth:`FrameRule.exp_weights` and the exact chain-block flow of
+:func:`chain_flow`.  Every network is in the mode-by-mode order of
 :mod:`critquench.moments`, so at any size the ramped entries are
-``Gamma[1, 0]`` and ``Gamma[0, 1]``.  Each is built once per
+``Gamma[1, 0]`` and ``Gamma[0, 1]``.  Each flow is built once per
 ``solve_to`` call; only the ramped system block of ``Gamma`` moves with
 the coupling.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import model as model_mod
+from ._ode import dense_weights
 from .model import ModelSpec
 from .protocol import ramp_profile
 
@@ -65,29 +69,17 @@ def _ramp(model: ModelSpec, tau_q, g_final, r_n, eta, end):
     return rate, polys, x_of
 
 
-def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0):
-    """``dV/du = (tau_q / end) (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
+def _ramped_drift(drift_base, model: ModelSpec, tau_q, g_final, r_n, eta, end):
+    """``(rate, drift, at)``: the drift ``rate drift_base`` of a batch and ``at(u)``,
+    which writes its ramped entries at solver time ``u`` and returns it.
 
-    Each member reads its ramp at its own clock ``s = u / end`` of the
-    solver's one time ``u``, rescaled time at ``end = 1`` (the default)
-    and physical time at ``end = tau_q`` (see
-    :func:`critquench.moments.propagate_batch`).  The rate
-    ``tau_q / end`` is folded in once, here, into a drift
-    buffer holding ``drift_base`` (one matrix, or one per member), into
-    the diffusion and into the ramp coefficients of :func:`_ramp`.  A
-    call evaluates the ramped entries by Horner's rule at ``x``.  It
-    writes only those entries: ``Gamma[p_1, q_1] = -rate h_qq``, and
-    ``Gamma[q_1, p_1] = rate h_pp`` where ``h_pp`` moves with the
-    coupling (LMG); a constant ``h_pp`` is written once.  No other entry
-    is touched, so the result depends on ``(u, V)`` only.  V must be
-    symmetric, as ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output
-    is a fresh, exactly symmetric array, so a flow started from a
-    symmetric V stays exactly symmetric through every Runge-Kutta
-    stage.  ``tau_q``, ``g_final``, ``r_n``, ``eta`` and ``end`` are per
-    member.
+    Only ``Gamma[p_1, q_1] = -rate h_qq`` and, where it moves with the
+    coupling (LMG), ``Gamma[q_1, p_1] = rate h_pp`` are rewritten, by
+    Horner's rule at the ramp variable of :func:`_ramp`; a constant
+    ``h_pp`` is written once.
     """
     rate, polys, x_of = _ramp(model, tau_q, g_final, r_n, eta, end)
-    drift, diffusion = rate[:, None, None] * drift_base, rate[:, None, None] * diffusion
+    drift = rate[:, None, None] * drift_base
     # (coefficients, entry) of each ramped entry; a constant entry is written once
     ramped = []
     for coeffs, entry in zip(polys, (drift[:, 1, 0], drift[:, 0, 1])):
@@ -95,13 +87,37 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
             entry[...] = coeffs[0]
         else:
             ramped.append((coeffs, entry))
-    m = np.empty_like(drift)
 
-    def rhs(u, v):
+    def at(u):
         x = x_of(u)
         for coeffs, entry in ramped:
             _horner(coeffs, x, entry)
-        np.matmul(drift, v, out=m)
+        return drift
+
+    return rate, drift, at
+
+
+def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta=None, end=1.0):
+    """``dV/du = (tau_q / end) (Gamma(s) V + V Gamma(s)^T + D)`` for a batch of covariances.
+
+    Each member reads its ramp at its own clock ``s = u / end`` of the
+    solver's one time ``u``, rescaled time at ``end = 1`` (the default)
+    and physical time at ``end = tau_q`` (see
+    :func:`critquench.moments.propagate_batch`).  The rate
+    ``tau_q / end`` is folded in once, here, into the drift
+    (:func:`_ramped_drift`), the diffusion and the ramp coefficients, so
+    the result depends on ``(u, V)`` only.  V must be symmetric, as
+    ``V Gamma^T`` is taken as ``(Gamma V)^T``; the output is a fresh,
+    exactly symmetric array, so a flow started from a symmetric V stays
+    exactly symmetric through every Runge-Kutta stage.  ``tau_q``,
+    ``g_final``, ``r_n``, ``eta`` and ``end`` are per member.
+    """
+    rate, drift, at = _ramped_drift(drift_base, model, tau_q, g_final, r_n, eta, end)
+    diffusion = rate[:, None, None] * diffusion
+    m = np.empty_like(drift)
+
+    def rhs(u, v):
+        np.matmul(at(u), v, out=m)
         out = m + m.swapaxes(-1, -2)
         out += diffusion
         return out
@@ -109,111 +125,184 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     return rhs
 
 
-def system_columns_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, r_n, eta, end):
-    """``dW/du`` of the system columns of a batch of covariances.
+def propagator_rhs(drift_base, model: ModelSpec, tau_q, g_final, r_n, eta, end):
+    """``dU/du = Gamma_ss(u) U`` of a batch of 2x2 isolated-mode propagators.
 
-    ``W = V[:, :, :2]`` of shape (B, N, 2) holds the system block S in
-    its first two rows and the chain-system cross block X below; the
-    chain block C sits outside, frozen during the stages.  With the rate
-    and the ramp folded in as in :func:`lyapunov_batch_rhs` (``Gamma_ss``
-    the system block of ``Gamma``,
-    ``K_sc = Gamma[system, chain]``),
-
-        dW/du = Gamma W + W Gamma_ss^T + [X^T K_sc^T; C K_sc^T] + D[:, :2],
-
-    so, with ``M = Gamma W``, the system rows are ``M_s + M_s^T`` and
-    the chain rows ``M_c + X Gamma_ss^T + C K_sc^T``.  The map is linear
-    in W and affine in the powers of the ramp variable ``x``
-    (:func:`_ramp`), so it is built once, here: one per-member operator
-    ``L_k`` on the flattened W per power ``x^k``, applied to the basis.
-    A call is one batched product
-    ``[w, x w, ..., 1, 1] @ [L_0; L_1; ...; D[:, :2]; [0; q]]``.  The
-    rows of ``S_01`` and ``S_10`` are the same functional, so S stays
-    exactly symmetric.  Returns ``(rhs, q)``: ``q`` (B, N - 2, 2), a
-    view into the operator, is the chain's forcing ``C K_sc^T``, which
-    the caller writes before the first call and keeps current
-    (:func:`chain_flow` does).
+    ``Gamma_ss`` is the system block of the drift, rate and ramp folded
+    in as in :func:`lyapunov_batch_rhs`.  It does not depend on the
+    bath's coupling, so a row's isolated and open members get the same
+    U bit for bit.
     """
-    rate, polys, x_of = _ramp(model, tau_q, g_final, r_n, eta, end)
-    b, dim = drift_base.shape[:2]
-    size, powers = 2 * dim, max(len(coeffs) for coeffs in polys)
-    drifts = np.zeros((powers, b, dim, dim))
-    drifts[0] = rate[:, None, None] * drift_base
-    for (i, j), coeffs in zip(((1, 0), (0, 1)), polys):
-        for k, c in enumerate(coeffs):
-            drifts[k, :, i, j] = c
-    # row e of L_k^T is the image of the e-th basis W, as (member, basis, N, 2)
-    basis = np.eye(size).reshape(size, dim, 2)
-    operator = np.zeros((b, powers * size + 2, size))
-    for k, drift in enumerate(drifts):
-        image = drift[:, None] @ basis
-        system = image[..., :2, :]
-        system += system.swapaxes(-1, -2).copy()
-        image[..., 2:, :] += basis[:, 2:] @ drift[:, None, :2, :2].swapaxes(-1, -2)
-        operator[:, k * size : (k + 1) * size] = image.reshape(b, size, size)
-    operator[:, -2] = (rate[:, None, None] * diffusion[:, :, :2]).reshape(b, size)
-    stacked = np.ones((b, 1, powers * size + 2))
-    rows = [stacked[:, 0, k * size : (k + 1) * size] for k in range(powers)]
-    per_member = np.ndim(x_of(0.0)) > 0
-
-    def rhs(u, w):
-        x = x_of(u)
-        if per_member:
-            x = x[:, None]
-        rows[0][...] = w.reshape(b, size)
-        for lower, upper in zip(rows, rows[1:]):
-            np.multiply(lower, x, out=upper)
-        return np.matmul(stacked, operator).reshape(w.shape)
-
-    return rhs, operator[:, -1].reshape(b, dim, 2)[:, 2:]
+    _, _, at = _ramped_drift(drift_base[:, :2, :2], model, tau_q, g_final, r_n, eta, end)
+    return lambda u, y: at(u) @ y
 
 
-def chain_flow(drift_base, diffusion, rate, c, q):
-    """Exact flow of a batch's chain block over one step, as a ``subflow`` for ``solve_to``.
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
 
-    The chain block ``C = V[:, 2:, 2:]`` (B, N - 2, N - 2), one
-    contiguous array, obeys
-    ``dC/du = G C + C G^T + D_cc + K X^T + X K^T``, where
-    ``G = rate Gamma_cc``, ``K = rate Gamma[chain, system]`` and
-    ``X = W[:, 2:]`` is the cross block of the system columns W that
-    the stepper integrates (:func:`system_columns_rhs`); no
-    coefficient moves with the coupling.  The chain's vacuum must be
-    stationary, ``G + G^T + rate D_cc = 0``, as it is exactly for every
-    chain :func:`critquench.auxbath.build_system` writes.  Then
-    ``E = C - I`` obeys ``dE/du = G E + E G^T + F`` with
-    ``F = K X^T + X K^T``, and, holding F at its value at the step's
-    end, the flow over a step of length ``h`` is exact:
-
-        E <- Phi_h (E + L) Phi_h^T - L,   Phi_h = exp(h G),   G L + L G^T = F.
-
-    ``Phi_h`` comes from one eigendecomposition of G, and L from the
-    inverse of the Lyapunov operator on the row-major ``vec`` of the
-    block, both computed once.  Every member must share G.  Returns
-    ``subflow(t, t_new, w)``, which updates ``c`` in place, exactly
-    symmetric, and leaves ``w`` alone; a member without forcing
-    (``K = 0``) keeps ``C = I`` exactly.  The chain's forcing of the
-    system columns, ``q = C K_sc^T`` (B, N - 2, 2) with
-    ``K_sc = rate Gamma[system, chain]``, is written here and refreshed
-    from C after every step.
+    Newton's iteration on the Legendre polynomial ``P_n`` from the
+    asymptotic guesses, with no LAPACK call: the eigensolver of the
+    Golub-Welsch rule pages about 1 MB more of LAPACK into the process.
     """
-    b, dim = drift_base.shape[:2]
-    m = dim - 2
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        lower, p = np.ones_like(x), x
+        for k in range(1, n):
+            lower, p = p, ((2 * k + 1) * x * p - k * lower) / (k + 1)
+        slope = n * (x * p - lower) / (x * x - 1.0)
+        x = x - p / slope
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _lagrange_expansion(nodes, x0):
+    """``d^n l_j / dx^n`` at each of ``x0`` as (..., n, j), for the Lagrange basis ``l_j`` of ``nodes``.
+
+    Read off the expansion of ``l_j`` about ``x0`` itself, which keeps
+    every derivative to a few ulps.
+    """
+    m = nodes.size
+    others = np.array([np.delete(nodes, j) for j in range(m)])  # (j, m - 1)
+    roots = others - np.asarray(x0)[..., None, None]
+    coeffs = np.zeros(roots.shape[:-1] + (m,))  # by ascending power of x - x0
+    coeffs[..., 0] = 1.0
+    for i in range(m - 1):
+        coeffs[..., 1:] = coeffs[..., :-1] - roots[..., i, None] * coeffs[..., 1:]
+        coeffs[..., 0] *= -roots[..., i]
+    factorials = np.cumprod(np.concatenate(([1.0], np.arange(1.0, m))))
+    coeffs *= factorials / np.prod(nodes[:, None] - others, axis=-1)[:, None]
+    return coeffs.swapaxes(-1, -2)
+
+
+#: |z tau| above which :meth:`FrameRule.exp_weights` integrates by parts
+FAR = 8.0
+
+
+class FrameRule:
+    """The quadrature of one frame step: 8 Gauss nodes on [0, 1] and their weight tables.
+
+    Built by each :class:`ChainFrame`, so importing the package computes
+    nothing.  ``nodes`` and ``gauss`` are the Gauss rule; ``ends`` the
+    nodes and then 1, the step's end; ``collocation[t, j]`` is
+    ``int_0^ends_t l_j`` over the nodes' Lagrange basis ``l_j``;
+    ``tail`` the projector of node values on their last Legendre mode;
+    ``dense`` the rows of :func:`critquench._ode.dense_weights` at the
+    nodes.
+    """
+
+    def __init__(self):
+        m = 8
+        self.nodes, self.gauss = _gauss_legendre(m)
+        self.ends = np.append(self.nodes, 1.0)
+        # near branch: a 20-point Gauss rule on [0, tau] for each end tau,
+        # near[t, q, j] = tau_t g_q l_j(tau_t y_q)
+        self.y, g = _gauss_legendre(20)
+        points = self.ends[:, None] * self.y
+        self.near = self.ends[:, None, None] * g[:, None] * _lagrange_expansion(self.nodes, points)[..., 0, :]
+        # far branch: the derivatives of the basis at 0 and at each end
+        self.deriv_0 = _lagrange_expansion(self.nodes, 0.0)
+        self.deriv_end = _lagrange_expansion(self.nodes, self.ends)
+        self.collocation = self.near.sum(axis=1)  # the weights at z = 0
+        # (T f)_j = a P(c_j) for the last Legendre mode a P of the interpolant of f:
+        # P the shifted Legendre polynomial of degree m - 1, a = (2m - 1) sum_j b_j P(c_j) f_j
+        x = 2.0 * self.nodes - 1.0
+        lower, top = np.ones_like(x), x
+        for n in range(1, m - 1):
+            lower, top = top, ((2 * n + 1) * x * top - n * lower) / (n + 1)
+        self.tail = (2 * m - 1) * top[:, None] * (self.gauss * top)
+        self.dense = dense_weights(self.nodes)
+
+    def exp_weights(self, z):
+        """``W[k, t, j] = int_0^tau_t exp(z_k (tau_t - x)) l_j(x) dx`` over the nodes' Lagrange basis.
+
+        ``tau`` runs over :attr:`ends`, so for a polynomial ``p`` of
+        degree below the node count ``sum_j W[k, t, j] p(c_j)`` is the
+        solution at ``tau_t`` of ``y' = z_k y + p(x)``, ``y(0) = 0``.  Up
+        to ``|z tau| = FAR`` the integral is a 20-point Gauss rule, exact
+        while the exponential's Taylor tail is below rounding; beyond it,
+        integration by parts,
+        ``sum_n (e^{z tau} l^(n)(0) - l^(n)(tau)) / z^(n + 1)``, whose
+        terms shrink with ``|z|``.  Both agree to a few 1e-14 at the
+        switch.  ``z`` is a 1-d complex array.  Returns W and
+        ``exp(z_k tau_t)``.
+        """
+        zt = z[:, None] * self.ends
+        decay = np.exp(zt)
+        w = np.matmul(np.exp(zt[..., None] * (1.0 - self.y)).swapaxes(0, 1), self.near).swapaxes(0, 1)
+        far = np.abs(zt) > FAR
+        if far.any():
+            with np.errstate(divide="ignore", invalid="ignore"):  # a z = 0 is never far
+                powers = (1.0 / z[:, None]) ** np.arange(1.0, self.nodes.size + 1.0)
+            by_parts = decay[..., None] * (powers @ self.deriv_0)[:, None]
+            by_parts -= np.matmul(powers, self.deriv_end).swapaxes(0, 1)
+            w = np.where(far[..., None], by_parts, w)
+        return w, decay
+
+
+def _unimodular(u, out=None):
+    """``u / sqrt(det u)`` of a stack of 2x2 matrices of positive determinant."""
+    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    return np.divide(u, np.sqrt(det)[..., None, None], out=out)
+
+
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _chain_modes(gamma):
+    """``(lam, vecs, inv)``: eigenvalues, eigenvectors P and ``P^-1`` of a real chain drift.
+
+    ``P^-1`` is read off the inverse of P's real form
+    ``[[Re, -Im], [Im, Re]]``: a complex inverse maps 0.4 MB more of
+    LAPACK into every structured run.
+    """
+    m = gamma.shape[-1]
+    lam, vecs = np.linalg.eig(gamma)
+    real_inv = np.linalg.inv(np.block([[vecs.real, -vecs.imag], [vecs.imag, vecs.real]]))
+    return lam, vecs, real_inv[:m, :m] + 1j * real_inv[m:, :m]
+
+
+def _chain_drift(drift_base, diffusion, rate):
+    """The shared chain drift ``rate Gamma_cc`` of a batch, checked as :func:`chain_flow` needs it."""
     r = np.asarray(rate, dtype=float)[:, None, None]
     gamma = r * drift_base[:, 2:, 2:]
     if np.any(gamma != gamma[:1]):
         raise ValueError("the members of a frozen-chain batch must share one chain drift")
     if np.any(gamma + gamma.swapaxes(-1, -2) + r * diffusion[:, 2:, 2:]):
         raise ValueError("a frozen chain needs a stationary vacuum: Gamma_cc + Gamma_cc^T + D_cc = 0")
-    gamma, eye = gamma[0], np.eye(m)
-    k = r * drift_base[:, 2:, :2]
-    k_sc_t = (r * drift_base[:, :2, 2:]).swapaxes(-1, -2).copy()
+    return gamma[0]
+
+
+def chain_flow(drift_base, diffusion, rate):
+    """Exact flow of a batch's chain block over one step.
+
+    The chain block ``C = V[:, 2:, 2:]`` (B, N - 2, N - 2) obeys
+    ``dC/du = G C + C G^T + D_cc + K X^T + X K^T``, where
+    ``G = rate Gamma_cc``, ``K = rate Gamma[chain, system]`` and
+    ``X = V[:, 2:, :2]`` is the cross block; no coefficient moves with
+    the coupling.  The chain's vacuum must be stationary,
+    ``G + G^T + rate D_cc = 0``, as it is exactly for every chain
+    :func:`critquench.auxbath.build_system` writes.  Then ``E = C - I``
+    obeys ``dE/du = G E + E G^T + F`` with ``F = K X^T + X K^T``, and,
+    holding F at its value at the step's end, the flow over a step of
+    length ``h`` is exact:
+
+        E <- Phi_h (E + L) Phi_h^T - L,   Phi_h = exp(h G),   G L + L G^T = F.
+
+    ``Phi_h`` comes from one eigendecomposition of G, and L from the
+    inverse of the Lyapunov operator on the row-major ``vec`` of the
+    block, both computed once.  Every member must share G.  Returns
+    ``advance(h, c, x, rows)``, the new C, exactly symmetric, from C
+    and the cross block X at the step's end of the members ``rows``
+    (default: all); a member without forcing (``K = 0``) keeps ``C = I``
+    exactly.
+    """
+    gamma = _chain_drift(drift_base, diffusion, rate)
+    m = gamma.shape[-1]
+    eye = np.eye(m)
+    k = np.asarray(rate, dtype=float)[:, None, None] * drift_base[:, 2:, :2]
     # Phi_h = Re sum_k exp(h lam_k) P[:, k] P^-1[k, :] is one real product
-    # with the (re, im) pairs of exp(h lam).  P^-1 is read off the inverse of
-    # P's real form [[Re, -Im], [Im, Re]]: a complex inverse maps 0.4 MB
-    # more of LAPACK into every structured run.
-    lam, vecs = np.linalg.eig(gamma)
-    real_inv = np.linalg.inv(np.block([[vecs.real, -vecs.imag], [vecs.imag, vecs.real]]))
-    outer = vecs.T[:, :, None] * (real_inv[:m, :m] + 1j * real_inv[m:, :m])[:, None, :]
+    # with the (re, im) pairs of exp(h lam)
+    lam, vecs, inv = _chain_modes(gamma)
+    outer = vecs.T[:, :, None] * inv[:, None, :]
     expand = np.stack([outer.real, -outer.imag], axis=1).reshape(2 * m, m * m).T
     # row-major vec(L) = vec(F) @ lyapunov_inv.T, and F = K X^T + (K X^T)^T
     # is vec(K X^T) @ (1 + transpose).T
@@ -221,18 +310,180 @@ def chain_flow(drift_base, diffusion, rate, c, q):
     transpose = np.eye(m * m).reshape(m, m, m, m).swapaxes(2, 3).reshape(m * m, m * m)
     weights = (lyapunov_inv @ (np.eye(m * m) + transpose)).T
 
-    def subflow(t, t_new, w):
-        phi = (expand @ np.exp((t_new - t) * lam).view(float)).reshape(m, m)
-        kx = k @ w[:, 2:].swapaxes(-1, -2)
-        lyap = (kx.reshape(b, -1) @ weights).reshape(c.shape)
+    def advance(h, c, x, rows=slice(None)):
+        phi = (expand @ np.exp(h * lam).view(float)).reshape(m, m)
+        kx = k[rows] @ x.swapaxes(-1, -2)
+        lyap = (kx.reshape(c.shape[0], -1) @ weights).reshape(c.shape)
         a = c - eye
         a += lyap
         a = np.matmul(phi, (a.reshape(-1, m) @ phi.T).reshape(a.shape))
         a -= lyap
-        np.add(a, a.swapaxes(-1, -2), out=c)
-        np.multiply(c, 0.5, out=c)
-        np.add(c, eye, out=c)
-        np.matmul(c, k_sc_t, out=q)
+        out = a + a.swapaxes(-1, -2)
+        out *= 0.5
+        out += eye
+        return out
 
-    np.matmul(c, k_sc_t, out=q)
-    return subflow
+    return advance
+
+
+class ChainFrame:
+    """The state of a network's chain beside the isolated mode's propagator U.
+
+    Write ``V = [[S, X^T], [X, C]]``, ``A = Gamma_ss`` the ramped system
+    block of the drift, ``G = Gamma_cc = P Lam P^-1``,
+    ``K = Gamma[chain, system]`` and ``K_sc = Gamma[system, chain]``
+    (rates folded in).  With ``U' = A U``, ``U(0) = I``, the frame
+    variables ``S = U (1 + e) U^T`` and ``X^T = U Z P^T`` obey exactly
+
+        e' = U^-1 K_sc P Z^T + transpose,
+        z_k' = lam_k z_k + phi_k,   Phi = ((1 + e) U^T K^T + U^-1 K_sc C) P^-T,
+
+    and C the Lyapunov flow of :func:`chain_flow`.  The system mode
+    must be undamped (``D`` zero in its rows) and the chain drift
+    shared.  The Runge-Kutta stages carry only U, which does not depend
+    on the coupling to the chain; :meth:`subflow` advances ``e``, Z and
+    C once per attempt from U's dense output at the Gauss nodes of its
+    :class:`FrameRule`:
+
+    - Z exactly, for Phi the polynomial through its values at the
+      nodes (:meth:`FrameRule.exp_weights`), each pair of conjugate modes through
+      one of them;
+    - ``e`` by the Gauss rule, ``e`` at the nodes from one collocation
+      re-pass;
+    - C by :func:`chain_flow`, fed the cross block X at the step's end;
+      Phi reads C at the step's start.
+
+    The attempt's error is the change of ``e`` and Z at the step's end
+    when Phi loses its highest Legendre mode at the nodes, each scaled
+    by ``atol + rtol |.|`` of its own entries.  Members without
+    coupling (``K = 0`` and ``K_sc = 0``) keep ``e = 0``, ``Z = 0``,
+    ``X = 0`` and ``C = I`` exactly and are never touched.  The state
+    arrays ``e`` (B, 2, 2), ``z`` (B, modes, 2), ``x`` (B, N - 2, 2) and
+    ``c`` (B, N - 2, N - 2) are per member of the whole batch.
+    """
+
+    def __init__(self, drift_base, diffusion, rate):
+        b, dim = drift_base.shape[:2]
+        r = np.asarray(rate, dtype=float)[:, None, None]
+        self.k = r * drift_base[:, 2:, :2]
+        self.k_sc = r * drift_base[:, :2, 2:]
+        self.coupled = np.flatnonzero(np.any(self.k, axis=(1, 2)) | np.any(self.k_sc, axis=(1, 2)))
+        self.e = np.zeros((b, 2, 2))
+        self.x = np.zeros((b, dim - 2, 2))
+        self.c = np.broadcast_to(np.eye(dim - 2), (b, dim - 2, dim - 2)).copy()
+        self.z = np.zeros((b, 0, 2), dtype=complex)
+        if np.any(diffusion[:, :2]) or np.any(drift_base[:, 0, 0] + drift_base[:, 1, 1]):
+            raise ValueError("the chain frame needs an undamped system mode")
+        if self.coupled.size == 0:
+            return
+        o = self.coupled
+        lam, vecs, inv = _chain_modes(_chain_drift(drift_base[o], diffusion[o], rate[o]))
+        # one mode of each conjugate pair, counted twice in X = Re(P Z^T) U^T
+        keep = lam.imag >= 0.0
+        self.lam = lam[keep]
+        self.p = vecs[:, keep] * np.where(lam[keep].imag > 0.0, 2.0, 1.0)
+        self.inv_t = inv[keep].T.copy()
+        self.z = np.zeros((b, self.lam.size, 2), dtype=complex)
+        self.flow = chain_flow(drift_base[o], diffusion[o], rate[o])
+        self.rule = FrameRule()
+
+    def state(self):
+        """Copies of ``(e, x, c)``, which with U give V (:func:`critquench.moments._covariance`)."""
+        return self.e.copy(), self.x.copy(), self.c.copy()
+
+    def _couplings(self, o):
+        """``K^T P^-T``, ``K_sc`` and ``K_sc P`` as ``(Re, -Im)`` of the coupled members ``o``.
+
+        The products they enter are real: a complex factor enters as its
+        float view, and ``Re(K_sc P Z^T)`` is one real product with Z's
+        ``(Re, Im)`` stacked.
+        """
+        k_p = np.ascontiguousarray(self.k[o].swapaxes(-1, -2) @ self.inv_t).view(float)
+        k_sc_p = self.k_sc[o] @ self.p
+        return k_p, self.k_sc[o], np.concatenate([k_sc_p.real, -k_sc_p.imag], axis=-1)
+
+    def _factors(self, couplings, u, c):
+        """``(u_k, base, inv_k)`` at propagators ``u`` (..., O, 2, 2) and chain blocks ``c``.
+
+        ``Phi = base + e u_k`` as a float view and
+        ``e' = inv_k [Re Z^T; Im Z^T] + transpose``.
+        """
+        k_p, k_sc, k_sc_p = couplings
+        u_t = u.swapaxes(-1, -2)
+        inv = u_t[..., ::-1, ::-1] * _ADJUGATE_SIGNS
+        inv /= (u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0])[..., None, None]
+        u_k = u_t @ k_p  # U^T K^T P^-T
+        return u_k, u_k + inv @ (k_sc @ (c @ self.inv_t.view(float))), inv @ k_sc_p
+
+    def rates(self, u, e, z, c):
+        """``(e', Z')`` of the coupled members at propagators ``u`` and frame state ``e``, ``z``, ``c`` of the batch."""
+        o = self.coupled
+        u_k, base, inv_k = self._factors(self._couplings(o), u[o], c[o])
+        dz = self.lam[:, None] * z[o] + (base + e[o] @ u_k).view(complex).swapaxes(-1, -2)
+        de = inv_k @ np.concatenate([z[o].real, z[o].imag], axis=-2)
+        return de + de.swapaxes(-1, -2), dz
+
+    def subflow(self, active, rhs, rtol, atol):
+        """The ``subflow`` of a ``solve_to`` call whose stages integrate the U of the members ``active`` with ``rhs``.
+
+        Every accepted U is projected back to ``det U = 1``, which the
+        exact flow keeps (``Gamma_ss`` is traceless): the stages' error
+        would otherwise drift the isolated state off purity, by about
+        1e-9 in the smallest eigenvalue of ``V + iJ`` over
+        ``ohmic_offcritical.cfg``'s longest ramp.
+        """
+        members = np.flatnonzero(np.isin(active, self.coupled))
+        o = active[members]
+        if o.size == 0:
+
+            def project(t, t_new, u, u_new, dense_output):
+                return 0.0, lambda: _unimodular(u_new, out=u)
+
+            return project
+        lam, n_modes, size = self.lam, self.lam.size, 2 * o.size
+        rows = np.searchsorted(self.coupled, o)  # the members' rows in the chain flow
+        couplings = self._couplings(o)
+        rule, m = self.rule, self.rule.nodes.size
+
+        def scaled(err, old, new):
+            return err / (atol + rtol * np.maximum(np.abs(old), np.abs(new)))
+
+        def subflow(t, t_new, u, u_new, dense_output):
+            h = t_new - t
+            u_new = _unimodular(u_new)
+            nodes = dense_output(rhs, rule.dense)[:, members]  # U at the nodes, (m, O, 2, 2)
+            e0, z0, c0 = self.e[o], self.z[o], self.c[o]
+            u_k, base, inv_k = self._factors(couplings, nodes, c0)
+            inv_kk = np.concatenate([inv_k, inv_k], axis=1)
+            w, decay = rule.exp_weights(h * lam)  # (modes, ends, m), (modes, ends)
+            # Z's free flow from the step's start, (modes, ends, 2 O)
+            free = decay[..., None] * z0.transpose(1, 0, 2).reshape(n_modes, 1, size)
+            e_nodes = e0
+            for repass in (False, True):
+                phi = (base + e_nodes @ u_k).view(complex)  # (m, O, 2, modes)
+                phi = phi.transpose(3, 0, 1, 2).reshape(n_modes, -1, size)
+                if repass:  # with Phi's last Legendre mode, for the error estimate
+                    phi = np.concatenate([phi, rule.tail @ phi], axis=-1)
+                z = h * (w @ phi)  # (modes, ends, 2 O), twice on the re-pass
+                z[..., :size] += free
+                zs = z[:, :-1].reshape(n_modes, m, -1, 2)
+                de = (inv_kk if repass else inv_k) @ np.concatenate([zs.real, zs.imag]).transpose(1, 2, 0, 3)
+                de += de.swapaxes(-1, -2)
+                if not repass:
+                    e_nodes = e0 + h * (rule.collocation[:-1] @ de.reshape(m, -1)).reshape(de.shape)
+            de = h * (rule.gauss @ de.reshape(m, -1)).reshape(de.shape[1:])
+            e_new = e0 + de[: o.size]
+            e_new = 0.5 * (e_new + e_new.swapaxes(-1, -2))
+            z_new, dz_new = z[:, -1].reshape(n_modes, 2, o.size, 2).transpose(1, 2, 0, 3)
+            x_new = (self.p @ z_new).real @ u_new[members].swapaxes(-1, -2)
+            c_new = self.flow(h, c0, x_new, rows)
+            # the embedded estimate: what Phi's last Legendre mode adds at the end
+            err_e, err_z = scaled(de[o.size :], e0, e_new), scaled(np.abs(dz_new), z0, z_new)
+
+            def commit():
+                u[...] = u_new
+                self.e[o], self.z[o], self.x[o], self.c[o] = e_new, z_new, x_new, c_new
+
+            return math.sqrt((np.vdot(err_e, err_e) + np.vdot(err_z, err_z)) / (err_e.size + err_z.size)), commit
+
+        return subflow

@@ -1,7 +1,8 @@
 """Adaptive explicit Runge-Kutta integration on array-valued states.
 
 A single stepper drives every propagation in the package: the
-covariance-matrix Lyapunov flow of whole sweep batches, stacked along a
+covariance-matrix Lyapunov flow of Markovian sweep batches and the
+isolated mode's propagator of structured ones, stacked along a
 leading axis.  The state may be any real or complex ndarray; the error
 norm is one RMS over all elements of the batch, so members share one
 step sequence and the tolerance bounds that RMS, not each member's own
@@ -34,20 +35,32 @@ accepted step is carried into the next error scale.  The 5th- and
 with reversed weight rows: ``np.dot`` would copy a reversed view of the
 stack, and one fused (2, 13) dot changes the bits under OpenBLAS.
 
-A propagation may carry an exact sub-flow, ``settings.subflow``: after
-each accepted step, and before the step is sampled, it is called once
-as ``subflow(t_n, t_{n+1}, y)``; never on a rejection.  It may update
-``y`` in place, or state of its own that the right-hand side reads.
-The structured bath does the latter: the stages carry only the system
-columns of the covariance, and the sub-flow advances the chain block
-beside them and refreshes the chain's forcing of those columns
-(:func:`critquench.moments.chain_flow`).  The first-same-as-last
-``k_0`` of the next step was evaluated before the sub-flow ran, so it
-carries the chain block the stages saw, not the updated one.  That
-staleness is far below 1e-10 relative: on ``ohmic_critical`` at
-``tau_q = 100``, with every step pinned at half the cap (rtol 1e-6),
-re-evaluating ``k_0`` after the sub-flow left the excess the same bit
-for bit (measured while the chain block was still part of ``y``).
+A propagation may carry a sub-flow, ``settings.subflow``, which
+advances variables of its own beside the stages.  It is called on
+every attempt, after the stages' error estimate, as
+``subflow(t_n, t_{n+1}, y, y_new, dense)`` and returns
+``(err, commit)``: its own error norm, scaled like the stages' (at
+most 1 to accept), and a callable.  The step's error is the larger of
+the two, so the sub-flow can reject an attempt.  ``commit()`` runs
+once after each accepted step, after ``y_new`` has been copied into
+``y`` and before the step is sampled, never on a rejection; it may
+update ``y`` in place.  ``dense(rhs, weights)`` is the hook to the
+attempt's 7th-order dense output: it evaluates the pair's three extra
+stages with the sub-flow's own ``rhs``, so the right-hand side
+``solve_to`` was handed sees only the stages, and returns ``y`` at the
+fractions of the step whose :func:`dense_weights` it is given.  A
+propagation without a sub-flow never computes it.
+
+The structured bath is the one user (:class:`critquench._flows.ChainFrame`):
+the stages carry the isolated mode's 2x2 propagator U, and the
+sub-flow advances the chain's frame variables from U's dense output
+and projects the accepted U back to ``det U = 1``.  The
+first-same-as-last ``k_0`` of the next step was evaluated before that
+projection, so it is stale by the projection's relative change,
+about 1e-12 per step.  Re-evaluating it after the commit moved the
+deltas of the three shipped structured configs by at most 9e-8
+relative, a few roundings of the excess, which is a difference of
+O(1) variances.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
@@ -83,7 +96,7 @@ class IntegratorSettings:
     atol: float = 1e-12
     max_step: float = np.inf
     max_steps: int = 50_000_000
-    subflow: Callable[[float, float, np.ndarray], None] | None = None
+    subflow: Callable | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
@@ -105,6 +118,28 @@ _WEIGHTS[:, 1:-1] = np.vstack([tab.A, tab.B])[:, ::-1]
 _E5_ROW = tab.E5[::-1].reshape(1, -1).copy()
 _E3_ROW = tab.E3[::-1].reshape(1, -1).copy()
 _C = tab.C.tolist()
+
+
+def dense_weights(fractions) -> np.ndarray:
+    """Weights of the 7th-order dense output at ``fractions`` of a step.
+
+    Row i gives ``y(t + fractions[i] h) - y(t)`` as a combination of
+    ``[y_new - y, h k_0, ..., h k_15]``: the dense output is
+    ``y + sum_p beta_p(x) F_p`` with ``beta = (x, x(1-x), x^2(1-x), ...)``,
+    ``F_0 = y_new - y``, ``F_1 = h k_0 - F_0``,
+    ``F_2 = 2 F_0 - h (k_0 + k_12)`` and ``F_3.. = h D k``.
+    """
+    x = np.asarray(fractions, dtype=float)
+    beta = [x]
+    for p in range(6):
+        beta.append(beta[-1] * (1.0 - x if p % 2 == 0 else x))
+    beta = np.stack(beta, axis=1)
+    weights = np.zeros((x.size, tab.N_STAGES + 5))
+    weights[:, 0] = beta[:, 0] - beta[:, 1] + 2.0 * beta[:, 2]
+    weights[:, 1:] = beta[:, 3:] @ tab.D
+    weights[:, 1] += beta[:, 1] - beta[:, 2]
+    weights[:, 1 + tab.N_STAGES] -= beta[:, 2]
+    return weights
 
 
 def _error_norm(err5, err3, h):
@@ -248,6 +283,19 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     dy_flat = np.empty((1, flat.shape[1]), dtype=y.dtype)
     dy = dy_flat.reshape(shape)
     abs_y = np.abs(y)
+
+    def dense(rhs_of, weights):
+        # the attempt's stages in natural order, then the three extra ones
+        k = np.empty((tab.N_STAGES + 4, flat.shape[1]), dtype=y.dtype)
+        k[: last + 1] = flat[last::-1]
+        h = step.h_try
+        for i, (a_row, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA)):
+            n = last + 1 + i
+            k[n] = rhs_of(step.t + c * h, (flat[last + 1] + h * (a_row[:n] @ k[:n])).reshape(shape)).ravel()
+        out = weights[:, :1] * (dy_flat - flat[last + 1]) + h * (weights[:, 1:] @ k)
+        out += flat[last + 1]
+        return out.reshape((-1,) + shape)
+
     while not step.done:
         t, h_try = step.t, step.attempt()
         np.multiply(_WEIGHTS, h_try, out=coef)
@@ -262,10 +310,14 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
         abs_y_new = np.abs(dy)
         scale = (atol + rtol * np.maximum(abs_y, abs_y_new)).reshape(1, -1)
         err5, err3 = np.dot(_E5_ROW, k_all) / scale, np.dot(_E3_ROW, k_all) / scale
-        if step.settle(_error_norm(err5, err3, h_try)):
+        err = _error_norm(err5, err3, h_try)
+        if subflow is not None:
+            sub_err, commit = subflow(t, step.t_new, y, dy, dense)
+            err = np.maximum(err, sub_err)
+        if step.settle(err):
             y[...] = dy
             if subflow is not None:
-                subflow(t, step.t, y)
+                commit()
             stack[last] = stack[0]
             abs_y = abs_y_new
             step.sample(y)

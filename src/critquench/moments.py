@@ -25,11 +25,11 @@ its own drift base and diffusion.
 
 Both baths run on one engine, :func:`propagate_batch`, and supply only
 their terms, clock and stability rate; the right-hand sides and the
-exact chain sub-flow it hands to the stepper are in
-:mod:`critquench._flows`.  A sweep is one vectorized batch
-whose members (quench times, couplings, ramp shapes, sizes, and the
-isolated and open legs, the isolated block at ``kappa = 0``) share one
-adaptive step sequence, which keeps thousand-point sweeps fast.
+chain frame it hands to the stepper are in :mod:`critquench._flows`.
+A sweep is one vectorized batch whose members (quench times,
+couplings, ramp shapes, sizes, and the isolated and open legs, the
+isolated block at ``kappa = 0``) share one adaptive step sequence,
+which keeps thousand-point sweeps fast.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as model_mod
-from ._flows import chain_flow, lyapunov_batch_rhs, system_columns_rhs
+from ._flows import ChainFrame, lyapunov_batch_rhs, propagator_rhs
 from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
 from .errors import DomainError, IntegrationFailure, PhysicalityError
 from .model import ModelSpec
@@ -159,11 +159,9 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
 
     ``drift`` is one matrix or a stack over members (then ``g`` and
     ``eta`` broadcast over the stack); returns it for chaining.  Used at
-    a frozen coupling (:func:`steady_state_covariance`, and the
-    structured bath's step cap in
-    :func:`critquench.auxbath.propagate_covariance_batch`); a
-    propagation writes the same block from the coefficient table itself
-    (:func:`lyapunov_batch_rhs`, :func:`system_columns_rhs`).
+    a frozen coupling (:func:`steady_state_covariance`); a propagation
+    writes the same block from the coefficient table itself
+    (:func:`lyapunov_batch_rhs`, :func:`propagator_rhs`).
     """
     h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
     np.negative(h_qq, out=drift[..., 1, 0])
@@ -208,27 +206,29 @@ def propagate_batch(
     ramp ends at solver time ``end``: 1 in rescaled time, ``tau`` in
     physical time.  One :func:`solve_to` call runs to each distinct end,
     and the members ending there leave; the step cap is
-    ``3.5 / (rate * max(tau / end))``.  The clock is per bath: in
-    physical time the damped chain bounds the step alike for every
-    member, but a Markovian batch is limited by accuracy early on
-    (``critical_akz_zero_temperature.cfg``: 11 solves and 9,379 attempts,
-    against one solve of 7,366 in rescaled time).  The state of every
-    batch is the pair of its system columns ``W = V[:, :, :2]`` (B, N, 2),
-    which :func:`solve_to` integrates, and its chain block
-    ``C = V[:, 2:, 2:]``, one contiguous array beside W; a Markovian
-    batch is the case N = 2, where W is V and C is empty.  The right-hand
-    side is the one choice the size makes: at N = 2
-    :func:`lyapunov_batch_rhs` on V itself, otherwise
-    :func:`system_columns_rhs` on W (20 numbers per member of a
-    4-oscillator chain instead of 100), with C advanced exactly once per
-    accepted step by :func:`chain_flow`, the ``subflow`` of every
-    ``solve_to`` call; the bath's ``rate`` then only has to bound the
-    blocks the stages integrate.  V is rebuilt, exactly symmetric, at
-    the end and at every sample time.  A member ending with an
-    eigenvalue of ``V + iJ`` below ``-(PHYSICALITY_TOL + rtol max|V|)``
-    raises :class:`IntegrationFailure` at its end.  Returns
-    ``(s_times, V)``, V of shape (S, B, N, N), member ``b`` sampled at
-    ``s end_b``; sampling needs one end.
+    ``3.5 / (rate * max(tau / end))``.  The clock is per bath: a
+    structured batch runs in physical time, but a Markovian batch is
+    limited by accuracy early on (``critical_akz_zero_temperature.cfg``:
+    11 solves and 9,379 attempts, against one solve of 7,366 in rescaled
+    time).  The network's size makes the one choice of state:
+
+    - at N = 2 (Markovian), :func:`solve_to` integrates V itself with
+      :func:`lyapunov_batch_rhs`;
+    - otherwise the stages carry only the isolated mode's 2x2
+      propagator U (:func:`propagator_rhs`), 4 numbers per member
+      instead of the 100 of a 4-oscillator chain's V, and the
+      :class:`critquench._flows.ChainFrame` built once per batch is the
+      ``subflow`` of every ``solve_to`` call: from U's dense output it
+      advances the rest of V in U's frame and the chain block exactly,
+      and its error estimate joins the step's.  The stages then hold
+      no chain mode, and the bath's ``rate`` only has to bound U's.
+
+    V is rebuilt, exactly symmetric, at the end and at every sample
+    time.  A member ending with an eigenvalue of ``V + iJ`` below
+    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
+    :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``,
+    V of shape (S, B, N, N), member ``b`` sampled at ``s end_b``;
+    sampling needs one end.
     """
     ends = np.broadcast_to(end, tau.shape)
     stops = sorted(set(ends.tolist()))
@@ -239,27 +239,25 @@ def propagate_batch(
     t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * stops[0]
 
     dim = drift_base.shape[-1]
-    state = np.zeros(tau.shape + (dim, 2))
-    state[:, 0, 0] = state[:, 1, 1] = 1.0
-    chain = np.broadcast_to(np.eye(dim - 2), tau.shape + (dim - 2, dim - 2)).copy()
+    frame = None if dim == 2 else ChainFrame(drift_base, diffusion, tau / ends)
+    state = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()  # V at N = 2, else U
     active, start = np.arange(tau.size), 0.0
     for stop in stops:
         # a shared end stays the scalar it is, so its RHS divides by no array
         clock = end if np.ndim(end) == 0 else ends[active]
-        drifts, ramp = drift_base[active], (model, tau[active], g_f[active], r_n[active], eta[active], clock)
-        c = chain[active]
-        if dim == 2:
-            rhs, flow = lyapunov_batch_rhs(drifts, diffusion[active], *ramp), None
+        ramp = (model, tau[active], g_f[active], r_n[active], eta[active], clock)
+        if frame is None:
+            rhs, flow = lyapunov_batch_rhs(drift_base[active], diffusion[active], *ramp), None
         else:
-            rhs, q = system_columns_rhs(drifts, diffusion[active], *ramp)
-            flow = chain_flow(drifts, diffusion[active], tau[active] / clock, c, q)
-        if t_samples is not None:
-            flow, sampled = _sampling(flow, c, t_samples)
+            rhs = propagator_rhs(drift_base[active], *ramp)
+            flow = frame.subflow(active, rhs, settings.rtol, settings.atol)
+        if t_samples is not None and frame is not None:
+            flow, sampled = _sampling(flow, frame, t_samples)
         ts, ys = solve_to(rhs, start, stop, state[active], replace(settings, subflow=flow), t_samples)
-        state[active], chain[active] = ys[-1], c
+        state[active] = ys[-1]
         active, start = active[ends[active] > stop], stop
 
-    v = _covariance(state, chain)
+    v = state if frame is None else _covariance(state, *frame.state())
     # a defect within the error control of the flow is not a fault: loose
     # tolerances leave a pure state up to about rtol |V| below the bound
     floor = PHYSICALITY_TOL + settings.rtol * np.max(np.abs(v), axis=(-2, -1))
@@ -270,35 +268,46 @@ def propagate_batch(
         raise IntegrationFailure(message, t_last=float(ends[worst]))
     if t_samples is None:
         return np.ones(1), v[None]
-    return ts / stops[0], _covariance(ys, np.stack([sampled.get(t, sampled[None]) for t in ts.tolist()]))
+    if frame is not None:
+        frames = [sampled.get(t, sampled[None]) for t in ts.tolist()]
+        ys = _covariance(ys, *(np.stack(parts) for parts in zip(*frames)))
+    return ts / stops[0], ys
 
 
-def _sampling(flow, c, t_samples):
-    """``flow``, if any, that also keeps a copy of the chain block ``c`` after each step ending on a sample time.
+def _sampling(flow, frame, t_samples):
+    """``flow`` that also keeps a copy of the frame's state after each step ending on a sample time.
 
     Returns the flow and the copies, keyed by time; key ``None`` holds
-    ``c`` as it is now, the state of the samples at or before the start.
+    the state as it is now, that of the samples at or before the start.
     """
-    targets, sampled = set(np.asarray(t_samples, dtype=float).tolist()), {None: c.copy()}
+    targets, sampled = set(np.asarray(t_samples, dtype=float).tolist()), {None: frame.state()}
 
-    def subflow(t, t_new, w):
-        if flow is not None:
-            flow(t, t_new, w)
-        if t_new in targets:
-            sampled[t_new] = c.copy()
+    def subflow(t, t_new, u, u_new, dense):
+        err, commit = flow(t, t_new, u, u_new, dense)
+
+        def sample():
+            commit()
+            if t_new in targets:
+                sampled[t_new] = frame.state()
+
+        return err, sample
 
     return subflow, sampled
 
 
-def _covariance(w, c):
-    """V from system columns ``w`` (..., N, 2) and chain block ``c`` (..., N - 2, N - 2).
+def _covariance(u, e, x, c):
+    """V from the propagator ``u`` (..., 2, 2) and the frame's ``e``, ``x`` and ``c`` (:class:`ChainFrame`).
 
-    V is exactly symmetric when the system block of ``w`` and ``c`` are.
+    ``S = U U^T + U e U^T``, made exactly symmetric, so a member with
+    ``e = 0`` gets exactly ``U U^T``.
     """
-    dim = w.shape[-2]
-    v = np.empty(w.shape[:-1] + (dim,))
-    v[..., :2] = w
-    v[..., :2, 2:] = w[..., 2:, :].swapaxes(-1, -2)
+    dim = c.shape[-1] + 2
+    v = np.empty(u.shape[:-2] + (dim, dim))
+    u_t = u.swapaxes(-1, -2)
+    system = u @ u_t + u @ e @ u_t
+    v[..., :2, :2] = 0.5 * (system + system.swapaxes(-1, -2))
+    v[..., 2:, :2] = x
+    v[..., :2, 2:] = x.swapaxes(-1, -2)
     v[..., 2:, 2:] = c
     return v
 

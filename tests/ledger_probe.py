@@ -28,27 +28,27 @@ Run from the repository root with ``PYTHONPATH=src``:
     prints, for each ``solve_to`` call in order, its time span, the
     members it carries, the attempted steps, the rejected ones, the
     accepted steps that sat at ``max_step``, its wall time and the wall
-    time of its exact sub-flow (0 without a chain); then the totals,
-    with the member-attempts (members times attempts, summed).  The
-    first line also gives how many numbers per member the Runge-Kutta
-    stages carry, out of the covariance's, and the step cap; for a
-    structured config, the largest eigenvalue modulus ``|z|`` of the
-    Lyapunov flow the stages integrate (the chain block frozen),
-    ``h |z|`` at the cap, and the modulus the frozen chain block would
-    have set.
+    time of its chain-frame updates (0 without a chain); then the
+    totals, with the member-attempts (members times attempts, summed).
+    The first line also gives how many numbers per member the
+    Runge-Kutta stages carry, out of the covariance's, and the step cap;
+    for a structured config, the eigenvalue moduli ``|lambda|`` of the
+    chain drift (one per conjugate pair) and the largest
+    ``h |lambda|`` an accepted step reached.
 
-``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 --cap-divisor 4``
-    propagates one quench of a structured config, its isolated and open
-    members as one batch, once as a sweep does and once in long double
-    through the full flow (no frozen block) at rtol 1e-13 with its
-    stability cap ``3.5 / radius`` divided by ``--cap-divisor``, and
-    prints both excesses per observable and their relative difference.
+``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 1000 --cap-divisor 4``
+    propagates one quench of a structured config per ``--tau``, its
+    isolated and open members as one batch, once as a sweep does and
+    once in long double through the full flow (no frame) at rtol 1e-13
+    with its stability cap ``3.5 / radius`` divided by
+    ``--cap-divisor``, and prints both excesses per quench time and
+    observable with their relative difference; the first line ends
+    with the worst of them.
 """
 
 import argparse
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -59,7 +59,7 @@ from critquench import _ode, moments
 from critquench.auxbath import build_system
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import observables_from_covariance, propagate_moments_batch, set_system_block
+from critquench.moments import observables_from_covariance, propagate_moments_batch
 from critquench.protocol import ramp_profile
 from critquench.scaling import fit_power_law
 from critquench.sweep import compute_chunk, run_sweep, tau_grid
@@ -142,40 +142,26 @@ def cmd_ripple(args):
             )
 
 
-def stage_spectrum(config):
-    """Largest eigenvalue moduli of a structured config's Lyapunov flow at g = 0 and 1.
-
-    Returns ``(stages, chain)``: the flow the Runge-Kutta stages integrate,
-    on every entry of V outside the frozen chain block, and the chain
-    block's own flow, over the isolated and open networks.
-    """
-    stages = chain_only = 0.0
-    for kappa in {0.0, config.bath.kappa}:
-        drift = build_system(config.model, replace(config.bath, kappa=kappa))[0]
-        dim = drift.shape[-1]
-        chain = np.zeros((dim, dim), dtype=bool)
-        chain[2:, 2:] = True
-        live, frozen = ~chain.ravel(), chain.ravel()
-        for g in (0.0, 1.0):
-            d = set_system_block(drift.copy(), config.model, g)
-            flow = np.kron(d, np.eye(dim)) + np.kron(np.eye(dim), d)
-            stages = max(stages, np.max(np.abs(np.linalg.eigvals(flow[np.ix_(live, live)]))))
-            chain_only = max(chain_only, np.max(np.abs(np.linalg.eigvals(flow[np.ix_(frozen, frozen)]))))
-    return float(stages), float(chain_only)
+def chain_moduli(config):
+    """Eigenvalue moduli of a structured config's chain drift ``Gamma_cc``, one per conjugate pair, ascending."""
+    drift = build_system(config.model, config.bath)[0]
+    lam = np.linalg.eigvals(drift[2:, 2:])
+    return np.sort(np.abs(lam[lam.imag >= 0.0]))
 
 
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real, real_flow = _ode._StepControl, moments.chain_flow
+    real, real_frame = _ode._StepControl, moments.ChainFrame
     solves = []
+    fastest = chain_moduli(config)[-1] if config.bath_type == "structured" else 0.0
+    reached = [0.0]  # the largest h |lambda| of an accepted step
 
     class Counted(real):
         # the step control of one solve_to call, counting as it settles
         def __init__(self, t0, t1, y0, settings, t_samples):
             super().__init__(t0, t1, y0, settings, t_samples)
-            self.span, self.members = (t0, t1), y0.shape[0]
-            self.carried, self.dim = y0[0].size, y0.shape[1]
+            self.span, self.members, self.carried = (t0, t1), y0.shape[0], y0[0].size
             self.rejected = self.at_cap = 0
             self.flow_s = 0.0
             self.started = self.ended = time.perf_counter()
@@ -188,31 +174,48 @@ def cmd_steps(args):
             self.ended = time.perf_counter()
             return accepted
 
-    def timed_flow(*args):
-        # the sub-flow runs inside the solve_to call whose step control came last
-        flow = real_flow(*args)
+    def timed_frame(*args):
+        # the frame update of an attempt runs inside the solve_to call whose step control came last
+        frame = real_frame(*args)
+        real_subflow = frame.subflow
 
-        def subflow(t, t_new, w):
-            start = time.perf_counter()
-            flow(t, t_new, w)
-            solves[-1].flow_s += time.perf_counter() - start
+        def subflow(*args):
+            flow = real_subflow(*args)
 
-        return subflow
+            def timed(t, t_new, u, u_new, dense):
+                start = time.perf_counter()
+                err, commit = flow(t, t_new, u, u_new, dense)
+                solves[-1].flow_s += time.perf_counter() - start
 
-    _ode._StepControl, moments.chain_flow = Counted, timed_flow
+                def counted():
+                    start = time.perf_counter()
+                    commit()
+                    reached[0] = max(reached[0], (t_new - t) * fastest)
+                    solves[-1].flow_s += time.perf_counter() - start
+
+                return err, counted
+
+            return timed
+
+        frame.subflow = subflow
+        return frame
+
+    _ode._StepControl, moments.ChainFrame = Counted, timed_frame
     try:
         t0 = time.perf_counter()
         compute_chunk(config, taus)
         wall = time.perf_counter() - t0
     finally:
-        _ode._StepControl, moments.chain_flow = real, real_flow
-    cap = solves[0].settings.max_step
-    limits = f"  stages carry {solves[0].carried} of {solves[0].dim ** 2} numbers per member, step cap {cap:.6g}"
+        _ode._StepControl, moments.ChainFrame = real, real_frame
+    cap, numbers = solves[0].settings.max_step, 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
-        stages, chain = stage_spectrum(config)
-        limits += f", stages' fastest |z| {stages:.4g} (h|z| {cap * stages:.3f}), frozen chain block's {chain:.4g}"
+        numbers = build_system(config.model, config.bath)[0].size
+    limits = f"  stages carry {solves[0].carried} of {numbers} numbers per member, step cap {cap:.6g}"
+    if config.bath_type == "structured":
+        moduli = ", ".join(f"{m:.4g}" for m in chain_moduli(config))
+        limits += f", chain's |lambda| {moduli}, largest h|lambda| {reached[0]:.3f}"
     print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}{limits}")
-    print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s  subflow_s")
+    print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s  frame_s")
     for i, s in enumerate(solves):
         print(
             f"  {i:>5}  {s.span[0]:g}..{s.span[1]:g}  {s.members}  {s.n_steps}  {s.rejected}"
@@ -229,13 +232,20 @@ def cmd_oracle(args):
     config = load_config(args.config)
     if config.bath_type != "structured":
         raise SystemExit(f"{args.config}: the oracle needs a structured bath")
-    protocol = (config.bath, config.model, args.tau, config.g_final, config.r_n)
-    shipped = structured_excess(*protocol, settings=config.settings)
-    oracle = long_double_excess(*protocol, cap_divisor=args.cap_divisor)
-    print(f"{args.config}  tau_q = {args.tau:g}  long double at cap/{args.cap_divisor:g}  hash {config.config_hash}")
-    for obs in EXCESS_OBSERVABLES:
-        rel = abs(shipped[obs] - oracle[obs]) / abs(oracle[obs])
-        print(f"  {obs:>3}: shipped {shipped[obs]:.15e}  oracle {oracle[obs]:.15e}  rel diff {rel:.3e}")
+    rows = []
+    for tau in args.tau:
+        protocol = (config.bath, config.model, tau, config.g_final, config.r_n)
+        shipped = structured_excess(*protocol, settings=config.settings)
+        oracle = long_double_excess(*protocol, cap_divisor=args.cap_divisor)
+        rows += [(tau, obs, shipped[obs], oracle[obs]) for obs in EXCESS_OBSERVABLES]
+    rel = [abs(shipped - oracle) / abs(oracle) for *_, shipped, oracle in rows]
+    taus = ", ".join(f"{tau:g}" for tau in args.tau)
+    print(
+        f"{args.config}  tau_q = {taus}  long double at cap/{args.cap_divisor:g}  hash {config.config_hash}"
+        f"  worst rel diff {max(rel):.3e}"
+    )
+    for (tau, obs, shipped, oracle), diff in zip(rows, rel):
+        print(f"  {obs:>3}: shipped {shipped:.15e}  oracle {oracle:.15e}  tau_q {tau:g}  rel diff {diff:.3e}")
 
 
 def main(argv=None):
@@ -259,7 +269,7 @@ def main(argv=None):
     p_steps.add_argument("config", help="path to the experiment config")
     p_oracle = sub.add_parser("oracle", help="a structured excess against a long-double run")
     p_oracle.add_argument("config", help="path to a structured-bath config")
-    p_oracle.add_argument("--tau", type=float, required=True, help="quench time")
+    p_oracle.add_argument("--tau", type=float, nargs="+", required=True, help="quench times")
     p_oracle.add_argument("--cap-divisor", type=float, default=4.0, help="step cap divisor of the long-double run")
     args = parser.parse_args(argv)
     commands = {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple, "steps": cmd_steps, "oracle": cmd_oracle}

@@ -11,6 +11,7 @@ from critquench import (
     BathSpec,
     IntegratorSettings,
     QuenchProtocol,
+    _flows,
     auxbath,
     integrate,
     moments,
@@ -18,6 +19,7 @@ from critquench import (
     steady_state_covariance,
     sweep,
 )
+from critquench._flows import FAR, ChainFrame, FrameRule, chain_flow, propagator_rhs
 from critquench._ode import solve_to
 from critquench.auxbath import (
     DEFAULT_OHMIC,
@@ -33,12 +35,10 @@ from critquench.config import build_config, parse_config_text
 from critquench.errors import DomainError, PhysicalityError
 from critquench.model import THERMODYNAMIC, ModelKind, ModelSpec
 from critquench.moments import (
-    chain_flow,
     lyapunov_batch_rhs,
     physicality_defect,
     set_system_block,
     symplectic_form,
-    system_columns_rhs,
 )
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
@@ -350,50 +350,139 @@ class TestPropagation:
 
 
 class TestStructuredSweep:
-    def test_nonlinear_excess_matches_a_tight_run(self, monkeypatch):
+    def test_nonlinear_excess_matches_a_tight_run(self):
         # the isolated and open members share one step sequence, so their
         # step errors cancel in the excess; isolated members run apart on
-        # their own steps left these short nonlinear ramps off by ~3e-2
+        # their own steps left these short nonlinear ramps off by ~3e-2.
+        # The reference tightens what the structured path reads: the
+        # tolerance, and a step cap well below the accuracy-limited steps
         text = (
             "bath.type = structured\nprotocol.r_n = 1.25\nsweep.tau_min = 10\nsweep.tau_max = 40\n"
             "sweep.points_per_decade = 5\n"
         )
 
-        def excess(extra):
+        def excess(extra, max_step=np.inf):
             cfg = build_config(parse_config_text(text + extra))
+            cfg = replace(cfg, settings=replace(cfg.settings, max_step=max_step))
             iso, opn, errors = sweep.compute_chunk(cfg, sweep.tau_grid(cfg.tau_min, cfg.tau_max, 5))
             assert not errors
             return {obs: opn[obs] - iso[obs] for obs in cfg.observables}
 
         shipped = excess("")
-        radius = auxbath._drift_spectral_radius
-        monkeypatch.setattr(auxbath, "_drift_spectral_radius", lambda system: 4.0 * radius(system))
-        tight = excess("integrator.rtol = 1e-13\n")
+        tight = excess("integrator.rtol = 1e-13\n", max_step=0.05)
         for obs, delta in tight.items():
             assert delta.size == 4
             assert np.all(np.abs(shipped[obs] - delta) <= 1e-6 * np.abs(delta)), obs
 
 
 class TestFrozenChain:
-    """The stages carry the system columns, and ``chain_flow`` advances the chain block exactly."""
+    """The stages carry the isolated mode's propagator U; the chain frame and ``chain_flow`` advance the rest."""
 
-    def test_column_rhs_is_the_system_columns_of_the_full_rhs(self):
+    def test_frame_rhs_maps_back_to_the_system_columns_of_the_full_rhs(self):
+        # with S = U (1 + e) U^T and X = Re(P Z^T) U^T, the frame's rates are the Lyapunov flow
         rng = np.random.default_rng(8)
-        m = rng.normal(size=(2, 10, 10))
-        v = m + m.swapaxes(-1, -2)
         tau, g_f, r_n = np.array([1.3, 0.8]), np.array([0.5, 0.9]), np.ones(2)
+        u = np.eye(2) + 0.3 * rng.normal(size=(2, 2, 2))
+        u_t = u.swapaxes(-1, -2)
+        m = 1e-3 * rng.normal(size=(2, 2, 2))
+        e = m + m.swapaxes(-1, -2)
+        m = 0.1 * rng.normal(size=(2, 8, 8))
+        c = np.eye(8) + m + m.swapaxes(-1, -2)
         models = (THERMODYNAMIC, ModelSpec(kind=ModelKind.QRM, eta=30.0), ModelSpec(kind=ModelKind.LMG, eta=30.0))
         for model in models:
             drift, diffusion = np.stack(build_system(model, DEFAULT_OHMIC))[:, None].repeat(2, axis=1)
+            frame = ChainFrame(drift, diffusion, np.ones(2))
+            z = 1e-2 * (rng.normal(size=frame.z.shape) + 1j * rng.normal(size=frame.z.shape))
+            x = (frame.p @ z).real @ u_t
+            v = np.block([[u @ (np.eye(2) + e) @ u_t, x.swapaxes(-1, -2)], [x, c]])
             eta = np.full(2, model.eta)
             for exponent in (1.0, 1.25):
                 ramp = (model, tau, g_f, exponent * r_n, eta, tau)
                 full = lyapunov_batch_rhs(drift, diffusion, *ramp)(0.7, v)[:, :, :2]
-                rhs, q = system_columns_rhs(drift, diffusion, *ramp)
-                chain_flow(drift, diffusion, np.ones(2), v[:, 2:, 2:].copy(), q)
-                columns = rhs(0.7, v[:, :, :2].copy())
-                assert np.max(np.abs(columns - full)) <= 1e-13 * np.max(np.abs(full)), (model.kind, exponent)
-                assert np.array_equal(columns[:, 0, 1], columns[:, 1, 0])
+                du = propagator_rhs(drift, *ramp)(0.7, u)
+                de, dz = frame.rates(u, e, z, c)
+                # S' = U' (1 + e) U^T + U (1 + e) U'^T + U e' U^T, X' = Re(P Z'^T) U^T + Re(P Z^T) U'^T
+                half = du @ (np.eye(2) + e) @ u_t
+                dsystem = half + half.swapaxes(-1, -2) + u @ de @ u_t
+                dx = (frame.p @ dz).real @ u_t + (frame.p @ z).real @ du.swapaxes(-1, -2)
+                for got, want in ((dsystem, full[:, :2]), (dx, full[:, 2:])):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (model.kind, exponent)
+
+    def test_exp_weights_integrate_polynomials_exactly(self):
+        # sum_j W[k, t, j] p(c_j) = int_0^tau_t exp(z (tau_t - x)) p(x) dx for deg p < m,
+        # against sum_n (e^{z tau} p^(n)(0) - p^(n)(tau)) / z^(n + 1) in 120 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 120
+        rule = FrameRule()
+        coeffs = np.random.default_rng(2).normal(size=rule.nodes.size)
+        values = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
+        ends = np.append(rule.nodes, 1.0)
+
+        def exact(z, tau):
+            c, tau = [mpmath.mpf(a) for a in coeffs], mpmath.mpf(tau)
+            if z == 0.0:
+                return complex(sum(a * tau ** (n + 1) / (n + 1) for n, a in enumerate(c)))
+            z, total = mpmath.mpc(z), mpmath.mpc(0)
+            for k in range(len(c)):
+                falling = [mpmath.factorial(n) / mpmath.factorial(n - k) for n in range(k, len(c))]
+                at_tau = sum(f * a * tau**p for p, (f, a) in enumerate(zip(falling, c[k:])))
+                total += (mpmath.exp(z * tau) * mpmath.factorial(k) * c[k] - at_tau) / z ** (k + 1)
+            return complex(total)
+
+        for size in (0.0, 1e-8, 1e-3, 0.5, 50.0, 1e3):
+            for angle in (np.pi, 0.75 * np.pi, 0.5 * np.pi):  # real, complex, imaginary
+                z = size * np.exp(1j * angle)
+                weights, decay = rule.exp_weights(np.array([z]))
+                assert np.allclose(decay[0], np.exp(z * ends), rtol=1e-15, atol=0.0)
+                for tau, row in zip(ends, weights[0]):
+                    want = exact(z, tau)
+                    assert abs(row @ values - want) <= 1e-13 * abs(want), (z, tau)
+
+    def test_exp_weights_are_continuous_across_the_branch_switch(self, monkeypatch):
+        # at |z tau| = FAR each end switches from the Gauss rule to integration
+        # by parts: both branches give the same weights there
+        rule = FrameRule()
+        for angle in (np.pi, 0.75 * np.pi, 0.5 * np.pi):
+            for t, tau in enumerate(rule.ends):
+                z = np.array([FAR / tau * np.exp(1j * angle)])
+                branches = []
+                for switch in (FAR * (1.0 + 1e-9), FAR * (1.0 - 1e-9)):
+                    monkeypatch.setattr(_flows, "FAR", switch)
+                    branches.append(rule.exp_weights(z)[0][0, t])
+                near, far = branches
+                assert np.max(np.abs(near - far)) <= 1e-13 * np.max(np.abs(near)), (angle, tau)
+
+    def test_frame_error_estimate_is_a_high_order_local_error(self, monkeypatch):
+        # the frame's embedded estimate (Phi's last Legendre mode) falls about
+        # 2^8 times per halving of the step, as a local error of that order does
+        def median_error(h):
+            seen = []
+
+            def frame(*args):
+                built = ChainFrame(*args)
+                make = built.subflow
+
+                def subflow(*setup):
+                    flow = make(*setup)
+
+                    def recorded(t, t_new, *rest):
+                        err, commit = flow(t, t_new, *rest)
+                        seen.append((t, t_new - t, err))
+                        return err, commit
+
+                    return recorded
+
+                built.subflow = subflow
+                return built
+
+            monkeypatch.setattr(moments, "ChainFrame", frame)
+            settings = IntegratorSettings(rtol=1e-3, atol=1e-9, max_step=h)
+            DEFAULT_OHMIC.propagate(40.0, 1.0, 1.0, THERMODYNAMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
+            # past the start, where every step sits at the cap
+            return np.median([err for t, step, err in seen if t > 10.0 and step == h])
+
+        coarse, fine = median_error(1.0), median_error(0.5)
+        assert 0.0 < fine and coarse / fine > 100.0
 
     def test_one_step_matches_the_integrated_chain_block(self):
         # with the cross block held, one exact step is the chain block's own flow
@@ -409,21 +498,44 @@ class TestFrozenChain:
             return (out + out.T + diffusion)[2:, 2:]
 
         ref = solve_to(chain_rhs, 0.0, 0.3, v[2:, 2:], TIGHT)[1][-1]
-        c, q, w = v[None, 2:, 2:].copy(), np.empty((1, 8, 2)), v[None, :, :2].copy()
-        chain_flow(drift[None], diffusion[None], np.ones(1), c, q)(2.0, 2.3, w)
-        assert np.max(np.abs(c[0] - ref)) < 1e-11
-        assert np.array_equal(c[0], c[0].T)
-        assert np.array_equal(w[0], v[:, :2])
-        # the chain's forcing of the system columns follows C
-        assert np.max(np.abs(q[0] - c[0] @ drift[:2, 2:].T)) < 1e-15
+        c, x = v[None, 2:, 2:].copy(), v[None, 2:, :2].copy()
+        new = chain_flow(drift[None], diffusion[None], np.ones(1))(0.3, c, x)
+        assert np.max(np.abs(new[0] - ref)) < 1e-11
+        assert np.array_equal(new[0], new[0].T)
+        assert np.array_equal(c[0], v[2:, 2:]) and np.array_equal(x[0], v[2:, :2])
 
-    def test_kappa_zero_members_keep_the_vacuum_chain(self):
-        # without forcing the flow has nothing to move: C stays I bit for bit
+    def test_kappa_zero_members_keep_the_vacuum_chain(self, monkeypatch):
+        # without coupling the frame has nothing to move: e = 0, Z = 0 and
+        # C = I bit for bit, and the member's U is the open member's
+        frames, finals = [], []
+
+        def frame(*args):
+            frames.append(ChainFrame(*args))
+            return frames[-1]
+
+        def solve(rhs, t0, t1, y0, settings, t_samples):
+            finals.append(solve_to(rhs, t0, t1, y0, settings, t_samples)[1][-1])
+            return finals[-1][None], finals[-1][None]
+
+        monkeypatch.setattr(moments, "ChainFrame", frame)
+        monkeypatch.setattr(moments, "solve_to", solve)
         _, vs = propagate_covariance_batch(60.0, 1.0, 1.0, DEFAULT_OHMIC, kappa=[0.0, DEFAULT_OHMIC.kappa])
+        ((frame,),), ((u_iso, u_open),) = (frames,), finals
+        assert np.array_equal(frame.e[0], np.zeros((2, 2))) and not np.any(frame.z[0])
+        assert np.array_equal(frame.c[0], np.eye(8)) and np.array_equal(frame.x[0], np.zeros((8, 2)))
+        assert np.array_equal(u_iso, u_open)
+        assert np.array_equal(vs[-1, 0, :2, :2], u_iso @ u_iso.T)
         isolated, open_ = vs[-1, 0, 2:, 2:], vs[-1, 1, 2:, 2:]
         assert np.array_equal(isolated, np.eye(8))
         assert 0.0 < np.max(np.abs(open_ - np.eye(8))) < 1e-6
         assert np.array_equal(vs[-1], vs[-1].swapaxes(-1, -2))
+
+    def test_isolated_state_stays_pure_over_a_long_ramp(self):
+        # the accepted U is projected back to det U = 1: without it the stages'
+        # error drifts the isolated state off purity, and this ramp ends with
+        # V + iJ at -3.7e-10, below the physicality floor
+        _, vs = propagate_covariance_batch(300.0, 0.75, 1.0, DEFAULT_OHMIC, kappa=[0.0, DEFAULT_OHMIC.kappa])
+        assert abs(np.linalg.det(vs[-1, 0, :2, :2]) - 1.0) < 1e-13
 
     def test_final_v_matches_the_full_flow_in_every_block(self):
         # the engine's V, rebuilt from the system columns and the chain
@@ -475,7 +587,7 @@ class TestFrozenChain:
 
         monkeypatch.setattr(moments, "solve_to", solve)
         with monkeypatch.context() as patch:
-            patch.setattr(moments, "chain_flow", no_flow)
+            patch.setattr(moments, "ChainFrame", no_flow)
             BathSpec(kappa=1e-3).propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-3])
         assert flows and all(flow is None for flow in flows)
         flows.clear()
@@ -486,19 +598,19 @@ class TestFrozenChain:
         tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
         drifts = np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables])
         diffusion = np.broadcast_to(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1], drifts.shape)
-        c, q = np.broadcast_to(np.eye(8), (2, 8, 8)).copy(), np.empty((2, 8, 2))
-        chain_flow(drifts, diffusion, np.ones(2), c, q)  # the decoupled table keeps its chain
+        chain_flow(drifts, diffusion, np.ones(2))  # the decoupled table keeps its chain
         with pytest.raises(ValueError, match="stationary vacuum"):
-            chain_flow(drifts, 2.0 * diffusion, np.ones(2), c, q)
+            chain_flow(drifts, 2.0 * diffusion, np.ones(2))
         drifts[1, 2, 2] -= 1.0
         with pytest.raises(ValueError, match="share one chain"):
-            chain_flow(drifts, diffusion, np.ones(2), c, q)
+            chain_flow(drifts, diffusion, np.ones(2))
 
 
 class TestLongDoubleOracle:
     """A long-double run of the full flow at a quarter of its stability cap
     is the reference for the structured excess; the shipped batch, its
-    chain block advanced by the exact sub-flow, lands within 1.3e-7 of it."""
+    stages carrying only the isolated mode's propagator and the chain
+    frame advancing the rest, lands within 7e-8 of it."""
 
     def assert_matches_the_oracle(self, g_final, r_n):
         shipped = structured_excess(DEFAULT_OHMIC, THERMODYNAMIC, 50.0, g_final, r_n)
