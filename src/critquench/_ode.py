@@ -9,11 +9,12 @@ step sequence and the tolerance bounds that RMS, not each member's own
 error: one member may exceed it by up to the square root of the number
 of elements.
 
-There is one stage loop, :func:`solve_to`; its step control (clamping,
-budget and underflow checks, accept/reject and growth, sampling) lives
-in :class:`_StepControl`.  The isolated and open legs of a sweep are
-two blocks of members of one batch, so they take one step sequence
-together.
+There is one stage loop, :func:`solve_to`, which integrates one span
+and returns the state at its end (a sampled propagation stops at each
+sample); its step control (clamping, budget and underflow checks,
+accept/reject and growth) lives in :class:`_StepControl`.  The
+isolated and open legs of a sweep are two blocks of members of one
+batch, so they take one step sequence together.
 
 Each stage state is one ``np.dot``.  The loop allocates one stack of
 ``N_STAGES + 2`` rows per call: ``k_12 ... k_0`` in reverse (stage
@@ -43,12 +44,12 @@ every attempt, after the stages' error estimate, as
 most 1 to accept), and a callable.  The step's error is the larger of
 the two, so the sub-flow can reject an attempt.  ``commit()`` runs
 once after each accepted step, after ``y_new`` has been copied into
-``y`` and before the step is sampled, never on a rejection; it may
-update ``y`` in place.  ``dense(rhs, weights)`` is the hook to the
-attempt's 7th-order dense output: it evaluates the pair's three extra
-stages with the sub-flow's own ``rhs``, so the right-hand side
-``solve_to`` was handed sees only the stages, and returns ``y`` at the
-fractions of the step whose :func:`dense_weights` it is given.  A
+``y``, never on a rejection; it may update ``y`` in place.
+``dense(rhs, weights)`` is the hook to the attempt's 7th-order dense
+output: it evaluates the pair's three extra stages with the sub-flow's
+own ``rhs``, so the right-hand side ``solve_to`` was handed sees only
+the stages, and returns ``y`` at the fractions of the step whose
+:func:`dense_weights` it is given.  A
 propagation without a sub-flow never computes it.
 
 The structured bath is the one user (:class:`critquench._flows.ChainFrame`):
@@ -88,8 +89,8 @@ MAX_FACTOR = 10.0
 class IntegratorSettings:
     """Error-control contract for one propagation.
 
-    ``subflow``, when set, is the exact sub-flow :func:`solve_to` runs
-    after each accepted step (see the module docstring).
+    ``subflow``, when set, runs on every attempt of :func:`solve_to`
+    and returns ``(err, commit)`` (see the module docstring).
     """
 
     rtol: float = 1e-10
@@ -174,33 +175,22 @@ def _initial_step(rhs, t0, y0, f0, max_step, rtol, atol):
 class _StepControl:
     """Step control of one propagation from ``t0`` to ``t1``.
 
-    Holds the sample targets and the samples taken, the time, the
-    proposed step and the step count; :meth:`attempt` clamps the next
-    attempt and :meth:`settle` accepts or rejects it by its error norm.
+    Holds the time, the proposed step and the step count; :meth:`attempt`
+    clamps the next attempt and :meth:`settle` accepts or rejects it by
+    its error norm.
     """
 
-    def __init__(self, t0, t1, y0, settings: IntegratorSettings, t_samples):
+    def __init__(self, t0, t1, settings: IntegratorSettings):
         if not t1 > t0:
             raise ValueError("require t1 > t0")
         self.settings = settings
-        self.targets = [float(t1)]
-        self.ts: list[float] = []
-        self.ys: list[np.ndarray] = []
-        if t_samples is not None:
-            interior = [float(s) for s in np.atleast_1d(t_samples) if t0 < s < t1]
-            self.targets = sorted(set(interior)) + self.targets
-            for s in np.atleast_1d(t_samples):
-                if s <= t0:
-                    self.ts.append(float(s))
-                    self.ys.append(y0.copy())
+        self.t1 = float(t1)
         self.t = float(t0)
         self.h = math.nan  # set from the starting-step heuristic
         self.n_steps = 0
-        self.target_idx = 0
-        self.done = False
 
     def attempt(self) -> float:
-        """Length of the next attempt, clamped to ``max_step`` and the next target.
+        """Length of the next attempt, clamped to ``max_step`` and to ``t1``.
 
         Raises :class:`IntegrationFailure` when the step size underflows
         or the step budget is exhausted, carrying the last good time.
@@ -211,16 +201,10 @@ class _StepControl:
         min_step = 10.0 * abs(np.nextafter(t, np.inf) - t)
         if not h >= min_step:  # also catches a NaN step
             raise IntegrationFailure("step size underflow", t_last=t)
-        # clamp the attempt, not the proposal, so landing on a sample
-        # time does not collapse the step size afterwards
-        t_goal = self.targets[self.target_idx]
         h_try = min(h, self.settings.max_step)
-        self.clipped = t + h_try >= t_goal
-        if self.clipped:
-            h_try = t_goal - t
-        self.h_try = h_try
-        self.t_new = t_goal if self.clipped else t + h_try
-        return h_try
+        self.t_new = min(t + h_try, self.t1)
+        self.h_try = h_try if self.t_new < self.t1 else self.t1 - t
+        return self.h_try
 
     def settle(self, err) -> bool:
         """Accept or reject the attempt by its error norm; True when accepted."""
@@ -234,34 +218,25 @@ class _StepControl:
             return False
         self.t = self.t_new
         factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
-        grown = h_try * max(MIN_FACTOR, factor)
-        self.h = max(self.h, grown) if self.clipped else grown
+        self.h = h_try * max(MIN_FACTOR, factor)
         return True
-
-    def sample(self, y) -> None:
-        """Record the state of an accepted step that landed on a target."""
-        if self.clipped:
-            self.ts.append(self.t)
-            self.ys.append(y.copy())
-            self.target_idx += 1
-            self.done = self.target_idx == len(self.targets)
 
 
 def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
-    """Integrate ``dy/dt = rhs(t, y)`` from ``t0`` to ``t1 > t0``.
+    """Integrate ``dy/dt = rhs(t, y)`` from ``t0`` to ``t1 > t0``; returns y at ``t1``.
 
-    ``t_samples`` is an optional increasing array of interior sample
-    times; the step sequence is clamped so every sample (and ``t1``) is
-    hit exactly.  Returns ``(ts, ys)`` where ``ts`` holds the sample
-    times (always ending at ``t1``) and ``ys`` stacks the states along
-    a new leading axis.
+    The last step is clamped onto ``t1``.  The last keyword stays only
+    because the benchmark's tracer passes it by name; any value but
+    None raises :class:`TypeError`.
 
     Raises :class:`IntegrationFailure` when the step size underflows or
     the step budget is exhausted, carrying the last good time.
     """
+    if t_samples is not None:
+        raise TypeError("solve_to integrates one span; sample by calling it once per span")
     y0 = np.asarray(y0)
     subflow = settings.subflow
-    step = _StepControl(t0, t1, y0, settings, t_samples)
+    step = _StepControl(t0, t1, settings)
     rtol, atol = settings.rtol, settings.atol
     shape, last = y0.shape, tab.N_STAGES
 
@@ -296,7 +271,7 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
         out += flat[last + 1]
         return out.reshape((-1,) + shape)
 
-    while not step.done:
+    while step.t < step.t1:
         t, h_try = step.t, step.attempt()
         np.multiply(_WEIGHTS, h_try, out=coef)
         coef[:, -1] = 1.0
@@ -320,6 +295,5 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
                 commit()
             stack[last] = stack[0]
             abs_y = abs_y_new
-            step.sample(y)
 
-    return np.asarray(step.ts), np.stack(step.ys)
+    return y.copy()

@@ -223,41 +223,53 @@ def propagate_batch(
       and its error estimate joins the step's.  The stages then hold
       no chain mode, and the bath's ``rate`` only has to bound U's.
 
-    V is rebuilt, exactly symmetric, at the end and at every sample
-    time.  A member ending with an eigenvalue of ``V + iJ`` below
-    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
+    Each sample time ``s end`` is one more stop (sampling needs one end
+    and ``s`` in ``[0, 1]``), and V is rebuilt, exactly symmetric, at
+    each sample and at the end.  A member ending with an eigenvalue of
+    ``V + iJ`` below ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
     :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``,
-    V of shape (S, B, N, N), member ``b`` sampled at ``s end_b``;
-    sampling needs one end.
+    V of shape (S, B, N, N): ``s_times`` is ``s_samples`` as given,
+    member ``b`` sampled at ``s end_b``, or ``[1]`` without samples.
     """
     ends = np.broadcast_to(end, tau.shape)
     stops = sorted(set(ends.tolist()))
-    if s_samples is not None and len(stops) > 1:
-        raise ValueError("sampling needs members of one quench time")
+    if s_samples is not None:
+        s_samples = np.atleast_1d(np.asarray(s_samples, dtype=float))
+        if len(stops) > 1:
+            raise ValueError("sampling needs members of one quench time")
+        if not np.all((s_samples >= 0.0) & (s_samples <= 1.0)):
+            raise ValueError(f"sample times must lie in [0, 1], got {s_samples.tolist()}")
+        sample_times = (s_samples * stops[0]).tolist()
+        stops = sorted(set(stops).union(sample_times) - {0.0})
     cap = 3.5 / (rate * float(np.max(tau / end)))
     settings = replace(settings, max_step=min(settings.max_step, cap))
-    t_samples = None if s_samples is None else np.asarray(s_samples, dtype=float) * stops[0]
 
     dim = drift_base.shape[-1]
     frame = None if dim == 2 else ChainFrame(drift_base, diffusion, tau / ends)
     state = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()  # V at N = 2, else U
-    active, start = np.arange(tau.size), 0.0
+
+    def covariance():
+        return state.copy() if frame is None else _covariance(state, *frame.state())
+
+    sampled = {0.0: covariance()} if s_samples is not None else {}
+    active, start, built = np.arange(tau.size), 0.0, 0
     for stop in stops:
-        # a shared end stays the scalar it is, so its RHS divides by no array
-        clock = end if np.ndim(end) == 0 else ends[active]
-        ramp = (model, tau[active], g_f[active], r_n[active], eta[active], clock)
-        if frame is None:
-            rhs, flow = lyapunov_batch_rhs(drift_base[active], diffusion[active], *ramp), None
-        else:
-            rhs = propagator_rhs(drift_base[active], *ramp)
-            flow = frame.subflow(active, rhs, settings.rtol, settings.atol)
-        if t_samples is not None and frame is not None:
-            flow, sampled = _sampling(flow, frame, t_samples)
-        ts, ys = solve_to(rhs, start, stop, state[active], replace(settings, subflow=flow), t_samples)
-        state[active] = ys[-1]
+        if active.size != built:  # the first span, or members have left
+            built = active.size
+            # a shared end stays the scalar it is, so its RHS divides by no array
+            clock = end if np.ndim(end) == 0 else ends[active]
+            ramp = (model, tau[active], g_f[active], r_n[active], eta[active], clock)
+            if frame is None:
+                rhs, flow = lyapunov_batch_rhs(drift_base[active], diffusion[active], *ramp), None
+            else:
+                rhs = propagator_rhs(drift_base[active], *ramp)
+                flow = frame.subflow(active, rhs, settings.rtol, settings.atol)
+        state[active] = solve_to(rhs, start, stop, state[active], replace(settings, subflow=flow))
+        if s_samples is not None:
+            sampled[stop] = covariance()
         active, start = active[ends[active] > stop], stop
 
-    v = state if frame is None else _covariance(state, *frame.state())
+    v = covariance()
     # a defect within the error control of the flow is not a fault: loose
     # tolerances leave a pure state up to about rtol |V| below the bound
     floor = PHYSICALITY_TOL + settings.rtol * np.max(np.abs(v), axis=(-2, -1))
@@ -266,33 +278,9 @@ def propagate_batch(
     if defect[worst] < -floor[worst]:
         message = f"unphysical state: V + iJ has eigenvalue {defect[worst]:.3g} below -{floor[worst]:.3g}"
         raise IntegrationFailure(message, t_last=float(ends[worst]))
-    if t_samples is None:
+    if s_samples is None:
         return np.ones(1), v[None]
-    if frame is not None:
-        frames = [sampled.get(t, sampled[None]) for t in ts.tolist()]
-        ys = _covariance(ys, *(np.stack(parts) for parts in zip(*frames)))
-    return ts / stops[0], ys
-
-
-def _sampling(flow, frame, t_samples):
-    """``flow`` that also keeps a copy of the frame's state after each step ending on a sample time.
-
-    Returns the flow and the copies, keyed by time; key ``None`` holds
-    the state as it is now, that of the samples at or before the start.
-    """
-    targets, sampled = set(np.asarray(t_samples, dtype=float).tolist()), {None: frame.state()}
-
-    def subflow(t, t_new, u, u_new, dense):
-        err, commit = flow(t, t_new, u, u_new, dense)
-
-        def sample():
-            commit()
-            if t_new in targets:
-                sampled[t_new] = frame.state()
-
-        return err, sample
-
-    return subflow, sampled
+    return s_samples, np.stack([sampled[t] for t in sample_times])
 
 
 def _covariance(u, e, x, c):

@@ -152,16 +152,16 @@ def chain_moduli(config):
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real, real_frame = _ode._StepControl, moments.ChainFrame
-    solves = []
+    real, real_frame, real_solve = _ode._StepControl, moments.ChainFrame, moments.solve_to
+    solves, shapes = [], []  # shapes: (members, numbers per member) of each solve_to call
     fastest = chain_moduli(config)[-1] if config.bath_type == "structured" else 0.0
     reached = [0.0]  # the largest h |lambda| of an accepted step
 
     class Counted(real):
         # the step control of one solve_to call, counting as it settles
-        def __init__(self, t0, t1, y0, settings, t_samples):
-            super().__init__(t0, t1, y0, settings, t_samples)
-            self.span, self.members, self.carried = (t0, t1), y0.shape[0], y0[0].size
+        def __init__(self, t0, t1, settings):
+            super().__init__(t0, t1, settings)
+            self.span, (self.members, self.carried) = (t0, t1), shapes[-1]
             self.rejected = self.at_cap = 0
             self.flow_s = 0.0
             self.started = self.ended = time.perf_counter()
@@ -200,13 +200,17 @@ def cmd_steps(args):
         frame.subflow = subflow
         return frame
 
-    _ode._StepControl, moments.ChainFrame = Counted, timed_frame
+    def solve_to(rhs, t0, t1, y0, settings):
+        shapes.append((y0.shape[0], y0[0].size))
+        return real_solve(rhs, t0, t1, y0, settings)
+
+    _ode._StepControl, moments.ChainFrame, moments.solve_to = Counted, timed_frame, solve_to
     try:
         t0 = time.perf_counter()
         compute_chunk(config, taus)
         wall = time.perf_counter() - t0
     finally:
-        _ode._StepControl, moments.ChainFrame = real, real_frame
+        _ode._StepControl, moments.ChainFrame, moments.solve_to = real, real_frame, real_solve
     cap, numbers = solves[0].settings.max_step, 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
         numbers = build_system(config.model, config.bath)[0].size

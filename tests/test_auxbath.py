@@ -111,7 +111,7 @@ def full_flow_covariance(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0, 
         drifts.astype(dtype), diffusion, model, tau_b, g_final * member, r_n * member, model.eta * member, tau_b
     )
     v0 = np.broadcast_to(np.eye(drifts.shape[-1], dtype=dtype), drifts.shape).copy()
-    return solve_to(rhs, 0.0, float(tau), v0, settings=settings)[1][-1]
+    return solve_to(rhs, 0.0, float(tau), v0, settings=settings)
 
 
 def long_double_excess(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0):
@@ -497,7 +497,7 @@ class TestFrozenChain:
             out = drift @ w
             return (out + out.T + diffusion)[2:, 2:]
 
-        ref = solve_to(chain_rhs, 0.0, 0.3, v[2:, 2:], TIGHT)[1][-1]
+        ref = solve_to(chain_rhs, 0.0, 0.3, v[2:, 2:], TIGHT)
         c, x = v[None, 2:, 2:].copy(), v[None, 2:, :2].copy()
         new = chain_flow(drift[None], diffusion[None], np.ones(1))(0.3, c, x)
         assert np.max(np.abs(new[0] - ref)) < 1e-11
@@ -513,9 +513,9 @@ class TestFrozenChain:
             frames.append(ChainFrame(*args))
             return frames[-1]
 
-        def solve(rhs, t0, t1, y0, settings, t_samples):
-            finals.append(solve_to(rhs, t0, t1, y0, settings, t_samples)[1][-1])
-            return finals[-1][None], finals[-1][None]
+        def solve(rhs, t0, t1, y0, settings):
+            finals.append(solve_to(rhs, t0, t1, y0, settings))
+            return finals[-1]
 
         monkeypatch.setattr(moments, "ChainFrame", frame)
         monkeypatch.setattr(moments, "solve_to", solve)
@@ -581,9 +581,9 @@ class TestFrozenChain:
 
         flows = []
 
-        def solve(rhs, t0, t1, y0, settings, t_samples):
+        def solve(rhs, t0, t1, y0, settings):
             flows.append(settings.subflow)
-            return solve_to(rhs, t0, t1, y0, settings, t_samples)
+            return solve_to(rhs, t0, t1, y0, settings)
 
         monkeypatch.setattr(moments, "solve_to", solve)
         with monkeypatch.context() as patch:

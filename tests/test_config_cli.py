@@ -180,9 +180,9 @@ class TestConfigParsing:
         for module in (moments, auxbath):
             real = module.solve_to
 
-            def solve_to(rhs, t0, t1, y0, settings, t_samples=None, _module=module.__name__, _real=real):
+            def solve_to(rhs, t0, t1, y0, settings, _module=module.__name__, _real=real):
                 seen.append((_module.rsplit(".", 1)[1], settings.rtol, settings.atol))
-                return _real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+                return _real(rhs, t0, t1, y0, settings=settings)
 
             monkeypatch.setattr(module, "solve_to", solve_to)
         tight = "integrator.rtol = 1e-9\nintegrator.atol = 1e-11\nsweep.points_per_decade = 5\nobservables = e_r\n"
@@ -200,7 +200,7 @@ class TestConfigParsing:
         path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
         out = tmp_path / "traj.tsv"
         assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "5", "--out", str(out)]) == 0
-        assert seen == [config_tols]
+        assert seen == [config_tols] * 200  # one solve per span between the 201 default samples
 
     def test_env_overrides(self):
         env = {"CRITQUENCH_SWEEP_TAU_MIN": "20", "CRITQUENCH_OBSERVABLES": "n"}
@@ -356,13 +356,13 @@ class TestRunSweep:
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
         real = moments.solve_to
 
-        def solve_to(rhs, t0, t1, y0, settings, t_samples=None):
-            ts, vs = real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+        def solve_to(rhs, t0, t1, y0, settings):
+            y = real(rhs, t0, t1, y0, settings=settings)
             if t1 == taus[1]:
                 # the isolated member of taus[1]: a system block of 0.5 I, its
                 # state's first two columns being those of V
-                vs[-1, 0] = 0.5 * np.eye(*y0.shape[-2:])
-            return ts, vs
+                y[0] = 0.5 * np.eye(*y0.shape[-2:])
+            return y
 
         monkeypatch.setattr(moments, "solve_to", solve_to)
         iso, opn, errors = sweep.compute_chunk(cfg, taus)

@@ -18,6 +18,7 @@ from critquench import (
     thermal_bath,
 )
 from critquench import moments
+from critquench.auxbath import DEFAULT_OHMIC
 from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
@@ -248,9 +249,9 @@ def spy_solve_spans(monkeypatch):
     """Record ``(t0, t1, members)`` of every ``solve_to`` call of the engine."""
     spans, real = [], moments.solve_to
 
-    def solve_to(rhs, t0, t1, y0, settings, t_samples=None):
+    def solve_to(rhs, t0, t1, y0, settings):
         spans.append((t0, t1, y0.shape[0]))
-        return real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
+        return real(rhs, t0, t1, y0, settings=settings)
 
     monkeypatch.setattr(moments, "solve_to", solve_to)
     return spans
@@ -272,6 +273,21 @@ class TestEngine:
         with pytest.raises(ValueError, match="one quench time"):
             moments.propagate_batch(drift_base, diffusion, *args, s_samples=[0.0, 1.0])
 
+    @pytest.mark.parametrize("bath", [BathSpec(kappa=0.1), DEFAULT_OHMIC], ids=["markovian", "structured"])
+    def test_returns_exactly_the_requested_samples(self, bath, monkeypatch):
+        # samples come back as given, in their order, with no end sample added;
+        # each is one more stop, so the order of the request moves no bit
+        spans = spy_solve_spans(monkeypatch)
+        ss, vs = bath.propagate(20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=[0.5, 0.25])
+        assert ss.tolist() == [0.5, 0.25] and vs.shape[:2] == (2, 1)
+        end = spans[-1][1]
+        assert [span[:2] for span in spans] == [(0.0, 0.25 * end), (0.25 * end, 0.5 * end), (0.5 * end, end)]
+        _, ordered = bath.propagate(20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=[0.0, 0.25, 0.5])
+        assert np.array_equal(vs, ordered[:0:-1]) and np.array_equal(ordered[0, 0, :2, :2], np.eye(2))
+        for outside in ([0.0, 0.5, 1.5], [-0.25], [np.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                bath.propagate(20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=outside)
+
     def test_markovian_batch_of_mixed_quench_times_is_one_solve(self, monkeypatch):
         spans = spy_solve_spans(monkeypatch)
         moments.propagate_moments_batch([5.0, 10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, 1e-3, 0.0)
@@ -280,10 +296,10 @@ class TestEngine:
     def test_unphysical_final_state_fails_at_its_end(self, monkeypatch):
         real = moments.solve_to
 
-        def squeezed(rhs, t0, t1, y0, settings, t_samples=None):
-            ts, vs = real(rhs, t0, t1, y0, settings=settings, t_samples=t_samples)
-            vs[-1, 1] = 0.5 * np.eye(2)  # V + iJ has eigenvalue -1/2
-            return ts, vs
+        def squeezed(rhs, t0, t1, y0, settings):
+            v = real(rhs, t0, t1, y0, settings=settings)
+            v[1] = 0.5 * np.eye(2)  # V + iJ has eigenvalue -1/2
+            return v
 
         monkeypatch.setattr(moments, "solve_to", squeezed)
         with pytest.raises(IntegrationFailure, match="unphysical state") as err:

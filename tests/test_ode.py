@@ -17,34 +17,42 @@ from critquench._ode import (
 from critquench.errors import IntegrationFailure
 
 
+def solve_stops(rhs, stops, y0, settings=IntegratorSettings()):
+    """States at each of ``stops`` (the first is the start), one ``solve_to`` per span."""
+    ys = [np.array(y0, copy=True)]
+    for t0, t1 in zip(stops[:-1], stops[1:]):
+        ys.append(solve_to(rhs, t0, t1, ys[-1], settings))
+    return np.stack(ys)
+
+
 class TestClosedForms:
     def test_exponential_decay(self):
-        ts, ys = solve_to(lambda t, y: -y, 0.0, 5.0, np.array([2.0]))
-        assert ts[-1] == 5.0
-        assert abs(ys[-1][0] - 2.0 * np.exp(-5.0)) < 1e-11
+        y_end = solve_to(lambda t, y: -y, 0.0, 5.0, np.array([2.0]))
+        assert y_end.shape == (1,)
+        assert abs(y_end[0] - 2.0 * np.exp(-5.0)) < 1e-11
 
     def test_harmonic_oscillator(self):
         def rhs(t, y):
             return np.array([y[1], -y[0]])
 
-        y_end = solve_to(rhs, 0.0, 20.0, np.array([1.0, 0.0]))[1][-1]
+        y_end = solve_to(rhs, 0.0, 20.0, np.array([1.0, 0.0]))
         assert abs(y_end[0] - np.cos(20.0)) < 1e-9
         assert abs(y_end[1] + np.sin(20.0)) < 1e-9
 
     def test_time_dependent_coefficient(self):
         # y' = -t y has the Gaussian solution exp(-t^2/2)
-        y_end = solve_to(lambda t, y: -t * y, 0.0, 3.0, np.array([1.0]))[1][-1]
+        y_end = solve_to(lambda t, y: -t * y, 0.0, 3.0, np.array([1.0]))
         assert abs(y_end[0] - np.exp(-4.5)) < 1e-12
 
     def test_complex_state(self):
-        y_end = solve_to(lambda t, y: 1j * y, 0.0, np.pi, np.array([1.0 + 0.0j]))[1][-1]
+        y_end = solve_to(lambda t, y: 1j * y, 0.0, np.pi, np.array([1.0 + 0.0j]))
         assert abs(y_end[0] + 1.0) < 1e-10
 
     def test_matrix_state(self):
         # dY/dt = A Y with matrix-shaped Y integrates columns independently
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         y0 = np.eye(2)
-        y_end = solve_to(lambda t, y: a @ y, 0.0, 1.0, y0)[1][-1]
+        y_end = solve_to(lambda t, y: a @ y, 0.0, 1.0, y0)
         expected = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
         assert np.max(np.abs(y_end - expected)) < 1e-10
 
@@ -56,32 +64,43 @@ class TestBatchedStates:
         def rhs(t, y):
             return -rates * y
 
-        y_end = solve_to(rhs, 0.0, 4.0, np.ones(3))[1][-1]
+        y_end = solve_to(rhs, 0.0, 4.0, np.ones(3))
         assert np.max(np.abs(y_end - np.exp(-4.0 * rates))) < 1e-11
 
     def test_identical_members_stay_identical(self):
         def rhs(t, y):
             return np.stack([-y[:, 0], np.cos(t) * np.ones(y.shape[0])], axis=1)
 
-        y_end = solve_to(rhs, 0.0, 7.0, np.zeros((4, 2)) + 1.0)[1][-1]
+        y_end = solve_to(rhs, 0.0, 7.0, np.zeros((4, 2)) + 1.0)
         for col in range(2):
             assert np.all(y_end[:, col] == y_end[0, col])
 
 
 class TestSamplingAndControl:
     def test_samples_hit_exactly(self):
+        # samples are stops: each span ends exactly on its sample time
         samples = np.array([0.0, 1.3, 2.0, 2.7, 5.0])
-        ts, ys = solve_to(lambda t, y: -y, 0.0, 5.0, np.array([1.0]), t_samples=samples)
-        assert np.array_equal(ts, samples)
+        ends = []
+
+        def rhs(t, y):
+            ends.append(t)
+            return -y
+
+        ys = solve_stops(rhs, samples, np.array([1.0]))
+        assert set(samples[1:]) <= set(ends) and max(ends) == 5.0
         assert np.max(np.abs(ys[:, 0] - np.exp(-samples))) < 1e-11
+
+    def test_rejects_sample_times(self):
+        with pytest.raises(TypeError):
+            solve_to(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), t_samples=[0.5])
 
     def test_tightening_tolerance_converges(self):
         def rhs(t, y):
             return np.array([np.sin(t) * y[0]])
 
         y0 = np.array([1.0])
-        loose = solve_to(rhs, 0.0, 10.0, y0, IntegratorSettings(rtol=1e-6, atol=1e-8))[1][-1]
-        tight = solve_to(rhs, 0.0, 10.0, y0, IntegratorSettings(rtol=1e-12, atol=1e-14))[1][-1]
+        loose = solve_to(rhs, 0.0, 10.0, y0, IntegratorSettings(rtol=1e-6, atol=1e-8))
+        tight = solve_to(rhs, 0.0, 10.0, y0, IntegratorSettings(rtol=1e-12, atol=1e-14))
         exact = np.exp(1.0 - np.cos(10.0))
         assert abs(tight[0] - exact) < abs(loose[0] - exact)
         assert abs(tight[0] - exact) < 1e-11
@@ -135,14 +154,13 @@ class TestBufferAliasing:
     def test_growth_returning_the_argument(self, rhs):
         samples = np.linspace(0.0, 2.0, 9)
         y0 = np.array([[1.0, 2.0], [0.5, -1.0]])
-        ts, ys = solve_to(rhs, 0.0, 2.0, y0, t_samples=samples)
-        assert np.array_equal(ts, samples)
+        ys = solve_stops(rhs, samples, y0)
         want = np.exp(samples)[:, None, None] * y0
         np.testing.assert_allclose(ys, want, rtol=1e-9, atol=0.0)
 
 
 class TestSubflow:
-    """``settings.subflow`` runs on every attempt; its commit runs once after each accepted step, before sampling."""
+    """``settings.subflow`` runs on every attempt; its commit runs once after each accepted step."""
 
     def test_runs_once_per_accepted_step_and_never_on_a_rejection(self, monkeypatch):
         attempts = []  # (t_n, t_{n+1}, accepted) of every attempt
@@ -165,14 +183,14 @@ class TestSubflow:
             return -50.0 * (1.0 + np.sin(t)) * y
 
         y0 = np.array([1.0, 2.0])
-        ts, ys = solve_to(rhs, 0.0, 3.0, y0, IntegratorSettings(subflow=subflow))
+        y_end = solve_to(rhs, 0.0, 3.0, y0, IntegratorSettings(subflow=subflow))
         assert any(not accepted for *_, accepted in attempts)
         assert calls == [(t, t_new) for t, t_new, _ in attempts]
         assert [(t, t_new) for t, t_new, _ in commits] == [(t, t_new) for t, t_new, ok in attempts if ok]
         # a subflow that changes nothing leaves every bit as it was
-        bare_ts, bare_ys = solve_to(rhs, 0.0, 3.0, y0)
-        assert ts.tobytes() == bare_ts.tobytes() and ys.tobytes() == bare_ys.tobytes()
-        assert commits[-1][2].tobytes() == ys[-1].tobytes()
+        bare = solve_to(rhs, 0.0, 3.0, y0)
+        assert y_end.tobytes() == bare.tobytes()
+        assert commits[-1][2].tobytes() == y_end.tobytes()
 
     def test_samples_and_later_steps_see_the_update(self):
         # the stages hold y fixed and the subflow is the whole flow
@@ -182,10 +200,9 @@ class TestSubflow:
 
             return 0.0, commit
 
-        samples = np.array([0.5, 1.25, 2.0])
+        samples = np.array([0.0, 0.5, 1.25, 2.0])
         settings = IntegratorSettings(max_step=0.1, subflow=decay)
-        ts, ys = solve_to(lambda t, y: np.zeros_like(y), 0.0, 2.0, np.array([3.0]), settings, t_samples=samples)
-        assert np.array_equal(ts, samples)
+        ys = solve_stops(lambda t, y: np.zeros_like(y), samples, np.array([3.0]), settings)
         np.testing.assert_allclose(ys[:, 0], 3.0 * np.exp(-samples), rtol=1e-13)
 
     def test_subflow_error_rejects_the_attempt(self):
@@ -235,7 +252,7 @@ class TestAgainstScipy:
             return a @ y + np.sin(t) * np.ones(5)
 
         y0 = rng.normal(size=5)
-        mine = solve_to(rhs, 0.0, 6.0, y0)[1][-1]
+        mine = solve_to(rhs, 0.0, 6.0, y0)
         ref = solve_ivp(rhs, (0.0, 6.0), y0, method="DOP853", rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(mine - ref.y[:, -1])) < 1e-8
 
@@ -253,70 +270,64 @@ def y_first_sum(weights, k, y, h):
     return y + h * np.tensordot(weights, k[: len(weights)], axes=(0, 0))
 
 
-def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), t_samples=(), stage_sum=y_last_sum):
+def tensordot_solve_to(rhs, t0, t1, y0, settings=IntegratorSettings(), stage_sum=y_last_sum):
     """Reference stepper: ``solve_to``'s step control with every stage sum
     written as ``np.tensordot`` over the stage axis (no budget checks).
 
     ``stage_sum(weights, k, y, h)`` builds a stage state and ``y_new``;
     the error estimates are summed over ``k_12 ... k_0`` with reversed
-    weights, as ``solve_to`` sums them."""
+    weights, as ``solve_to`` sums them.  Returns y at ``t1``."""
     rtol, atol = settings.rtol, settings.atol
     y = np.array(y0, copy=True)
-    targets = sorted({float(s) for s in t_samples if t0 < s < t1}) + [float(t1)]
-    ts = [float(s) for s in t_samples if s <= t0]
-    ys = [y.copy() for _ in ts]
     t = float(t0)
     f = rhs(t, y)
     h = _initial_step(rhs, t, y, f, settings.max_step, rtol, atol)
     k = np.empty((tab.N_STAGES + 1,) + y.shape, dtype=y.dtype)
-    for t_goal in targets:
-        while t < t_goal:
-            h_try = min(h, settings.max_step)
-            clipped = t + h_try >= t_goal
-            if clipped:
-                h_try = t_goal - t
-            k[0] = f
-            for i in range(1, tab.N_STAGES):
-                k[i] = rhs(t + tab.C[i] * h_try, stage_sum(tab.A[i, :i], k, y, h_try))
-            y_new = stage_sum(tab.B, k, y, h_try)
-            t_new = t_goal if clipped else t + h_try
-            f_new = rhs(t_new, y_new)
-            k[tab.N_STAGES] = f_new
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err5 = np.tensordot(tab.E5[::-1], k[::-1], axes=(0, 0)) / scale
-            err3 = np.tensordot(tab.E3[::-1], k[::-1], axes=(0, 0)) / scale
-            err5_sq = np.real(np.vdot(err5, err5))
-            err3_sq = np.real(np.vdot(err3, err3))
-            if err5_sq == 0.0 and err3_sq == 0.0:
-                err = 0.0
-            else:
-                err = abs(h_try) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * err5.size)
-            if not np.isfinite(err):
-                h = h_try * MIN_FACTOR
-                continue
-            if err > 1.0:
-                h = h_try * max(MIN_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
-                continue
-            t, y, f = t_new, y_new, f_new
-            factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
-            h = max(h, h_try * max(MIN_FACTOR, factor)) if clipped else h_try * max(MIN_FACTOR, factor)
-        ts.append(t)
-        ys.append(y.copy())
-    return np.asarray(ts), np.stack(ys)
+    while t < t1:
+        h_try = min(h, settings.max_step)
+        clipped = t + h_try >= t1
+        if clipped:
+            h_try = t1 - t
+        k[0] = f
+        for i in range(1, tab.N_STAGES):
+            k[i] = rhs(t + tab.C[i] * h_try, stage_sum(tab.A[i, :i], k, y, h_try))
+        y_new = stage_sum(tab.B, k, y, h_try)
+        t_new = t1 if clipped else t + h_try
+        f_new = rhs(t_new, y_new)
+        k[tab.N_STAGES] = f_new
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err5 = np.tensordot(tab.E5[::-1], k[::-1], axes=(0, 0)) / scale
+        err3 = np.tensordot(tab.E3[::-1], k[::-1], axes=(0, 0)) / scale
+        err5_sq = np.real(np.vdot(err5, err5))
+        err3_sq = np.real(np.vdot(err3, err3))
+        if err5_sq == 0.0 and err3_sq == 0.0:
+            err = 0.0
+        else:
+            err = abs(h_try) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * err5.size)
+        if not np.isfinite(err):
+            h = h_try * MIN_FACTOR
+            continue
+        if err > 1.0:
+            h = h_try * max(MIN_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+            continue
+        t, y, f = t_new, y_new, f_new
+        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+        h = h_try * max(MIN_FACTOR, factor)
+    return y
 
 
 class TestStageArithmetic:
     """``solve_to`` reproduces the tensordot stage sums, ``y`` added last, bit
     for bit, and stays within 10 rtol of the textbook ``y + h sum a k``."""
 
-    def assert_same_bits(self, rhs, t1, y0, settings=IntegratorSettings(), **kwargs):
-        ts, ys = solve_to(rhs, 0.0, t1, y0, settings=settings, **kwargs)
-        ref_ts, ref_ys = tensordot_solve_to(rhs, 0.0, t1, y0, settings=settings, **kwargs)
-        assert ts.tobytes() == ref_ts.tobytes()
-        assert ys.dtype == ref_ys.dtype and ys.shape == ref_ys.shape
-        assert ys.tobytes() == ref_ys.tobytes()
-        _, old_ys = tensordot_solve_to(rhs, 0.0, t1, y0, settings=settings, stage_sum=y_first_sum, **kwargs)
-        assert np.max(np.abs(ys - old_ys)) <= 10.0 * settings.rtol * np.max(np.abs(old_ys))
+    def assert_same_bits(self, rhs, t1, y0, settings=IntegratorSettings(), t0=0.0):
+        y = solve_to(rhs, t0, t1, y0, settings=settings)
+        ref = tensordot_solve_to(rhs, t0, t1, y0, settings=settings)
+        assert y.dtype == ref.dtype and y.shape == ref.shape
+        assert y.tobytes() == ref.tobytes()
+        old = tensordot_solve_to(rhs, t0, t1, y0, settings=settings, stage_sum=y_first_sum)
+        assert np.max(np.abs(y - old)) <= 10.0 * settings.rtol * np.max(np.abs(old))
+        return y
 
     def test_real_matrix_batch(self):
         rng = np.random.default_rng(11)
@@ -338,5 +349,9 @@ class TestStageArithmetic:
         self.assert_same_bits(lambda t, y: -1j * (h @ y) + np.exp(-t), 3.0, y0)
 
     def test_scalar_state_with_samples(self):
-        samples = np.array([0.0, 0.4, 1.1, 2.5, 3.0])
-        self.assert_same_bits(lambda t, y: -np.cos(t) * y, 3.0, np.array(1.5), t_samples=samples)
+        # samples are stops: each span is one solve_to from the last sample
+        samples = [0.0, 0.4, 1.1, 2.5, 3.0]
+        y = np.array(1.5)
+        for t0, t1 in zip(samples[:-1], samples[1:]):
+            y = self.assert_same_bits(lambda t, y: -np.cos(t) * y, t1, y, t0=t0)
+        assert y.shape == ()
