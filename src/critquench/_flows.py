@@ -1,18 +1,19 @@
-"""The flows :func:`critquench.moments.propagate_batch` hands to the stepper.
+"""The flows and steppers of :func:`critquench.moments.propagate_batch`.
 
 :func:`lyapunov_batch_rhs` is the right-hand side of the Lyapunov
 equation ``dV/dt = Gamma(t) V + V Gamma(t)^T + D`` for a batch of
 covariances: the Markovian 2x2 one, and a reference on any network.
 A network with a chain beside the system mode is integrated in the
-isolated mode's frame instead: the stages carry the 2x2 propagator of
-:func:`propagator_rhs`, and :class:`ChainFrame` is the sub-flow that
-advances the rest of V from it, with the exponential weights of
-:meth:`FrameRule.exp_weights` and the exact chain-block flow of
-:func:`chain_flow`.  Every network is in the mode-by-mode order of
-:mod:`critquench.moments`, so at any size the ramped entries are
-``Gamma[1, 0]`` and ``Gamma[0, 1]``.  Each flow is built once per
-``solve_to`` call; only the ramped system block of ``Gamma`` moves with
-the coupling.
+isolated mode's frame instead, by :func:`collocate_to`: each step
+collocates the 2x2 propagator U of the system block
+(:func:`system_rates`) at the Gauss nodes of a :class:`FrameRule`, and
+:class:`ChainFrame` advances the rest of V from U at those nodes, with
+the exponential weights of :meth:`FrameRule.exp_weights` and the exact
+chain-block flow of :func:`chain_flow`.  Every network is in the
+mode-by-mode order of :mod:`critquench.moments`, so at any size the
+ramped entries are ``Gamma[1, 0]`` and ``Gamma[0, 1]``.  Each flow is
+built once per set of members; only the ramped system block of
+``Gamma`` moves with the coupling.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import numpy as np
 
 from . import model as model_mod
-from ._ode import dense_weights
 from .model import ModelSpec
 from .protocol import ramp_profile
 
@@ -125,16 +125,28 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     return rhs
 
 
-def propagator_rhs(drift_base, model: ModelSpec, tau_q, g_final, r_n, eta, end):
-    """``dU/du = Gamma_ss(u) U`` of a batch of 2x2 isolated-mode propagators.
+def system_rates(model: ModelSpec, tau_q, g_final, r_n, eta, end):
+    """``at(u)``: ``(p, q)`` of a batch's system block ``Gamma_ss = [[0, p], [-q, 0]]`` at solver times ``u``.
 
-    ``Gamma_ss`` is the system block of the drift, rate and ramp folded
-    in as in :func:`lyapunov_batch_rhs`.  It does not depend on the
-    bath's coupling, so a row's isolated and open members get the same
-    U bit for bit.
+    ``p`` and ``q`` are (len(u), B), rate and ramp folded in as in
+    :func:`lyapunov_batch_rhs`.  The system block does not depend on
+    the bath's coupling, so a row's isolated and open members get the
+    same bits.
     """
-    _, _, at = _ramped_drift(drift_base[:, :2, :2], model, tau_q, g_final, r_n, eta, end)
-    return lambda u, y: at(u) @ y
+    rate, polys, x_of = _ramp(model, tau_q, g_final, r_n, eta, end)
+    size = rate.size
+
+    def at(u):
+        x = x_of(np.asarray(u, dtype=float)[:, None])
+        entries = np.empty((2, len(u), size))  # Gamma[1, 0] = -q, Gamma[0, 1] = p
+        for coeffs, entry in zip(polys, entries):
+            if len(coeffs) == 1:
+                entry[...] = coeffs[0]
+            else:
+                _horner(coeffs, x, entry)
+        return entries[1], -entries[0]
+
+    return at
 
 
 def _gauss_legendre(n):
@@ -174,23 +186,23 @@ def _lagrange_expansion(nodes, x0):
 
 
 #: |z tau| above which :meth:`FrameRule.exp_weights` integrates by parts
-FAR = 8.0
+FAR = 16.0
 
 
 class FrameRule:
-    """The quadrature of one frame step: 8 Gauss nodes on [0, 1] and their weight tables.
+    """The quadrature of one frame step: 12 Gauss nodes on [0, 1] and their weight tables.
 
     Built by each :class:`ChainFrame`, so importing the package computes
     nothing.  ``nodes`` and ``gauss`` are the Gauss rule; ``ends`` the
     nodes and then 1, the step's end; ``collocation[t, j]`` is
-    ``int_0^ends_t l_j`` over the nodes' Lagrange basis ``l_j``;
-    ``tail`` the projector of node values on their last Legendre mode;
-    ``dense`` the rows of :func:`critquench._ode.dense_weights` at the
-    nodes.
+    ``int_0^ends_t l_j`` over the nodes' Lagrange basis ``l_j``, whose
+    rows at the nodes, ``collocation[:-1]``, are the Gauss collocation
+    matrix; ``tail`` the projector of node values on their last
+    Legendre mode.
     """
 
     def __init__(self):
-        m = 8
+        m = 12
         self.nodes, self.gauss = _gauss_legendre(m)
         self.ends = np.append(self.nodes, 1.0)
         # near branch: a 20-point Gauss rule on [0, tau] for each end tau,
@@ -209,7 +221,34 @@ class FrameRule:
         for n in range(1, m - 1):
             lower, top = top, ((2 * n + 1) * x * top - n * lower) / (n + 1)
         self.tail = (2 * m - 1) * top[:, None] * (self.gauss * top)
-        self.dense = dense_weights(self.nodes)
+        self.stage_tail = self.collocation[:-1] @ self.tail
+
+    def collocate(self, p, q, h, u):
+        """Gauss collocation of ``U' = A U``, ``A = [[0, p], [-q, 0]]``, over one step of length ``h`` from ``u``.
+
+        ``p`` and ``q`` are A's entries at the nodes, (m, B); ``u`` is
+        (B, 2, 2).  U at the nodes solves ``U_i = u + h sum_j a_ij A_j U_j``,
+        ``a`` the collocation matrix: its first rows ``x`` solve
+        ``(1 + h^2 a P a Q) x = x_0 + h a P y_0``, one batched m x m
+        solve, and its second rows are ``y = y_0 - h a Q x`` (P and Q
+        diagonal in p and q).  U at the end, ``u + h sum_j b_j A_j U_j``
+        by the Gauss weights, is of order 2m and keeps ``det U``
+        (Hairer, Lubich & Wanner, Geometric Numerical Integration,
+        sections II.1.3 and IV.2).  Returns U at the nodes (B, m, 2, 2),
+        U at the end, and the stage estimate: U's change at the nodes
+        when the stage derivatives ``A_j U_j`` lose their last Legendre
+        mode.
+        """
+        a = self.collocation[:-1]
+        hp, hq = h * p.T[:, :, None], h * q.T[:, :, None]  # (B, m, 1)
+        ap, aq = a * hp.swapaxes(-1, -2), a * hq.swapaxes(-1, -2)  # h a P, h a Q
+        x0, y0 = u[:, None, 0], u[:, None, 1]
+        x = np.linalg.solve(np.eye(a.shape[0]) + ap @ aq, x0 + np.sum(ap, axis=-1)[..., None] * y0)
+        y = y0 - aq @ x
+        slopes = np.stack([hp * y, -hq * x], axis=-2)  # h A_j U_j, (B, m, 2, 2)
+        flat = slopes.reshape(u.shape[0], -1, 4)
+        end = u + (self.gauss @ flat).reshape(u.shape)
+        return np.stack([x, y], axis=-2), end, (self.stage_tail @ flat).reshape(slopes.shape)
 
     def exp_weights(self, z):
         """``W[k, t, j] = int_0^tau_t exp(z_k (tau_t - x)) l_j(x) dx`` over the nodes' Lagrange basis.
@@ -218,7 +257,7 @@ class FrameRule:
         degree below the node count ``sum_j W[k, t, j] p(c_j)`` is the
         solution at ``tau_t`` of ``y' = z_k y + p(x)``, ``y(0) = 0``.  Up
         to ``|z tau| = FAR`` the integral is a 20-point Gauss rule, exact
-        while the exponential's Taylor tail is below rounding; beyond it,
+        to rounding there; beyond it,
         integration by parts,
         ``sum_n (e^{z tau} l^(n)(0) - l^(n)(tau)) / z^(n + 1)``, whose
         terms shrink with ``|z|``.  Both agree to a few 1e-14 at the
@@ -238,10 +277,10 @@ class FrameRule:
         return w, decay
 
 
-def _unimodular(u, out=None):
+def _unimodular(u):
     """``u / sqrt(det u)`` of a stack of 2x2 matrices of positive determinant."""
     det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-    return np.divide(u, np.sqrt(det)[..., None, None], out=out)
+    return u / np.sqrt(det)[..., None, None]
 
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -339,11 +378,11 @@ class ChainFrame:
         z_k' = lam_k z_k + phi_k,   Phi = ((1 + e) U^T K^T + U^-1 K_sc C) P^-T,
 
     and C the Lyapunov flow of :func:`chain_flow`.  The system mode
-    must be undamped (``D`` zero in its rows) and the chain drift
-    shared.  The Runge-Kutta stages carry only U, which does not depend
-    on the coupling to the chain; :meth:`subflow` advances ``e``, Z and
-    C once per attempt from U's dense output at the Gauss nodes of its
-    :class:`FrameRule`:
+    must be undamped (``D`` zero in its rows, ``A`` zero on its
+    diagonal) and the chain drift shared.  U does not depend on the
+    coupling to the chain.  Each step of :meth:`stepper` collocates U at
+    the Gauss nodes of its :class:`FrameRule` and advances ``e``, Z and
+    C from U there:
 
     - Z exactly, for Phi the polynomial through its values at the
       nodes (:meth:`FrameRule.exp_weights`), each pair of conjugate modes through
@@ -353,13 +392,25 @@ class ChainFrame:
     - C by :func:`chain_flow`, fed the cross block X at the step's end;
       Phi reads C at the step's start.
 
-    The attempt's error is the change of ``e`` and Z at the step's end
-    when Phi loses its highest Legendre mode at the nodes, each scaled
-    by ``atol + rtol |.|`` of its own entries.  Members without
-    coupling (``K = 0`` and ``K_sc = 0``) keep ``e = 0``, ``Z = 0``,
-    ``X = 0`` and ``C = I`` exactly and are never touched.  The state
-    arrays ``e`` (B, 2, 2), ``z`` (B, modes, 2), ``x`` (B, N - 2, 2) and
-    ``c`` (B, N - 2, N - 2) are per member of the whole batch.
+    The frame's error estimate is the change of ``e`` and Z at the
+    step's end when Phi loses its highest Legendre mode at the nodes,
+    each scaled by ``atol + rtol |.|`` of its own entries.  ``e`` is
+    O(kappa^2) and Z O(kappa) (about 1e-7..3e-6 and 1e-5 on the shipped
+    configs), so with ``atol = 1e-12`` the scale is ``atol``, 1e3..1e5
+    times ``rtol |.|``: this estimate cannot hold the excess to ``rtol``,
+    whose accuracy comes from U's steps.  Members without coupling
+    (``K = 0`` and ``K_sc = 0``) keep ``e = 0``, ``Z = 0``, ``X = 0``
+    and ``C = I`` exactly and are never touched.  The state arrays ``e``
+    (B, 2, 2), ``z`` (B, modes, 2), ``x`` (B, N - 2, 2) and ``c``
+    (B, N - 2, N - 2) are per member of the whole batch.
+
+    ``first_step`` is ``1 / max |lam|``, the chain's fastest time (inf
+    without coupling).  The chain starts in its own vacuum, so Z starts
+    off its driven, slowly varying course and relaxes at the chain's
+    rates; the Gauss rule of ``e`` cannot integrate that transient over
+    a longer first step, and no estimate sees it (Phi stays smooth).  A
+    first step at the cap left ``e`` 1.8e-5 off at ``ohmic_critical``'s
+    ``tau = 50``; any first step up to 0.3 left it at rounding.
     """
 
     def __init__(self, drift_base, diffusion, rate):
@@ -372,8 +423,9 @@ class ChainFrame:
         self.x = np.zeros((b, dim - 2, 2))
         self.c = np.broadcast_to(np.eye(dim - 2), (b, dim - 2, dim - 2)).copy()
         self.z = np.zeros((b, 0, 2), dtype=complex)
-        if np.any(diffusion[:, :2]) or np.any(drift_base[:, 0, 0] + drift_base[:, 1, 1]):
+        if np.any(diffusion[:, :2]) or np.any(drift_base[:, 0, 0]) or np.any(drift_base[:, 1, 1]):
             raise ValueError("the chain frame needs an undamped system mode")
+        self.rule, self.first_step = FrameRule(), math.inf
         if self.coupled.size == 0:
             return
         o = self.coupled
@@ -385,8 +437,7 @@ class ChainFrame:
         self.inv_t = inv[keep].T.copy()
         self.z = np.zeros((b, self.lam.size, 2), dtype=complex)
         self.flow = chain_flow(drift_base[o], diffusion[o], rate[o])
-        self.rule = FrameRule()
-
+        self.first_step = 1.0 / np.max(np.abs(lam))
     def state(self):
         """Copies of ``(e, x, c)``, which with U give V (:func:`critquench.moments._covariance`)."""
         return self.e.copy(), self.x.copy(), self.c.copy()
@@ -423,23 +474,46 @@ class ChainFrame:
         de = inv_k @ np.concatenate([z[o].real, z[o].imag], axis=-2)
         return de + de.swapaxes(-1, -2), dz
 
-    def subflow(self, active, rhs, rtol, atol):
-        """The ``subflow`` of a ``solve_to`` call whose stages integrate the U of the members ``active`` with ``rhs``.
+    def stepper(self, active, system, rtol, atol):
+        """``attempt(t, h, u)``: one collocation step of the members ``active``, whose U is ``u``.
 
-        Every accepted U is projected back to ``det U = 1``, which the
-        exact flow keeps (``Gamma_ss`` is traceless): the stages' error
-        would otherwise drift the isolated state off purity, by about
-        1e-9 in the smallest eigenvalue of ``V + iJ`` over
-        ``ohmic_offcritical.cfg``'s longest ramp.
+        ``system`` is their :func:`system_rates`; U comes from
+        :meth:`FrameRule.collocate` at the nodes ``t + h c_j``.  Every
+        accepted U is projected back to ``det U = 1``, which the exact
+        flow keeps (``Gamma_ss`` is traceless), so rounding does not
+        drift the isolated state off purity.  The attempt's error is
+        the larger of two RMS norms: the stage estimate, scaled by
+        ``atol + rtol |U|`` at the nodes, and the frame's estimate.
+        Returns ``(err, commit)``; ``commit()`` writes the accepted U
+        into ``u`` and the new frame state.
         """
+        rule = self.rule
         members = np.flatnonzero(np.isin(active, self.coupled))
-        o = active[members]
-        if o.size == 0:
+        advance = self._frame(active[members], rtol, atol) if members.size else None
 
-            def project(t, t_new, u, u_new, dense_output):
-                return 0.0, lambda: _unimodular(u_new, out=u)
+        def attempt(t, h, u):
+            nodes, end, change = rule.collocate(*system(t + h * rule.nodes), h, u)
+            u_new = _unimodular(end)
+            stage = change / (atol + rtol * np.abs(nodes))
+            err = math.sqrt(np.vdot(stage, stage) / stage.size)
+            if advance is None:
+                return err, lambda: np.copyto(u, u_new)
+            frame_err, frame_commit = advance(h, nodes[members].swapaxes(0, 1), u_new[members])
 
-            return project
+            def commit():
+                u[...] = u_new
+                frame_commit()
+
+            return max(err, frame_err), commit
+
+        return attempt
+
+    def _frame(self, o, rtol, atol):
+        """``advance(h, nodes, u_new)``: the frame of the coupled members ``o`` over one step.
+
+        ``nodes`` is their U at the nodes (m, O, 2, 2), ``u_new`` at the
+        step's end; returns ``(err, commit)``.
+        """
         lam, n_modes, size = self.lam, self.lam.size, 2 * o.size
         rows = np.searchsorted(self.coupled, o)  # the members' rows in the chain flow
         couplings = self._couplings(o)
@@ -448,10 +522,7 @@ class ChainFrame:
         def scaled(err, old, new):
             return err / (atol + rtol * np.maximum(np.abs(old), np.abs(new)))
 
-        def subflow(t, t_new, u, u_new, dense_output):
-            h = t_new - t
-            u_new = _unimodular(u_new)
-            nodes = dense_output(rhs, rule.dense)[:, members]  # U at the nodes, (m, O, 2, 2)
+        def advance(h, nodes, u_new):
             e0, z0, c0 = self.e[o], self.z[o], self.c[o]
             u_k, base, inv_k = self._factors(couplings, nodes, c0)
             inv_kk = np.concatenate([inv_k, inv_k], axis=1)
@@ -475,15 +546,32 @@ class ChainFrame:
             e_new = e0 + de[: o.size]
             e_new = 0.5 * (e_new + e_new.swapaxes(-1, -2))
             z_new, dz_new = z[:, -1].reshape(n_modes, 2, o.size, 2).transpose(1, 2, 0, 3)
-            x_new = (self.p @ z_new).real @ u_new[members].swapaxes(-1, -2)
+            x_new = (self.p @ z_new).real @ u_new.swapaxes(-1, -2)
             c_new = self.flow(h, c0, x_new, rows)
             # the embedded estimate: what Phi's last Legendre mode adds at the end
             err_e, err_z = scaled(de[o.size :], e0, e_new), scaled(np.abs(dz_new), z0, z_new)
 
             def commit():
-                u[...] = u_new
                 self.e[o], self.z[o], self.x[o], self.c[o] = e_new, z_new, x_new, c_new
 
             return math.sqrt((np.vdot(err_e, err_e) + np.vdot(err_z, err_z)) / (err_e.size + err_z.size)), commit
 
-        return subflow
+        return advance
+
+
+def collocate_to(attempt, t0, t1, u0, step):
+    """U of a structured batch at ``t1`` from ``u0`` at ``t0``; returns it.
+
+    Steps by ``attempt`` (:meth:`ChainFrame.stepper`), which also
+    advances the chain frame, under ``step``, the
+    :class:`critquench._ode._StepControl` of the propagation, whose
+    proposal is set (:attr:`ChainFrame.first_step` on the first span).
+    """
+    u = np.array(u0)
+    step.span(t0, t1)
+    while step.t < step.t1:
+        t, h = step.t, step.attempt()
+        err, commit = attempt(t, h, u)
+        if step.settle(err):
+            commit()
+    return u

@@ -1,13 +1,11 @@
 """Adaptive explicit Runge-Kutta integration on array-valued states.
 
-A single stepper drives every propagation in the package: the
-covariance-matrix Lyapunov flow of Markovian sweep batches and the
-isolated mode's propagator of structured ones, stacked along a
-leading axis.  The state may be any real or complex ndarray; the error
-norm is one RMS over all elements of the batch, so members share one
-step sequence and the tolerance bounds that RMS, not each member's own
-error: one member may exceed it by up to the square root of the number
-of elements.
+This stepper drives the covariance-matrix Lyapunov flow of Markovian
+sweep batches, stacked along a leading axis.  The state may be any
+real or complex ndarray; the error norm is one RMS over all elements
+of the batch, so members share one step sequence and the tolerance
+bounds that RMS, not each member's own error: one member may exceed it
+by up to the square root of the number of elements.
 
 There is one stage loop, :func:`solve_to`, which integrates one span
 and returns the state at its end (a sampled propagation stops at each
@@ -24,11 +22,12 @@ so ``y + h sum_j a_ij k_j`` is the dot of that suffix with a weight row
 holding ``h a_ij`` and a final 1; ``y_new`` is the same dot with the
 ``B`` row.  ``y`` comes last so that the increments are summed before
 it is added: with ``y`` first, each partial sum would round at
-``eps |y|``, and the structured excess drifts several times further
-from a long-double run.  The weights are scaled by ``h`` once per
-attempt.  Every stage state, and ``y_new``, is built in one buffer and
-handed to the right-hand side, whose result is copied into the stack at
-once, so a result aliasing its argument is safe.  The first-same-as-last
+``eps |y|``, and the structured excess, while these stages carried
+it, drifted several times further from a long-double run.  The
+weights are scaled by ``h`` once per attempt.  Every stage state, and
+``y_new``, is built in one buffer and handed to the right-hand side,
+whose result is copied into the stack at once, so a result aliasing
+its argument is safe.  The first-same-as-last
 evaluation has its own row (``k_12``); it moves into ``k_0``'s row, and
 ``y_new`` into ``y``'s, only when the step is accepted.  ``|y|`` of an
 accepted step is carried into the next error scale.  The 5th- and
@@ -36,32 +35,13 @@ accepted step is carried into the next error scale.  The 5th- and
 with reversed weight rows: ``np.dot`` would copy a reversed view of the
 stack, and one fused (2, 13) dot changes the bits under OpenBLAS.
 
-A propagation may carry a sub-flow, ``settings.subflow``, which
-advances variables of its own beside the stages.  It is called on
-every attempt, after the stages' error estimate, as
-``subflow(t_n, t_{n+1}, y, y_new, dense)`` and returns
-``(err, commit)``: its own error norm, scaled like the stages' (at
-most 1 to accept), and a callable.  The step's error is the larger of
-the two, so the sub-flow can reject an attempt.  ``commit()`` runs
-once after each accepted step, after ``y_new`` has been copied into
-``y``, never on a rejection; it may update ``y`` in place.
-``dense(rhs, weights)`` is the hook to the attempt's 7th-order dense
-output: it evaluates the pair's three extra stages with the sub-flow's
-own ``rhs``, so the right-hand side ``solve_to`` was handed sees only
-the stages, and returns ``y`` at the fractions of the step whose
-:func:`dense_weights` it is given.  A
-propagation without a sub-flow never computes it.
-
-The structured bath is the one user (:class:`critquench._flows.ChainFrame`):
-the stages carry the isolated mode's 2x2 propagator U, and the
-sub-flow advances the chain's frame variables from U's dense output
-and projects the accepted U back to ``det U = 1``.  The
-first-same-as-last ``k_0`` of the next step was evaluated before that
-projection, so it is stale by the projection's relative change,
-about 1e-12 per step.  Re-evaluating it after the commit moved the
-deltas of the three shipped structured configs by at most 9e-8
-relative, a few roundings of the excess, which is a difference of
-O(1) variances.
+A structured batch is not integrated here: the Gauss collocation step
+of :class:`critquench._flows.ChainFrame` advances its isolated mode's
+propagator and chain frame under the same :class:`_StepControl`.  A
+propagation that stops (at quench ends or samples) keeps one
+:class:`_StepControl` across its spans, so a span after the first
+starts from the step proposal the previous span ended with, not from
+:func:`_initial_step`.
 
 The method is the 8th-order Dormand-Prince pair with the combined
 5th/3rd-order error estimate, chosen because the sweep trajectories are
@@ -72,7 +52,6 @@ the step count affordable at tolerances around 1e-10.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,17 +66,12 @@ MAX_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Error-control contract for one propagation.
-
-    ``subflow``, when set, runs on every attempt of :func:`solve_to`
-    and returns ``(err, commit)`` (see the module docstring).
-    """
+    """Error-control contract for one propagation."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = np.inf
     max_steps: int = 50_000_000
-    subflow: Callable | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rtol < np.inf and 0.0 < self.atol < np.inf):
@@ -119,28 +93,6 @@ _WEIGHTS[:, 1:-1] = np.vstack([tab.A, tab.B])[:, ::-1]
 _E5_ROW = tab.E5[::-1].reshape(1, -1).copy()
 _E3_ROW = tab.E3[::-1].reshape(1, -1).copy()
 _C = tab.C.tolist()
-
-
-def dense_weights(fractions) -> np.ndarray:
-    """Weights of the 7th-order dense output at ``fractions`` of a step.
-
-    Row i gives ``y(t + fractions[i] h) - y(t)`` as a combination of
-    ``[y_new - y, h k_0, ..., h k_15]``: the dense output is
-    ``y + sum_p beta_p(x) F_p`` with ``beta = (x, x(1-x), x^2(1-x), ...)``,
-    ``F_0 = y_new - y``, ``F_1 = h k_0 - F_0``,
-    ``F_2 = 2 F_0 - h (k_0 + k_12)`` and ``F_3.. = h D k``.
-    """
-    x = np.asarray(fractions, dtype=float)
-    beta = [x]
-    for p in range(6):
-        beta.append(beta[-1] * (1.0 - x if p % 2 == 0 else x))
-    beta = np.stack(beta, axis=1)
-    weights = np.zeros((x.size, tab.N_STAGES + 5))
-    weights[:, 0] = beta[:, 0] - beta[:, 1] + 2.0 * beta[:, 2]
-    weights[:, 1:] = beta[:, 3:] @ tab.D
-    weights[:, 1] += beta[:, 1] - beta[:, 2]
-    weights[:, 1 + tab.N_STAGES] -= beta[:, 2]
-    return weights
 
 
 def _error_norm(err5, err3, h):
@@ -173,21 +125,30 @@ def _initial_step(rhs, t0, y0, f0, max_step, rtol, atol):
 
 
 class _StepControl:
-    """Step control of one propagation from ``t0`` to ``t1``.
+    """Step control of one propagation, span by span.
 
-    Holds the time, the proposed step and the step count; :meth:`attempt`
-    clamps the next attempt and :meth:`settle` accepts or rejects it by
-    its error norm.
+    Holds the time, the span's end, the proposed step and the step
+    count; :meth:`span` starts a span, :meth:`attempt` clamps the next
+    attempt and :meth:`settle` accepts or rejects it by its error norm,
+    growing or shrinking the step by ``err ** exponent`` (the inverse
+    order of the error estimate).  ``first_step`` is the first
+    proposal; NaN (the default) leaves it to :func:`solve_to`, which
+    takes :func:`_initial_step`.  A span after the first starts from the
+    proposal the last one ended with; the step budget counts every
+    span.
     """
 
-    def __init__(self, t0, t1, settings: IntegratorSettings):
+    def __init__(self, settings: IntegratorSettings, exponent=tab.ERROR_EXPONENT, first_step=math.nan):
+        self.settings = settings
+        self.exponent = exponent
+        self.h = first_step
+        self.n_steps = 0
+
+    def span(self, t0, t1):
+        """Start the span from ``t0`` to ``t1``."""
         if not t1 > t0:
             raise ValueError("require t1 > t0")
-        self.settings = settings
-        self.t1 = float(t1)
-        self.t = float(t0)
-        self.h = math.nan  # set from the starting-step heuristic
-        self.n_steps = 0
+        self.t, self.t1 = float(t0), float(t1)
 
     def attempt(self) -> float:
         """Length of the next attempt, clamped to ``max_step`` and to ``t1``.
@@ -214,20 +175,24 @@ class _StepControl:
             self.h = h_try * MIN_FACTOR
             return False
         if err > 1.0:
-            self.h = h_try * max(MIN_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+            self.h = h_try * max(MIN_FACTOR, SAFETY * err**self.exponent)
             return False
         self.t = self.t_new
-        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**tab.ERROR_EXPONENT)
+        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err**self.exponent)
         self.h = h_try * max(MIN_FACTOR, factor)
         return True
 
 
-def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
+def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None, *, step=None):
     """Integrate ``dy/dt = rhs(t, y)`` from ``t0`` to ``t1 > t0``; returns y at ``t1``.
 
-    The last step is clamped onto ``t1``.  The last keyword stays only
-    because the benchmark's tracer passes it by name; any value but
-    None raises :class:`TypeError`.
+    The last step is clamped onto ``t1``.  ``step`` is the
+    :class:`_StepControl` of a propagation whose spans this call
+    continues, in place of ``settings``; without it the call makes a
+    fresh one.  A control without a proposal yet starts from
+    :func:`_initial_step`.  The ``t_samples`` keyword stays only because
+    the benchmark's tracer passes it by name; any value but None raises
+    :class:`TypeError`.
 
     Raises :class:`IntegrationFailure` when the step size underflows or
     the step budget is exhausted, carrying the last good time.
@@ -235,9 +200,9 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     if t_samples is not None:
         raise TypeError("solve_to integrates one span; sample by calling it once per span")
     y0 = np.asarray(y0)
-    subflow = settings.subflow
-    step = _StepControl(t0, t1, settings)
-    rtol, atol = settings.rtol, settings.atol
+    step = _StepControl(settings) if step is None else step
+    step.span(t0, t1)
+    rtol, atol = step.settings.rtol, step.settings.atol
     shape, last = y0.shape, tab.N_STAGES
 
     stack = np.empty((last + 2,) + shape, dtype=y0.dtype)
@@ -245,7 +210,8 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     y = stack[last + 1, ...]
     y[...] = y0
     f = rhs(step.t, y)
-    step.h = _initial_step(rhs, step.t, y, f, settings.max_step, rtol, atol)
+    if math.isnan(step.h):
+        step.h = _initial_step(rhs, step.t, y, f, step.settings.max_step, rtol, atol)
     stack[last] = f  # k_0
 
     # the weights scaled by the attempt's h; row i's (1, i + 1) weight
@@ -258,18 +224,6 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
     dy_flat = np.empty((1, flat.shape[1]), dtype=y.dtype)
     dy = dy_flat.reshape(shape)
     abs_y = np.abs(y)
-
-    def dense(rhs_of, weights):
-        # the attempt's stages in natural order, then the three extra ones
-        k = np.empty((tab.N_STAGES + 4, flat.shape[1]), dtype=y.dtype)
-        k[: last + 1] = flat[last::-1]
-        h = step.h_try
-        for i, (a_row, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA)):
-            n = last + 1 + i
-            k[n] = rhs_of(step.t + c * h, (flat[last + 1] + h * (a_row[:n] @ k[:n])).reshape(shape)).ravel()
-        out = weights[:, :1] * (dy_flat - flat[last + 1]) + h * (weights[:, 1:] @ k)
-        out += flat[last + 1]
-        return out.reshape((-1,) + shape)
 
     while step.t < step.t1:
         t, h_try = step.t, step.attempt()
@@ -285,14 +239,8 @@ def solve_to(rhs, t0, t1, y0, settings=DEFAULT_SETTINGS, t_samples=None):
         abs_y_new = np.abs(dy)
         scale = (atol + rtol * np.maximum(abs_y, abs_y_new)).reshape(1, -1)
         err5, err3 = np.dot(_E5_ROW, k_all) / scale, np.dot(_E3_ROW, k_all) / scale
-        err = _error_norm(err5, err3, h_try)
-        if subflow is not None:
-            sub_err, commit = subflow(t, step.t_new, y, dy, dense)
-            err = np.maximum(err, sub_err)
-        if step.settle(err):
+        if step.settle(_error_norm(err5, err3, h_try)):
             y[...] = dy
-            if subflow is not None:
-                commit()
             stack[last] = stack[0]
             abs_y = abs_y_new
 

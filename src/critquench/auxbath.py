@@ -23,11 +23,11 @@ block moves with the ramped coupling.  The flow runs on the one
 Lyapunov engine, :func:`critquench.moments.propagate_batch`, in
 physical time and in the order it is built (the chain is the
 pseudomode construction of Tamascelli et al., PRL 120, 030402
-(2018)).  The Runge-Kutta stages carry only the isolated mode's 2x2
-propagator U.  In U's frame each chain mode obeys a linear equation
-with a constant, damped rate and a forcing that does not depend on the
-mode, so the engine integrates it exactly against the polynomial
-through the forcing at nodes of U's dense output, and advances the
+(2018)).  Each step collocates only the isolated mode's 2x2
+propagator U, at 12 Gauss nodes.  In U's frame each chain mode obeys a
+linear equation with a constant, damped rate and a forcing that does
+not depend on the mode, so the engine integrates it exactly against
+the polynomial through the forcing at those nodes, and advances the
 chain's own block exactly once per step (exponential integrators:
 Hochbruck & Ostermann, Acta Numerica 19, 209 (2010);
 :class:`critquench._flows.ChainFrame`).
@@ -186,12 +186,12 @@ def propagate_covariance_batch(
     hold a sweep's isolated members (the same network at ``kappa = 0``)
     beside its open ones; ``eta`` defaults to the model's size.  The
     batch runs on :func:`critquench.moments.propagate_batch` in physical
-    time, its stages carrying only the isolated mode's propagator U and
-    the chain frame advancing the rest of V.  U's stability rate is the
-    mode's frequency, so the step cap is ``3.5 / omega``; in practice
-    accuracy sets the steps (``ohmic_critical.cfg``: 2,343 attempts over
-    its 21 solves, none at the cap).  Returns ``(s_times, V)``, V of
-    shape (S, B, 2n, 2n).
+    time, each Gauss collocation step advancing the isolated mode's
+    propagator U and the chain frame the rest of V.  U's rate is the
+    mode's frequency, so the step cap is ``3.5 / omega``; accuracy sets
+    most steps (``ohmic_critical.cfg``: 374 attempts over its 21 spans,
+    88 at the cap).  Returns ``(s_times, V)``, V of shape
+    (S, B, 2n, 2n).
     """
     tau, g_f, r_n, kappa, eta = broadcast_members(
         tau_q, g_final, r_n, params.kappa if kappa is None else kappa, model.eta if eta is None else eta
@@ -199,7 +199,7 @@ def propagate_covariance_batch(
     terms = {k: build_system(model, replace(params, kappa=k)) for k in {params.kappa, *kappa.tolist()}}
     drift_base = np.stack([terms[k][0] for k in kappa.tolist()])
     diffusion = np.broadcast_to(terms[params.kappa][1], drift_base.shape)
-    # the stages carry only the isolated mode's propagator, whose rate is its frequency
+    # the steps collocate only the isolated mode's propagator, whose rate is its frequency
     return propagate_batch(drift_base, diffusion, model, tau, tau, g_f, r_n, eta, model.omega, settings, s_samples)
 
 

@@ -41,8 +41,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as model_mod
-from ._flows import ChainFrame, lyapunov_batch_rhs, propagator_rhs
-from ._ode import DEFAULT_SETTINGS, IntegratorSettings, solve_to
+from ._flows import ChainFrame, collocate_to, lyapunov_batch_rhs, system_rates
+from ._ode import DEFAULT_SETTINGS, IntegratorSettings, _StepControl, solve_to
 from .errors import DomainError, IntegrationFailure, PhysicalityError
 from .model import ModelSpec
 from .protocol import QuenchProtocol
@@ -161,7 +161,7 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
     ``eta`` broadcast over the stack); returns it for chaining.  Used at
     a frozen coupling (:func:`steady_state_covariance`); a propagation
     writes the same block from the coefficient table itself
-    (:func:`lyapunov_batch_rhs`, :func:`propagator_rhs`).
+    (:func:`lyapunov_batch_rhs`, :func:`system_rates`).
     """
     h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
     np.negative(h_qq, out=drift[..., 1, 0])
@@ -204,24 +204,25 @@ def propagate_batch(
     A bath supplies its terms (``drift_base`` and ``diffusion``, one per
     member), its clock ``end`` and its stability ``rate``.  A member's
     ramp ends at solver time ``end``: 1 in rescaled time, ``tau`` in
-    physical time.  One :func:`solve_to` call runs to each distinct end,
-    and the members ending there leave; the step cap is
+    physical time.  One call of the stepper runs to each distinct end,
+    and the members ending there leave; every span keeps the step the
+    last one ended with, and the step cap is
     ``3.5 / (rate * max(tau / end))``.  The clock is per bath: a
     structured batch runs in physical time, but a Markovian batch is
     limited by accuracy early on (``critical_akz_zero_temperature.cfg``:
     11 solves and 9,379 attempts, against one solve of 7,366 in rescaled
     time).  The network's size makes the one choice of state:
 
-    - at N = 2 (Markovian), :func:`solve_to` integrates V itself with
-      :func:`lyapunov_batch_rhs`;
-    - otherwise the stages carry only the isolated mode's 2x2
-      propagator U (:func:`propagator_rhs`), 4 numbers per member
-      instead of the 100 of a 4-oscillator chain's V, and the
-      :class:`critquench._flows.ChainFrame` built once per batch is the
-      ``subflow`` of every ``solve_to`` call: from U's dense output it
-      advances the rest of V in U's frame and the chain block exactly,
-      and its error estimate joins the step's.  The stages then hold
-      no chain mode, and the bath's ``rate`` only has to bound U's.
+    - at N = 2 (Markovian), :func:`solve_to`'s Runge-Kutta stages
+      integrate V itself with :func:`lyapunov_batch_rhs`;
+    - otherwise :func:`collocate_to` steps the isolated mode's 2x2
+      propagator U by Gauss collocation at the nodes of the
+      :class:`critquench._flows.ChainFrame` built once per batch, which
+      advances the rest of V in U's frame from U at those nodes, and
+      the chain block exactly; the step's error is the larger of U's
+      and the frame's estimates.  No chain mode enters the step, and
+      the bath's ``rate`` only bounds U's: the cap keeps the largest
+      steps from about doubling their rejections.
 
     Each sample time ``s end`` is one more stop (sampling needs one end
     and ``s`` in ``[0, 1]``), and V is rebuilt, exactly symmetric, at
@@ -247,6 +248,12 @@ def propagate_batch(
     dim = drift_base.shape[-1]
     frame = None if dim == 2 else ChainFrame(drift_base, diffusion, tau / ends)
     state = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()  # V at N = 2, else U
+    step = _StepControl(settings)
+    if frame is not None:  # the collocation's stage estimate is O(h^m) at m nodes
+        step = _StepControl(settings, -1.0 / frame.rule.nodes.size, frame.first_step)
+    # a single span has no step to carry, and keeps the plain solve_to call
+    # that the benchmark's tracer wraps (ROADMAP item 1)
+    carry = {"step": step} if len(stops) > 1 else {}
 
     def covariance():
         return state.copy() if frame is None else _covariance(state, *frame.state())
@@ -260,11 +267,13 @@ def propagate_batch(
             clock = end if np.ndim(end) == 0 else ends[active]
             ramp = (model, tau[active], g_f[active], r_n[active], eta[active], clock)
             if frame is None:
-                rhs, flow = lyapunov_batch_rhs(drift_base[active], diffusion[active], *ramp), None
+                rhs = lyapunov_batch_rhs(drift_base[active], diffusion[active], *ramp)
             else:
-                rhs = propagator_rhs(drift_base[active], *ramp)
-                flow = frame.subflow(active, rhs, settings.rtol, settings.atol)
-        state[active] = solve_to(rhs, start, stop, state[active], replace(settings, subflow=flow))
+                attempt = frame.stepper(active, system_rates(*ramp), settings.rtol, settings.atol)
+        if frame is None:
+            state[active] = solve_to(rhs, start, stop, state[active], settings, **carry)
+        else:
+            state[active] = collocate_to(attempt, start, stop, state[active], step)
         if s_samples is not None:
             sampled[stop] = covariance()
         active, start = active[ends[active] > stop], stop

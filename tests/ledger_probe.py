@@ -25,13 +25,15 @@ Run from the repository root with ``PYTHONPATH=src``:
 
 ``python tests/ledger_probe.py steps configs/ohmic_critical.cfg``
     propagates a config's quench-time grid once (both legs, no fit) and
-    prints, for each ``solve_to`` call in order, its time span, the
-    members it carries, the attempted steps, the rejected ones, the
+    prints, for each span of the engine in order (a ``solve_to`` call,
+    or a ``collocate_to`` call of a structured batch), its time span,
+    the members it carries, the attempted steps, the rejected ones, the
     accepted steps that sat at ``max_step``, its wall time and the wall
-    time of its chain-frame updates (0 without a chain); then the
-    totals, with the member-attempts (members times attempts, summed).
-    The first line also gives how many numbers per member the
-    Runge-Kutta stages carry, out of the covariance's, and the step cap;
+    time of its chain frame's collocation steps, U's solve included (0
+    without a chain); then the totals, with the member-attempts (members
+    times attempts, summed).  The first line also gives how many numbers
+    per member the stepper carries (V, or U), out of the covariance's,
+    and the step cap;
     for a structured config, the eigenvalue moduli ``|lambda|`` of the
     chain drift (one per conjugate pair) and the largest
     ``h |lambda|`` an accepted step reached.
@@ -152,83 +154,98 @@ def chain_moduli(config):
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real, real_frame, real_solve = _ode._StepControl, moments.ChainFrame, moments.solve_to
-    solves, shapes = [], []  # shapes: (members, numbers per member) of each solve_to call
+    real = (_ode._StepControl, moments._StepControl, moments.ChainFrame, moments.solve_to, moments.collocate_to)
+    real_frame, real_solve, real_collocate = real[2:]
+    spans, controls = [], []  # one record per span; every step control made
     fastest = chain_moduli(config)[-1] if config.bath_type == "structured" else 0.0
     reached = [0.0]  # the largest h |lambda| of an accepted step
 
-    class Counted(real):
-        # the step control of one solve_to call, counting as it settles
-        def __init__(self, t0, t1, settings):
-            super().__init__(t0, t1, settings)
-            self.span, (self.members, self.carried) = (t0, t1), shapes[-1]
+    class Counted(real[0]):
+        # a propagation's step control, counting as it settles
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             self.rejected = self.at_cap = 0
-            self.flow_s = 0.0
-            self.started = self.ended = time.perf_counter()
-            solves.append(self)
+            controls.append(self)
 
         def settle(self, err):
             accepted = super().settle(err)
             self.rejected += not accepted
             self.at_cap += accepted and self.h_try == self.settings.max_step
-            self.ended = time.perf_counter()
             return accepted
 
+    def counts(step):
+        return np.array([step.n_steps, step.rejected, step.at_cap]) if step is not None else np.zeros(3, int)
+
+    def span(t0, t1, y0, step, run):
+        # one span of the engine: its members, numbers per member, step counts, wall and frame time
+        record = {"span": (t0, t1), "members": y0.shape[0], "carried": y0[0].size, "frame_s": 0.0}
+        spans.append(record)
+        before, start = counts(step), time.perf_counter()
+        y = run()
+        record["wall_s"] = time.perf_counter() - start
+        step = step or controls[-1]
+        record["steps"], record["max_step"] = counts(step) - before, step.settings.max_step
+        return y
+
+    def solve_to(rhs, t0, t1, y0, settings, step=None):
+        return span(t0, t1, y0, step, lambda: real_solve(rhs, t0, t1, y0, settings, step=step))
+
+    def collocate_to(attempt, t0, t1, u0, step):
+        return span(t0, t1, u0, step, lambda: real_collocate(attempt, t0, t1, u0, step))
+
     def timed_frame(*args):
-        # the frame update of an attempt runs inside the solve_to call whose step control came last
+        # the frame's collocation step, U's solve included, is timed within its span
         frame = real_frame(*args)
-        real_subflow = frame.subflow
+        stepper = frame.stepper
 
-        def subflow(*args):
-            flow = real_subflow(*args)
+        def timed_stepper(*setup):
+            attempt = stepper(*setup)
 
-            def timed(t, t_new, u, u_new, dense):
+            def timed(t, h, u):
                 start = time.perf_counter()
-                err, commit = flow(t, t_new, u, u_new, dense)
-                solves[-1].flow_s += time.perf_counter() - start
+                err, commit = attempt(t, h, u)
+                spans[-1]["frame_s"] += time.perf_counter() - start
 
                 def counted():
                     start = time.perf_counter()
                     commit()
-                    reached[0] = max(reached[0], (t_new - t) * fastest)
-                    solves[-1].flow_s += time.perf_counter() - start
+                    reached[0] = max(reached[0], h * fastest)
+                    spans[-1]["frame_s"] += time.perf_counter() - start
 
                 return err, counted
 
             return timed
 
-        frame.subflow = subflow
+        frame.stepper = timed_stepper
         return frame
 
-    def solve_to(rhs, t0, t1, y0, settings):
-        shapes.append((y0.shape[0], y0[0].size))
-        return real_solve(rhs, t0, t1, y0, settings)
-
-    _ode._StepControl, moments.ChainFrame, moments.solve_to = Counted, timed_frame, solve_to
+    _ode._StepControl = moments._StepControl = Counted
+    moments.ChainFrame, moments.solve_to, moments.collocate_to = timed_frame, solve_to, collocate_to
     try:
         t0 = time.perf_counter()
         compute_chunk(config, taus)
         wall = time.perf_counter() - t0
     finally:
-        _ode._StepControl, moments.ChainFrame, moments.solve_to = real, real_frame, real_solve
-    cap, numbers = solves[0].settings.max_step, 4  # the Markovian 2x2 V
+        _ode._StepControl, moments._StepControl, moments.ChainFrame, moments.solve_to, moments.collocate_to = real
+    cap, numbers = spans[0]["max_step"], 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
         numbers = build_system(config.model, config.bath)[0].size
-    limits = f"  stages carry {solves[0].carried} of {numbers} numbers per member, step cap {cap:.6g}"
+    limits = f"  stages carry {spans[0]['carried']} of {numbers} numbers per member, step cap {cap:.6g}"
     if config.bath_type == "structured":
         moduli = ", ".join(f"{m:.4g}" for m in chain_moduli(config))
         limits += f", chain's |lambda| {moduli}, largest h|lambda| {reached[0]:.3f}"
     print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}{limits}")
     print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s  frame_s")
-    for i, s in enumerate(solves):
+    for i, s in enumerate(spans):
+        (a, b), (attempts, rejected, at_cap) = s["span"], s["steps"]
         print(
-            f"  {i:>5}  {s.span[0]:g}..{s.span[1]:g}  {s.members}  {s.n_steps}  {s.rejected}"
-            f"  {s.at_cap}  {s.ended - s.started:.4f}  {s.flow_s:.4f}"
+            f"  {i:>5}  {a:g}..{b:g}  {s['members']}  {attempts}  {rejected}  {at_cap}"
+            f"  {s['wall_s']:.4f}  {s['frame_s']:.4f}"
         )
+    total = sum(s["steps"] for s in spans)
     print(
-        f"  total: {len(solves)} solves, {sum(s.n_steps for s in solves)} attempts,"
-        f" {sum(s.rejected for s in solves)} rejected, {sum(s.at_cap for s in solves)} at max_step,"
-        f" {sum(s.members * s.n_steps for s in solves)} member-attempts, {wall:.3f} s wall"
+        f"  total: {len(spans)} solves, {total[0]} attempts, {total[1]} rejected, {total[2]} at max_step,"
+        f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts, {wall:.3f} s wall"
     )
 
 
@@ -269,7 +286,7 @@ def main(argv=None):
     p_rip.add_argument("--tau", type=float, required=True, help="start of the scan")
     p_rip.add_argument("--points", type=int, default=39)
     p_rip.add_argument("--refit", action="store_true", help="refit the sweep without the ripple")
-    p_steps = sub.add_parser("steps", help="step counts of every solve_to call of a config's legs")
+    p_steps = sub.add_parser("steps", help="step counts of every span of a config's legs")
     p_steps.add_argument("config", help="path to the experiment config")
     p_oracle = sub.add_parser("oracle", help="a structured excess against a long-double run")
     p_oracle.add_argument("config", help="path to a structured-bath config")

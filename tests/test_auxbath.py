@@ -19,8 +19,8 @@ from critquench import (
     steady_state_covariance,
     sweep,
 )
-from critquench._flows import FAR, ChainFrame, FrameRule, chain_flow, propagator_rhs
-from critquench._ode import solve_to
+from critquench._flows import FAR, ChainFrame, FrameRule, chain_flow, collocate_to, system_rates
+from critquench._ode import _StepControl, solve_to
 from critquench.auxbath import (
     DEFAULT_OHMIC,
     AuxBathParams,
@@ -96,7 +96,7 @@ def structured_excess(params, model, tau, g_final, r_n=1.0, settings=IntegratorS
 def full_flow_covariance(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0, dtype=np.longdouble):
     """Final V (2, N, N) of one quench's ``kappa = 0`` and open members from
     ``solve_to`` of the full ``lyapunov_batch_rhs`` on the network as
-    :func:`build_system` writes it (no frozen block, no sub-flow), with
+    :func:`build_system` writes it (no frozen block, no chain frame), with
     drift, diffusion and V in ``dtype``, at rtol 1e-13, atol 1e-15 and
     the full flow's stability cap ``3.5 / radius`` divided by
     ``cap_divisor``."""
@@ -376,7 +376,7 @@ class TestStructuredSweep:
 
 
 class TestFrozenChain:
-    """The stages carry the isolated mode's propagator U; the chain frame and ``chain_flow`` advance the rest."""
+    """Each step collocates the isolated mode's propagator U; the chain frame and ``chain_flow`` advance the rest."""
 
     def test_frame_rhs_maps_back_to_the_system_columns_of_the_full_rhs(self):
         # with S = U (1 + e) U^T and X = Re(P Z^T) U^T, the frame's rates are the Lyapunov flow
@@ -399,7 +399,8 @@ class TestFrozenChain:
             for exponent in (1.0, 1.25):
                 ramp = (model, tau, g_f, exponent * r_n, eta, tau)
                 full = lyapunov_batch_rhs(drift, diffusion, *ramp)(0.7, v)[:, :, :2]
-                du = propagator_rhs(drift, *ramp)(0.7, u)
+                p, q = system_rates(*ramp)(np.array([0.7]))
+                du = np.stack([p[0, :, None] * u[:, 1], -q[0, :, None] * u[:, 0]], axis=1)  # [[0, p], [-q, 0]] U
                 de, dz = frame.rates(u, e, z, c)
                 # S' = U' (1 + e) U^T + U (1 + e) U'^T + U e' U^T, X' = Re(P Z'^T) U^T + Re(P Z^T) U'^T
                 half = du @ (np.eye(2) + e) @ u_t
@@ -460,28 +461,39 @@ class TestFrozenChain:
 
             def frame(*args):
                 built = ChainFrame(*args)
-                make = built.subflow
+                make = built._frame
 
-                def subflow(*setup):
-                    flow = make(*setup)
+                def recording(*setup):
+                    advance = make(*setup)
 
-                    def recorded(t, t_new, *rest):
-                        err, commit = flow(t, t_new, *rest)
-                        seen.append((t, t_new - t, err))
+                    def recorded(step, *rest):
+                        err, commit = advance(step, *rest)
+                        seen.append((step, err))
                         return err, commit
 
                     return recorded
 
-                built.subflow = subflow
+                built._frame = recording
                 return built
 
             monkeypatch.setattr(moments, "ChainFrame", frame)
             settings = IntegratorSettings(rtol=1e-3, atol=1e-9, max_step=h)
+            times = []
+            real = moments.collocate_to
+
+            def collocate(attempt, t0, t1, u0, step):
+                def timed(t, *rest):
+                    times.append(t)
+                    return attempt(t, *rest)
+
+                return real(timed, t0, t1, u0, step)
+
+            monkeypatch.setattr(moments, "collocate_to", collocate)
             DEFAULT_OHMIC.propagate(40.0, 1.0, 1.0, THERMODYNAMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
             # past the start, where every step sits at the cap
-            return np.median([err for t, step, err in seen if t > 10.0 and step == h])
+            return np.median([err for t, (step, err) in zip(times, seen) if t > 10.0 and step == h])
 
-        coarse, fine = median_error(1.0), median_error(0.5)
+        coarse, fine = median_error(2.0), median_error(1.0)
         assert 0.0 < fine and coarse / fine > 100.0
 
     def test_one_step_matches_the_integrated_chain_block(self):
@@ -513,12 +525,12 @@ class TestFrozenChain:
             frames.append(ChainFrame(*args))
             return frames[-1]
 
-        def solve(rhs, t0, t1, y0, settings):
-            finals.append(solve_to(rhs, t0, t1, y0, settings))
+        def collocate(attempt, t0, t1, u0, step):
+            finals.append(collocate_to(attempt, t0, t1, u0, step))
             return finals[-1]
 
         monkeypatch.setattr(moments, "ChainFrame", frame)
-        monkeypatch.setattr(moments, "solve_to", solve)
+        monkeypatch.setattr(moments, "collocate_to", collocate)
         _, vs = propagate_covariance_batch(60.0, 1.0, 1.0, DEFAULT_OHMIC, kappa=[0.0, DEFAULT_OHMIC.kappa])
         ((frame,),), ((u_iso, u_open),) = (frames,), finals
         assert np.array_equal(frame.e[0], np.zeros((2, 2))) and not np.any(frame.z[0])
@@ -581,18 +593,23 @@ class TestFrozenChain:
 
         flows = []
 
-        def solve(rhs, t0, t1, y0, settings):
-            flows.append(settings.subflow)
-            return solve_to(rhs, t0, t1, y0, settings)
+        def solve(rhs, t0, t1, y0, settings, **carry):
+            flows.append("stages")
+            return solve_to(rhs, t0, t1, y0, settings, **carry)
+
+        def collocate(attempt, t0, t1, u0, step):
+            flows.append("frame")
+            return collocate_to(attempt, t0, t1, u0, step)
 
         monkeypatch.setattr(moments, "solve_to", solve)
+        monkeypatch.setattr(moments, "collocate_to", collocate)
         with monkeypatch.context() as patch:
             patch.setattr(moments, "ChainFrame", no_flow)
             BathSpec(kappa=1e-3).propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-3])
-        assert flows and all(flow is None for flow in flows)
+        assert flows and all(flow == "stages" for flow in flows)
         flows.clear()
         DEFAULT_OHMIC.propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC)
-        assert len(flows) == 2 and all(callable(flow) for flow in flows)
+        assert flows == ["frame"] * 2
 
     def test_rejects_a_chain_it_cannot_flow(self):
         tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
@@ -606,10 +623,66 @@ class TestFrozenChain:
             chain_flow(drifts, diffusion, np.ones(2))
 
 
+class TestCollocation:
+    """One Gauss collocation step of the isolated mode's propagator U (:meth:`FrameRule.collocate`)."""
+
+    @staticmethod
+    def ramp(r_n):
+        tau = np.array([40.0])
+        return system_rates(THERMODYNAMIC, tau, np.ones(1), np.array([r_n]), np.full(1, THERMODYNAMIC.eta), tau)
+
+    def test_constant_block_gives_the_closed_form_propagator(self):
+        rule, (p, q), h = FrameRule(), (1.3, 0.7), 3.5
+        m = rule.nodes.size
+        _, end, _ = rule.collocate(np.full((m, 1), p), np.full((m, 1), q), h, np.eye(2)[None])
+        w = np.sqrt(p * q)
+        exact = [[np.cos(w * h), np.sqrt(p / q) * np.sin(w * h)], [-np.sqrt(q / p) * np.sin(w * h), np.cos(w * h)]]
+        assert np.max(np.abs(end[0] - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("r_n", [1.0, 1.25])
+    def test_nodes_match_a_tight_runge_kutta_run(self, r_n):
+        system, rule = self.ramp(r_n), FrameRule()
+        t, h = 17.0, 2.0
+
+        def rhs(u, y):
+            p, q = system(np.array([u]))
+            return np.array([[0.0, p[0, 0]], [-q[0, 0], 0.0]]) @ y
+
+        u0 = np.array([[1.1, 0.2], [-0.3, 0.85]])
+        u0 /= np.sqrt(np.linalg.det(u0))
+        nodes, _, _ = rule.collocate(*system(t + h * rule.nodes), h, u0[None])
+        tight = IntegratorSettings(rtol=1e-14, atol=1e-16, max_step=0.05)
+        for got, c in zip(nodes[0], rule.nodes):
+            want = solve_to(rhs, t, t + c * h, u0, tight)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), c
+
+    @pytest.mark.parametrize("r_n", [1.0, 1.25])
+    def test_stage_estimate_is_a_twelfth_order_local_error(self, r_n):
+        # dropping the last Legendre mode of the 12 stage derivatives moves U at
+        # the nodes by O(h^12): the estimate falls about 2^12 per halving
+        system, rule = self.ramp(r_n), FrameRule()
+
+        def estimate(h):
+            change = rule.collocate(*system(17.0 + h * rule.nodes), h, np.eye(2)[None])[2]
+            return np.sqrt(np.mean(change**2))
+
+        assert estimate(3.0) / estimate(1.5) > 2.0**11
+
+    def test_collocate_to_carries_the_step_across_stops(self):
+        # a second span starts from the proposal the first ended with
+        frame = ChainFrame(*(term[None] for term in build_system(THERMODYNAMIC, DEFAULT_OHMIC)), np.ones(1))
+        attempt = frame.stepper(np.arange(1), self.ramp(1.0), 1e-10, 1e-12)
+        step = _StepControl(IntegratorSettings(max_step=3.5), -1.0 / 12.0, frame.first_step)
+        u = collocate_to(attempt, 0.0, 20.0, np.eye(2)[None], step)
+        carried, attempts = step.h, step.n_steps
+        collocate_to(attempt, 20.0, 40.0, u, step)
+        assert carried > 1.0 and step.n_steps - attempts < (40.0 - 20.0) / carried + 3
+
+
 class TestLongDoubleOracle:
     """A long-double run of the full flow at a quarter of its stability cap
-    is the reference for the structured excess; the shipped batch, its
-    stages carrying only the isolated mode's propagator and the chain
+    is the reference for the structured excess; the shipped batch, each
+    step collocating only the isolated mode's propagator and the chain
     frame advancing the rest, lands within 7e-8 of it."""
 
     def assert_matches_the_oracle(self, g_final, r_n):

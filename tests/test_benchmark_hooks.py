@@ -4,10 +4,10 @@
 patch ``critquench`` attributes by name, read the loaded ``config`` by
 attribute, and the tracer counts steps
 only through ``moments.solve_to`` and ``auxbath.solve_to``, the calls
-behind every propagation (a Markovian sweep's isolated and open legs
-are one such call, a structured sweep's one per quench time): a rename
-in the package would break the benchmark without failing any other
-test.
+behind every Markovian propagation (a sweep's isolated and open legs
+are one such call; a structured sweep steps by collocation and books
+none): a rename in the package would break the benchmark without
+failing any other test.
 """
 
 import ast
@@ -113,18 +113,21 @@ def assert_tracer_call_pattern(times, t0=0.0, t1=1.0):
 
 
 def test_structured_batch_is_one_solve_per_leg(monkeypatch):
-    # one batch of both legs in physical time: one solve per quench time,
-    # chained from 0 to tau_max, the ended members leaving at each boundary
+    # one batch of both legs in physical time: one collocation span per quench
+    # time, chained from 0 to tau_max, the ended members leaving at each boundary
     text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
     cfg = build_config(parse_config_text(text))
     taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
-    solves = spy_solves(monkeypatch)
+    solves, spans, real = spy_solves(monkeypatch), [], moments.collocate_to
+
+    def collocate_to(attempt, t0, t1, u0, step):
+        spans.append((t0, t1, u0.shape[0]))
+        return real(attempt, t0, t1, u0, step)
+
+    monkeypatch.setattr(moments, "collocate_to", collocate_to)
     sweep.compute_chunk(cfg, taus)
-    assert not solves["auxbath"] and not sweep._ISOLATED_CACHE
-    assert len(solves["moments"]) == taus.size
-    for k, (members, times) in enumerate(solves["moments"]):
-        assert members == 2 * (taus.size - k)
-        assert_tracer_call_pattern(times, 0.0 if k == 0 else taus[k - 1], taus[k])
+    assert not solves["auxbath"] and not solves["moments"] and not sweep._ISOLATED_CACHE
+    assert spans == [(0.0 if k == 0 else taus[k - 1], tau, 2 * (taus.size - k)) for k, tau in enumerate(taus)]
 
 
 def test_markovian_legs_are_one_solve(monkeypatch):

@@ -180,11 +180,23 @@ class TestConfigParsing:
         for module in (moments, auxbath):
             real = module.solve_to
 
-            def solve_to(rhs, t0, t1, y0, settings, _module=module.__name__, _real=real):
+            def solve_to(rhs, t0, t1, y0, settings, _module=module.__name__, _real=real, **carry):
                 seen.append((_module.rsplit(".", 1)[1], settings.rtol, settings.atol))
-                return _real(rhs, t0, t1, y0, settings=settings)
+                return _real(rhs, t0, t1, y0, settings=settings, **carry)
 
             monkeypatch.setattr(module, "solve_to", solve_to)
+        collocate, real_stepper = moments.collocate_to, moments.ChainFrame.stepper
+
+        def collocate_to(attempt, t0, t1, u0, step):
+            seen.append(("collocate_to", step.settings.rtol, step.settings.atol))
+            return collocate(attempt, t0, t1, u0, step)
+
+        def stepper(frame, active, system, rtol, atol):
+            seen.append(("stepper", rtol, atol))
+            return real_stepper(frame, active, system, rtol, atol)
+
+        monkeypatch.setattr(moments, "collocate_to", collocate_to)
+        monkeypatch.setattr(moments.ChainFrame, "stepper", stepper)
         tight = "integrator.rtol = 1e-9\nintegrator.atol = 1e-11\nsweep.points_per_decade = 5\nobservables = e_r\n"
         markovian = build_config(parse_config_text("bath.kappa = 1e-3\n" + tight))
         structured = build_config(parse_config_text("bath.type = structured\n" + tight))
@@ -195,7 +207,8 @@ class TestConfigParsing:
         assert seen == [config_tols]
         seen.clear()
         sweep.compute_chunk(structured, taus)
-        assert seen == [("moments", 1e-9, 1e-11)] * taus.size
+        # one collocation span per quench time; the stepper is built per set of members
+        assert seen == [("stepper", 1e-9, 1e-11), ("collocate_to", 1e-9, 1e-11)] * taus.size
         seen.clear()
         path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
         out = tmp_path / "traj.tsv"
@@ -354,17 +367,17 @@ class TestRunSweep:
         text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
         cfg = build_config(parse_config_text(text))
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
-        real = moments.solve_to
+        real = moments.collocate_to
 
-        def solve_to(rhs, t0, t1, y0, settings):
-            y = real(rhs, t0, t1, y0, settings=settings)
+        def collocate_to(attempt, t0, t1, u0, step):
+            y = real(attempt, t0, t1, u0, step)
             if t1 == taus[1]:
-                # the isolated member of taus[1]: a system block of 0.5 I, its
-                # state's first two columns being those of V
-                y[0] = 0.5 * np.eye(*y0.shape[-2:])
+                # the isolated member of taus[1]: a propagator of 0.5 I, so a
+                # system block of 0.25 I
+                y[0] = 0.5 * np.eye(*u0.shape[-2:])
             return y
 
-        monkeypatch.setattr(moments, "solve_to", solve_to)
+        monkeypatch.setattr(moments, "collocate_to", collocate_to)
         iso, opn, errors = sweep.compute_chunk(cfg, taus)
         assert list(errors) == [1] and "unphysical state" in errors[1]
         for leg in (iso, opn):

@@ -246,14 +246,19 @@ class TestPhysicalityDefect:
 
 
 def spy_solve_spans(monkeypatch):
-    """Record ``(t0, t1, members)`` of every ``solve_to`` call of the engine."""
-    spans, real = [], moments.solve_to
+    """Record ``(t0, t1, members)`` of every span of the engine, ``solve_to`` or ``collocate_to``."""
+    spans, real, collocate = [], moments.solve_to, moments.collocate_to
 
-    def solve_to(rhs, t0, t1, y0, settings):
+    def solve_to(rhs, t0, t1, y0, settings, **carry):
         spans.append((t0, t1, y0.shape[0]))
-        return real(rhs, t0, t1, y0, settings=settings)
+        return real(rhs, t0, t1, y0, settings=settings, **carry)
+
+    def collocate_to(attempt, t0, t1, u0, step):
+        spans.append((t0, t1, u0.shape[0]))
+        return collocate(attempt, t0, t1, u0, step)
 
     monkeypatch.setattr(moments, "solve_to", solve_to)
+    monkeypatch.setattr(moments, "collocate_to", collocate_to)
     return spans
 
 
@@ -296,8 +301,8 @@ class TestEngine:
     def test_unphysical_final_state_fails_at_its_end(self, monkeypatch):
         real = moments.solve_to
 
-        def squeezed(rhs, t0, t1, y0, settings):
-            v = real(rhs, t0, t1, y0, settings=settings)
+        def squeezed(rhs, t0, t1, y0, settings, **carry):
+            v = real(rhs, t0, t1, y0, settings=settings, **carry)
             v[1] = 0.5 * np.eye(2)  # V + iJ has eigenvalue -1/2
             return v
 

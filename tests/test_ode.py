@@ -90,6 +90,27 @@ class TestSamplingAndControl:
         assert set(samples[1:]) <= set(ends) and max(ends) == 5.0
         assert np.max(np.abs(ys[:, 0] - np.exp(-samples))) < 1e-11
 
+    def test_a_later_span_keeps_the_step(self):
+        # spans sharing one step control: the second evaluates f(t0) once,
+        # runs no starting-step heuristic and starts from the proposal the
+        # first one ended with, clamped to its end
+        step = _ode._StepControl(IntegratorSettings())
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        y = solve_to(rhs, 0.0, 2.0, np.array([1.0]), step=step)
+        carried, first = step.h, len(calls)
+        assert (first - 2) % tab.N_STAGES == 0
+        y = solve_to(rhs, 2.0, 2.0 + 0.25 * carried, y, step=step)
+        assert len(calls) - first == 1 + tab.N_STAGES and calls[first] == 2.0
+        assert step.t == 2.0 + 0.25 * carried and abs(y[0] - np.exp(-step.t)) < 1e-11
+        fresh = []
+        solve_to(lambda t, y: fresh.append(t) or -y, 2.0, 2.0 + 0.25 * carried, np.exp([-2.0]))
+        assert len(fresh) > 1 + tab.N_STAGES  # a fresh control probes its first step
+
     def test_rejects_sample_times(self):
         with pytest.raises(TypeError):
             solve_to(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), t_samples=[0.5])
@@ -157,90 +178,6 @@ class TestBufferAliasing:
         ys = solve_stops(rhs, samples, y0)
         want = np.exp(samples)[:, None, None] * y0
         np.testing.assert_allclose(ys, want, rtol=1e-9, atol=0.0)
-
-
-class TestSubflow:
-    """``settings.subflow`` runs on every attempt; its commit runs once after each accepted step."""
-
-    def test_runs_once_per_accepted_step_and_never_on_a_rejection(self, monkeypatch):
-        attempts = []  # (t_n, t_{n+1}, accepted) of every attempt
-
-        class Recording(_ode._StepControl):
-            def settle(self, err):
-                t = self.t
-                accepted = super().settle(err)
-                attempts.append((t, self.t_new, accepted))
-                return accepted
-
-        monkeypatch.setattr(_ode, "_StepControl", Recording)
-        calls, commits = [], []
-
-        def subflow(t, t_new, y, y_new, dense):
-            calls.append((t, t_new))
-            return 0.0, lambda: commits.append((t, t_new, y.copy()))
-
-        def rhs(t, y):
-            return -50.0 * (1.0 + np.sin(t)) * y
-
-        y0 = np.array([1.0, 2.0])
-        y_end = solve_to(rhs, 0.0, 3.0, y0, IntegratorSettings(subflow=subflow))
-        assert any(not accepted for *_, accepted in attempts)
-        assert calls == [(t, t_new) for t, t_new, _ in attempts]
-        assert [(t, t_new) for t, t_new, _ in commits] == [(t, t_new) for t, t_new, ok in attempts if ok]
-        # a subflow that changes nothing leaves every bit as it was
-        bare = solve_to(rhs, 0.0, 3.0, y0)
-        assert y_end.tobytes() == bare.tobytes()
-        assert commits[-1][2].tobytes() == y_end.tobytes()
-
-    def test_samples_and_later_steps_see_the_update(self):
-        # the stages hold y fixed and the subflow is the whole flow
-        def decay(t, t_new, y, y_new, dense):
-            def commit():
-                y[...] *= np.exp(t - t_new)
-
-            return 0.0, commit
-
-        samples = np.array([0.0, 0.5, 1.25, 2.0])
-        settings = IntegratorSettings(max_step=0.1, subflow=decay)
-        ys = solve_stops(lambda t, y: np.zeros_like(y), samples, np.array([3.0]), settings)
-        np.testing.assert_allclose(ys[:, 0], 3.0 * np.exp(-samples), rtol=1e-13)
-
-    def test_subflow_error_rejects_the_attempt(self):
-        # the step's error is the larger of the stages' and the subflow's
-        seen = []
-
-        def picky(t, t_new, y, y_new, dense):
-            seen.append(t_new - t)
-            return (2.0 if t_new - t > 0.3 else 0.0), lambda: None
-
-        solve_to(lambda t, y: -y, 0.0, 3.0, np.array([1.0]), IntegratorSettings(subflow=picky))
-        accepted = [h for h in seen if h <= 0.3]
-        assert any(h > 0.3 for h in seen) and sum(accepted) == pytest.approx(3.0, rel=1e-12)
-
-    def test_dense_output_is_seventh_order(self):
-        # y' = cos(t) y, y = exp(sin t): the dense output at fractions of each
-        # step, with the stepper's stages and three extra stages, is 8th-order
-        # accurate locally, so halving the step cuts its error about 2^8 times
-        fractions = np.array([0.1, 0.35, 0.5, 0.8, 1.0])
-        weights = _ode.dense_weights(fractions)
-
-        def rhs(t, y):
-            return np.cos(t) * y
-
-        def worst(h):
-            errors = []
-
-            def probe(t, t_new, y, y_new, dense):
-                got = dense(rhs, weights)[:, 0]
-                errors.append(np.max(np.abs(got - y[0] * np.exp(np.sin(t + fractions * (t_new - t)) - np.sin(t)))))
-                return 0.0, lambda: None
-
-            solve_to(rhs, 0.0, 2.0, np.array([1.0]), IntegratorSettings(rtol=1e-3, max_step=h, subflow=probe))
-            return max(errors[2:])  # past the starting steps, every step sits at h
-
-        assert np.allclose(weights[-1], np.eye(1, tab.N_STAGES + 5)[0], rtol=0.0, atol=1e-15)  # y_new itself
-        coarse, fine = worst(0.2), worst(0.1)
-        assert 1e-13 < fine and coarse / fine > 100.0
 
 
 class TestAgainstScipy:

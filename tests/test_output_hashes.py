@@ -4,11 +4,12 @@
 quick ones are three thermodynamic linear-ramp sweeps, the QRM size
 crossover, which covers a finite-size model and the size-crossover
 writer, two structured-bath sweeps, which cover the chain network,
-its stages carrying the isolated mode's propagator U and its chain
-frame, and a Markovian ``dump-trajectory``, which covers sampling
-(each sample one more stop of the engine) and the trajectory writer.
-``ohmic_nonlinear.cfg`` is the only shipped config whose structured
-stages take the per-member ramp variable of a nonlinear ramp.
+its collocation steps of the isolated mode's propagator U and its
+chain frame, and a Markovian ``dump-trajectory``, which covers sampling
+(each sample one more stop of the engine, the step carried across
+stops) and the trajectory writer.  ``ohmic_nonlinear.cfg`` is the only
+shipped config whose structured steps take the per-member ramp
+variable of a nonlinear ramp.
 """
 
 import output_hashes
