@@ -1,19 +1,20 @@
-"""The flows and steppers of :func:`critquench.moments.propagate_batch`.
+"""The flows and the one stepper of :func:`critquench.moments.propagate_batch`.
 
-:func:`lyapunov_batch_rhs` is the right-hand side of the Lyapunov
+Every batch is integrated in the isolated mode's frame by
+:func:`collocate_to`: each step collocates the 2x2 propagator U of the
+system block (:func:`system_rates`) at the Gauss nodes of a
+:class:`FrameRule`, and a frame advances the rest of V from U at those
+nodes.  :class:`MarkovFrame` carries a Markovian bath's excess ``e``
+with an integrating factor; :class:`ChainFrame` carries a chain beside
+the system mode, with the exponential weights of
+:meth:`FrameRule.exp_weights` and the exact chain-block flow of
+:func:`chain_flow`.  Every network is in the mode-by-mode order of
+:mod:`critquench.moments`, so at any size the ramped entries are
+``Gamma[1, 0]`` and ``Gamma[0, 1]``; only they move with the coupling.
+:func:`lyapunov_batch_rhs`, the right-hand side of the Lyapunov
 equation ``dV/dt = Gamma(t) V + V Gamma(t)^T + D`` for a batch of
-covariances: the Markovian 2x2 one, and a reference on any network.
-A network with a chain beside the system mode is integrated in the
-isolated mode's frame instead, by :func:`collocate_to`: each step
-collocates the 2x2 propagator U of the system block
-(:func:`system_rates`) at the Gauss nodes of a :class:`FrameRule`, and
-:class:`ChainFrame` advances the rest of V from U at those nodes, with
-the exponential weights of :meth:`FrameRule.exp_weights` and the exact
-chain-block flow of :func:`chain_flow`.  Every network is in the
-mode-by-mode order of :mod:`critquench.moments`, so at any size the
-ramped entries are ``Gamma[1, 0]`` and ``Gamma[0, 1]``.  Each flow is
-built once per set of members; only the ramped system block of
-``Gamma`` moves with the coupling.
+covariances on any network, drives only the Runge-Kutta reference
+:func:`critquench.moments.propagate_moments_batch`.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
 
     Each member reads its ramp at its own clock ``s = u / end`` of the
     solver's one time ``u``, rescaled time at ``end = 1`` (the default)
-    and physical time at ``end = tau_q`` (see
-    :func:`critquench.moments.propagate_batch`).  The rate
+    and physical time at ``end = tau_q``.  The rate
     ``tau_q / end`` is folded in once, here, into the drift
     (:func:`_ramped_drift`), the diffusion and the ramp coefficients, so
     the result depends on ``(u, V)`` only.  V must be symmetric, as
@@ -299,28 +299,27 @@ def _chain_modes(gamma):
     return lam, vecs, real_inv[:m, :m] + 1j * real_inv[m:, :m]
 
 
-def _chain_drift(drift_base, diffusion, rate):
-    """The shared chain drift ``rate Gamma_cc`` of a batch, checked as :func:`chain_flow` needs it."""
-    r = np.asarray(rate, dtype=float)[:, None, None]
-    gamma = r * drift_base[:, 2:, 2:]
+def _chain_drift(drift_base, diffusion):
+    """The shared chain drift ``Gamma_cc`` of a batch, checked as :func:`chain_flow` needs it."""
+    gamma = drift_base[:, 2:, 2:]
     if np.any(gamma != gamma[:1]):
         raise ValueError("the members of a frozen-chain batch must share one chain drift")
-    if np.any(gamma + gamma.swapaxes(-1, -2) + r * diffusion[:, 2:, 2:]):
+    if np.any(gamma + gamma.swapaxes(-1, -2) + diffusion[:, 2:, 2:]):
         raise ValueError("a frozen chain needs a stationary vacuum: Gamma_cc + Gamma_cc^T + D_cc = 0")
     return gamma[0]
 
 
-def chain_flow(drift_base, diffusion, rate):
+def chain_flow(drift_base, diffusion):
     """Exact flow of a batch's chain block over one step.
 
     The chain block ``C = V[:, 2:, 2:]`` (B, N - 2, N - 2) obeys
-    ``dC/du = G C + C G^T + D_cc + K X^T + X K^T``, where
-    ``G = rate Gamma_cc``, ``K = rate Gamma[chain, system]`` and
+    ``dC/dt = G C + C G^T + D_cc + K X^T + X K^T``, where
+    ``G = Gamma_cc``, ``K = Gamma[chain, system]`` and
     ``X = V[:, 2:, :2]`` is the cross block; no coefficient moves with
     the coupling.  The chain's vacuum must be stationary,
-    ``G + G^T + rate D_cc = 0``, as it is exactly for every chain
+    ``G + G^T + D_cc = 0``, as it is exactly for every chain
     :func:`critquench.auxbath.build_system` writes.  Then ``E = C - I``
-    obeys ``dE/du = G E + E G^T + F`` with ``F = K X^T + X K^T``, and,
+    obeys ``dE/dt = G E + E G^T + F`` with ``F = K X^T + X K^T``, and,
     holding F at its value at the step's end, the flow over a step of
     length ``h`` is exact:
 
@@ -334,10 +333,10 @@ def chain_flow(drift_base, diffusion, rate):
     (default: all); a member without forcing (``K = 0``) keeps ``C = I``
     exactly.
     """
-    gamma = _chain_drift(drift_base, diffusion, rate)
+    gamma = _chain_drift(drift_base, diffusion)
     m = gamma.shape[-1]
     eye = np.eye(m)
-    k = np.asarray(rate, dtype=float)[:, None, None] * drift_base[:, 2:, :2]
+    k = drift_base[:, 2:, :2]
     # Phi_h = Re sum_k exp(h lam_k) P[:, k] P^-1[k, :] is one real product
     # with the (re, im) pairs of exp(h lam)
     lam, vecs, inv = _chain_modes(gamma)
@@ -365,13 +364,73 @@ def chain_flow(drift_base, diffusion, rate):
     return advance
 
 
+class MarkovFrame:
+    """The excess ``e`` of a Markovian batch in the isolated mode's frame.
+
+    The bath's drift base is ``-(kappa/2) I`` and its diffusion ``d I``
+    per member (:func:`critquench.moments.thermal_bath`).  The damping
+    commutes with the ramped system block ``A``, so with ``U' = A U``,
+    ``U(0) = I`` and ``V = U (1 + e) U^T`` the excess obeys exactly
+    ``e' = -kappa e + d (U^T U)^-1 - kappa I``.  Each step advances it
+    from U at the Gauss nodes ``c_j`` (weights ``b_j``) with the
+    integrating factor,
+
+        e <- exp(-kappa h) e + h sum_j b_j exp(-kappa h (1 - c_j)) [d (U_j^T U_j)^-1 - kappa I],
+
+    Gauss collocation of ``exp(kappa t) e`` beside U's, of order 2m at
+    the step's end.  Its error is 0, so U's stage estimate is the step's
+    only control; its first step is the cap.  ``e`` is kept as its
+    entries ``(e_qq, e_qp, e_pp)``, (B, 3); a member at
+    ``kappa = d = 0`` keeps ``e = 0`` exactly, so its V is ``U U^T``.
+    """
+
+    def __init__(self, drift_base, diffusion):
+        self.kappa, self.d = -2.0 * drift_base[:, 0, 0], diffusion[:, 0, 0]
+        for term, scale in ((drift_base, -0.5 * self.kappa), (diffusion, self.d)):
+            if np.any(term != scale[:, None, None] * np.eye(2)):
+                raise ValueError("a Markovian frame needs a drift base -(kappa/2) I and a diffusion d I")
+        self.e = np.zeros((self.kappa.size, 3))
+        self.rule, self.first_step = FrameRule(), math.inf
+
+    def state(self):
+        """``(e, x, c)`` of :func:`critquench.moments._covariance`: ``e`` (B, 2, 2), no chain."""
+        return self.e[:, [0, 1, 1, 2]].reshape(-1, 2, 2), np.zeros((len(self.e), 0, 2)), np.zeros((len(self.e), 0, 0))
+
+    def advance(self, active, rtol, atol):
+        """``advance(h, nodes, u_new) -> (0, commit)``: ``e`` of the members ``active`` over one step.
+
+        ``nodes`` is their U at the nodes (A, m, 2, 2), ``u_new`` at the step's end.
+        """
+        kappa, d, rule = self.kappa[active], self.d[active], self.rule
+        if not (np.any(kappa) or np.any(d)):
+            return lambda h, nodes, u_new: (0.0, lambda: None)
+        damping = (1.0 - rule.nodes) * -kappa[:, None]  # (A, m)
+
+        def advance(h, nodes, u_new):
+            weights = h * rule.gauss * np.exp(h * damping)
+            u00, u01, u10, u11 = nodes.reshape(*nodes.shape[:2], 4).T  # (m, A) each
+            det = u00 * u11 - u01 * u10
+            # (U^T U)^-1 = adj(U^T U) / det(U)^2, as its (qq, qp, pp) entries
+            inverse = np.stack([u01 * u01 + u11 * u11, -(u00 * u01 + u10 * u11), u00 * u00 + u10 * u10])
+            forcing = d[:, None] * np.sum(inverse * (weights.T / (det * det)), axis=1).T
+            forcing[:, ::2] -= (kappa * weights.sum(axis=1))[:, None]
+            e_new = np.exp(-kappa * h)[:, None] * self.e[active] + forcing
+
+            def commit():
+                self.e[active] = e_new
+
+            return 0.0, commit
+
+        return advance
+
+
 class ChainFrame:
     """The state of a network's chain beside the isolated mode's propagator U.
 
     Write ``V = [[S, X^T], [X, C]]``, ``A = Gamma_ss`` the ramped system
     block of the drift, ``G = Gamma_cc = P Lam P^-1``,
-    ``K = Gamma[chain, system]`` and ``K_sc = Gamma[system, chain]``
-    (rates folded in).  With ``U' = A U``, ``U(0) = I``, the frame
+    ``K = Gamma[chain, system]`` and ``K_sc = Gamma[system, chain]``.
+    With ``U' = A U``, ``U(0) = I``, the frame
     variables ``S = U (1 + e) U^T`` and ``X^T = U Z P^T`` obey exactly
 
         e' = U^-1 K_sc P Z^T + transpose,
@@ -380,9 +439,9 @@ class ChainFrame:
     and C the Lyapunov flow of :func:`chain_flow`.  The system mode
     must be undamped (``D`` zero in its rows, ``A`` zero on its
     diagonal) and the chain drift shared.  U does not depend on the
-    coupling to the chain.  Each step of :meth:`stepper` collocates U at
-    the Gauss nodes of its :class:`FrameRule` and advances ``e``, Z and
-    C from U there:
+    coupling to the chain.  Each step of :func:`collocate_to` collocates
+    U at the Gauss nodes of the frame's :class:`FrameRule`, and
+    :meth:`advance` moves ``e``, Z and C from U there:
 
     - Z exactly, for Phi the polynomial through its values at the
       nodes (:meth:`FrameRule.exp_weights`), each pair of conjugate modes through
@@ -413,11 +472,9 @@ class ChainFrame:
     ``tau = 50``; any first step up to 0.3 left it at rounding.
     """
 
-    def __init__(self, drift_base, diffusion, rate):
+    def __init__(self, drift_base, diffusion):
         b, dim = drift_base.shape[:2]
-        r = np.asarray(rate, dtype=float)[:, None, None]
-        self.k = r * drift_base[:, 2:, :2]
-        self.k_sc = r * drift_base[:, :2, 2:]
+        self.k, self.k_sc = drift_base[:, 2:, :2], drift_base[:, :2, 2:]
         self.coupled = np.flatnonzero(np.any(self.k, axis=(1, 2)) | np.any(self.k_sc, axis=(1, 2)))
         self.e = np.zeros((b, 2, 2))
         self.x = np.zeros((b, dim - 2, 2))
@@ -429,15 +486,16 @@ class ChainFrame:
         if self.coupled.size == 0:
             return
         o = self.coupled
-        lam, vecs, inv = _chain_modes(_chain_drift(drift_base[o], diffusion[o], rate[o]))
+        lam, vecs, inv = _chain_modes(_chain_drift(drift_base[o], diffusion[o]))
         # one mode of each conjugate pair, counted twice in X = Re(P Z^T) U^T
         keep = lam.imag >= 0.0
         self.lam = lam[keep]
         self.p = vecs[:, keep] * np.where(lam[keep].imag > 0.0, 2.0, 1.0)
         self.inv_t = inv[keep].T.copy()
         self.z = np.zeros((b, self.lam.size, 2), dtype=complex)
-        self.flow = chain_flow(drift_base[o], diffusion[o], rate[o])
+        self.flow = chain_flow(drift_base[o], diffusion[o])
         self.first_step = 1.0 / np.max(np.abs(lam))
+
     def state(self):
         """Copies of ``(e, x, c)``, which with U give V (:func:`critquench.moments._covariance`)."""
         return self.e.copy(), self.x.copy(), self.c.copy()
@@ -474,46 +532,15 @@ class ChainFrame:
         de = inv_k @ np.concatenate([z[o].real, z[o].imag], axis=-2)
         return de + de.swapaxes(-1, -2), dz
 
-    def stepper(self, active, system, rtol, atol):
-        """``attempt(t, h, u)``: one collocation step of the members ``active``, whose U is ``u``.
+    def advance(self, active, rtol, atol):
+        """``advance(h, nodes, u_new) -> (err, commit)``: the frame of the members ``active`` over one step.
 
-        ``system`` is their :func:`system_rates`; U comes from
-        :meth:`FrameRule.collocate` at the nodes ``t + h c_j``.  Every
-        accepted U is projected back to ``det U = 1``, which the exact
-        flow keeps (``Gamma_ss`` is traceless), so rounding does not
-        drift the isolated state off purity.  The attempt's error is
-        the larger of two RMS norms: the stage estimate, scaled by
-        ``atol + rtol |U|`` at the nodes, and the frame's estimate.
-        Returns ``(err, commit)``; ``commit()`` writes the accepted U
-        into ``u`` and the new frame state.
+        ``nodes`` is their U at the nodes (A, m, 2, 2), ``u_new`` at the step's end.
         """
-        rule = self.rule
         members = np.flatnonzero(np.isin(active, self.coupled))
-        advance = self._frame(active[members], rtol, atol) if members.size else None
-
-        def attempt(t, h, u):
-            nodes, end, change = rule.collocate(*system(t + h * rule.nodes), h, u)
-            u_new = _unimodular(end)
-            stage = change / (atol + rtol * np.abs(nodes))
-            err = math.sqrt(np.vdot(stage, stage) / stage.size)
-            if advance is None:
-                return err, lambda: np.copyto(u, u_new)
-            frame_err, frame_commit = advance(h, nodes[members].swapaxes(0, 1), u_new[members])
-
-            def commit():
-                u[...] = u_new
-                frame_commit()
-
-            return max(err, frame_err), commit
-
-        return attempt
-
-    def _frame(self, o, rtol, atol):
-        """``advance(h, nodes, u_new)``: the frame of the coupled members ``o`` over one step.
-
-        ``nodes`` is their U at the nodes (m, O, 2, 2), ``u_new`` at the
-        step's end; returns ``(err, commit)``.
-        """
+        if members.size == 0:
+            return lambda h, nodes, u_new: (0.0, lambda: None)
+        o = active[members]
         lam, n_modes, size = self.lam, self.lam.size, 2 * o.size
         rows = np.searchsorted(self.coupled, o)  # the members' rows in the chain flow
         couplings = self._couplings(o)
@@ -523,6 +550,7 @@ class ChainFrame:
             return err / (atol + rtol * np.maximum(np.abs(old), np.abs(new)))
 
         def advance(h, nodes, u_new):
+            nodes, u_new = nodes[members].swapaxes(0, 1), u_new[members]
             e0, z0, c0 = self.e[o], self.z[o], self.c[o]
             u_k, base, inv_k = self._factors(couplings, nodes, c0)
             inv_kk = np.concatenate([inv_k, inv_k], axis=1)
@@ -559,19 +587,33 @@ class ChainFrame:
         return advance
 
 
-def collocate_to(attempt, t0, t1, u0, step):
-    """U of a structured batch at ``t1`` from ``u0`` at ``t0``; returns it.
+def collocate_to(rule, system, advance, t0, t1, u0, step):
+    """U of a batch at ``t1`` from ``u0`` at ``t0``; returns it.
 
-    Steps by ``attempt`` (:meth:`ChainFrame.stepper`), which also
-    advances the chain frame, under ``step``, the
+    Each attempt collocates U at the nodes ``t + h c_j`` of ``rule``
+    (:meth:`FrameRule.collocate`), where ``system`` gives the rates of
+    the members' system block (:func:`system_rates`), and hands U at the
+    nodes and at the step's end to the frame's ``advance``
+    (:meth:`MarkovFrame.advance`, :meth:`ChainFrame.advance`).  Every
+    accepted U is projected back to ``det U = 1``, which the exact flow
+    keeps (``Gamma_ss`` is traceless), so rounding does not drift the
+    isolated state off purity.  The attempt's error is the larger of two
+    RMS norms: the stage estimate, scaled by ``atol + rtol |U|`` at the
+    nodes, and the frame's estimate.  Steps under ``step``, the
     :class:`critquench._ode._StepControl` of the propagation, whose
-    proposal is set (:attr:`ChainFrame.first_step` on the first span).
+    proposal is set (the frame's ``first_step`` on the first span) and
+    whose ``settings`` give the tolerances.
     """
     u = np.array(u0)
+    rtol, atol = step.settings.rtol, step.settings.atol
     step.span(t0, t1)
     while step.t < step.t1:
         t, h = step.t, step.attempt()
-        err, commit = attempt(t, h, u)
-        if step.settle(err):
+        nodes, end, change = rule.collocate(*system(t + h * rule.nodes), h, u)
+        u_new = _unimodular(end)
+        stage = change / (atol + rtol * np.abs(nodes))
+        frame_err, commit = advance(h, nodes, u_new)
+        if step.settle(max(math.sqrt(np.vdot(stage, stage) / stage.size), frame_err)):
+            u = u_new
             commit()
     return u

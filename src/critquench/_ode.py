@@ -1,52 +1,31 @@
-"""Adaptive explicit Runge-Kutta integration on array-valued states.
+"""Step control of the engine, and the Runge-Kutta reference stepper.
 
-This stepper drives the covariance-matrix Lyapunov flow of Markovian
-sweep batches, stacked along a leading axis.  The state may be any
-real or complex ndarray; the error norm is one RMS over all elements
-of the batch, so members share one step sequence and the tolerance
-bounds that RMS, not each member's own error: one member may exceed it
-by up to the square root of the number of elements.
+:class:`_StepControl` is the one step control of a propagation: it
+clamps each attempt to ``max_step`` and to the span's end, counts
+attempts against the budget, and accepts, rejects and resizes by an
+error norm, carrying its proposal from one span to the next.
+:func:`critquench._flows.collocate_to` steps every batch under it.
 
-There is one stage loop, :func:`solve_to`, which integrates one span
-and returns the state at its end (a sampled propagation stops at each
-sample); its step control (clamping, budget and underflow checks,
-accept/reject and growth) lives in :class:`_StepControl`.  The
-isolated and open legs of a sweep are two blocks of members of one
-batch, so they take one step sequence together.
-
-Each stage state is one ``np.dot``.  The loop allocates one stack of
-``N_STAGES + 2`` rows per call: ``k_12 ... k_0`` in reverse (stage
-``k_j`` in row ``12 - j``), then ``y`` in the last row.  Stage ``i``
-needs ``k_{i-1} ... k_0`` and ``y``, a contiguous suffix of the stack,
-so ``y + h sum_j a_ij k_j`` is the dot of that suffix with a weight row
-holding ``h a_ij`` and a final 1; ``y_new`` is the same dot with the
-``B`` row.  ``y`` comes last so that the increments are summed before
-it is added: with ``y`` first, each partial sum would round at
-``eps |y|``, and the structured excess, while these stages carried
-it, drifted several times further from a long-double run.  The
-weights are scaled by ``h`` once per attempt.  Every stage state, and
-``y_new``, is built in one buffer and handed to the right-hand side,
-whose result is copied into the stack at once, so a result aliasing
-its argument is safe.  The first-same-as-last
-evaluation has its own row (``k_12``); it moves into ``k_0``'s row, and
-``y_new`` into ``y``'s, only when the step is accepted.  ``|y|`` of an
-accepted step is carried into the next error scale.  The 5th- and
-3rd-order error sums are two dots over the contiguous ``k_12 ... k_0``
-with reversed weight rows: ``np.dot`` would copy a reversed view of the
-stack, and one fused (2, 13) dot changes the bits under OpenBLAS.
-
-A structured batch is not integrated here: the Gauss collocation step
-of :class:`critquench._flows.ChainFrame` advances its isolated mode's
-propagator and chain frame under the same :class:`_StepControl`.  A
-propagation that stops (at quench ends or samples) keeps one
-:class:`_StepControl` across its spans, so a span after the first
-starts from the step proposal the previous span ended with, not from
-:func:`_initial_step`.
-
-The method is the 8th-order Dormand-Prince pair with the combined
-5th/3rd-order error estimate, chosen because the sweep trajectories are
-long (up to 1e5 oscillation-resolved time units) and high order keeps
-the step count affordable at tolerances around 1e-10.
+:func:`solve_to` integrates one span by the 8th-order Dormand-Prince
+pair with the combined 5th/3rd-order error estimate, on any real or
+complex ndarray state; its error norm is one RMS over all elements.
+Only the reference :func:`critquench.moments.propagate_moments_batch`
+calls it.  Each stage state is one ``np.dot`` over a stack of
+``N_STAGES + 2`` rows: ``k_12 ... k_0`` in reverse (stage ``k_j`` in
+row ``12 - j``), then ``y`` in the last row, so ``y + h sum_j a_ij
+k_j`` is the dot of a contiguous suffix with a weight row holding
+``h a_ij`` and a final 1, and ``y_new`` the same dot with the ``B``
+row.  ``y`` comes last so that the increments are summed before it is
+added: with ``y`` first, each partial sum would round at ``eps |y|``.
+Every stage state, and ``y_new``, is built in one buffer and
+handed to the right-hand side, whose result is copied into the stack
+at once, so a result aliasing its argument is safe.  The
+first-same-as-last evaluation has its own row (``k_12``); it moves into
+``k_0``'s row, and ``y_new`` into ``y``'s, only when the step is
+accepted.  The 5th- and 3rd-order error sums are two dots over the
+contiguous ``k_12 ... k_0`` with reversed weight rows: ``np.dot`` would
+copy a reversed view, and one fused (2, 13) dot changes the bits under
+OpenBLAS.
 """
 
 from __future__ import annotations

@@ -183,24 +183,20 @@ def propagate_covariance_batch(
     """Vectorized Lyapunov propagation from the product vacuum ``V = I``.
 
     ``kappa`` is per member (default: the table's), so one batch may
-    hold a sweep's isolated members (the same network at ``kappa = 0``)
-    beside its open ones; ``eta`` defaults to the model's size.  The
-    batch runs on :func:`critquench.moments.propagate_batch` in physical
-    time, each Gauss collocation step advancing the isolated mode's
-    propagator U and the chain frame the rest of V.  U's rate is the
-    mode's frequency, so the step cap is ``3.5 / omega``; accuracy sets
-    most steps (``ohmic_critical.cfg``: 374 attempts over its 21 spans,
-    88 at the cap).  Returns ``(s_times, V)``, V of shape
-    (S, B, 2n, 2n).
+    hold isolated members (the same network at ``kappa = 0``) beside
+    open ones; ``eta`` defaults to the model's size.  The batch runs on
+    :func:`critquench.moments.propagate_batch`, each Gauss collocation
+    step advancing the isolated mode's propagator U and the chain frame
+    the rest of V; accuracy sets most steps (``ohmic_critical.cfg``:
+    372 attempts over its 21 spans, 89 at the cap).  Returns
+    ``(s_times, V)``, V of shape (S, B, 2n, 2n).
     """
     tau, g_f, r_n, kappa, eta = broadcast_members(
         tau_q, g_final, r_n, params.kappa if kappa is None else kappa, model.eta if eta is None else eta
     )
     terms = {k: build_system(model, replace(params, kappa=k)) for k in {params.kappa, *kappa.tolist()}}
     drift_base = np.stack([terms[k][0] for k in kappa.tolist()])
-    diffusion = np.broadcast_to(terms[params.kappa][1], drift_base.shape)
-    # the steps collocate only the isolated mode's propagator, whose rate is its frequency
-    return propagate_batch(drift_base, diffusion, model, tau, tau, g_f, r_n, eta, model.omega, settings, s_samples)
+    return propagate_batch(drift_base, terms[params.kappa][1], model, tau, g_f, r_n, eta, settings, s_samples)[:2]
 
 
 PARAMS_FILE_DOC = """\

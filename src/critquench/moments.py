@@ -24,12 +24,14 @@ on the 2x2 covariance of the system mode alone; the structured bath
 its own drift base and diffusion.
 
 Both baths run on one engine, :func:`propagate_batch`, and supply only
-their terms, clock and stability rate; the right-hand sides and the
-chain frame it hands to the stepper are in :mod:`critquench._flows`.
-A sweep is one vectorized batch whose members (quench times,
-couplings, ramp shapes, sizes, and the isolated and open legs, the
-isolated block at ``kappa = 0``) share one adaptive step sequence,
-which keeps thousand-point sweeps fast.
+their terms.  It steps the isolated mode's propagator U by Gauss
+collocation, in physical time under one step cap, and a frame carries
+the rest of V in U's frame (:mod:`critquench._flows`).  A sweep is one
+vectorized batch of one member per quench time (and size), and all of
+them share one adaptive step sequence, which keeps thousand-point
+sweeps fast; a member's isolated state is its own ``U U^T``.
+:func:`propagate_moments_batch` is the Runge-Kutta reference of the
+Markovian flow, which no production path calls.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as model_mod
-from ._flows import ChainFrame, collocate_to, lyapunov_batch_rhs, system_rates
-from ._ode import DEFAULT_SETTINGS, IntegratorSettings, _StepControl, solve_to
+from ._flows import ChainFrame, MarkovFrame, collocate_to, lyapunov_batch_rhs, system_rates
+from ._ode import DEFAULT_SETTINGS, IntegratorSettings, _StepControl
+from ._ode import solve_to  # only the reference's stepper; the benchmark patches it (ROADMAP item 1)
 from .errors import DomainError, IntegrationFailure, PhysicalityError
 from .model import ModelSpec
 from .protocol import QuenchProtocol
@@ -106,10 +109,10 @@ class BathSpec:
         ``kappa`` (default: the bath's) and ``eta`` (default: the
         model's size) may be per member.
         """
-        return propagate_moments_batch(
-            tau_q, g_final, r_n, model, self.kappa if kappa is None else kappa, self.n_th,
-            eta=eta, settings=settings, s_samples=s_samples,
+        tau, g_f, r_n, eta, kappa = broadcast_members(
+            tau_q, g_final, r_n, model.eta if eta is None else eta, self.kappa if kappa is None else kappa
         )
+        return propagate_batch(*thermal_bath(kappa, self.n_th), model, tau, g_f, r_n, eta, settings, s_samples)[:2]
 
 
 ISOLATED = BathSpec()
@@ -170,70 +173,61 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
 
 
 def propagate_moments_batch(
-    tau_q,
-    g_final,
-    r_n,
-    model: ModelSpec,
-    kappa,
-    n_th,
-    eta=None,
-    settings: IntegratorSettings = DEFAULT_SETTINGS,
-    s_samples=None,
+    tau_q, g_final, r_n, model: ModelSpec, kappa, n_th, eta=None, settings: IntegratorSettings = DEFAULT_SETTINGS
 ):
-    """Propagate many Markovian quenches at once from the vacuum ``V = I``.
+    """Reference: many Markovian quenches from the vacuum ``V = I`` by Runge-Kutta.
 
-    All parameter arguments broadcast against each other; ``eta``
-    defaults to the model's size but may be an array for size sweeps.
-    ``kappa`` and ``n_th`` are per member, so one batch may hold
-    isolated (``kappa = 0``) and open members side by side.  Returns
-    ``(s_times, V)`` with V of shape (S, B, 2, 2).
+    One :func:`solve_to` call (8th-order Dormand-Prince) integrates V
+    itself with :func:`lyapunov_batch_rhs`, in rescaled time ``s`` in
+    [0, 1], under the cap ``3.5 / (max(2.5 omega, kappa) max(tau_q))``,
+    and the final state passes the physicality check of
+    :func:`propagate_batch`.  No production path calls it: the tests and
+    the benchmark compare the engine against it.  All parameter
+    arguments broadcast against each other; ``eta`` defaults to the
+    model's size.  Returns ``([1], V)`` with V of shape (1, B, 2, 2).
     """
     tau, g_f, r_n, eta, kappa, n_th = broadcast_members(
         tau_q, g_final, r_n, model.eta if eta is None else eta, kappa, n_th
     )
-    drift_base, diffusion = thermal_bath(kappa, n_th)
     rate = max(2.5 * model.omega, float(np.max(kappa)))
-    return propagate_batch(drift_base, diffusion, model, tau, 1.0, g_f, r_n, eta, rate, settings, s_samples)
+    settings = replace(settings, max_step=min(settings.max_step, 3.5 / (rate * float(np.max(tau)))))
+    rhs = lyapunov_batch_rhs(*thermal_bath(kappa, n_th), model, tau, g_f, r_n, eta, 1.0)
+    v = solve_to(rhs, 0.0, 1.0, np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy(), settings)
+    _require_physical(v, settings.rtol, np.ones(tau.size))
+    return np.ones(1), v[None]
 
 
 def propagate_batch(
-    drift_base, diffusion, model: ModelSpec, tau, end, g_f, r_n, eta, rate, settings=DEFAULT_SETTINGS, s_samples=None
+    drift_base, diffusion, model: ModelSpec, tau, g_f, r_n, eta, settings=DEFAULT_SETTINGS, s_samples=None
 ):
     """The one Lyapunov engine: propagate a batch from the vacuum ``V = I``.
 
-    A bath supplies its terms (``drift_base`` and ``diffusion``, one per
-    member), its clock ``end`` and its stability ``rate``.  A member's
-    ramp ends at solver time ``end``: 1 in rescaled time, ``tau`` in
-    physical time.  One call of the stepper runs to each distinct end,
-    and the members ending there leave; every span keeps the step the
-    last one ended with, and the step cap is
-    ``3.5 / (rate * max(tau / end))``.  The clock is per bath: a
-    structured batch runs in physical time, but a Markovian batch is
-    limited by accuracy early on (``critical_akz_zero_temperature.cfg``:
-    11 solves and 9,379 attempts, against one solve of 7,366 in rescaled
-    time).  The network's size makes the one choice of state:
+    A bath supplies its terms, ``drift_base`` and ``diffusion``, one per
+    member or one for all.  The batch runs in physical time: one call of
+    :func:`collocate_to` runs to each distinct ``tau``, and the members
+    ending there leave; every span keeps the step the last one ended
+    with.  Each step collocates the isolated mode's 2x2 propagator U,
+    whose rate is the mode's frequency, so the cap is ``3.5 / omega``
+    for every bath: it keeps the largest steps from about doubling their
+    rejections.  A frame built once per batch carries the rest of V in
+    U's frame: the Markovian excess at N = 2
+    (:class:`critquench._flows.MarkovFrame`), else the chain
+    (:class:`critquench._flows.ChainFrame`).
 
-    - at N = 2 (Markovian), :func:`solve_to`'s Runge-Kutta stages
-      integrate V itself with :func:`lyapunov_batch_rhs`;
-    - otherwise :func:`collocate_to` steps the isolated mode's 2x2
-      propagator U by Gauss collocation at the nodes of the
-      :class:`critquench._flows.ChainFrame` built once per batch, which
-      advances the rest of V in U's frame from U at those nodes, and
-      the chain block exactly; the step's error is the larger of U's
-      and the frame's estimates.  No chain mode enters the step, and
-      the bath's ``rate`` only bounds U's: the cap keeps the largest
-      steps from about doubling their rejections.
-
-    Each sample time ``s end`` is one more stop (sampling needs one end
-    and ``s`` in ``[0, 1]``), and V is rebuilt, exactly symmetric, at
-    each sample and at the end.  A member ending with an eigenvalue of
-    ``V + iJ`` below ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
-    :class:`IntegrationFailure` at its end.  Returns ``(s_times, V)``,
-    V of shape (S, B, N, N): ``s_times`` is ``s_samples`` as given,
-    member ``b`` sampled at ``s end_b``, or ``[1]`` without samples.
+    Each sample time ``s tau`` is one more stop (sampling needs one
+    ``tau`` and ``s`` in ``[0, 1]``).  V is rebuilt, exactly symmetric,
+    at each sample and at the end, beside the isolated state ``U U^T``
+    of the same member, V at ``kappa = 0``.  A member ending with an
+    eigenvalue of ``V + iJ``, in either, below
+    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
+    :class:`IntegrationFailure` at its end.  Returns
+    ``(s_times, V, isolated)``, V (S, B, N, N) and ``isolated``
+    (S, B, 2, 2): ``s_times`` is ``s_samples`` as given, member ``b``
+    sampled at ``s tau_b``, or ``[1]`` without samples.
     """
-    ends = np.broadcast_to(end, tau.shape)
-    stops = sorted(set(ends.tolist()))
+    drift_base = np.broadcast_to(drift_base, tau.shape + np.shape(drift_base)[-2:])
+    diffusion = np.broadcast_to(diffusion, drift_base.shape)
+    stops = sorted(set(tau.tolist()))
     if s_samples is not None:
         s_samples = np.atleast_1d(np.asarray(s_samples, dtype=float))
         if len(stops) > 1:
@@ -242,54 +236,48 @@ def propagate_batch(
             raise ValueError(f"sample times must lie in [0, 1], got {s_samples.tolist()}")
         sample_times = (s_samples * stops[0]).tolist()
         stops = sorted(set(stops).union(sample_times) - {0.0})
-    cap = 3.5 / (rate * float(np.max(tau / end)))
-    settings = replace(settings, max_step=min(settings.max_step, cap))
+    settings = replace(settings, max_step=min(settings.max_step, 3.5 / model.omega))
 
-    dim = drift_base.shape[-1]
-    frame = None if dim == 2 else ChainFrame(drift_base, diffusion, tau / ends)
-    state = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()  # V at N = 2, else U
-    step = _StepControl(settings)
-    if frame is not None:  # the collocation's stage estimate is O(h^m) at m nodes
-        step = _StepControl(settings, -1.0 / frame.rule.nodes.size, frame.first_step)
-    # a single span has no step to carry, and keeps the plain solve_to call
-    # that the benchmark's tracer wraps (ROADMAP item 1)
-    carry = {"step": step} if len(stops) > 1 else {}
+    frame = (MarkovFrame if drift_base.shape[-1] == 2 else ChainFrame)(drift_base, diffusion)
+    u = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()
+    # the collocation's stage estimate is O(h^m) at m nodes
+    step = _StepControl(settings, -1.0 / frame.rule.nodes.size, frame.first_step)
 
-    def covariance():
-        return state.copy() if frame is None else _covariance(state, *frame.state())
+    def sample():
+        return _covariance(u, *frame.state()), u @ u.swapaxes(-1, -2)
 
-    sampled = {0.0: covariance()} if s_samples is not None else {}
+    sampled = {0.0: sample()} if s_samples is not None else {}
     active, start, built = np.arange(tau.size), 0.0, 0
     for stop in stops:
         if active.size != built:  # the first span, or members have left
             built = active.size
-            # a shared end stays the scalar it is, so its RHS divides by no array
-            clock = end if np.ndim(end) == 0 else ends[active]
-            ramp = (model, tau[active], g_f[active], r_n[active], eta[active], clock)
-            if frame is None:
-                rhs = lyapunov_batch_rhs(drift_base[active], diffusion[active], *ramp)
-            else:
-                attempt = frame.stepper(active, system_rates(*ramp), settings.rtol, settings.atol)
-        if frame is None:
-            state[active] = solve_to(rhs, start, stop, state[active], settings, **carry)
-        else:
-            state[active] = collocate_to(attempt, start, stop, state[active], step)
+            system = system_rates(model, tau[active], g_f[active], r_n[active], eta[active], tau[active])
+            advance = frame.advance(active, settings.rtol, settings.atol)
+        u[active] = collocate_to(frame.rule, system, advance, start, stop, u[active], step)
         if s_samples is not None:
-            sampled[stop] = covariance()
-        active, start = active[ends[active] > stop], stop
+            sampled[stop] = sample()
+        active, start = active[tau[active] > stop], stop
 
-    v = covariance()
-    # a defect within the error control of the flow is not a fault: loose
-    # tolerances leave a pure state up to about rtol |V| below the bound
-    floor = PHYSICALITY_TOL + settings.rtol * np.max(np.abs(v), axis=(-2, -1))
+    finals = sample()
+    for final in finals:
+        _require_physical(final, settings.rtol, tau)
+    if s_samples is None:
+        return np.ones(1), *(final[None] for final in finals)
+    return s_samples, *(np.stack([sampled[t][k] for t in sample_times]) for k in (0, 1))
+
+
+def _require_physical(v, rtol, ends):
+    """Raise :class:`IntegrationFailure` at its end for the worst member of ``v`` below the physicality floor.
+
+    The floor is ``PHYSICALITY_TOL + rtol max|V|``: loose tolerances
+    leave a pure state up to about ``rtol |V|`` below the bound.
+    """
+    floor = PHYSICALITY_TOL + rtol * np.max(np.abs(v), axis=(-2, -1))
     defect = physicality_defect(v, symplectic_form(v.shape[-1] // 2))
     worst = int(np.argmin(defect + floor))
     if defect[worst] < -floor[worst]:
         message = f"unphysical state: V + iJ has eigenvalue {defect[worst]:.3g} below -{floor[worst]:.3g}"
         raise IntegrationFailure(message, t_last=float(ends[worst]))
-    if s_samples is None:
-        return np.ones(1), v[None]
-    return s_samples, np.stack([sampled[t] for t in sample_times])
 
 
 def _covariance(u, e, x, c):

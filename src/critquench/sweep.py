@@ -1,21 +1,20 @@
 """Config-driven sweeps over quench time and system size.
 
-A sweep propagates every requested quench time, in an isolated and an
-open leg, extracts final-time observables, fits the dissipative excess
+A sweep propagates every requested quench time, extracts final-time
+observables of its isolated and open legs, fits the dissipative excess
 against the quench time and judges the fitted exponent against the
 applicable scaling prediction.  Output is a CSV table (one row per
 quench time) plus a plain-text fit report whose every line carries the
 config hash.
 
-The whole quench-time grid runs in one process, as one batch for
-either bath: the isolated and open legs are two blocks of members on
-one shared step sequence, the isolated block at ``kappa = 0``, so the
-isolated column depends on the bath only at the level of the error
-control, and the two legs' step errors cancel in the excess.  A
-structured batch runs in physical time, and each quench time leaves it
-when its ramp ends.  Only when the batch fails does every row run
-alone, so a failing quench time loses both its legs and the rest of
-the sweep completes.
+The whole quench-time grid runs in one process, as one batch of one
+member per quench time for either bath, in physical time: each member
+leaves the batch when its ramp ends.  A member's isolated state is
+``U U^T`` and its open state ``U (1 + e) U^T``, U the isolated mode's
+propagator, whose steps read nothing of a Markovian bath: a Markovian
+sweep's isolated column is the same for every bath.  Only when the
+batch fails does every row run alone, so a failing quench time loses
+both its legs and the rest of the sweep completes.
 """
 
 from __future__ import annotations
@@ -71,19 +70,15 @@ def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
 def _legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dict]:
     """Isolated and open final observables of one batch over ``taus``.
 
-    The batch holds the isolated members (``kappa = 0``), then the open
-    ones, for either bath; an isolated config has only the first block,
-    which fills both columns.  ``eta`` optionally gives each quench time
-    its size.
+    The batch holds one member per quench time, at the bath's terms: its
+    isolated column is the member's ``U U^T`` and its open column its
+    V (:func:`critquench.moments.propagate_batch`).  ``eta`` optionally
+    gives each quench time its size.
     """
-    kappas = (0.0,) if config.is_isolated else (0.0, config.bath.kappa)
-    n = len(taus)
-    _, vs = config.bath.propagate(
-        np.tile(taus, len(kappas)), config.g_final, config.r_n, config.model, settings=config.settings,
-        kappa=np.repeat(kappas, n), eta=None if eta is None else np.tile(eta, len(kappas)),
-    )
-    values = moments.observables_from_covariance(vs[-1], config.g_final, config.model.omega)
-    return {obs: v[:n] for obs, v in values.items()}, {obs: v[-n:] for obs, v in values.items()}
+    model = config.model
+    members = moments.broadcast_members(taus, config.g_final, config.r_n, model.eta if eta is None else eta)
+    _, vs, isolated = moments.propagate_batch(*config.bath.lyapunov_terms(model), model, *members, config.settings)
+    return tuple(moments.observables_from_covariance(v[-1], config.g_final, model.omega) for v in (isolated, vs))
 
 
 def _leg_with_row_fallback(config: ExperimentConfig, taus, legs) -> tuple[dict, dict, dict[int, str]]:

@@ -11,9 +11,10 @@ Run from the repository root with ``PYTHONPATH=src``:
 
 ``python tests/ledger_probe.py ramp --rn 2 --kappa 1e-7``
     propagates a critical ramp from the cold Markovian bath over
-    ``1e4..1e5`` and prints the pure power-law and log-corrected
-    exponents with their residuals, the linear-response ratio and the
-    local exponents.
+    ``1e4..1e5`` on the engine, one member per quench time and one more
+    at ``kappa/10`` for ``tau_max``, and prints the pure power-law and
+    log-corrected exponents with their residuals, the linear-response
+    ratio and the local exponents.
 
 ``python tests/ledger_probe.py ripple configs/ohmic_offcritical.cfg --tau 900 --refit``
     scans three periods of ``tau_q`` above ``--tau`` and fits the excess
@@ -24,28 +25,28 @@ Run from the repository root with ``PYTHONPATH=src``:
     also sweeps the config and refits it with that ripple removed.
 
 ``python tests/ledger_probe.py steps configs/ohmic_critical.cfg``
-    propagates a config's quench-time grid once (both legs, no fit) and
-    prints, for each span of the engine in order (a ``solve_to`` call,
-    or a ``collocate_to`` call of a structured batch), its time span,
-    the members it carries, the attempted steps, the rejected ones, the
-    accepted steps that sat at ``max_step``, its wall time and the wall
-    time of its chain frame's collocation steps, U's solve included (0
-    without a chain); then the totals, with the member-attempts (members
-    times attempts, summed).  The first line also gives how many numbers
-    per member the stepper carries (V, or U), out of the covariance's,
-    and the step cap;
-    for a structured config, the eigenvalue moduli ``|lambda|`` of the
-    chain drift (one per conjugate pair) and the largest
-    ``h |lambda|`` an accepted step reached.
+    propagates a config's quench-time grid once (both columns, no fit;
+    a size crossover's whole batch, every size, with its fits) and
+    prints, for each span of the engine in order (a
+    ``collocate_to`` call), its time span, the members it carries, the
+    attempted steps, the rejected ones, the accepted steps that sat at
+    ``max_step``, its wall time, and the parts of it spent in U's
+    collocation and in the frame (the Markovian excess, or the chain);
+    then the totals, with the member-attempts (members times attempts,
+    summed).  The first line also gives how many numbers per member the
+    stepper carries (U), out of the covariance's, and the step cap; for
+    a structured config, the eigenvalue moduli ``|lambda|`` of the chain
+    drift (one per conjugate pair) and the largest ``h |lambda|`` an
+    accepted step reached.
 
 ``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 1000 --cap-divisor 4``
-    propagates one quench of a structured config per ``--tau``, its
-    isolated and open members as one batch, once as a sweep does and
-    once in long double through the full flow (no frame) at rtol 1e-13
-    with its stability cap ``3.5 / radius`` divided by
-    ``--cap-divisor``, and prints both excesses per quench time and
-    observable with their relative difference; the first line ends
-    with the worst of them.
+    propagates one quench of a structured config per ``--tau``, once as
+    a sweep does (one member, its isolated state its own ``U U^T``) and
+    once in long double through the full flow (no frame), its isolated
+    and open members as one batch, at rtol 1e-13 with its stability cap
+    ``3.5 / radius`` divided by ``--cap-divisor``, and prints both
+    excesses per quench time and observable with their relative
+    difference; the first line ends with the worst of them.
 """
 
 import argparse
@@ -57,14 +58,14 @@ from scipy.integrate import quad
 from test_acceptance import fit_log_corrected
 from test_auxbath import EXCESS_OBSERVABLES, long_double_excess, structured_excess
 
-from critquench import _ode, moments
+from critquench import moments
 from critquench.auxbath import build_system
 from critquench.config import load_config
 from critquench.model import THERMODYNAMIC
-from critquench.moments import observables_from_covariance, propagate_moments_batch
+from critquench.moments import observables_from_covariance, thermal_bath
 from critquench.protocol import ramp_profile
 from critquench.scaling import fit_power_law
-from critquench.sweep import compute_chunk, run_sweep, tau_grid
+from critquench.sweep import compute_chunk, run_size_crossover, run_sweep, tau_grid
 
 
 def local_exponents(taus, deltas):
@@ -94,17 +95,20 @@ def cmd_linear(args):
 def cmd_ramp(args):
     taus = np.geomspace(args.tau_min, args.tau_max, args.points)
     n = taus.size
-    tau_b = np.concatenate([taus, taus, [taus[-1]]])
-    kap_b = np.concatenate([np.zeros(n), np.full(n, args.kappa), [args.kappa / 10.0]])
-    _, ys = propagate_moments_batch(tau_b, 1.0, args.rn, THERMODYNAMIC, kap_b, 0.0)
-    obs = observables_from_covariance(ys[-1], 1.0, 1.0)
+    tau_b = np.append(taus, taus[-1])
+    kap_b = np.append(np.full(n, args.kappa), args.kappa / 10.0)
+    one = np.ones(n + 1)
+    _, vs, isolated = moments.propagate_batch(
+        *thermal_bath(kap_b, 0.0), THERMODYNAMIC, tau_b, one, args.rn * one, THERMODYNAMIC.eta * one
+    )
+    obs, iso = (observables_from_covariance(v[-1], 1.0, 1.0) for v in (vs, isolated))
     print(f"r_n = {args.rn:g}  kappa = {args.kappa:g}  tau_q = {args.tau_min:g}..{args.tau_max:g}")
     for name in ("e_r", "dp"):
-        values = obs[name]
-        deltas = values[n : 2 * n] - values[:n]
+        excess = obs[name] - iso[name]
+        deltas = excess[:n]
         pure = fit_power_law(taus, deltas)
         b, c, rms = fit_log_corrected(taus, deltas)
-        ratio = deltas[-1] / (values[-1] - values[n - 1])
+        ratio = deltas[-1] / excess[-1]
         print(
             f"  {name:>3}: power law b = {pure.exponent:.4f} (rms {pure.residual_rms:.2e})"
             f"  log-corrected b = {b:.4f}, c = {c:.3f} (rms {rms:.2e})"
@@ -154,18 +158,16 @@ def chain_moduli(config):
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real = (_ode._StepControl, moments._StepControl, moments.ChainFrame, moments.solve_to, moments.collocate_to)
-    real_frame, real_solve, real_collocate = real[2:]
-    spans, controls = [], []  # one record per span; every step control made
+    real = (moments._StepControl, moments.collocate_to)
+    spans = []  # one record per span
     fastest = chain_moduli(config)[-1] if config.bath_type == "structured" else 0.0
     reached = [0.0]  # the largest h |lambda| of an accepted step
 
     class Counted(real[0]):
-        # a propagation's step control, counting as it settles
+        # the propagation's step control, counting as it settles
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.rejected = self.at_cap = 0
-            controls.append(self)
 
         def settle(self, err):
             accepted = super().settle(err)
@@ -173,60 +175,53 @@ def cmd_steps(args):
             self.at_cap += accepted and self.h_try == self.settings.max_step
             return accepted
 
-    def counts(step):
-        return np.array([step.n_steps, step.rejected, step.at_cap]) if step is not None else np.zeros(3, int)
+    def timed(key, func):
+        # func, its wall time added to the current span's ``key``
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return func(*args)
+            finally:
+                spans[-1][key] += time.perf_counter() - start
 
-    def span(t0, t1, y0, step, run):
-        # one span of the engine: its members, numbers per member, step counts, wall and frame time
-        record = {"span": (t0, t1), "members": y0.shape[0], "carried": y0[0].size, "frame_s": 0.0}
+        return call
+
+    class TimedRule:
+        # the frame's quadrature, timing U's collocation
+        def __init__(self, rule):
+            self.nodes, self.collocate = rule.nodes, timed("u_s", rule.collocate)
+
+    def timed_advance(advance):
+        def frame_step(h, nodes, u_new):
+            err, commit = advance(h, nodes, u_new)
+
+            def counted():
+                commit()
+                reached[0] = max(reached[0], h * fastest)
+
+            return err, timed("frame_s", counted)
+
+        return timed("frame_s", frame_step)
+
+    def collocate_to(rule, system, advance, t0, t1, u0, step):
+        # one span of the engine: its members, numbers per member, step counts and times
+        record = {"span": (t0, t1), "members": u0.shape[0], "carried": u0[0].size, "u_s": 0.0, "frame_s": 0.0}
         spans.append(record)
-        before, start = counts(step), time.perf_counter()
-        y = run()
+        before = np.array([step.n_steps, step.rejected, step.at_cap])
+        start = time.perf_counter()
+        u = real[1](TimedRule(rule), system, timed_advance(advance), t0, t1, u0, step)
         record["wall_s"] = time.perf_counter() - start
-        step = step or controls[-1]
-        record["steps"], record["max_step"] = counts(step) - before, step.settings.max_step
-        return y
+        record["steps"] = np.array([step.n_steps, step.rejected, step.at_cap]) - before
+        record["max_step"] = step.settings.max_step
+        return u
 
-    def solve_to(rhs, t0, t1, y0, settings, step=None):
-        return span(t0, t1, y0, step, lambda: real_solve(rhs, t0, t1, y0, settings, step=step))
-
-    def collocate_to(attempt, t0, t1, u0, step):
-        return span(t0, t1, u0, step, lambda: real_collocate(attempt, t0, t1, u0, step))
-
-    def timed_frame(*args):
-        # the frame's collocation step, U's solve included, is timed within its span
-        frame = real_frame(*args)
-        stepper = frame.stepper
-
-        def timed_stepper(*setup):
-            attempt = stepper(*setup)
-
-            def timed(t, h, u):
-                start = time.perf_counter()
-                err, commit = attempt(t, h, u)
-                spans[-1]["frame_s"] += time.perf_counter() - start
-
-                def counted():
-                    start = time.perf_counter()
-                    commit()
-                    reached[0] = max(reached[0], h * fastest)
-                    spans[-1]["frame_s"] += time.perf_counter() - start
-
-                return err, counted
-
-            return timed
-
-        frame.stepper = timed_stepper
-        return frame
-
-    _ode._StepControl = moments._StepControl = Counted
-    moments.ChainFrame, moments.solve_to, moments.collocate_to = timed_frame, solve_to, collocate_to
+    moments._StepControl, moments.collocate_to = Counted, collocate_to
     try:
         t0 = time.perf_counter()
-        compute_chunk(config, taus)
+        run_size_crossover(config) if config.eta_list else compute_chunk(config, taus)
         wall = time.perf_counter() - t0
     finally:
-        _ode._StepControl, moments._StepControl, moments.ChainFrame, moments.solve_to, moments.collocate_to = real
+        moments._StepControl, moments.collocate_to = real
     cap, numbers = spans[0]["max_step"], 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
         numbers = build_system(config.model, config.bath)[0].size
@@ -235,17 +230,19 @@ def cmd_steps(args):
         moduli = ", ".join(f"{m:.4g}" for m in chain_moduli(config))
         limits += f", chain's |lambda| {moduli}, largest h|lambda| {reached[0]:.3f}"
     print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}{limits}")
-    print("  solve  t0..t1  members  attempts  rejected  at_max_step  wall_s  frame_s")
+    print("  span  t0..t1  members  attempts  rejected  at_max_step  wall_s  u_s  frame_s")
     for i, s in enumerate(spans):
         (a, b), (attempts, rejected, at_cap) = s["span"], s["steps"]
         print(
-            f"  {i:>5}  {a:g}..{b:g}  {s['members']}  {attempts}  {rejected}  {at_cap}"
-            f"  {s['wall_s']:.4f}  {s['frame_s']:.4f}"
+            f"  {i:>4}  {a:g}..{b:g}  {s['members']}  {attempts}  {rejected}  {at_cap}"
+            f"  {s['wall_s']:.6f}  {s['u_s']:.6f}  {s['frame_s']:.6f}"
         )
     total = sum(s["steps"] for s in spans)
     print(
-        f"  total: {len(spans)} solves, {total[0]} attempts, {total[1]} rejected, {total[2]} at max_step,"
-        f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts, {wall:.3f} s wall"
+        f"  total: {len(spans)} spans, {total[0]} attempts, {total[1]} rejected, {total[2]} at max_step,"
+        f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts,"
+        f" {sum(s['u_s'] for s in spans):.3f} s U's solve, {sum(s['frame_s'] for s in spans):.3f} s frame,"
+        f" {wall:.3f} s wall"
     )
 
 

@@ -43,7 +43,7 @@ from critquench.model import THERMODYNAMIC
 from critquench.moments import (
     lyapunov_batch_rhs,
     physicality_defect,
-    propagate_moments_batch,
+    propagate_batch,
     symplectic_form,
     thermal_bath,
 )
@@ -238,29 +238,28 @@ class TestCriterion4LinearAkz:
 
 @pytest.fixture(scope="module")
 def steeper_ramps():
-    # one shared batch for the r_n = 1 and r_n = 2 tracking checks; the
-    # r_n = 2 excess is taken at WEAK_KAPPA, plus one row at WEAK_KAPPA / 10
-    # for its linear-response check
+    # one shared batch for the r_n = 1 and r_n = 2 tracking checks, one
+    # member per quench time, each member's isolated state its own U U^T;
+    # the r_n = 2 excess is taken at WEAK_KAPPA, plus one row at
+    # WEAK_KAPPA / 10 for its linear-response check
     taus = np.geomspace(1e4, 1e5, 11)
     n_tau = taus.size
-    tau_b = np.append(np.tile(taus, 4), taus[-1])
-    rn_b = np.append(np.repeat([1.0, 2.0], 2 * n_tau), 2.0)
-    kap_b = np.concatenate(
-        [np.repeat([0.0, 1e-6, 0.0, WEAK_KAPPA], n_tau), [WEAK_KAPPA / 10.0]]
-    )
-    _, ys = propagate_moments_batch(tau_b, 1.0, rn_b, THERMODYNAMIC, kap_b, 0.0)
-    obs = observables_from_covariance(ys[-1], 1.0, 1.0)
+    tau_b = np.append(np.tile(taus, 2), taus[-1])
+    rn_b = np.append(np.repeat([1.0, 2.0], n_tau), 2.0)
+    kap_b = np.append(np.repeat([1e-6, WEAK_KAPPA], n_tau), WEAK_KAPPA / 10.0)
+    one = np.ones(tau_b.size)
+    _, vs, isolated = propagate_batch(*thermal_bath(kap_b, 0.0), THERMODYNAMIC, tau_b, one, rn_b, THERMODYNAMIC.eta * one)
+    obs, iso = (observables_from_covariance(v[-1], 1.0, 1.0) for v in (vs, isolated))
     out = {"taus": taus}
     for j, rn in enumerate((1.0, 2.0)):
-        iso = slice(2 * j * n_tau, (2 * j + 1) * n_tau)
-        opn = slice((2 * j + 1) * n_tau, (2 * j + 2) * n_tau)
+        rows = slice(j * n_tau, (j + 1) * n_tau)
         for name in ("e_r", "dp"):
-            delta = obs[name][opn] - obs[name][iso]
+            delta = obs[name][rows] - iso[name][rows]
             if rn == 1.0:
                 out[rn, name] = fit_power_law(taus, delta).exponent
             else:
                 out["delta", name] = delta
-                out["delta_tenth", name] = obs[name][-1] - obs[name][iso][-1]
+                out["delta_tenth", name] = obs[name][-1] - iso[name][-1]
     return out
 
 

@@ -87,10 +87,13 @@ def _final_excess(v, g_final, model):
 
 
 def structured_excess(params, model, tau, g_final, r_n=1.0, settings=IntegratorSettings()):
-    """Excess of one quench as a sweep takes it: the ``kappa = 0`` and open
-    members of one batch through ``params.propagate``."""
-    _, vs = params.propagate(tau, g_final, r_n, model, settings=settings, kappa=[0.0, params.kappa])
-    return _final_excess(vs[-1], g_final, model)
+    """Excess of one quench as a sweep takes it: one member of the engine,
+    its isolated state its own ``U U^T``."""
+    one = np.ones(1)
+    ramp = (model, tau * one, g_final * one, r_n * one, model.eta * one, settings)
+    _, vs, isolated = moments.propagate_batch(*params.lyapunov_terms(model), *ramp)
+    iso, opn = (observables_from_covariance(v[-1, 0], g_final, model.omega) for v in (isolated, vs))
+    return {name: float(opn[name] - iso[name]) for name in EXCESS_OBSERVABLES}
 
 
 def full_flow_covariance(params, model, tau, g_final, r_n=1.0, cap_divisor=4.0, dtype=np.longdouble):
@@ -391,7 +394,7 @@ class TestFrozenChain:
         models = (THERMODYNAMIC, ModelSpec(kind=ModelKind.QRM, eta=30.0), ModelSpec(kind=ModelKind.LMG, eta=30.0))
         for model in models:
             drift, diffusion = np.stack(build_system(model, DEFAULT_OHMIC))[:, None].repeat(2, axis=1)
-            frame = ChainFrame(drift, diffusion, np.ones(2))
+            frame = ChainFrame(drift, diffusion)
             z = 1e-2 * (rng.normal(size=frame.z.shape) + 1j * rng.normal(size=frame.z.shape))
             x = (frame.p @ z).real @ u_t
             v = np.block([[u @ (np.eye(2) + e) @ u_t, x.swapaxes(-1, -2)], [x, c]])
@@ -461,7 +464,7 @@ class TestFrozenChain:
 
             def frame(*args):
                 built = ChainFrame(*args)
-                make = built._frame
+                make = built.advance
 
                 def recording(*setup):
                     advance = make(*setup)
@@ -473,7 +476,7 @@ class TestFrozenChain:
 
                     return recorded
 
-                built._frame = recording
+                built.advance = recording
                 return built
 
             monkeypatch.setattr(moments, "ChainFrame", frame)
@@ -481,12 +484,12 @@ class TestFrozenChain:
             times = []
             real = moments.collocate_to
 
-            def collocate(attempt, t0, t1, u0, step):
-                def timed(t, *rest):
-                    times.append(t)
-                    return attempt(t, *rest)
+            def collocate(rule, system, advance, t0, t1, u0, step):
+                def timed(node_times):  # one call per attempt, at t + h c_j
+                    times.append(node_times[0])
+                    return system(node_times)
 
-                return real(timed, t0, t1, u0, step)
+                return real(rule, timed, advance, t0, t1, u0, step)
 
             monkeypatch.setattr(moments, "collocate_to", collocate)
             DEFAULT_OHMIC.propagate(40.0, 1.0, 1.0, THERMODYNAMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
@@ -511,7 +514,7 @@ class TestFrozenChain:
 
         ref = solve_to(chain_rhs, 0.0, 0.3, v[2:, 2:], TIGHT)
         c, x = v[None, 2:, 2:].copy(), v[None, 2:, :2].copy()
-        new = chain_flow(drift[None], diffusion[None], np.ones(1))(0.3, c, x)
+        new = chain_flow(drift[None], diffusion[None])(0.3, c, x)
         assert np.max(np.abs(new[0] - ref)) < 1e-11
         assert np.array_equal(new[0], new[0].T)
         assert np.array_equal(c[0], v[2:, 2:]) and np.array_equal(x[0], v[2:, :2])
@@ -525,8 +528,8 @@ class TestFrozenChain:
             frames.append(ChainFrame(*args))
             return frames[-1]
 
-        def collocate(attempt, t0, t1, u0, step):
-            finals.append(collocate_to(attempt, t0, t1, u0, step))
+        def collocate(*args):
+            finals.append(collocate_to(*args))
             return finals[-1]
 
         monkeypatch.setattr(moments, "ChainFrame", frame)
@@ -572,7 +575,8 @@ class TestFrozenChain:
         protocol = QuenchProtocol(1.0, 20.0)
         monkeypatch.setattr(moments, "physicality_defect", spy)
         vs = integrate(protocol, bath=DEFAULT_OHMIC, samples=17).vs
-        assert vs.shape == (17, 10, 10) and len(checked) == 1
+        # checked once for V and once for the isolated U U^T
+        assert vs.shape == (17, 10, 10) and len(checked) == 2
         assert np.array_equal(vs[-1], checked[0][0])
         unsampled = integrate(protocol, bath=DEFAULT_OHMIC, samples=0).final
         assert np.max(np.abs(vs[-1] - unsampled)) < 1e-9 * np.max(np.abs(unsampled))
@@ -588,6 +592,7 @@ class TestFrozenChain:
         assert all(np.any(chain != np.eye(8)) for chain in chains[1:, 1])
 
     def test_markovian_batches_build_no_subflow(self, monkeypatch):
+        # both baths step by collocation; a Markovian batch builds no chain frame
         def no_flow(*args):
             raise AssertionError("a Markovian batch built a chain flow")
 
@@ -597,16 +602,16 @@ class TestFrozenChain:
             flows.append("stages")
             return solve_to(rhs, t0, t1, y0, settings, **carry)
 
-        def collocate(attempt, t0, t1, u0, step):
+        def collocate(*args):
             flows.append("frame")
-            return collocate_to(attempt, t0, t1, u0, step)
+            return collocate_to(*args)
 
         monkeypatch.setattr(moments, "solve_to", solve)
         monkeypatch.setattr(moments, "collocate_to", collocate)
         with monkeypatch.context() as patch:
             patch.setattr(moments, "ChainFrame", no_flow)
             BathSpec(kappa=1e-3).propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-3])
-        assert flows and all(flow == "stages" for flow in flows)
+        assert flows == ["frame"] * 2
         flows.clear()
         DEFAULT_OHMIC.propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC)
         assert flows == ["frame"] * 2
@@ -615,12 +620,12 @@ class TestFrozenChain:
         tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
         drifts = np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables])
         diffusion = np.broadcast_to(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1], drifts.shape)
-        chain_flow(drifts, diffusion, np.ones(2))  # the decoupled table keeps its chain
+        chain_flow(drifts, diffusion)  # the decoupled table keeps its chain
         with pytest.raises(ValueError, match="stationary vacuum"):
-            chain_flow(drifts, 2.0 * diffusion, np.ones(2))
+            chain_flow(drifts, 2.0 * diffusion)
         drifts[1, 2, 2] -= 1.0
         with pytest.raises(ValueError, match="share one chain"):
-            chain_flow(drifts, diffusion, np.ones(2))
+            chain_flow(drifts, diffusion)
 
 
 class TestCollocation:
@@ -670,12 +675,12 @@ class TestCollocation:
 
     def test_collocate_to_carries_the_step_across_stops(self):
         # a second span starts from the proposal the first ended with
-        frame = ChainFrame(*(term[None] for term in build_system(THERMODYNAMIC, DEFAULT_OHMIC)), np.ones(1))
-        attempt = frame.stepper(np.arange(1), self.ramp(1.0), 1e-10, 1e-12)
+        frame = ChainFrame(*(term[None] for term in build_system(THERMODYNAMIC, DEFAULT_OHMIC)))
+        flow = (frame.rule, self.ramp(1.0), frame.advance(np.arange(1), 1e-10, 1e-12))
         step = _StepControl(IntegratorSettings(max_step=3.5), -1.0 / 12.0, frame.first_step)
-        u = collocate_to(attempt, 0.0, 20.0, np.eye(2)[None], step)
+        u = collocate_to(*flow, 0.0, 20.0, np.eye(2)[None], step)
         carried, attempts = step.h, step.n_steps
-        collocate_to(attempt, 20.0, 40.0, u, step)
+        collocate_to(*flow, 20.0, 40.0, u, step)
         assert carried > 1.0 and step.n_steps - attempts < (40.0 - 20.0) / carried + 3
 
 

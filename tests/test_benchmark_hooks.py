@@ -2,12 +2,12 @@
 
 ``perfbench/probe.py``, ``tracer.py`` and ``make_reference.py`` read and
 patch ``critquench`` attributes by name, read the loaded ``config`` by
-attribute, and the tracer counts steps
-only through ``moments.solve_to`` and ``auxbath.solve_to``, the calls
-behind every Markovian propagation (a sweep's isolated and open legs
-are one such call; a structured sweep steps by collocation and books
-none): a rename in the package would break the benchmark without
-failing any other test.
+attribute, and the tracer counts steps only through ``moments.solve_to``
+and ``auxbath.solve_to``.  Every sweep steps by collocation and books
+none; only the Runge-Kutta reference ``moments.propagate_moments_batch``
+still calls ``solve_to``, in the pattern the tracer infers steps from.
+A rename in the package would break the benchmark without failing any
+other test.
 """
 
 import ast
@@ -112,30 +112,46 @@ def assert_tracer_call_pattern(times, t0=0.0, t1=1.0):
     assert times[0] == t0 and times[-1] == t1
 
 
+def spy_spans(monkeypatch):
+    """Record ``(t0, t1, members)`` of every ``collocate_to`` span."""
+    spans, real = [], moments.collocate_to
+
+    def collocate_to(rule, system, advance, t0, t1, u0, step):
+        spans.append((t0, t1, u0.shape[0]))
+        return real(rule, system, advance, t0, t1, u0, step)
+
+    monkeypatch.setattr(moments, "collocate_to", collocate_to)
+    return spans
+
+
 def test_structured_batch_is_one_solve_per_leg(monkeypatch):
-    # one batch of both legs in physical time: one collocation span per quench
-    # time, chained from 0 to tau_max, the ended members leaving at each boundary
+    # one batch of one member per quench time in physical time: one collocation
+    # span per quench time, chained from 0 to tau_max, the ended members leaving
+    # at each boundary
     text = "bath.type = structured\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
     cfg = build_config(parse_config_text(text))
     taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
-    solves, spans, real = spy_solves(monkeypatch), [], moments.collocate_to
-
-    def collocate_to(attempt, t0, t1, u0, step):
-        spans.append((t0, t1, u0.shape[0]))
-        return real(attempt, t0, t1, u0, step)
-
-    monkeypatch.setattr(moments, "collocate_to", collocate_to)
+    solves, spans = spy_solves(monkeypatch), spy_spans(monkeypatch)
     sweep.compute_chunk(cfg, taus)
     assert not solves["auxbath"] and not solves["moments"] and not sweep._ISOLATED_CACHE
-    assert spans == [(0.0 if k == 0 else taus[k - 1], tau, 2 * (taus.size - k)) for k, tau in enumerate(taus)]
+    assert spans == [(0.0 if k == 0 else taus[k - 1], tau, taus.size - k) for k, tau in enumerate(taus)]
 
 
 def test_markovian_legs_are_one_solve(monkeypatch):
+    # the Markovian legs are the same one batch, and no sweep calls solve_to
     text = "bath.kappa = 1e-3\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
     cfg = build_config(parse_config_text(text))
     taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
-    solves = spy_solves(monkeypatch)
+    solves, spans = spy_solves(monkeypatch), spy_spans(monkeypatch)
     sweep.compute_chunk(cfg, taus)
+    assert not solves["auxbath"] and not solves["moments"]
+    assert spans == [(0.0 if k == 0 else taus[k - 1], tau, taus.size - k) for k, tau in enumerate(taus)]
+
+
+def test_reference_is_one_solve_in_the_tracers_call_pattern(monkeypatch):
+    # perfbench/test_step_inference.py traces the reference's one solve_to
+    solves = spy_solves(monkeypatch)
+    moments.propagate_moments_batch([5.0, 10.0], 1.0, 1.0, moments.ModelSpec(), [0.0, 1e-3], 0.0)
     ((members, times),) = solves["moments"]
-    assert members == 2 * taus.size and not solves["auxbath"]
+    assert members == 2 and not solves["auxbath"]
     assert_tracer_call_pattern(times)

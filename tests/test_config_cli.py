@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critquench import DEFAULT_SETTINGS, QuenchProtocol, auxbath, cli, moments, sweep
+from critquench import DEFAULT_SETTINGS, QuenchProtocol, auxbath, cli, moments, sweep, thermal_bath
+from critquench._flows import MarkovFrame
 from critquench.config import _DEFAULTS, _KNOWN_KEYS, build_config, env_overrides, load_config, parse_config_text
 from critquench.errors import ConfigError, IntegrationFailure
 from critquench.model import ModelKind
@@ -175,7 +176,7 @@ class TestConfigParsing:
         assert err.value.field == "bath.params_file"
 
     def test_integrator_settings_reach_every_propagation(self, tmp_path, monkeypatch):
-        # integrator.* drives every propagation of a config
+        # integrator.* drives every propagation of a config: its step control and its frame
         seen = []
         for module in (moments, auxbath):
             real = module.solve_to
@@ -185,35 +186,36 @@ class TestConfigParsing:
                 return _real(rhs, t0, t1, y0, settings=settings, **carry)
 
             monkeypatch.setattr(module, "solve_to", solve_to)
-        collocate, real_stepper = moments.collocate_to, moments.ChainFrame.stepper
+        collocate = moments.collocate_to
 
-        def collocate_to(attempt, t0, t1, u0, step):
+        def collocate_to(rule, system, advance, t0, t1, u0, step):
             seen.append(("collocate_to", step.settings.rtol, step.settings.atol))
-            return collocate(attempt, t0, t1, u0, step)
+            return collocate(rule, system, advance, t0, t1, u0, step)
 
-        def stepper(frame, active, system, rtol, atol):
-            seen.append(("stepper", rtol, atol))
-            return real_stepper(frame, active, system, rtol, atol)
+        for frame in (MarkovFrame, moments.ChainFrame):
 
+            def advance(self, active, rtol, atol, _real=frame.advance):
+                seen.append(("advance", rtol, atol))
+                return _real(self, active, rtol, atol)
+
+            monkeypatch.setattr(frame, "advance", advance)
         monkeypatch.setattr(moments, "collocate_to", collocate_to)
-        monkeypatch.setattr(moments.ChainFrame, "stepper", stepper)
         tight = "integrator.rtol = 1e-9\nintegrator.atol = 1e-11\nsweep.points_per_decade = 5\nobservables = e_r\n"
         markovian = build_config(parse_config_text("bath.kappa = 1e-3\n" + tight))
         structured = build_config(parse_config_text("bath.type = structured\n" + tight))
         taus = np.array([5.0, 10.0])
-        config_tols = ("moments", 1e-9, 1e-11)
+        # one collocation span per quench time; the frame's step is built per set of members
+        per_span = [("advance", 1e-9, 1e-11), ("collocate_to", 1e-9, 1e-11)] * taus.size
 
-        sweep.compute_chunk(markovian, taus)
-        assert seen == [config_tols]
-        seen.clear()
-        sweep.compute_chunk(structured, taus)
-        # one collocation span per quench time; the stepper is built per set of members
-        assert seen == [("stepper", 1e-9, 1e-11), ("collocate_to", 1e-9, 1e-11)] * taus.size
-        seen.clear()
+        for config in (markovian, structured):
+            sweep.compute_chunk(config, taus)
+            assert seen == per_span
+            seen.clear()
         path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
         out = tmp_path / "traj.tsv"
         assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "5", "--out", str(out)]) == 0
-        assert seen == [config_tols] * 200  # one solve per span between the 201 default samples
+        # one span between each two of the 201 default samples, on one set of members
+        assert seen == [("advance", 1e-9, 1e-11)] + [("collocate_to", 1e-9, 1e-11)] * 200
 
     def test_env_overrides(self):
         env = {"CRITQUENCH_SWEEP_TAU_MIN": "20", "CRITQUENCH_OBSERVABLES": "n"}
@@ -292,68 +294,81 @@ class TestRunSweep:
                 iso_a, iso_b = row_a.values[obs][0], row_b.values[obs][0]
                 assert abs(iso_a - iso_b) <= 1e-8 * abs(iso_a)
 
+    def test_isolated_column_is_the_same_for_every_bath(self, tmp_path):
+        # a member's isolated state is its own U U^T, and U's steps do not
+        # read the bath: the column is the same bytes for every bath
+        kappa = "bath.kappa = 1e-3"
+        texts = (
+            BASE,
+            BASE.replace(kappa, "bath.kappa = 0.0"),
+            BASE.replace(kappa, "bath.kappa = 1e-2"),
+            BASE.replace("bath.n_th = 2.0", "bath.n_th = 0.0"),
+        )
+        columns = set()
+        for i, text in enumerate(texts):
+            result = sweep.run_sweep(load_config(write_config(tmp_path, text, f"{i}.cfg")))
+            columns.add(tuple(row.values[obs][0] for row in result.rows for obs in ("e_r", "dp")))
+        assert len(columns) == 1
+
     @pytest.mark.parametrize("r_n", ["1", "0.5"])
     def test_markovian_legs_are_one_batch(self, tmp_path, monkeypatch, r_n):
-        # one propagation: the isolated block, then the open block, kappa
-        # per member; the two columns are that call's halves bit for bit
+        # one propagation of one member per quench time at the bath's terms;
+        # the two columns are that call's isolated and open states bit for bit
         cfg = load_config(write_config(tmp_path, BASE + f"protocol.r_n = {r_n}\n"))
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
-        real = sweep.moments.propagate_moments_batch
+        real = sweep.moments.propagate_batch
         calls = []
 
-        def spy(tau_q, g_final, r_n, model, kappa, *args, **kwargs):
-            ss, vs = real(tau_q, g_final, r_n, model, kappa, *args, **kwargs)
-            calls.append((np.asarray(tau_q), np.asarray(kappa), vs[-1]))
-            return ss, vs
+        def spy(drift_base, diffusion, model, tau, *args, **kwargs):
+            ss, vs, isolated = real(drift_base, diffusion, model, tau, *args, **kwargs)
+            calls.append((np.asarray(drift_base), np.asarray(tau), vs[-1], isolated[-1]))
+            return ss, vs, isolated
 
-        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", spy)
+        monkeypatch.setattr(sweep.moments, "propagate_batch", spy)
         iso, opn, errors = sweep.compute_chunk(cfg, taus)
         assert not errors
-        ((tau_q, kappa, v_final),) = calls
-        b = taus.size
-        assert kappa.ndim == 1 and kappa.tolist() == [0.0] * b + [cfg.bath.kappa] * b
-        assert tau_q.tolist() == taus.tolist() * 2
-        for column, half in ((iso, v_final[:b]), (opn, v_final[b:])):
-            obs = sweep.moments.observables_from_covariance(half, cfg.g_final, cfg.model.omega)
+        ((drift_base, tau_q, v_final, iso_final),) = calls
+        assert np.array_equal(drift_base, thermal_bath(cfg.bath.kappa, cfg.bath.n_th)[0])
+        assert tau_q.tolist() == taus.tolist()
+        for column, final in ((iso, iso_final), (opn, v_final)):
+            obs = sweep.moments.observables_from_covariance(final, cfg.g_final, cfg.model.omega)
             assert column["e_r"].tobytes() == obs["e_r"].tobytes()
             assert column["dp"].tobytes() == obs["dp"].tobytes()
 
     def test_size_crossover_is_one_batch(self, monkeypatch):
-        # every size and quench time of both legs is one member of one call
+        # every size and quench time is one member of one call
         cfg = load_config(CONFIG_DIR / "qrm_size_crossover.cfg")
         seen = []
 
         class Stop(Exception):
             pass
 
-        def spy(tau_q, g_final, r_n, model, kappa, n_th, eta=None, **kwargs):
-            seen.append((np.asarray(tau_q), np.asarray(kappa), np.asarray(eta)))
+        def spy(drift_base, diffusion, model, tau, g_f, r_n, eta, *args, **kwargs):
+            seen.append((np.asarray(tau), np.asarray(eta)))
             raise Stop
 
-        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", spy)
+        monkeypatch.setattr(sweep.moments, "propagate_batch", spy)
         with pytest.raises(Stop):
             sweep.run_size_crossover(cfg)
-        ((tau_q, kappa, eta),) = seen
-        b = 44
-        assert kappa.ndim == 1 and kappa.tolist() == [0.0] * b + [cfg.bath.kappa] * b
-        assert tau_q.shape == eta.shape == (2 * b,)
-        assert tau_q[:b].tolist() == tau_q[b:].tolist() and eta[:b].tolist() == eta[b:].tolist()
+        ((tau_q, eta),) = seen
+        assert tau_q.shape == eta.shape == (44,)
         assert sorted(set(eta.tolist())) == sorted(set(cfg.eta_list))
+        assert len(set(zip(tau_q.tolist(), eta.tolist()))) == 44
 
     def test_failed_rows_marked_and_run_continues(self, tmp_path, monkeypatch):
         cfg = load_config(write_config(tmp_path))
-        real = sweep.moments.propagate_moments_batch
+        real = sweep.moments.propagate_batch
 
-        def flaky(tau_q, *args, **kwargs):
-            # a row run alone is one batch of its isolated and open member
-            taus = np.unique(np.asarray(tau_q, dtype=float))
+        def flaky(drift_base, diffusion, model, tau, *args, **kwargs):
+            # a row run alone is one batch of its one member
+            taus = np.unique(np.asarray(tau, dtype=float))
             if taus.size == 1 and abs(taus[0] - 100.0) < 1e-9:
                 raise IntegrationFailure("forced", t_last=0.5)
             if taus.size > 1:
                 raise IntegrationFailure("forced batch", t_last=0.0)
-            return real(tau_q, *args, **kwargs)
+            return real(drift_base, diffusion, model, tau, *args, **kwargs)
 
-        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", flaky)
+        monkeypatch.setattr(sweep.moments, "propagate_batch", flaky)
         sweep._ISOLATED_CACHE.clear()
         result = sweep.run_sweep(cfg)
         assert result.n_failed_rows == 1
@@ -369,11 +384,11 @@ class TestRunSweep:
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
         real = moments.collocate_to
 
-        def collocate_to(attempt, t0, t1, u0, step):
-            y = real(attempt, t0, t1, u0, step)
+        def collocate_to(rule, system, advance, t0, t1, u0, step):
+            y = real(rule, system, advance, t0, t1, u0, step)
             if t1 == taus[1]:
-                # the isolated member of taus[1]: a propagator of 0.5 I, so a
-                # system block of 0.25 I
+                # the member of taus[1]: a propagator of 0.5 I, so a system
+                # block of 0.25 (I + e)
                 y[0] = 0.5 * np.eye(*u0.shape[-2:])
             return y
 
@@ -408,20 +423,20 @@ print("numpy.ma" in sys.modules)
         assert out.stdout.strip() == "False"
 
     def test_lockstep_row_failure_loses_both_legs(self, tmp_path, monkeypatch):
-        # the open leg fails at one quench time: the batch falls back to
-        # single rows, each still one call for both legs
+        # the batch fails at one quench time: it falls back to single rows,
+        # each still one call for both legs
         cfg = load_config(write_config(tmp_path))
         taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
         bad = taus[2]
-        real = sweep.moments.propagate_moments_batch
+        real = sweep.moments.propagate_batch
 
-        def flaky(tau_q, g_final, r_n, model, kappa, *args, **kwargs):
-            if np.any(np.asarray(kappa) != 0.0) and np.any(np.asarray(tau_q) == bad):
+        def flaky(drift_base, diffusion, model, tau, *args, **kwargs):
+            if np.any(np.asarray(tau) == bad):
                 raise IntegrationFailure("forced", t_last=0.5)
-            return real(tau_q, g_final, r_n, model, kappa, *args, **kwargs)
+            return real(drift_base, diffusion, model, tau, *args, **kwargs)
 
         alone = [sweep.compute_chunk(cfg, [tau]) for tau in taus]
-        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", flaky)
+        monkeypatch.setattr(sweep.moments, "propagate_batch", flaky)
         result = sweep.run_sweep(cfg)
         assert [r.failed for r in result.rows] == [tau == bad for tau in taus]
         for row, (iso, opn, _) in zip(result.rows, alone):
@@ -586,7 +601,7 @@ class TestCli:
         def always_fail(*args, **kwargs):
             raise IntegrationFailure("forced", t_last=0.0)
 
-        monkeypatch.setattr(sweep.moments, "propagate_moments_batch", always_fail)
+        monkeypatch.setattr(sweep.moments, "propagate_batch", always_fail)
         sweep._ISOLATED_CACHE.clear()
         assert cli.main(["sweep", "--config", str(path)]) == 3
 

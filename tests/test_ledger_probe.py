@@ -17,35 +17,36 @@ def test_ramp_prints_fits_and_linear_response(capsys):
 
 def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
     grid = "sweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
-    for bath, members in (("bath.type = structured\n", [6, 4, 2]), ("bath.kappa = 1e-3\n", [6])):
+    for bath, numbers in (("bath.type = structured\n", 100), ("bath.kappa = 1e-3\n", 4)):
         config = tmp_path / "short.cfg"
         config.write_text(bath + grid)
         ledger_probe.main(["steps", str(config)])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{config}  3 quench times in [5, 10]")
-        # the numbers the stages carry (U, or the 2x2 V), the cap, and for
-        # the chain its eigenvalue moduli and the largest h |lambda| reached
-        carried = "4 of 100" if len(members) > 1 else "4 of 4"
-        assert f"  stages carry {carried} numbers per member, step cap " in lines[0]
-        assert ("chain's |lambda| " in lines[0]) == (len(members) > 1)
-        assert (", largest h|lambda| " in lines[0]) == (len(members) > 1)
-        if len(members) > 1:
+        # the numbers the stages carry (U), the cap, and for the chain its
+        # eigenvalue moduli and the largest h |lambda| reached
+        structured = numbers == 100
+        assert f"  stages carry 4 of {numbers} numbers per member, step cap 3.5" in lines[0]
+        assert ("chain's |lambda| " in lines[0]) == structured
+        assert (", largest h|lambda| " in lines[0]) == structured
+        if structured:
             moduli = lines[0].split("chain's |lambda| ")[1].split(", largest")[0].split(", ")
             assert len(moduli) == 4 and float(lines[0].split("h|lambda| ")[1]) > 0.0
         rows = [line.split() for line in lines[2:-1]]
-        assert [int(row[2]) for row in rows] == members
-        # the frame updates' wall time, within its solve's; none without a chain
-        flows = [float(row[7]) for row in rows]
-        assert all(0.0 <= f <= float(row[6]) for f, row in zip(flows, rows))
-        assert all(f > 0.0 for f in flows) if len(members) > 1 else flows == [0.0]
-        # a structured batch chains its solves from 0 to tau_max in physical time
+        # one member per quench time, leaving at its end
+        assert [int(row[2]) for row in rows] == [3, 2, 1]
+        # U's collocation and the frame, each within its span's wall time
+        for row in rows:
+            wall, u_s, frame_s = (float(v) for v in row[6:9])
+            assert 0.0 < u_s <= wall and 0.0 < frame_s <= wall
+        # every batch chains its spans from 0 to tau_max in physical time
         spans = [row[1].split("..") for row in rows]
         assert spans[0][0] == "0" and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         attempts = [int(row[3]) for row in rows]
         assert all(int(row[4]) + int(row[5]) <= int(row[3]) for row in rows)
-        total = f"total: {len(rows)} solves, {sum(attempts)} attempts,"
+        total = f"total: {len(rows)} spans, {sum(attempts)} attempts,"
         assert lines[-1].strip().startswith(total)
-        assert f" {sum(m * a for m, a in zip(members, attempts))} member-attempts, " in lines[-1]
+        assert f" {sum(m * a for m, a in zip([3, 2, 1], attempts))} member-attempts, " in lines[-1]
 
 
 def test_oracle_prints_both_excesses(tmp_path, capsys):

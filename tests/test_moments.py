@@ -20,6 +20,7 @@ from critquench import (
 from critquench import moments
 from critquench.auxbath import DEFAULT_OHMIC
 from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
+from critquench._flows import MarkovFrame
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy
 from critquench.moments import physicality_defect, set_system_block, symplectic_form
@@ -253,9 +254,9 @@ def spy_solve_spans(monkeypatch):
         spans.append((t0, t1, y0.shape[0]))
         return real(rhs, t0, t1, y0, settings=settings, **carry)
 
-    def collocate_to(attempt, t0, t1, u0, step):
+    def collocate_to(rule, system, advance, t0, t1, u0, step):
         spans.append((t0, t1, u0.shape[0]))
-        return collocate(attempt, t0, t1, u0, step)
+        return collocate(rule, system, advance, t0, t1, u0, step)
 
     monkeypatch.setattr(moments, "solve_to", solve_to)
     monkeypatch.setattr(moments, "collocate_to", collocate_to)
@@ -264,14 +265,14 @@ def spy_solve_spans(monkeypatch):
 
 class TestEngine:
     def test_members_leave_at_their_end(self, monkeypatch):
-        # physical time: one solve per distinct end, the end-1 member leaving after the first
+        # physical time: one span per distinct end, the end-1 member leaving after the first
         tau = np.array([2.0, 1.0, 2.0])
         drift_base, diffusion = thermal_bath(np.full(3, 0.1), 0.0)
         spans = spy_solve_spans(monkeypatch)
-        args = (THERMODYNAMIC, tau, tau, np.ones(3), np.ones(3), np.full(3, THERMODYNAMIC.eta), 2.5)
-        ss, vs = moments.propagate_batch(drift_base, diffusion, *args)
+        args = (THERMODYNAMIC, tau, np.ones(3), np.ones(3), np.full(3, THERMODYNAMIC.eta))
+        ss, vs, isolated = moments.propagate_batch(drift_base, diffusion, *args)
         assert spans == [(0.0, 1.0, 3), (1.0, 2.0, 2)]
-        assert ss.tolist() == [1.0] and vs.shape == (1, 3, 2, 2)
+        assert ss.tolist() == [1.0] and vs.shape == (1, 3, 2, 2) and isolated.shape == (1, 3, 2, 2)
         # the member that left carries its own quench to its end
         alone = integrate(QuenchProtocol(1.0, 1.0), bath=BathSpec(kappa=0.1), samples=0).final
         assert np.allclose(vs[0, 1], alone, rtol=1e-8, atol=0.0)
@@ -310,6 +311,75 @@ class TestEngine:
         with pytest.raises(IntegrationFailure, match="unphysical state") as err:
             moments.propagate_moments_batch([5.0, 10.0], 1.0, 1.0, THERMODYNAMIC, 1e-3, 0.0)
         assert err.value.t_last == 1.0
+
+    def test_unphysical_final_state_fails_at_its_end_in_the_engine(self, monkeypatch):
+        # the member of tau = 5 ends with U = I / 2, so V = I / 4 (1 + e): in
+        # physical time it fails at its own end
+        real = moments.collocate_to
+
+        def squeezed(rule, system, advance, t0, t1, u0, step):
+            u = real(rule, system, advance, t0, t1, u0, step)
+            if t1 == 5.0:
+                u[0] = 0.5 * np.eye(2)
+            return u
+
+        monkeypatch.setattr(moments, "collocate_to", squeezed)
+        with pytest.raises(IntegrationFailure, match="unphysical state") as err:
+            BathSpec(kappa=1e-3).propagate([5.0, 10.0], 1.0, 1.0, THERMODYNAMIC)
+        assert err.value.t_last == 5.0
+
+
+class TestMarkovFrame:
+    """The Markovian excess ``e`` in the isolated mode's frame, ``V = U (1 + e) U^T``."""
+
+    def test_one_step_matches_the_closed_form_lyapunov_flow(self):
+        # a constant system block [[0, p], [-q, 0]] and a thermal bath: one
+        # step of length 3.5 against V(h) = F V(0) F^T + int_0^h F(s) D F(s)^T ds,
+        # F = expm(Gamma s), from one expm of Van Loan's block matrix
+        from scipy.linalg import expm
+
+        (p, q), h, kappa, n_th = (1.3, 0.7), 3.5, 0.1, 1.0
+        drift_base, diffusion = thermal_bath([kappa], [n_th])
+        frame = MarkovFrame(drift_base, diffusion)
+        m = frame.rule.nodes.size
+        nodes, end, _ = frame.rule.collocate(np.full((m, 1), p), np.full((m, 1), q), h, np.eye(2)[None])
+        _, commit = frame.advance(np.arange(1), 1e-10, 1e-12)(h, nodes, end)
+        commit()
+        got = moments._covariance(end, *frame.state())[0]
+        gamma = drift_base[0] + np.array([[0.0, p], [-q, 0.0]])
+        van_loan = expm(h * np.block([[-gamma, diffusion[0]], [np.zeros((2, 2)), gamma.T]]))
+        flow = van_loan[2:, 2:].T
+        want = flow @ flow.T + flow @ van_loan[:2, 2:]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_rejects_a_bath_that_is_not_markovian(self):
+        drift_base, diffusion = thermal_bath([0.1, 0.2], 1.0)
+        for drift, noise in ((drift_base + [[0.0, 0.0], [0.0, -0.1]], diffusion), (drift_base, diffusion + [[0.0, 0.1], [0.1, 0.0]])):
+            with pytest.raises(ValueError, match="Markovian frame"):
+                MarkovFrame(drift, noise)
+
+    @pytest.mark.parametrize(
+        "g, tau, kappa, n_th", [(1.0, 300.0, 1e-3, 1.0), (0.9, 300.0, 0.1, 1.0), (0.9, 300.0, 1.0, 0.0), (1.0, 1000.0, 0.05, 2.0)]
+    )
+    def test_single_member_matches_the_runge_kutta_reference(self, g, tau, kappa, n_th):
+        _, vs = BathSpec(kappa=kappa, n_th=n_th).propagate(tau, g, 1.0, THERMODYNAMIC)
+        tight = IntegratorSettings(rtol=1e-13, atol=1e-15)
+        _, ref = moments.propagate_moments_batch(tau, g, 1.0, THERMODYNAMIC, kappa, n_th, settings=tight)
+        assert np.max(np.abs(vs - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_isolated_member_is_the_open_members_u_u_t(self, monkeypatch):
+        # the kappa = 0 member shares U with the open one and keeps e = 0
+        finals, real = [], moments.collocate_to
+
+        def collocate_to(*args):
+            finals.append(real(*args))
+            return finals[-1]
+
+        monkeypatch.setattr(moments, "collocate_to", collocate_to)
+        _, vs = BathSpec(kappa=1e-2, n_th=1.0).propagate(60.0, 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-2])
+        ((_, u_open),) = finals
+        assert vs[-1, 0].tobytes() == (u_open @ u_open.T).tobytes()
+        assert not np.array_equal(vs[-1, 1], vs[-1, 0])
 
 
 class TestIntegrate:
