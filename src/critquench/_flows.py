@@ -125,20 +125,20 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     return rhs
 
 
-def system_rates(model: ModelSpec, tau_q, g_final, r_n, eta, end):
-    """``at(u)``: ``(p, q)`` of a batch's system block ``Gamma_ss = [[0, p], [-q, 0]]`` at solver times ``u``.
+def system_rates(model: ModelSpec, tau_q, g_final, r_n, eta):
+    """``at(t)``: ``(p, q)`` of a batch's system block ``Gamma_ss = [[0, p], [-q, 0]]`` at physical times ``t``.
 
-    ``p`` and ``q`` are (len(u), B), rate and ramp folded in as in
-    :func:`lyapunov_batch_rhs`.  The system block does not depend on
-    the bath's coupling, so a row's isolated and open members get the
-    same bits.
+    ``p`` and ``q`` are (len(t), B), the ramp folded in as in
+    :func:`lyapunov_batch_rhs` at ``end = tau_q``.  The system block
+    does not depend on the bath, so a member's isolated state ``U U^T``
+    is the same for every bath.
     """
-    rate, polys, x_of = _ramp(model, tau_q, g_final, r_n, eta, end)
+    rate, polys, x_of = _ramp(model, tau_q, g_final, r_n, eta, tau_q)
     size = rate.size
 
-    def at(u):
-        x = x_of(np.asarray(u, dtype=float)[:, None])
-        entries = np.empty((2, len(u), size))  # Gamma[1, 0] = -q, Gamma[0, 1] = p
+    def at(t):
+        x = x_of(np.asarray(t, dtype=float)[:, None])
+        entries = np.empty((2, len(t), size))  # Gamma[1, 0] = -q, Gamma[0, 1] = p
         for coeffs, entry in zip(polys, entries):
             if len(coeffs) == 1:
                 entry[...] = coeffs[0]
@@ -192,13 +192,13 @@ FAR = 16.0
 class FrameRule:
     """The quadrature of one frame step: 12 Gauss nodes on [0, 1] and their weight tables.
 
-    Built by each :class:`ChainFrame`, so importing the package computes
-    nothing.  ``nodes`` and ``gauss`` are the Gauss rule; ``ends`` the
-    nodes and then 1, the step's end; ``collocation[t, j]`` is
-    ``int_0^ends_t l_j`` over the nodes' Lagrange basis ``l_j``, whose
-    rows at the nodes, ``collocation[:-1]``, are the Gauss collocation
-    matrix; ``tail`` the projector of node values on their last
-    Legendre mode.
+    Built by each frame (:class:`MarkovFrame`, :class:`ChainFrame`), so
+    importing the package computes nothing.  ``nodes`` and ``gauss`` are
+    the Gauss rule; ``ends`` the nodes and then 1, the step's end;
+    ``collocation[t, j]`` is ``int_0^ends_t l_j`` over the nodes'
+    Lagrange basis ``l_j``, whose rows at the nodes,
+    ``collocation[:-1]``, are the Gauss collocation matrix; ``tail`` the
+    projector of node values on their last Legendre mode.
     """
 
     def __init__(self):
@@ -457,51 +457,45 @@ class ChainFrame:
     O(kappa^2) and Z O(kappa) (about 1e-7..3e-6 and 1e-5 on the shipped
     configs), so with ``atol = 1e-12`` the scale is ``atol``, 1e3..1e5
     times ``rtol |.|``: this estimate cannot hold the excess to ``rtol``,
-    whose accuracy comes from U's steps.  Members without coupling
-    (``K = 0`` and ``K_sc = 0``) keep ``e = 0``, ``Z = 0``, ``X = 0``
-    and ``C = I`` exactly and are never touched.  The state arrays ``e``
-    (B, 2, 2), ``z`` (B, modes, 2), ``x`` (B, N - 2, 2) and ``c``
-    (B, N - 2, N - 2) are per member of the whole batch.
+    whose accuracy comes from U's steps.  Every member is stepped; one
+    without coupling (``K = 0`` and ``K_sc = 0``) gets zero forcing, so
+    it keeps ``e = 0``, ``Z = 0``, ``X = 0`` and ``C = I`` exactly.  The
+    state arrays ``e`` (B, 2, 2), ``z`` (B, modes, 2), ``x``
+    (B, N - 2, 2) and ``c`` (B, N - 2, N - 2) are per member.
 
-    ``first_step`` is ``1 / max |lam|``, the chain's fastest time (inf
-    without coupling).  The chain starts in its own vacuum, so Z starts
-    off its driven, slowly varying course and relaxes at the chain's
-    rates; the Gauss rule of ``e`` cannot integrate that transient over
-    a longer first step, and no estimate sees it (Phi stays smooth).  A
+    ``first_step`` is ``1 / max |lam|``, the chain's fastest time.  The
+    chain starts in its own vacuum, so Z starts off its driven, slowly
+    varying course and relaxes at the chain's rates; the Gauss rule of
+    ``e`` cannot integrate that transient over a longer first step, and
+    no estimate sees it (Phi stays smooth).  A
     first step at the cap left ``e`` 1.8e-5 off at ``ohmic_critical``'s
     ``tau = 50``; any first step up to 0.3 left it at rounding.
     """
 
     def __init__(self, drift_base, diffusion):
         b, dim = drift_base.shape[:2]
-        self.k, self.k_sc = drift_base[:, 2:, :2], drift_base[:, :2, 2:]
-        self.coupled = np.flatnonzero(np.any(self.k, axis=(1, 2)) | np.any(self.k_sc, axis=(1, 2)))
-        self.e = np.zeros((b, 2, 2))
-        self.x = np.zeros((b, dim - 2, 2))
-        self.c = np.broadcast_to(np.eye(dim - 2), (b, dim - 2, dim - 2)).copy()
-        self.z = np.zeros((b, 0, 2), dtype=complex)
         if np.any(diffusion[:, :2]) or np.any(drift_base[:, 0, 0]) or np.any(drift_base[:, 1, 1]):
             raise ValueError("the chain frame needs an undamped system mode")
-        self.rule, self.first_step = FrameRule(), math.inf
-        if self.coupled.size == 0:
-            return
-        o = self.coupled
-        lam, vecs, inv = _chain_modes(_chain_drift(drift_base[o], diffusion[o]))
+        self.k, self.k_sc = drift_base[:, 2:, :2], drift_base[:, :2, 2:]
+        lam, vecs, inv = _chain_modes(_chain_drift(drift_base, diffusion))
         # one mode of each conjugate pair, counted twice in X = Re(P Z^T) U^T
         keep = lam.imag >= 0.0
         self.lam = lam[keep]
         self.p = vecs[:, keep] * np.where(lam[keep].imag > 0.0, 2.0, 1.0)
         self.inv_t = inv[keep].T.copy()
+        self.e = np.zeros((b, 2, 2))
         self.z = np.zeros((b, self.lam.size, 2), dtype=complex)
-        self.flow = chain_flow(drift_base[o], diffusion[o])
-        self.first_step = 1.0 / np.max(np.abs(lam))
+        self.x = np.zeros((b, dim - 2, 2))
+        self.c = np.broadcast_to(np.eye(dim - 2), (b, dim - 2, dim - 2)).copy()
+        self.flow = chain_flow(drift_base, diffusion)
+        self.rule, self.first_step = FrameRule(), 1.0 / np.max(np.abs(lam))
 
     def state(self):
         """Copies of ``(e, x, c)``, which with U give V (:func:`critquench.moments._covariance`)."""
         return self.e.copy(), self.x.copy(), self.c.copy()
 
     def _couplings(self, o):
-        """``K^T P^-T``, ``K_sc`` and ``K_sc P`` as ``(Re, -Im)`` of the coupled members ``o``.
+        """``K^T P^-T``, ``K_sc`` and ``K_sc P`` as ``(Re, -Im)`` of the members ``o``.
 
         The products they enter are real: a complex factor enters as its
         float view, and ``Re(K_sc P Z^T)`` is one real product with Z's
@@ -525,11 +519,10 @@ class ChainFrame:
         return u_k, u_k + inv @ (k_sc @ (c @ self.inv_t.view(float))), inv @ k_sc_p
 
     def rates(self, u, e, z, c):
-        """``(e', Z')`` of the coupled members at propagators ``u`` and frame state ``e``, ``z``, ``c`` of the batch."""
-        o = self.coupled
-        u_k, base, inv_k = self._factors(self._couplings(o), u[o], c[o])
-        dz = self.lam[:, None] * z[o] + (base + e[o] @ u_k).view(complex).swapaxes(-1, -2)
-        de = inv_k @ np.concatenate([z[o].real, z[o].imag], axis=-2)
+        """``(e', Z')`` of the batch at propagators ``u`` and frame state ``e``, ``z``, ``c``."""
+        u_k, base, inv_k = self._factors(self._couplings(slice(None)), u, c)
+        dz = self.lam[:, None] * z + (base + e @ u_k).view(complex).swapaxes(-1, -2)
+        de = inv_k @ np.concatenate([z.real, z.imag], axis=-2)
         return de + de.swapaxes(-1, -2), dz
 
     def advance(self, active, rtol, atol):
@@ -537,33 +530,27 @@ class ChainFrame:
 
         ``nodes`` is their U at the nodes (A, m, 2, 2), ``u_new`` at the step's end.
         """
-        members = np.flatnonzero(np.isin(active, self.coupled))
-        if members.size == 0:
-            return lambda h, nodes, u_new: (0.0, lambda: None)
-        o = active[members]
-        lam, n_modes, size = self.lam, self.lam.size, 2 * o.size
-        rows = np.searchsorted(self.coupled, o)  # the members' rows in the chain flow
-        couplings = self._couplings(o)
+        lam, n_modes, size = self.lam, self.lam.size, 2 * active.size
+        couplings = self._couplings(active)
         rule, m = self.rule, self.rule.nodes.size
 
         def scaled(err, old, new):
             return err / (atol + rtol * np.maximum(np.abs(old), np.abs(new)))
 
         def advance(h, nodes, u_new):
-            nodes, u_new = nodes[members].swapaxes(0, 1), u_new[members]
-            e0, z0, c0 = self.e[o], self.z[o], self.c[o]
-            u_k, base, inv_k = self._factors(couplings, nodes, c0)
+            e0, z0, c0 = self.e[active], self.z[active], self.c[active]
+            u_k, base, inv_k = self._factors(couplings, nodes.swapaxes(0, 1), c0)
             inv_kk = np.concatenate([inv_k, inv_k], axis=1)
             w, decay = rule.exp_weights(h * lam)  # (modes, ends, m), (modes, ends)
-            # Z's free flow from the step's start, (modes, ends, 2 O)
+            # Z's free flow from the step's start, (modes, ends, 2 A)
             free = decay[..., None] * z0.transpose(1, 0, 2).reshape(n_modes, 1, size)
             e_nodes = e0
             for repass in (False, True):
-                phi = (base + e_nodes @ u_k).view(complex)  # (m, O, 2, modes)
+                phi = (base + e_nodes @ u_k).view(complex)  # (m, A, 2, modes)
                 phi = phi.transpose(3, 0, 1, 2).reshape(n_modes, -1, size)
                 if repass:  # with Phi's last Legendre mode, for the error estimate
                     phi = np.concatenate([phi, rule.tail @ phi], axis=-1)
-                z = h * (w @ phi)  # (modes, ends, 2 O), twice on the re-pass
+                z = h * (w @ phi)  # (modes, ends, 2 A), twice on the re-pass
                 z[..., :size] += free
                 zs = z[:, :-1].reshape(n_modes, m, -1, 2)
                 de = (inv_kk if repass else inv_k) @ np.concatenate([zs.real, zs.imag]).transpose(1, 2, 0, 3)
@@ -571,16 +558,16 @@ class ChainFrame:
                 if not repass:
                     e_nodes = e0 + h * (rule.collocation[:-1] @ de.reshape(m, -1)).reshape(de.shape)
             de = h * (rule.gauss @ de.reshape(m, -1)).reshape(de.shape[1:])
-            e_new = e0 + de[: o.size]
+            e_new = e0 + de[: active.size]
             e_new = 0.5 * (e_new + e_new.swapaxes(-1, -2))
-            z_new, dz_new = z[:, -1].reshape(n_modes, 2, o.size, 2).transpose(1, 2, 0, 3)
+            z_new, dz_new = z[:, -1].reshape(n_modes, 2, active.size, 2).transpose(1, 2, 0, 3)
             x_new = (self.p @ z_new).real @ u_new.swapaxes(-1, -2)
-            c_new = self.flow(h, c0, x_new, rows)
+            c_new = self.flow(h, c0, x_new, active)
             # the embedded estimate: what Phi's last Legendre mode adds at the end
-            err_e, err_z = scaled(de[o.size :], e0, e_new), scaled(np.abs(dz_new), z0, z_new)
+            err_e, err_z = scaled(de[active.size :], e0, e_new), scaled(np.abs(dz_new), z0, z_new)
 
             def commit():
-                self.e[o], self.z[o], self.x[o], self.c[o] = e_new, z_new, x_new, c_new
+                self.e[active], self.z[active], self.x[active], self.c[active] = e_new, z_new, x_new, c_new
 
             return math.sqrt((np.vdot(err_e, err_e) + np.vdot(err_z, err_z)) / (err_e.size + err_z.size)), commit
 

@@ -97,14 +97,6 @@ class AuxBathParams:
         """Drift base and diffusion of the system + chain network (:func:`build_system`)."""
         return build_system(model, self)
 
-    def propagate(
-        self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None, kappa=None, eta=None
-    ):
-        """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2n, 2n)."""
-        return propagate_covariance_batch(
-            tau_q, g_final, r_n, self, model=model, settings=settings, s_samples=s_samples, kappa=kappa, eta=eta
-        )
-
 
 #: Four-oscillator realization of the Ohmic T = 0 bath.
 DEFAULT_OHMIC = AuxBathParams(
@@ -180,15 +172,13 @@ def propagate_covariance_batch(
     kappa=None,
     eta=None,
 ):
-    """Vectorized Lyapunov propagation from the product vacuum ``V = I``.
+    """A batch of the network with ``kappa`` per member, on :func:`critquench.moments.propagate_batch`.
 
-    ``kappa`` is per member (default: the table's), so one batch may
-    hold isolated members (the same network at ``kappa = 0``) beside
-    open ones; ``eta`` defaults to the model's size.  The batch runs on
-    :func:`critquench.moments.propagate_batch`, each Gauss collocation
-    step advancing the isolated mode's propagator U and the chain frame
-    the rest of V; accuracy sets most steps (``ohmic_critical.cfg``:
-    372 attempts over its 21 spans, 89 at the cap).  Returns
+    Builds one drift base per member from the table at its ``kappa``
+    (default: the table's) and propagates them from the product vacuum
+    ``V = I``; ``eta`` defaults to the model's size.  No production path
+    calls it: the tests build mixed-``kappa`` batches with it, and the
+    benchmark's tracer books legs through it (ROADMAP item 1).  Returns
     ``(s_times, V)``, V of shape (S, B, 2n, 2n).
     """
     tau, g_f, r_n, kappa, eta = broadcast_members(

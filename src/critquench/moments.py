@@ -62,9 +62,9 @@ PHYSICALITY_TOL = 1e-10
 class BathSpec:
     """Markovian thermal bath: overall rate kappa and occupation n_th.
 
-    Both bath types answer ``is_isolated``, ``lyapunov_terms(model)`` and
-    ``propagate(...)`` (see :class:`critquench.auxbath.AuxBathParams`),
-    so no caller needs to know which one it holds.
+    Both bath types answer ``is_isolated`` and ``lyapunov_terms(model)``
+    (see :class:`critquench.auxbath.AuxBathParams`), so no caller needs
+    to know which one it holds.
     """
 
     kappa: float = 0.0
@@ -100,19 +100,6 @@ class BathSpec:
     def lyapunov_terms(self, model: ModelSpec):
         """Drift base and diffusion of the system mode (:func:`thermal_bath`)."""
         return thermal_bath(self.kappa, self.n_th)
-
-    def propagate(
-        self, tau_q, g_final, r_n, model: ModelSpec, settings=DEFAULT_SETTINGS, s_samples=None, kappa=None, eta=None
-    ):
-        """``(s_times, V)`` of a batch of quenches, V of shape (S, B, 2, 2).
-
-        ``kappa`` (default: the bath's) and ``eta`` (default: the
-        model's size) may be per member.
-        """
-        tau, g_f, r_n, eta, kappa = broadcast_members(
-            tau_q, g_final, r_n, model.eta if eta is None else eta, self.kappa if kappa is None else kappa
-        )
-        return propagate_batch(*thermal_bath(kappa, self.n_th), model, tau, g_f, r_n, eta, settings, s_samples)[:2]
 
 
 ISOLATED = BathSpec()
@@ -251,7 +238,7 @@ def propagate_batch(
     for stop in stops:
         if active.size != built:  # the first span, or members have left
             built = active.size
-            system = system_rates(model, tau[active], g_f[active], r_n[active], eta[active], tau[active])
+            system = system_rates(model, tau[active], g_f[active], r_n[active], eta[active])
             advance = frame.advance(active, settings.rtol, settings.atol)
         u[active] = collocate_to(frame.rule, system, advance, start, stop, u[active], step)
         if s_samples is not None:
@@ -327,9 +314,8 @@ def integrate(
     hundredfold tolerance tightening (verified in the test suite).
     """
     s_samples = np.linspace(0.0, 1.0, samples) if samples and samples > 1 else None
-    ss, vs = bath.propagate(
-        protocol.tau_q, protocol.g_final, protocol.r_n, model, settings=settings, s_samples=s_samples
-    )
+    members = broadcast_members(protocol.tau_q, protocol.g_final, protocol.r_n, model.eta)
+    ss, vs, _ = propagate_batch(*bath.lyapunov_terms(model), model, *members, settings, s_samples)
     return CovarianceTrajectory(ts=ss * protocol.tau_q, vs=vs[:, 0], protocol=protocol, model=model)
 
 

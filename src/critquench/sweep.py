@@ -31,10 +31,10 @@ from .errors import ConfigError, IntegrationFailure
 from .model import ModelKind
 from .scaling import PowerLawFit, ScalingPrediction, fit_power_law, fit_report_lines, predict_regime
 
-# unused since a structured sweep is one batch; the benchmark reads it (ROADMAP item 1)
+# read and rebound only by the benchmark (ROADMAP item 1): no sweep reads the
+# settings, and the cache stays empty
 STRUCTURED_ISOLATED_SETTINGS = IntegratorSettings(rtol=1e-13, atol=1e-15)
-_ISOLATED_CACHE: dict[tuple, dict[str, np.ndarray]] = {}  # filled only by _isolated_leg_cached (ROADMAP item 1)
-_ISOLATED_CACHE_MAX = 32
+_ISOLATED_CACHE: dict[tuple, dict[str, np.ndarray]] = {}
 
 
 def tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarray:
@@ -44,27 +44,14 @@ def tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarr
     return np.geomspace(tau_min, tau_max, n_points)
 
 
-def _leg(config: ExperimentConfig, taus, bath, settings: IntegratorSettings) -> dict[str, np.ndarray]:
-    _, vs = bath.propagate(taus, config.g_final, config.r_n, config.model, settings=settings)
-    return moments.observables_from_covariance(vs[-1], config.g_final, config.model.omega)
-
-
 def _isolated_leg_cached(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    """Isolated final observables of a structured sweep, cached in-process."""
-    # no caller since _legs runs both legs as one batch; the benchmark patches it (ROADMAP item 1)
-    key = (config.model, config.g_final, config.r_n, tuple(taus.tolist()))
-    hit = _ISOLATED_CACHE.get(key)
-    if hit is None:
-        hit = _leg(config, taus, moments.ISOLATED, settings=STRUCTURED_ISOLATED_SETTINGS)
-        if len(_ISOLATED_CACHE) >= _ISOLATED_CACHE_MAX:
-            _ISOLATED_CACHE.pop(next(iter(_ISOLATED_CACHE)))
-        _ISOLATED_CACHE[key] = hit
-    return hit
+    """The isolated column of :func:`_legs`; a name the benchmark's tracer patches (ROADMAP item 1)."""
+    return _legs(config, taus)[0]
 
 
 def _open_leg(config: ExperimentConfig, taus) -> dict[str, np.ndarray]:
-    # no caller since _legs runs both legs as one batch; the benchmark patches it (ROADMAP item 1)
-    return _leg(config, taus, config.bath, config.settings)
+    """The open column of :func:`_legs`; a name the benchmark's tracer patches (ROADMAP item 1)."""
+    return _legs(config, taus)[1]
 
 
 def _legs(config: ExperimentConfig, taus, eta=None) -> tuple[dict, dict]:

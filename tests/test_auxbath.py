@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from critquench import (
-    BathSpec,
     IntegratorSettings,
     QuenchProtocol,
     _flows,
@@ -402,7 +401,7 @@ class TestFrozenChain:
             for exponent in (1.0, 1.25):
                 ramp = (model, tau, g_f, exponent * r_n, eta, tau)
                 full = lyapunov_batch_rhs(drift, diffusion, *ramp)(0.7, v)[:, :, :2]
-                p, q = system_rates(*ramp)(np.array([0.7]))
+                p, q = system_rates(*ramp[:-1])(np.array([0.7]))
                 du = np.stack([p[0, :, None] * u[:, 1], -q[0, :, None] * u[:, 0]], axis=1)  # [[0, p], [-q, 0]] U
                 de, dz = frame.rates(u, e, z, c)
                 # S' = U' (1 + e) U^T + U (1 + e) U'^T + U e' U^T, X' = Re(P Z'^T) U^T + Re(P Z^T) U'^T
@@ -492,7 +491,7 @@ class TestFrozenChain:
                 return real(rule, timed, advance, t0, t1, u0, step)
 
             monkeypatch.setattr(moments, "collocate_to", collocate)
-            DEFAULT_OHMIC.propagate(40.0, 1.0, 1.0, THERMODYNAMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
+            propagate_covariance_batch(40.0, 1.0, 1.0, DEFAULT_OHMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
             # past the start, where every step sits at the cap
             return np.median([err for t, (step, err) in zip(times, seen) if t > 10.0 and step == h])
 
@@ -544,6 +543,16 @@ class TestFrozenChain:
         assert np.array_equal(isolated, np.eye(8))
         assert 0.0 < np.max(np.abs(open_ - np.eye(8))) < 1e-6
         assert np.array_equal(vs[-1], vs[-1].swapaxes(-1, -2))
+        # a batch of uncoupled members only is stepped like any other: zero
+        # forcing leaves every member at V = U U^T + I, from the chain's first step
+        frames.clear(), finals.clear()
+        params = _decoupled(DEFAULT_OHMIC, keep_gamma=False)
+        _, vs = propagate_covariance_batch(60.0, [1.0, 0.8], 1.0, params)
+        ((frame,),), (u,) = (frames,), finals
+        chain = build_system(THERMODYNAMIC, params)[0][2:, 2:]
+        assert frame.first_step == 1.0 / np.max(np.abs(np.linalg.eigvals(chain)))
+        for v, u_b in zip(vs[-1], u):
+            assert np.array_equal(v, np.block([[u_b @ u_b.T, np.zeros((2, 8))], [np.zeros((8, 2)), np.eye(8)]]))
 
     def test_isolated_state_stays_pure_over_a_long_ramp(self):
         # the accepted U is projected back to det U = 1: without it the stages'
@@ -583,8 +592,8 @@ class TestFrozenChain:
         assert np.array_equal(vs, vs.swapaxes(-1, -2))
         assert np.min(physicality_defect(vs, symplectic_form(5))) >= -1e-10
         # the open member's chain block moves off the vacuum; the isolated one's never does
-        _, both = DEFAULT_OHMIC.propagate(
-            20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=np.linspace(0.0, 1.0, 17), kappa=[0.0, DEFAULT_OHMIC.kappa]
+        _, both = propagate_covariance_batch(
+            20.0, 1.0, 1.0, DEFAULT_OHMIC, s_samples=np.linspace(0.0, 1.0, 17), kappa=[0.0, DEFAULT_OHMIC.kappa]
         )
         chains = both[:, :, 2:, 2:]
         assert np.all(chains[:, 0] == np.eye(8))
@@ -610,10 +619,11 @@ class TestFrozenChain:
         monkeypatch.setattr(moments, "collocate_to", collocate)
         with monkeypatch.context() as patch:
             patch.setattr(moments, "ChainFrame", no_flow)
-            BathSpec(kappa=1e-3).propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-3])
+            members = moments.broadcast_members([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC.eta)
+            moments.propagate_batch(*moments.thermal_bath([0.0, 1e-3], 0.0), THERMODYNAMIC, *members)
         assert flows == ["frame"] * 2
         flows.clear()
-        DEFAULT_OHMIC.propagate([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC)
+        propagate_covariance_batch([10.0, 20.0], 1.0, 1.0, DEFAULT_OHMIC)
         assert flows == ["frame"] * 2
 
     def test_rejects_a_chain_it_cannot_flow(self):
@@ -634,7 +644,7 @@ class TestCollocation:
     @staticmethod
     def ramp(r_n):
         tau = np.array([40.0])
-        return system_rates(THERMODYNAMIC, tau, np.ones(1), np.array([r_n]), np.full(1, THERMODYNAMIC.eta), tau)
+        return system_rates(THERMODYNAMIC, tau, np.ones(1), np.array([r_n]), np.full(1, THERMODYNAMIC.eta))
 
     def test_constant_block_gives_the_closed_form_propagator(self):
         rule, (p, q), h = FrameRule(), (1.3, 0.7), 3.5

@@ -155,3 +155,16 @@ def test_reference_is_one_solve_in_the_tracers_call_pattern(monkeypatch):
     ((members, times),) = solves["moments"]
     assert members == 2 and not solves["auxbath"]
     assert_tracer_call_pattern(times)
+
+
+def test_leg_anchors_are_the_columns_of_the_one_batch():
+    # the tracer patches _isolated_leg_cached and _open_leg; they stay views of
+    # _legs, not a second leg path, and nothing fills the cache
+    for text in ("bath.kappa = 1e-3\n", "bath.type = structured\n"):
+        cfg = build_config(parse_config_text(text + "sweep.tau_min = 5\nsweep.tau_max = 10\nobservables = e_r, dp\n"))
+        taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
+        legs = sweep._legs(cfg, taus)
+        for anchor, column in zip((sweep._isolated_leg_cached(cfg, taus), sweep._open_leg(cfg, taus)), legs):
+            assert anchor.keys() == column.keys()
+            assert all(anchor[obs].tobytes() == column[obs].tobytes() for obs in column)
+        assert not sweep._ISOLATED_CACHE

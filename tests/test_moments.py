@@ -246,6 +246,12 @@ class TestPhysicalityDefect:
         assert physicality_defect(v[0], j) == pytest.approx(want[0], abs=1e-13)
 
 
+def run_batch(terms, tau_q, g_final=1.0, s_samples=None):
+    """``(s_times, V)`` of a batch of linear ramps of THERMODYNAMIC on a bath's ``terms``, drift base and diffusion."""
+    members = moments.broadcast_members(tau_q, g_final, 1.0, THERMODYNAMIC.eta)
+    return moments.propagate_batch(*terms, THERMODYNAMIC, *members, s_samples=s_samples)[:2]
+
+
 def spy_solve_spans(monkeypatch):
     """Record ``(t0, t1, members)`` of every span of the engine, ``solve_to`` or ``collocate_to``."""
     spans, real, collocate = [], moments.solve_to, moments.collocate_to
@@ -284,15 +290,15 @@ class TestEngine:
         # samples come back as given, in their order, with no end sample added;
         # each is one more stop, so the order of the request moves no bit
         spans = spy_solve_spans(monkeypatch)
-        ss, vs = bath.propagate(20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=[0.5, 0.25])
+        ss, vs = run_batch(bath.lyapunov_terms(THERMODYNAMIC), 20.0, s_samples=[0.5, 0.25])
         assert ss.tolist() == [0.5, 0.25] and vs.shape[:2] == (2, 1)
         end = spans[-1][1]
         assert [span[:2] for span in spans] == [(0.0, 0.25 * end), (0.25 * end, 0.5 * end), (0.5 * end, end)]
-        _, ordered = bath.propagate(20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=[0.0, 0.25, 0.5])
+        _, ordered = run_batch(bath.lyapunov_terms(THERMODYNAMIC), 20.0, s_samples=[0.0, 0.25, 0.5])
         assert np.array_equal(vs, ordered[:0:-1]) and np.array_equal(ordered[0, 0, :2, :2], np.eye(2))
         for outside in ([0.0, 0.5, 1.5], [-0.25], [np.nan]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                bath.propagate(20.0, 1.0, 1.0, THERMODYNAMIC, s_samples=outside)
+                run_batch(bath.lyapunov_terms(THERMODYNAMIC), 20.0, s_samples=outside)
 
     def test_markovian_batch_of_mixed_quench_times_is_one_solve(self, monkeypatch):
         spans = spy_solve_spans(monkeypatch)
@@ -325,7 +331,7 @@ class TestEngine:
 
         monkeypatch.setattr(moments, "collocate_to", squeezed)
         with pytest.raises(IntegrationFailure, match="unphysical state") as err:
-            BathSpec(kappa=1e-3).propagate([5.0, 10.0], 1.0, 1.0, THERMODYNAMIC)
+            run_batch(BathSpec(kappa=1e-3).lyapunov_terms(THERMODYNAMIC), [5.0, 10.0])
         assert err.value.t_last == 5.0
 
 
@@ -362,7 +368,7 @@ class TestMarkovFrame:
         "g, tau, kappa, n_th", [(1.0, 300.0, 1e-3, 1.0), (0.9, 300.0, 0.1, 1.0), (0.9, 300.0, 1.0, 0.0), (1.0, 1000.0, 0.05, 2.0)]
     )
     def test_single_member_matches_the_runge_kutta_reference(self, g, tau, kappa, n_th):
-        _, vs = BathSpec(kappa=kappa, n_th=n_th).propagate(tau, g, 1.0, THERMODYNAMIC)
+        _, vs = run_batch(BathSpec(kappa=kappa, n_th=n_th).lyapunov_terms(THERMODYNAMIC), tau, g)
         tight = IntegratorSettings(rtol=1e-13, atol=1e-15)
         _, ref = moments.propagate_moments_batch(tau, g, 1.0, THERMODYNAMIC, kappa, n_th, settings=tight)
         assert np.max(np.abs(vs - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -376,7 +382,7 @@ class TestMarkovFrame:
             return finals[-1]
 
         monkeypatch.setattr(moments, "collocate_to", collocate_to)
-        _, vs = BathSpec(kappa=1e-2, n_th=1.0).propagate(60.0, 1.0, 1.0, THERMODYNAMIC, kappa=[0.0, 1e-2])
+        _, vs = run_batch(thermal_bath([0.0, 1e-2], 1.0), [60.0, 60.0])
         ((_, u_open),) = finals
         assert vs[-1, 0].tobytes() == (u_open @ u_open.T).tobytes()
         assert not np.array_equal(vs[-1, 1], vs[-1, 0])

@@ -5,7 +5,12 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import critquench as cq
+from critquench import moments
+from critquench.auxbath import DEFAULT_OHMIC
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +47,17 @@ def test_readme_imports_resolve():
     assert imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("bath", [cq.BathSpec(kappa=1e-2, n_th=0.5), DEFAULT_OHMIC], ids=["markovian", "structured"])
+def test_a_bath_answers_its_terms_and_integrate_runs_them_on_the_engine(bath):
+    # a bath is its drift base and diffusion; integrate is one propagate_batch call on them
+    model = cq.ModelSpec(kind=cq.ModelKind.LMG, eta=30.0)
+    assert bath.is_isolated is False and not hasattr(bath, "propagate")
+    protocol = cq.QuenchProtocol(g_final=0.9, tau_q=20.0, r_n=1.25)
+    got = cq.integrate(protocol, model=model, bath=bath, samples=5)
+    members = moments.broadcast_members(protocol.tau_q, protocol.g_final, protocol.r_n, model.eta)
+    s_samples = np.linspace(0.0, 1.0, 5)
+    ss, vs, _ = moments.propagate_batch(*bath.lyapunov_terms(model), model, *members, s_samples=s_samples)
+    assert got.ts.tobytes() == (ss * protocol.tau_q).tobytes()
+    assert got.vs.tobytes() == vs[:, 0].tobytes()
