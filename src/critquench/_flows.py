@@ -186,11 +186,11 @@ def _lagrange_expansion(nodes, x0):
 
 
 #: |z tau| above which :meth:`FrameRule.exp_weights` integrates by parts
-FAR = 16.0
+FAR = 32.0
 
 
 class FrameRule:
-    """The quadrature of one frame step: 12 Gauss nodes on [0, 1] and their weight tables.
+    """The quadrature of one frame step: 16 Gauss nodes on [0, 1] and their weight tables.
 
     Built by each frame (:class:`MarkovFrame`, :class:`ChainFrame`), so
     importing the package computes nothing.  ``nodes`` and ``gauss`` are
@@ -202,14 +202,17 @@ class FrameRule:
     """
 
     def __init__(self):
-        m = 12
+        m = 16
         self.nodes, self.gauss = _gauss_legendre(m)
         self.ends = np.append(self.nodes, 1.0)
-        # near branch: a 20-point Gauss rule on [0, tau] for each end tau,
-        # near[t, q, j] = tau_t g_q l_j(tau_t y_q)
-        self.y, g = _gauss_legendre(20)
-        points = self.ends[:, None] * self.y
-        self.near = self.ends[:, None, None] * g[:, None] * _lagrange_expansion(self.nodes, points)[..., 0, :]
+        # near branch: a 40-point Gauss rule on [0, tau] for each end tau,
+        # near[t, q, j] = tau_t g_q l_j(tau_t y_q), the basis from its barycentric
+        # weights: l_j(x) = prod_k (x - c_k) w_j / (x - c_j)
+        self.y, g = _gauss_legendre(40)
+        gaps = (self.ends[:, None] * self.y)[..., None] - self.nodes  # (t, q, j)
+        barycentric = 1.0 / np.prod(self.nodes[:, None] - self.nodes + np.eye(m), axis=1)
+        basis = np.prod(gaps, axis=-1, keepdims=True) * barycentric / gaps
+        self.near = self.ends[:, None, None] * g[:, None] * basis
         # far branch: the derivatives of the basis at 0 and at each end
         self.deriv_0 = _lagrange_expansion(self.nodes, 0.0)
         self.deriv_end = _lagrange_expansion(self.nodes, self.ends)
@@ -256,9 +259,8 @@ class FrameRule:
         ``tau`` runs over :attr:`ends`, so for a polynomial ``p`` of
         degree below the node count ``sum_j W[k, t, j] p(c_j)`` is the
         solution at ``tau_t`` of ``y' = z_k y + p(x)``, ``y(0) = 0``.  Up
-        to ``|z tau| = FAR`` the integral is a 20-point Gauss rule, exact
-        to rounding there; beyond it,
-        integration by parts,
+        to ``|z tau| = FAR`` the integral is a 40-point Gauss rule, exact
+        to rounding there; beyond it, integration by parts,
         ``sum_n (e^{z tau} l^(n)(0) - l^(n)(tau)) / z^(n + 1)``, whose
         terms shrink with ``|z|``.  Both agree to a few 1e-14 at the
         switch.  ``z`` is a 1-d complex array.  Returns W and
@@ -327,19 +329,24 @@ def chain_flow(drift_base, diffusion):
 
     ``Phi_h`` comes from one eigendecomposition of G, and L from the
     inverse of the Lyapunov operator on the row-major ``vec`` of the
-    block, both computed once.  Every member must share G.  Returns
-    ``advance(h, c, x, rows)``, the new C, exactly symmetric, from C
-    and the cross block X at the step's end of the members ``rows``
-    (default: all); a member without forcing (``K = 0``) keeps ``C = I``
-    exactly.
+    block, both computed once.  Every member must share G, and a
+    coupled batch needs every mode of G damped, or that operator is
+    singular (:class:`ValueError`).  Returns ``advance(h, c, x, rows)``,
+    the new C, exactly symmetric, from C and the cross block X at the
+    step's end of the members ``rows`` (default: all); a member without
+    forcing (``K = 0``) keeps ``C = I`` exactly.
     """
     gamma = _chain_drift(drift_base, diffusion)
     m = gamma.shape[-1]
     eye = np.eye(m)
     k = drift_base[:, 2:, :2]
+    lam, vecs, inv = _chain_modes(gamma)
+    # the Lyapunov operator below has the eigenvalues lam_i + lam_j: an undamped mode makes it singular
+    if np.any(k) and -lam.real.max() <= 1e-10 * np.max(np.abs(lam)):
+        slowest = abs(lam[np.argmax(lam.real)].imag)
+        raise ValueError(f"a coupled chain needs damped modes, but its mode at frequency {slowest:.6g} is undamped")
     # Phi_h = Re sum_k exp(h lam_k) P[:, k] P^-1[k, :] is one real product
     # with the (re, im) pairs of exp(h lam)
-    lam, vecs, inv = _chain_modes(gamma)
     outer = vecs.T[:, :, None] * inv[:, None, :]
     expand = np.stack([outer.real, -outer.imag], axis=1).reshape(2 * m, m * m).T
     # row-major vec(L) = vec(F) @ lyapunov_inv.T, and F = K X^T + (K X^T)^T
@@ -379,8 +386,9 @@ class MarkovFrame:
 
     Gauss collocation of ``exp(kappa t) e`` beside U's, of order 2m at
     the step's end.  Its error is 0, so U's stage estimate is the step's
-    only control; its first step is the cap.  ``e`` is kept as its
-    entries ``(e_qq, e_qp, e_pp)``, (B, 3); a member at
+    only control; ``first_step`` is infinite, so the first attempt is
+    the whole first span, and that estimate cuts it down.  ``e`` is kept
+    as its entries ``(e_qq, e_qp, e_pp)``, (B, 3); a member at
     ``kappa = d = 0`` keeps ``e = 0`` exactly, so its V is ``U U^T``.
     """
 
@@ -467,9 +475,9 @@ class ChainFrame:
     chain starts in its own vacuum, so Z starts off its driven, slowly
     varying course and relaxes at the chain's rates; the Gauss rule of
     ``e`` cannot integrate that transient over a longer first step, and
-    no estimate sees it (Phi stays smooth).  A
-    first step at the cap left ``e`` 1.8e-5 off at ``ohmic_critical``'s
-    ``tau = 50``; any first step up to 0.3 left it at rounding.
+    no estimate sees it (Phi stays smooth).  A first step of 3.5 left
+    ``e`` 1.8e-5 off at ``ohmic_critical``'s ``tau = 50``; any first
+    step up to 0.3 left it at rounding.
     """
 
     def __init__(self, drift_base, diffusion):

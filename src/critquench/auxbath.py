@@ -24,7 +24,7 @@ Lyapunov engine, :func:`critquench.moments.propagate_batch`, in
 physical time and in the order it is built (the chain is the
 pseudomode construction of Tamascelli et al., PRL 120, 030402
 (2018)).  Each step collocates only the isolated mode's 2x2
-propagator U, at 12 Gauss nodes.  In U's frame each chain mode obeys a
+propagator U, at 16 Gauss nodes.  In U's frame each chain mode obeys a
 linear equation with a constant, damped rate and a forcing that does
 not depend on the mode, so the engine integrates it exactly against
 the polynomial through the forcing at those nodes, and advances the

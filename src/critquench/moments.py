@@ -25,7 +25,7 @@ its own drift base and diffusion.
 
 Both baths run on one engine, :func:`propagate_batch`, and supply only
 their terms.  It steps the isolated mode's propagator U by Gauss
-collocation, in physical time under one step cap, and a frame carries
+collocation, in physical time with no step cap, and a frame carries
 the rest of V in U's frame (:mod:`critquench._flows`).  A sweep is one
 vectorized batch of one member per quench time (and size), and all of
 them share one adaptive step sequence, which keeps thousand-point
@@ -193,11 +193,10 @@ def propagate_batch(
     member or one for all.  The batch runs in physical time: one call of
     :func:`collocate_to` runs to each distinct ``tau``, and the members
     ending there leave; every span keeps the step the last one ended
-    with.  Each step collocates the isolated mode's 2x2 propagator U,
-    whose rate is the mode's frequency, so the cap is ``3.5 / omega``
-    for every bath: it keeps the largest steps from about doubling their
-    rejections.  A frame built once per batch carries the rest of V in
-    U's frame: the Markovian excess at N = 2
+    with.  Each step collocates the isolated mode's 2x2 propagator U
+    at 16 Gauss nodes, bounded by the error estimates and
+    ``settings.max_step`` alone.  A frame built once per batch carries
+    the rest of V in U's frame: the Markovian excess at N = 2
     (:class:`critquench._flows.MarkovFrame`), else the chain
     (:class:`critquench._flows.ChainFrame`).
 
@@ -223,7 +222,6 @@ def propagate_batch(
             raise ValueError(f"sample times must lie in [0, 1], got {s_samples.tolist()}")
         sample_times = (s_samples * stops[0]).tolist()
         stops = sorted(set(stops).union(sample_times) - {0.0})
-    settings = replace(settings, max_step=min(settings.max_step, 3.5 / model.omega))
 
     frame = (MarkovFrame if drift_base.shape[-1] == 2 else ChainFrame)(drift_base, diffusion)
     u = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()

@@ -33,11 +33,12 @@ Run from the repository root with ``PYTHONPATH=src``:
     ``max_step``, its wall time, and the parts of it spent in U's
     collocation and in the frame (the Markovian excess, or the chain);
     then the totals, with the member-attempts (members times attempts,
-    summed).  The first line also gives how many numbers per member the
-    stepper carries (U), out of the covariance's, and the step cap; for
-    a structured config, the eigenvalue moduli ``|lambda|`` of the chain
-    drift (one per conjugate pair) and the largest ``h |lambda|`` an
-    accepted step reached.
+    summed), and the attempts per unit of the longest member's time.
+    The first line also gives how many numbers per member the stepper
+    carries (U), out of the covariance's, the Gauss nodes of a step and
+    the effective ``max_step``; for a structured config, the eigenvalue
+    moduli ``|lambda|`` of the chain drift (one per conjugate pair) and
+    the largest ``h |lambda|`` an accepted step reached.
 
 ``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 1000 --cap-divisor 4``
     propagates one quench of a structured config per ``--tau``, once as
@@ -205,7 +206,8 @@ def cmd_steps(args):
 
     def collocate_to(rule, system, advance, t0, t1, u0, step):
         # one span of the engine: its members, numbers per member, step counts and times
-        record = {"span": (t0, t1), "members": u0.shape[0], "carried": u0[0].size, "u_s": 0.0, "frame_s": 0.0}
+        record = {"span": (t0, t1), "members": u0.shape[0], "carried": u0[0].size}
+        record.update(nodes=rule.nodes.size, u_s=0.0, frame_s=0.0)
         spans.append(record)
         before = np.array([step.n_steps, step.rejected, step.at_cap])
         start = time.perf_counter()
@@ -222,10 +224,11 @@ def cmd_steps(args):
         wall = time.perf_counter() - t0
     finally:
         moments._StepControl, moments.collocate_to = real
-    cap, numbers = spans[0]["max_step"], 4  # the Markovian 2x2 V
+    first, numbers = spans[0], 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
         numbers = build_system(config.model, config.bath)[0].size
-    limits = f"  stages carry {spans[0]['carried']} of {numbers} numbers per member, step cap {cap:.6g}"
+    limits = f"  stages carry {first['carried']} of {numbers} numbers per member, {first['nodes']} Gauss nodes"
+    limits += f", max_step {first['max_step']:.6g}"
     if config.bath_type == "structured":
         moduli = ", ".join(f"{m:.4g}" for m in chain_moduli(config))
         limits += f", chain's |lambda| {moduli}, largest h|lambda| {reached[0]:.3f}"
@@ -237,10 +240,11 @@ def cmd_steps(args):
             f"  {i:>4}  {a:g}..{b:g}  {s['members']}  {attempts}  {rejected}  {at_cap}"
             f"  {s['wall_s']:.6f}  {s['u_s']:.6f}  {s['frame_s']:.6f}"
         )
-    total = sum(s["steps"] for s in spans)
+    total, longest = sum(s["steps"] for s in spans), spans[-1]["span"][1]
     print(
         f"  total: {len(spans)} spans, {total[0]} attempts, {total[1]} rejected, {total[2]} at max_step,"
         f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts,"
+        f" {total[0] / longest:.4f} attempts per unit time to t = {longest:g},"
         f" {sum(s['u_s'] for s in spans):.3f} s U's solve, {sum(s['frame_s'] for s in spans):.3f} s frame,"
         f" {wall:.3f} s wall"
     )

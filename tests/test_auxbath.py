@@ -413,9 +413,10 @@ class TestFrozenChain:
 
     def test_exp_weights_integrate_polynomials_exactly(self):
         # sum_j W[k, t, j] p(c_j) = int_0^tau_t exp(z (tau_t - x)) p(x) dx for deg p < m,
-        # against sum_n (e^{z tau} p^(n)(0) - p^(n)(tau)) / z^(n + 1) in 120 digits
+        # against sum_n (e^{z tau} p^(n)(0) - p^(n)(tau)) / z^(n + 1) in 200 digits:
+        # at z = 1e-8 its terms reach z^-m, which cancel to the O(1) integral
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 120
+        mpmath.mp.dps = 200
         rule = FrameRule()
         coeffs = np.random.default_rng(2).normal(size=rule.nodes.size)
         values = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
@@ -457,7 +458,7 @@ class TestFrozenChain:
 
     def test_frame_error_estimate_is_a_high_order_local_error(self, monkeypatch):
         # the frame's embedded estimate (Phi's last Legendre mode) falls about
-        # 2^8 times per halving of the step, as a local error of that order does
+        # 2^15 times per halving of the step, as a local error of high order does
         def median_error(h):
             seen = []
 
@@ -491,11 +492,12 @@ class TestFrozenChain:
                 return real(rule, timed, advance, t0, t1, u0, step)
 
             monkeypatch.setattr(moments, "collocate_to", collocate)
-            propagate_covariance_batch(40.0, 1.0, 1.0, DEFAULT_OHMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
+            propagate_covariance_batch(80.0, 1.0, 1.0, DEFAULT_OHMIC, settings=settings, kappa=[0.0, DEFAULT_OHMIC.kappa])
             # past the start, where every step sits at the cap
             return np.median([err for t, (step, err) in zip(times, seen) if t > 10.0 and step == h])
 
-        coarse, fine = median_error(2.0), median_error(1.0)
+        # steps long enough that both estimates stand well above rounding (about 4e-14)
+        coarse, fine = median_error(8.0), median_error(4.0)
         assert 0.0 < fine and coarse / fine > 100.0
 
     def test_one_step_matches_the_integrated_chain_block(self):
@@ -637,6 +639,15 @@ class TestFrozenChain:
         with pytest.raises(ValueError, match="share one chain"):
             chain_flow(drifts, diffusion)
 
+    def test_rejects_a_coupled_chain_with_an_undamped_mode(self):
+        # the chain's Lyapunov operator is singular without damping; an
+        # uncoupled batch never needs its inverse
+        undamped = replace(DEFAULT_OHMIC, oscillators=tuple(replace(o, gamma=0.0) for o in DEFAULT_OHMIC.oscillators))
+        with pytest.raises(ValueError, match="mode at frequency 120.315 is undamped"):
+            propagate_covariance_batch(20.0, 1.0, 1.0, undamped)
+        drift, diffusion = build_system(THERMODYNAMIC, replace(undamped, kappa=0.0))
+        chain_flow(drift[None], diffusion[None])
+
 
 class TestCollocation:
     """One Gauss collocation step of the isolated mode's propagator U (:meth:`FrameRule.collocate`)."""
@@ -672,22 +683,22 @@ class TestCollocation:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), c
 
     @pytest.mark.parametrize("r_n", [1.0, 1.25])
-    def test_stage_estimate_is_a_twelfth_order_local_error(self, r_n):
-        # dropping the last Legendre mode of the 12 stage derivatives moves U at
-        # the nodes by O(h^12): the estimate falls about 2^12 per halving
+    def test_stage_estimate_is_a_sixteenth_order_local_error(self, r_n):
+        # dropping the last Legendre mode of the 16 stage derivatives moves U at
+        # the nodes by O(h^16): the estimate falls about 2^15 to 2^16 per halving
         system, rule = self.ramp(r_n), FrameRule()
 
         def estimate(h):
             change = rule.collocate(*system(17.0 + h * rule.nodes), h, np.eye(2)[None])[2]
             return np.sqrt(np.mean(change**2))
 
-        assert estimate(3.0) / estimate(1.5) > 2.0**11
+        assert estimate(8.0) / estimate(4.0) > 2.0**15
 
     def test_collocate_to_carries_the_step_across_stops(self):
         # a second span starts from the proposal the first ended with
         frame = ChainFrame(*(term[None] for term in build_system(THERMODYNAMIC, DEFAULT_OHMIC)))
         flow = (frame.rule, self.ramp(1.0), frame.advance(np.arange(1), 1e-10, 1e-12))
-        step = _StepControl(IntegratorSettings(max_step=3.5), -1.0 / 12.0, frame.first_step)
+        step = _StepControl(IntegratorSettings(max_step=3.5), -1.0 / frame.rule.nodes.size, frame.first_step)
         u = collocate_to(*flow, 0.0, 20.0, np.eye(2)[None], step)
         carried, attempts = step.h, step.n_steps
         collocate_to(*flow, 20.0, 40.0, u, step)

@@ -23,10 +23,10 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         ledger_probe.main(["steps", str(config)])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{config}  3 quench times in [5, 10]")
-        # the numbers the stages carry (U), the cap, and for the chain its
-        # eigenvalue moduli and the largest h |lambda| reached
+        # the numbers the stages carry (U), the nodes, the uncapped step, and
+        # for the chain its eigenvalue moduli and the largest h |lambda| reached
         structured = numbers == 100
-        assert f"  stages carry 4 of {numbers} numbers per member, step cap 3.5" in lines[0]
+        assert f"  stages carry 4 of {numbers} numbers per member, 16 Gauss nodes, max_step inf" in lines[0]
         assert ("chain's |lambda| " in lines[0]) == structured
         assert (", largest h|lambda| " in lines[0]) == structured
         if structured:
@@ -47,6 +47,7 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         total = f"total: {len(rows)} spans, {sum(attempts)} attempts,"
         assert lines[-1].strip().startswith(total)
         assert f" {sum(m * a for m, a in zip([3, 2, 1], attempts))} member-attempts, " in lines[-1]
+        assert f" {sum(attempts) / 10.0:.4f} attempts per unit time to t = 10, " in lines[-1]
 
 
 def test_oracle_prints_both_excesses(tmp_path, capsys):

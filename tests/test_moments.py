@@ -373,6 +373,22 @@ class TestMarkovFrame:
         _, ref = moments.propagate_moments_batch(tau, g, 1.0, THERMODYNAMIC, kappa, n_th, settings=tight)
         assert np.max(np.abs(vs - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    def test_a_long_critical_ramp_takes_few_attempts(self, monkeypatch):
+        # 16 Gauss nodes and no step cap: the cold bath of
+        # critical_akz_zero_temperature.cfg at its tau_max takes about 1,500
+        # attempts, where 12 nodes under the cap 3.5 took 4,028
+        controls = []
+
+        class Counted(moments._StepControl):
+            def __init__(self, *args):
+                super().__init__(*args)
+                controls.append(self)
+
+        monkeypatch.setattr(moments, "_StepControl", Counted)
+        run_batch(BathSpec(kappa=1e-4).lyapunov_terms(THERMODYNAMIC), 1e4)
+        ((step,),) = (controls,)
+        assert step.n_steps <= 2000
+
     def test_isolated_member_is_the_open_members_u_u_t(self, monkeypatch):
         # the kappa = 0 member shares U with the open one and keeps e = 0
         finals, real = [], moments.collocate_to
