@@ -150,8 +150,9 @@ def set_system_block(drift: np.ndarray, model: ModelSpec, g, eta=None) -> np.nda
     ``drift`` is one matrix or a stack over members (then ``g`` and
     ``eta`` broadcast over the stack); returns it for chaining.  Used at
     a frozen coupling (:func:`steady_state_covariance`); a propagation
-    writes the same block from the coefficient table itself
-    (:func:`lyapunov_batch_rhs`, :func:`system_rates`).
+    writes the same entries from the coefficient table by the one writer
+    of ``_flows._ramp``, which :func:`system_rates` and
+    :func:`lyapunov_batch_rhs` share, so this is an independent check of it.
     """
     h_qq, h_pp = model_mod.quadrature_form(model, g, eta=eta)
     np.negative(h_qq, out=drift[..., 1, 0])

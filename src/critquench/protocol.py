@@ -25,14 +25,16 @@ def ramp_profile(r_n):
     """The profile ``s -> 1 - (1 - s)**r_n`` for fixed exponents ``r_n``.
 
     Everything a call would otherwise recompute about ``r_n`` (the array,
-    the ``r_n == 1`` mask, whether any member is linear) is settled here
-    once, so a propagation's right-hand side pays only the arithmetic.
-    The base is clamped to zero so that rounding noise at s = 1 cannot
-    produce a negative base under a fractional exponent.  Linear members
-    take ``s`` itself, so the linear ramp is exact to the last bit: an
-    all-linear ``r_n`` returns ``s`` before any power is computed, and
-    ``np.where`` runs only when some members are linear and some not.
-    ``s`` is a float or an array broadcasting against ``r_n``.
+    whether every member is linear) is settled here once, so a
+    propagation's right-hand side pays only the arithmetic.  An
+    all-linear ``r_n`` returns ``s`` itself, so the linear ramp is exact
+    to the last bit; otherwise every member goes through the power, and
+    the base is clamped to zero so that rounding noise at s = 1 cannot
+    produce a negative base under a fractional exponent.  A linear
+    member of a mixed batch then gets ``1 - (1 - s)``, which may differ
+    from ``s`` in the last bit: the one mixed-batch caller, the writer
+    of :func:`critquench._flows._ramp`, takes those members from ``s``
+    itself.  ``s`` is a float or an array broadcasting against ``r_n``.
 
     Per-member exponents go through one array ``np.power`` and must stay
     on that path: numpy's vectorized (AVX-512) ``pow`` differs from its
@@ -41,20 +43,13 @@ def ramp_profile(r_n):
     sweep outputs of nonlinear ramps.
     """
     r_n = np.asarray(r_n, dtype=float)
-    linear = r_n == 1.0
-    if linear.all():
-        return _linear_profile
+    if np.all(r_n == 1.0):
+        return lambda s: s
 
     def profile(s):
         return 1.0 - np.power(np.maximum(1.0 - s, 0.0), r_n)
 
-    if not linear.any():
-        return profile
-    return lambda s: np.where(linear, s, profile(s))
-
-
-def _linear_profile(s):
-    return s
+    return profile
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,8 @@ Run from the repository root with ``PYTHONPATH=src``:
 
 import argparse
 import math
+import os
+import sys
 import time
 
 import numpy as np
@@ -295,7 +297,13 @@ def main(argv=None):
     p_oracle.add_argument("--cap-divisor", type=float, default=4.0, help="step cap divisor of the long-double run")
     args = parser.parse_args(argv)
     commands = {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple, "steps": cmd_steps, "oracle": cmd_oracle}
-    commands[args.command](args)
+    try:
+        commands[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``): point stdout at devnull, so the exit's flush fails quietly too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -399,7 +399,8 @@ class TestRunSweep:
             assert np.isnan(leg["e_r"][1]) and np.all(np.isfinite(np.delete(leg["e_r"], 1)))
 
     def test_sweeps_leave_numpy_ma_unimported(self):
-        # np.unique imports numpy.ma lazily, at about 1 MB of resident memory
+        # np.unique imports numpy.ma lazily, at about 1 MB of resident memory;
+        # and every sweep loads numpy only, no scipy module
         code = """
 import sys
 import numpy
@@ -413,14 +414,14 @@ sweep.run_sweep(build_config(parse_config_text(grid + "bath.kappa = 1e-3\\n")))
 sweep.run_sweep(build_config(parse_config_text(grid + "bath.type = structured\\n")))
 size = "model.kind = qrm\\nmodel.eta = 100\\nbath.kappa = 1e-3\\nsize.eta_list = 10, 100, 1000\\n"
 sweep.run_size_crossover(build_config(parse_config_text(grid + size)))
-print("numpy.ma" in sys.modules)
+print("numpy.ma" in sys.modules, [name for name in sys.modules if name.split(".")[0] == "scipy"])
 """
         src = str(Path(sweep.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         if out.stdout.strip() == "preloaded":
             pytest.skip("import numpy alone loads numpy.ma")
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False []"
 
     def test_lockstep_row_failure_loses_both_legs(self, tmp_path, monkeypatch):
         # the batch fails at one quench time: it falls back to single rows,

@@ -1,5 +1,11 @@
 """The ledger probe behind docs/DECISIONS.md still runs against the engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import critquench
 import ledger_probe
 import pytest
 
@@ -74,3 +80,19 @@ def test_oracle_takes_several_quench_times(tmp_path, capsys):
     assert [(row[0], row[-4]) for row in rows] == [(obs, tau) for tau in "46" for obs in ("n:", "dx:", "dp:", "e_r:")]
     worst = float(lines[0].split("worst rel diff ")[1])
     assert worst == max(float(row[-1]) for row in rows) and worst < 1e-5
+
+
+def test_a_closed_pipe_ends_the_probe_quietly(tmp_path):
+    # ``ledger_probe.py steps <config> | head -1``: the reader is gone before the probe prints
+    config = tmp_path / "short.cfg"
+    config.write_text("bath.kappa = 1e-3\nsweep.tau_min = 5\nsweep.tau_max = 10\nobservables = e_r\n")
+    src = str(Path(critquench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        probe = [sys.executable, ledger_probe.__file__, "steps", str(config)]
+        out = subprocess.run(probe, stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (1, "")

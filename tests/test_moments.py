@@ -20,9 +20,9 @@ from critquench import (
 from critquench import moments
 from critquench.auxbath import DEFAULT_OHMIC
 from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
-from critquench._flows import MarkovFrame
+from critquench._flows import MarkovFrame, system_rates
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
-from critquench.model import THERMODYNAMIC, ground_state_energy
+from critquench.model import THERMODYNAMIC, ground_state_energy, quadrature_form
 from critquench.moments import physicality_defect, set_system_block, symplectic_form
 from critquench.protocol import ramp_profile
 
@@ -199,7 +199,8 @@ class TestMomentRhs:
 
 class TestFoldedRhs:
     """The RHS with its rate and coefficients folded in at build time
-    equals ``rate (Gamma V + V Gamma^T + D)`` with Gamma from set_system_block."""
+    equals ``rate (Gamma V + V Gamma^T + D)`` with Gamma from set_system_block,
+    and the engine's system rates equal the model's quadrature form."""
 
     MODELS = [THERMODYNAMIC, ModelSpec(kind=ModelKind.QRM, eta=30.0), ModelSpec(kind=ModelKind.LMG, eta=30.0, omega=1.2)]
 
@@ -229,6 +230,21 @@ class TestFoldedRhs:
             want = (tau / end)[:, None, None] * (gv + gv.swapaxes(-1, -2) + diffusion)
             for b in range(4):
                 assert np.max(np.abs(got[b] - want[b])) <= 1e-14 * np.max(np.abs(want[b]))
+
+    @pytest.mark.parametrize("model", MODELS, ids=["thermodynamic", "qrm", "lmg"])
+    @pytest.mark.parametrize("r_n", [[1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 0.5, 1.0]], ids=["linear", "mixed"])
+    def test_system_rates_match_the_quadrature_form(self, model, r_n):
+        # the engine's ramped entries on their own: (p, q) = (h_pp, h_qq) at each member's g(t)
+        tau = np.array([3.0, 40.0, 700.0, 9.5])
+        g_final = np.array([1.0, 0.9, 0.6, 0.95])
+        eta = None if model.kind is ModelKind.THERMODYNAMIC else np.array([30.0, 5.0, 1e3, np.inf])
+        r_n = np.array(r_n)
+        at = system_rates(model, tau, g_final, r_n, eta)
+        for s in (0.0, 0.37, 0.81, 1.0):
+            p, q = at(s * tau)  # member b at its own time s tau_b: the diagonal
+            h_qq, h_pp = quadrature_form(model, g_final * ramp_profile(r_n)(s), eta=eta)
+            for got, want in ((np.diag(p), h_pp), (np.diag(q), h_qq)):
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestPhysicalityDefect:
