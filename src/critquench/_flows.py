@@ -163,10 +163,11 @@ FAR = 32.0
 
 
 class FrameRule:
-    """The quadrature of one frame step: 16 Gauss nodes on [0, 1] and their weight tables.
+    """The quadrature of one frame step: ``m`` Gauss nodes on [0, 1] and their weight tables.
 
-    Built by each frame (:class:`MarkovFrame`, :class:`ChainFrame`), so
-    importing the package computes nothing.  ``nodes`` and ``gauss`` are
+    Each frame builds its own, at its own ``m`` (:class:`MarkovFrame`
+    24, :class:`ChainFrame` 16), so importing the package computes
+    nothing.  ``nodes`` and ``gauss`` are
     the Gauss rule; ``ends`` the nodes and then 1, the step's end;
     ``collocation[t, j]`` is ``int_0^ends_t l_j`` over the nodes'
     Lagrange basis ``l_j``, whose rows at the nodes,
@@ -174,8 +175,7 @@ class FrameRule:
     projector of node values on their last Legendre mode.
     """
 
-    def __init__(self):
-        m = 16
+    def __init__(self, m):
         self.nodes, self.gauss = _gauss_legendre(m)
         self.ends = np.append(self.nodes, 1.0)
         # near branch: a 40-point Gauss rule on [0, tau] for each end tau,
@@ -359,13 +359,15 @@ class MarkovFrame:
 
     Gauss collocation of ``exp(kappa t) e`` beside U's, of order 2m at
     the step's end.  Its error is 0, so U's stage estimate is the step's
-    only control; ``first_step`` is infinite, so the first attempt is
-    the whole first span, and that estimate cuts it down.  A first step
-    of ``1 / omega`` was measured and declined: 1,496 attempts against
-    1,503 on ``critical_akz_zero_temperature``, 2,373 against 2,369 on
-    ``qrm_size_crossover``, and every Markovian output moves.  ``e`` is
-    kept as its entries ``(e_qq, e_qp, e_pp)``, (B, 3); a member at
-    ``kappa = d = 0`` keeps ``e = 0`` exactly, so its V is ``U U^T``.
+    only control.  Only the Gauss weights enter, so the rule has 24
+    nodes: ``critical_akz_zero_temperature`` takes 619 attempts, 1,503
+    at 16.  ``first_step`` is infinite, so the first attempt is the
+    whole first span, and the estimate cuts it down.  A first step of
+    ``1 / omega`` was measured and declined: 620 attempts there, 985
+    against 980 on ``qrm_size_crossover``, and every Markovian output
+    moves.  ``e`` is kept as its entries ``(e_qq, e_qp, e_pp)``, (B, 3);
+    a member at ``kappa = d = 0`` keeps ``e = 0`` exactly, so its V is
+    ``U U^T``.
     """
 
     def __init__(self, drift_base, diffusion):
@@ -374,7 +376,7 @@ class MarkovFrame:
             if np.any(term != scale[:, None, None] * np.eye(2)):
                 raise ValueError("a Markovian frame needs a drift base -(kappa/2) I and a diffusion d I")
         self.e = np.zeros((self.kappa.size, 3))
-        self.rule, self.first_step = FrameRule(), math.inf
+        self.rule, self.first_step = FrameRule(24), math.inf
 
     def state(self):
         """``(e, x, c)`` of :func:`critquench.moments._covariance`: ``e`` (B, 2, 2), no chain."""
@@ -447,6 +449,10 @@ class ChainFrame:
     state arrays ``e`` (B, 2, 2), ``z`` (B, modes, 2), ``x``
     (B, N - 2, 2) and ``c`` (B, N - 2, N - 2) are per member.
 
+    The rule has 16 nodes: at 24, :meth:`FrameRule.exp_weights` is 8e-12
+    off and jumps 4e-10 at ``FAR``; an 80-point near rule and ``FAR = 80``
+    mend that, but cost ``structured_sweep`` up to 5 % and 1.6 MB.
+
     ``first_step`` is ``1 / max |lam|``, the chain's fastest time.  The
     chain starts in its own vacuum, so Z starts off its driven, slowly
     varying course and relaxes at the chain's rates; the Gauss rule of
@@ -472,7 +478,7 @@ class ChainFrame:
         self.x = np.zeros((b, dim - 2, 2))
         self.c = np.broadcast_to(np.eye(dim - 2), (b, dim - 2, dim - 2)).copy()
         self.flow = chain_flow(drift_base, diffusion)
-        self.rule, self.first_step = FrameRule(), 1.0 / np.max(np.abs(lam))
+        self.rule, self.first_step = FrameRule(16), 1.0 / np.max(np.abs(lam))
 
     def state(self):
         """Copies of ``(e, x, c)``, which with U give V (:func:`critquench.moments._covariance`)."""

@@ -24,9 +24,9 @@ Lyapunov engine, :func:`critquench.moments.propagate_batch`, in
 physical time and in the order it is built (the chain is the
 pseudomode construction of Tamascelli et al., PRL 120, 030402
 (2018)).  Each step collocates only the isolated mode's 2x2
-propagator U, at 16 Gauss nodes.  In U's frame each chain mode obeys a
-linear equation with a constant, damped rate and a forcing that does
-not depend on the mode, so the engine integrates it exactly against
+propagator U, at the chain frame's 16 Gauss nodes.  In U's frame each
+chain mode obeys a linear equation with a constant, damped rate and a
+forcing that does not depend on the mode, so the engine integrates it exactly against
 the polynomial through the forcing at those nodes, and advances the
 chain's own block exactly once per step (exponential integrators:
 Hochbruck & Ostermann, Acta Numerica 19, 209 (2010);

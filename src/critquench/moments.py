@@ -195,7 +195,8 @@ def propagate_batch(
     :func:`collocate_to` runs to each distinct ``tau``, and the members
     ending there leave; every span keeps the step the last one ended
     with.  Each step collocates the isolated mode's 2x2 propagator U
-    at 16 Gauss nodes, bounded by the error estimates and
+    at the Gauss nodes of the frame's rule (24 Markovian, 16 with a
+    chain), bounded by the error estimates and
     ``settings.max_step`` alone.  A frame built once per batch carries
     the rest of V in U's frame: the Markovian excess at N = 2
     (:class:`critquench._flows.MarkovFrame`), else the chain

@@ -40,6 +40,16 @@ Run from the repository root with ``PYTHONPATH=src``:
     moduli ``|lambda|`` of the chain drift (one per conjugate pair) and
     the largest ``h |lambda|`` an accepted step reached.
 
+``python tests/ledger_probe.py accuracy configs/critical_akz_zero_temperature.cfg configs/nonlinear_sqrt_ramp.cfg``
+    propagates each config's batch (its quench-time grid, every size of
+    a size crossover) once at its own settings and once at rtol 1e-13,
+    atol 1e-15, and prints for its isolated and open columns the worst
+    move of an observable against the tight run, relative to it, with
+    that move's ratio to ``max(2e-9 |ref|, 1e-14)``, and the worst
+    per-member ``|V - V_tight| / max|V_tight|``.  With ``--tau`` and
+    ``--samples`` it propagates one member at that quench time instead,
+    sampled at the ramp times ``s``, and prints that V error per sample.
+
 ``python tests/ledger_probe.py oracle configs/ohmic_critical.cfg --tau 100 1000 --cap-divisor 4``
     propagates one quench of a structured config per ``--tau``, once as
     a sweep does (one member, its isolated state its own ``U U^T``) and
@@ -252,6 +262,62 @@ def cmd_steps(args):
     )
 
 
+#: the tight settings of :func:`cmd_accuracy`'s reference run
+TIGHT = {"integrator.rtol": "1e-13", "integrator.atol": "1e-15"}
+
+
+def batch_members(config):
+    """``(tau, eta)`` of a config's one batch: its quench-time grid, at every size of a size crossover."""
+    taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
+    etas = sorted(set(config.eta_list)) or [config.model.eta]
+    return np.tile(taus, len(etas)), np.repeat(etas, taus.size)
+
+
+def propagated(config, tau, eta, s_samples=None):
+    """``(isolated, open)`` V of a batch, (S, B, 2, 2), propagated as :func:`critquench.sweep._legs` does."""
+    members = moments.broadcast_members(tau, config.g_final, config.r_n, eta)
+    terms = config.bath.lyapunov_terms(config.model)
+    _, vs, isolated = moments.propagate_batch(*terms, config.model, *members, config.settings, s_samples)
+    return isolated, vs
+
+
+def v_error(v, ref):
+    """``|V - V_tight| / max|V_tight|`` per member, the worst entry of each."""
+    return np.max(np.abs(v - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+
+
+def cmd_accuracy(args):
+    for path in args.config:
+        config, tight = load_config(path), load_config(path, overrides=TIGHT)
+        settings = " against ".join(f"rtol {c.settings.rtol:g}, atol {c.settings.atol:g}" for c in (config, tight))
+        if args.tau is not None:
+            samples = np.array(args.samples)
+            runs = [propagated(c, np.array([args.tau]), np.array([config.model.eta]), samples) for c in (config, tight)]
+            member = f"one member at tau_q = {args.tau:g}, r_n = {config.r_n:g}"
+            print(f"{path}  {member}  {settings}  hash {config.config_hash}")
+            for k, s in enumerate(samples):
+                errors = [v_error(got[k, 0], ref[k, 0]) for got, ref in zip(*runs)]
+                print(f"  s = {s:.8g}: |V - V_tight| / max|V| isolated {errors[0]:.3e}, open {errors[1]:.3e}")
+            continue
+        tau, eta = batch_members(config)
+        runs = [propagated(c, tau, eta) for c in (config, tight)]
+        print(f"{path}  {tau.size} members  {settings}  hash {config.config_hash}")
+        for name, v, ref in zip(("isolated", "open"), *runs):
+            got, want = (observables_from_covariance(w[-1], config.g_final, config.model.omega) for w in (v, ref))
+            worst = (-1.0,)
+            for obs in config.observables:
+                move = np.abs(got[obs] - want[obs])
+                ratio = move / np.maximum(2e-9 * np.abs(want[obs]), 1e-14)
+                i = int(np.argmax(ratio))
+                worst = max(worst, (ratio[i], move[i] / abs(want[obs][i]), obs, i))
+            ratio, rel, obs, i = worst
+            where = f"{obs}, tau_q {tau[i]:g}" + (f", eta {eta[i]:g}" if config.eta_list else "")
+            print(
+                f"  {name}: worst move {rel:.3e} of |ref| ({where}), {ratio:.3g} of max(2e-9 |ref|, 1e-14);"
+                f" worst |V - V_tight| / max|V| {np.max(v_error(v[-1], ref[-1])):.3e}"
+            )
+
+
 def cmd_oracle(args):
     config = load_config(args.config)
     if config.bath_type != "structured":
@@ -291,12 +357,23 @@ def main(argv=None):
     p_rip.add_argument("--refit", action="store_true", help="refit the sweep without the ripple")
     p_steps = sub.add_parser("steps", help="step counts of every span of a config's legs")
     p_steps.add_argument("config", help="path to the experiment config")
+    p_acc = sub.add_parser("accuracy", help="configs' outputs against a run at rtol 1e-13")
+    p_acc.add_argument("config", nargs="+", help="paths to experiment configs")
+    p_acc.add_argument("--tau", type=float, default=None, help="one quench time, sampled, instead of the grid")
+    p_acc.add_argument("--samples", type=float, nargs="+", default=[1.0], help="ramp times s of the --tau run")
     p_oracle = sub.add_parser("oracle", help="a structured excess against a long-double run")
     p_oracle.add_argument("config", help="path to a structured-bath config")
     p_oracle.add_argument("--tau", type=float, nargs="+", required=True, help="quench times")
     p_oracle.add_argument("--cap-divisor", type=float, default=4.0, help="step cap divisor of the long-double run")
     args = parser.parse_args(argv)
-    commands = {"linear": cmd_linear, "ramp": cmd_ramp, "ripple": cmd_ripple, "steps": cmd_steps, "oracle": cmd_oracle}
+    commands = {
+        "linear": cmd_linear,
+        "ramp": cmd_ramp,
+        "ripple": cmd_ripple,
+        "steps": cmd_steps,
+        "accuracy": cmd_accuracy,
+        "oracle": cmd_oracle,
+    }
     try:
         commands[args.command](args)
         sys.stdout.flush()

@@ -18,7 +18,7 @@ from critquench import (
     steady_state_covariance,
     sweep,
 )
-from critquench._flows import FAR, ChainFrame, FrameRule, chain_flow, collocate_to, system_rates
+from critquench._flows import FAR, ChainFrame, MarkovFrame, chain_flow, collocate_to, system_rates
 from critquench._ode import _StepControl, solve_to
 from critquench.auxbath import (
     DEFAULT_OHMIC,
@@ -42,6 +42,19 @@ from critquench.moments import (
 
 TIGHT = IntegratorSettings(rtol=1e-12, atol=1e-14)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def chain_frame():
+    """The chain frame of one ``DEFAULT_OHMIC`` member."""
+    return ChainFrame(*(term[None] for term in build_system(THERMODYNAMIC, DEFAULT_OHMIC)))
+
+
+#: each frame's quadrature, built by the frame itself
+FRAME_RULES = {
+    "chain": lambda: chain_frame().rule,
+    "markov": lambda: MarkovFrame(*moments.thermal_bath([1e-3], 0.0)).rule,
+}
+
 
 def network(params: AuxBathParams, g: float, model=THERMODYNAMIC):
     """Drift at coupling g and diffusion of the system + chain network."""
@@ -417,7 +430,7 @@ class TestFrozenChain:
         # at z = 1e-8 its terms reach z^-m, which cancel to the O(1) integral
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 200
-        rule = FrameRule()
+        rule = chain_frame().rule
         coeffs = np.random.default_rng(2).normal(size=rule.nodes.size)
         values = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
         ends = np.append(rule.nodes, 1.0)
@@ -445,7 +458,7 @@ class TestFrozenChain:
     def test_exp_weights_are_continuous_across_the_branch_switch(self, monkeypatch):
         # at |z tau| = FAR each end switches from the Gauss rule to integration
         # by parts: both branches give the same weights there
-        rule = FrameRule()
+        rule = chain_frame().rule
         for angle in (np.pi, 0.75 * np.pi, 0.5 * np.pi):
             for t, tau in enumerate(rule.ends):
                 z = np.array([FAR / tau * np.exp(1j * angle)])
@@ -653,21 +666,23 @@ class TestCollocation:
     """One Gauss collocation step of the isolated mode's propagator U (:meth:`FrameRule.collocate`)."""
 
     @staticmethod
-    def ramp(r_n):
-        tau = np.array([40.0])
+    def ramp(r_n, tau=40.0):
+        tau = np.array([tau])
         return system_rates(THERMODYNAMIC, tau, np.ones(1), np.array([r_n]), np.full(1, THERMODYNAMIC.eta))
 
     def test_constant_block_gives_the_closed_form_propagator(self):
-        rule, (p, q), h = FrameRule(), (1.3, 0.7), 3.5
-        m = rule.nodes.size
-        _, end, _ = rule.collocate(np.full((m, 1), p), np.full((m, 1), q), h, np.eye(2)[None])
+        (p, q), h = (1.3, 0.7), 3.5
         w = np.sqrt(p * q)
         exact = [[np.cos(w * h), np.sqrt(p / q) * np.sin(w * h)], [-np.sqrt(q / p) * np.sin(w * h), np.cos(w * h)]]
-        assert np.max(np.abs(end[0] - exact)) <= 1e-13
+        for frame, rule in FRAME_RULES.items():
+            rule = rule()
+            m = rule.nodes.size
+            _, end, _ = rule.collocate(np.full((m, 1), p), np.full((m, 1), q), h, np.eye(2)[None])
+            assert np.max(np.abs(end[0] - exact)) <= 1e-13, frame
 
     @pytest.mark.parametrize("r_n", [1.0, 1.25])
     def test_nodes_match_a_tight_runge_kutta_run(self, r_n):
-        system, rule = self.ramp(r_n), FrameRule()
+        system = self.ramp(r_n)
         t, h = 17.0, 2.0
 
         def rhs(u, y):
@@ -676,27 +691,36 @@ class TestCollocation:
 
         u0 = np.array([[1.1, 0.2], [-0.3, 0.85]])
         u0 /= np.sqrt(np.linalg.det(u0))
-        nodes, _, _ = rule.collocate(*system(t + h * rule.nodes), h, u0[None])
         tight = IntegratorSettings(rtol=1e-14, atol=1e-16, max_step=0.05)
-        for got, c in zip(nodes[0], rule.nodes):
-            want = solve_to(rhs, t, t + c * h, u0, tight)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), c
+        for frame, rule in FRAME_RULES.items():
+            rule = rule()
+            nodes, _, _ = rule.collocate(*system(t + h * rule.nodes), h, u0[None])
+            for got, c in zip(nodes[0], rule.nodes):
+                want = solve_to(rhs, t, t + c * h, u0, tight)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (frame, c)
 
     @pytest.mark.parametrize("r_n", [1.0, 1.25])
-    def test_stage_estimate_is_a_sixteenth_order_local_error(self, r_n):
-        # dropping the last Legendre mode of the 16 stage derivatives moves U at
-        # the nodes by O(h^16): the estimate falls about 2^15 to 2^16 per halving
-        system, rule = self.ramp(r_n), FrameRule()
+    def test_stage_estimate_is_a_local_error_of_the_node_count(self, r_n):
+        # dropping the last Legendre mode of the m stage derivatives moves U at
+        # the nodes by O(h^m): the estimate grows about (h_2 / h_1)^m between
+        # two steps from s = 0.425.  At 24 nodes that regime lies at rounding
+        # for a doubled step (2^23.3 at best, the smaller estimate 3e-17), so
+        # that rule takes a step 1.25 times longer, the smaller estimate about
+        # 1e-15, on a ramp 100 times slower: at tau = 40 the ramp's change over
+        # such a step holds the ratio at 1.25^21.2 to 1.25^21.7
+        for frame, tau, (short, long) in (("chain", 40.0, (4.0, 8.0)), ("markov", 4000.0, (11.0, 13.75))):
+            system, rule = self.ramp(r_n, tau), FRAME_RULES[frame]()
+            m = rule.nodes.size
 
-        def estimate(h):
-            change = rule.collocate(*system(17.0 + h * rule.nodes), h, np.eye(2)[None])[2]
-            return np.sqrt(np.mean(change**2))
+            def estimate(h):
+                change = rule.collocate(*system(0.425 * tau + h * rule.nodes), h, np.eye(2)[None])[2]
+                return np.sqrt(np.mean(change**2))
 
-        assert estimate(8.0) / estimate(4.0) > 2.0**15
+            assert estimate(long) / estimate(short) > (long / short) ** (m - 1), (frame, m)
 
     def test_collocate_to_carries_the_step_across_stops(self):
         # a second span starts from the proposal the first ended with
-        frame = ChainFrame(*(term[None] for term in build_system(THERMODYNAMIC, DEFAULT_OHMIC)))
+        frame = chain_frame()
         flow = (frame.rule, self.ramp(1.0), frame.advance(np.arange(1), 1e-10, 1e-12))
         step = _StepControl(IntegratorSettings(max_step=3.5), -1.0 / frame.rule.nodes.size, frame.first_step)
         u = collocate_to(*flow, 0.0, 20.0, np.eye(2)[None], step)

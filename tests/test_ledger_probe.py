@@ -29,10 +29,11 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         ledger_probe.main(["steps", str(config)])
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"{config}  3 quench times in [5, 10]")
-        # the numbers the stages carry (U), the nodes, the uncapped step, and
-        # for the chain its eigenvalue moduli and the largest h |lambda| reached
+        # the numbers the stages carry (U), the frame's nodes, the uncapped step,
+        # and for the chain its eigenvalue moduli and the largest h |lambda| reached
         structured = numbers == 100
-        assert f"  stages carry 4 of {numbers} numbers per member, 16 Gauss nodes, max_step inf" in lines[0]
+        nodes = 16 if structured else 24
+        assert f"  stages carry 4 of {numbers} numbers per member, {nodes} Gauss nodes, max_step inf" in lines[0]
         assert ("chain's |lambda| " in lines[0]) == structured
         assert (", largest h|lambda| " in lines[0]) == structured
         if structured:
@@ -54,6 +55,34 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         assert lines[-1].strip().startswith(total)
         assert f" {sum(m * a for m, a in zip([3, 2, 1], attempts))} member-attempts, " in lines[-1]
         assert f" {sum(attempts) / 10.0:.4f} attempts per unit time to t = 10, " in lines[-1]
+
+
+def test_accuracy_prints_both_columns_against_a_tight_run(capsys):
+    config = Path(__file__).resolve().parent.parent / "configs" / "critical_akz_zero_temperature.cfg"
+    ledger_probe.main(["accuracy", str(config)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{config}  11 members  rtol 1e-10, atol 1e-12 against rtol 1e-13, atol 1e-15  hash ")
+    assert [line.split(":")[0] for line in lines[1:]] == ["  isolated", "  open"]
+    for line in lines[1:]:
+        words = line.split()
+        rel, ratio, v_err = float(words[3]), float(words[9]), float(words[-1])
+        # the worst move is of the observables, (e_r, tau_q 10000) say, and
+        # its ratio to max(2e-9 |ref|, 1e-14) at most rel / 2e-9
+        assert words[6].strip("(,") in ("n", "dx", "dp", "e_r") and words[7] == "tau_q"
+        assert 0.0 < ratio <= rel / 2e-9 * (1.0 + 1e-2) and ratio < 1.0
+        assert 0.0 < v_err < 1e-11
+
+
+def test_accuracy_samples_one_quench_time(tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("bath.kappa = 1e-3\nprotocol.r_n = 0.5\n")
+    ledger_probe.main(["accuracy", str(config), "--tau", "20", "--samples", "0.5", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{config}  one member at tau_q = 20, r_n = 0.5  rtol 1e-10, atol 1e-12 against ")
+    assert [line.split(":")[0] for line in lines[1:]] == ["  s = 0.5", "  s = 1"]
+    for line in lines[1:]:
+        isolated, opened = float(line.split()[-3].rstrip(",")), float(line.split()[-1])
+        assert isolated < 1e-8 and opened < 1e-8
 
 
 def test_oracle_prints_both_excesses(tmp_path, capsys):
