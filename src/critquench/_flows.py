@@ -6,9 +6,9 @@ system block (:func:`system_rates`) at the Gauss nodes of a
 :class:`FrameRule`, and a frame advances the rest of V from U at those
 nodes.  :class:`MarkovFrame` carries a Markovian bath's excess ``e``
 with an integrating factor; :class:`ChainFrame` carries a chain beside
-the system mode, with the exponential weights of
-:meth:`FrameRule.exp_weights` and the exact chain-block flow of
-:func:`chain_flow`.  Every network is in the mode-by-mode order of
+the system mode, with the exponential weights of its
+:class:`ChainRule` and its exact chain-block flow
+:meth:`ChainFrame.flow`.  Every network is in the mode-by-mode order of
 :mod:`critquench.moments`, so at any size the ramped entries are
 ``Gamma[1, 0]`` and ``Gamma[0, 1]``; only they move with the coupling.
 :func:`lyapunov_batch_rhs`, the right-hand side of the Lyapunov
@@ -158,38 +158,31 @@ def _lagrange_expansion(nodes, x0):
     return coeffs.swapaxes(-1, -2)
 
 
-#: |z tau| above which :meth:`FrameRule.exp_weights` integrates by parts
-FAR = 32.0
+def _basis_integrals(nodes, ends):
+    """``(y, near)``: a 40-point Gauss rule ``y`` and ``int_0^tau_t l_j = sum_q near[t, q, j]`` at ``ends``."""
+    # near[t, q, j] = tau_t g_q l_j(tau_t y_q), the Lagrange basis l_j of the nodes
+    # from its barycentric weights: l_j(x) = prod_k (x - c_k) w_j / (x - c_j)
+    y, g = _gauss_legendre(40)
+    gaps = (ends[:, None] * y)[..., None] - nodes  # (t, q, j)
+    barycentric = 1.0 / np.prod(nodes[:, None] - nodes + np.eye(nodes.size), axis=1)
+    basis = np.prod(gaps, axis=-1, keepdims=True) * barycentric / gaps
+    return y, ends[:, None, None] * g[:, None] * basis
 
 
 class FrameRule:
-    """The quadrature of one frame step: ``m`` Gauss nodes on [0, 1] and their weight tables.
+    """The Gauss collocation of one frame step: ``m`` nodes on [0, 1] and the tables both frames read.
 
     Each frame builds its own, at its own ``m`` (:class:`MarkovFrame`
-    24, :class:`ChainFrame` 16), so importing the package computes
-    nothing.  ``nodes`` and ``gauss`` are
-    the Gauss rule; ``ends`` the nodes and then 1, the step's end;
-    ``collocation[t, j]`` is ``int_0^ends_t l_j`` over the nodes'
-    Lagrange basis ``l_j``, whose rows at the nodes,
-    ``collocation[:-1]``, are the Gauss collocation matrix; ``tail`` the
+    24, :class:`ChainFrame` a 16-node :class:`ChainRule`), so importing
+    the package computes nothing.  ``nodes`` and ``gauss`` are the Gauss
+    rule; ``collocation[i, j]`` is ``int_0^c_i l_j`` over the nodes'
+    Lagrange basis ``l_j``, the Gauss collocation matrix; ``tail`` the
     projector of node values on their last Legendre mode.
     """
 
     def __init__(self, m):
         self.nodes, self.gauss = _gauss_legendre(m)
-        self.ends = np.append(self.nodes, 1.0)
-        # near branch: a 40-point Gauss rule on [0, tau] for each end tau,
-        # near[t, q, j] = tau_t g_q l_j(tau_t y_q), the basis from its barycentric
-        # weights: l_j(x) = prod_k (x - c_k) w_j / (x - c_j)
-        self.y, g = _gauss_legendre(40)
-        gaps = (self.ends[:, None] * self.y)[..., None] - self.nodes  # (t, q, j)
-        barycentric = 1.0 / np.prod(self.nodes[:, None] - self.nodes + np.eye(m), axis=1)
-        basis = np.prod(gaps, axis=-1, keepdims=True) * barycentric / gaps
-        self.near = self.ends[:, None, None] * g[:, None] * basis
-        # far branch: the derivatives of the basis at 0 and at each end
-        self.deriv_0 = _lagrange_expansion(self.nodes, 0.0)
-        self.deriv_end = _lagrange_expansion(self.nodes, self.ends)
-        self.collocation = self.near.sum(axis=1)  # the weights at z = 0
+        self.collocation = self._integrals().sum(axis=1)[:m]
         # (T f)_j = a P(c_j) for the last Legendre mode a P of the interpolant of f:
         # P the shifted Legendre polynomial of degree m - 1, a = (2m - 1) sum_j b_j P(c_j) f_j
         x = 2.0 * self.nodes - 1.0
@@ -197,7 +190,11 @@ class FrameRule:
         for n in range(1, m - 1):
             lower, top = top, ((2 * n + 1) * x * top - n * lower) / (n + 1)
         self.tail = (2 * m - 1) * top[:, None] * (self.gauss * top)
-        self.stage_tail = self.collocation[:-1] @ self.tail
+        self.stage_tail = self.collocation @ self.tail
+
+    def _integrals(self):
+        """``near`` of :func:`_basis_integrals` at the nodes, summed into ``collocation``."""
+        return _basis_integrals(self.nodes, self.nodes)[1]
 
     def collocate(self, p, q, h, u):
         """Gauss collocation of ``U' = A U``, ``A = [[0, p], [-q, 0]]``, over one step of length ``h`` from ``u``.
@@ -215,7 +212,7 @@ class FrameRule:
         when the stage derivatives ``A_j U_j`` lose their last Legendre
         mode.
         """
-        a = self.collocation[:-1]
+        a = self.collocation
         hp, hq = h * p.T[:, :, None], h * q.T[:, :, None]  # (B, m, 1)
         ap, aq = a * hp.swapaxes(-1, -2), a * hq.swapaxes(-1, -2)  # h a P, h a Q
         x0, y0 = u[:, None, 0], u[:, None, 1]
@@ -225,6 +222,28 @@ class FrameRule:
         flat = slopes.reshape(u.shape[0], -1, 4)
         end = u + (self.gauss @ flat).reshape(u.shape)
         return np.stack([x, y], axis=-2), end, (self.stage_tail @ flat).reshape(slopes.shape)
+
+
+#: |z tau| above which :meth:`ChainRule.exp_weights` integrates by parts
+FAR = 32.0
+
+
+class ChainRule(FrameRule):
+    """A :class:`FrameRule` with the tables of :meth:`exp_weights`, the chain frame's exponential integrator.
+
+    ``y`` and ``near`` are the 40-point rule of ``int_0^tau`` at each of
+    ``ends`` (:func:`_basis_integrals`), ``deriv_0`` and ``deriv_end``
+    the basis' derivatives at 0 and at each end, for integration by
+    parts.  :class:`MarkovFrame` reads none of them.
+    """
+
+    def _integrals(self):
+        """``near`` at ``ends``, the nodes and the step's end, built with the other tables of :meth:`exp_weights`."""
+        self.ends = np.append(self.nodes, 1.0)
+        self.y, self.near = _basis_integrals(self.nodes, self.ends)
+        self.deriv_0 = _lagrange_expansion(self.nodes, 0.0)
+        self.deriv_end = _lagrange_expansion(self.nodes, self.ends)
+        return self.near
 
     def exp_weights(self, z):
         """``W[k, t, j] = int_0^tau_t exp(z_k (tau_t - x)) l_j(x) dx`` over the nodes' Lagrange basis.
@@ -259,89 +278,6 @@ def _unimodular(u):
 
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _chain_modes(gamma):
-    """``(lam, vecs, inv)``: eigenvalues, eigenvectors P and ``P^-1`` of a real chain drift.
-
-    ``P^-1`` is read off the inverse of P's real form
-    ``[[Re, -Im], [Im, Re]]``: a complex inverse maps 0.4 MB more of
-    LAPACK into every structured run.
-    """
-    m = gamma.shape[-1]
-    lam, vecs = np.linalg.eig(gamma)
-    real_inv = np.linalg.inv(np.block([[vecs.real, -vecs.imag], [vecs.imag, vecs.real]]))
-    return lam, vecs, real_inv[:m, :m] + 1j * real_inv[m:, :m]
-
-
-def _chain_drift(drift_base, diffusion):
-    """The shared chain drift ``Gamma_cc`` of a batch, checked as :func:`chain_flow` needs it."""
-    gamma = drift_base[:, 2:, 2:]
-    if np.any(gamma != gamma[:1]):
-        raise ValueError("the members of a frozen-chain batch must share one chain drift")
-    if np.any(gamma + gamma.swapaxes(-1, -2) + diffusion[:, 2:, 2:]):
-        raise ValueError("a frozen chain needs a stationary vacuum: Gamma_cc + Gamma_cc^T + D_cc = 0")
-    return gamma[0]
-
-
-def chain_flow(drift_base, diffusion):
-    """Exact flow of a batch's chain block over one step.
-
-    The chain block ``C = V[:, 2:, 2:]`` (B, N - 2, N - 2) obeys
-    ``dC/dt = G C + C G^T + D_cc + K X^T + X K^T``, where
-    ``G = Gamma_cc``, ``K = Gamma[chain, system]`` and
-    ``X = V[:, 2:, :2]`` is the cross block; no coefficient moves with
-    the coupling.  The chain's vacuum must be stationary,
-    ``G + G^T + D_cc = 0``, as it is exactly for every chain
-    :func:`critquench.auxbath.build_system` writes.  Then ``E = C - I``
-    obeys ``dE/dt = G E + E G^T + F`` with ``F = K X^T + X K^T``, and,
-    holding F at its value at the step's end, the flow over a step of
-    length ``h`` is exact:
-
-        E <- Phi_h (E + L) Phi_h^T - L,   Phi_h = exp(h G),   G L + L G^T = F.
-
-    ``Phi_h`` comes from one eigendecomposition of G, and L from the
-    inverse of the Lyapunov operator on the row-major ``vec`` of the
-    block, both computed once.  Every member must share G, and a
-    coupled batch needs every mode of G damped, or that operator is
-    singular (:class:`ValueError`).  Returns ``advance(h, c, x, rows)``,
-    the new C, exactly symmetric, from C and the cross block X at the
-    step's end of the members ``rows`` (default: all); a member without
-    forcing (``K = 0``) keeps ``C = I`` exactly.
-    """
-    gamma = _chain_drift(drift_base, diffusion)
-    m = gamma.shape[-1]
-    eye = np.eye(m)
-    k = drift_base[:, 2:, :2]
-    lam, vecs, inv = _chain_modes(gamma)
-    # the Lyapunov operator below has the eigenvalues lam_i + lam_j: an undamped mode makes it singular
-    if np.any(k) and -lam.real.max() <= 1e-10 * np.max(np.abs(lam)):
-        slowest = abs(lam[np.argmax(lam.real)].imag)
-        raise ValueError(f"a coupled chain needs damped modes, but its mode at frequency {slowest:.6g} is undamped")
-    # Phi_h = Re sum_k exp(h lam_k) P[:, k] P^-1[k, :] is one real product
-    # with the (re, im) pairs of exp(h lam)
-    outer = vecs.T[:, :, None] * inv[:, None, :]
-    expand = np.stack([outer.real, -outer.imag], axis=1).reshape(2 * m, m * m).T
-    # row-major vec(L) = vec(F) @ lyapunov_inv.T, and F = K X^T + (K X^T)^T
-    # is vec(K X^T) @ (1 + transpose).T
-    lyapunov_inv = np.linalg.inv(np.kron(gamma, eye) + np.kron(eye, gamma))
-    transpose = np.eye(m * m).reshape(m, m, m, m).swapaxes(2, 3).reshape(m * m, m * m)
-    weights = (lyapunov_inv @ (np.eye(m * m) + transpose)).T
-
-    def advance(h, c, x, rows=slice(None)):
-        phi = (expand @ np.exp(h * lam).view(float)).reshape(m, m)
-        kx = k[rows] @ x.swapaxes(-1, -2)
-        lyap = (kx.reshape(c.shape[0], -1) @ weights).reshape(c.shape)
-        a = c - eye
-        a += lyap
-        a = np.matmul(phi, (a.reshape(-1, m) @ phi.T).reshape(a.shape))
-        a -= lyap
-        out = a + a.swapaxes(-1, -2)
-        out *= 0.5
-        out += eye
-        return out
-
-    return advance
 
 
 class MarkovFrame:
@@ -422,19 +358,20 @@ class ChainFrame:
         e' = U^-1 K_sc P Z^T + transpose,
         z_k' = lam_k z_k + phi_k,   Phi = ((1 + e) U^T K^T + U^-1 K_sc C) P^-T,
 
-    and C the Lyapunov flow of :func:`chain_flow`.  The system mode
+    and C the Lyapunov flow of :meth:`flow`.  The system mode
     must be undamped (``D`` zero in its rows, ``A`` zero on its
-    diagonal) and the chain drift shared.  U does not depend on the
+    diagonal), the chain drift shared, its vacuum stationary and, when
+    coupled, its modes damped (:class:`ValueError`).  U does not depend on the
     coupling to the chain.  Each step of :func:`collocate_to` collocates
-    U at the Gauss nodes of the frame's :class:`FrameRule`, and
+    U at the Gauss nodes of the frame's :class:`ChainRule`, and
     :meth:`advance` moves ``e``, Z and C from U there:
 
     - Z exactly, for Phi the polynomial through its values at the
-      nodes (:meth:`FrameRule.exp_weights`), each pair of conjugate modes through
+      nodes (:meth:`ChainRule.exp_weights`), each pair of conjugate modes through
       one of them;
     - ``e`` by the Gauss rule, ``e`` at the nodes from one collocation
       re-pass;
-    - C by :func:`chain_flow`, fed the cross block X at the step's end;
+    - C by :meth:`flow`, fed the cross block X at the step's end;
       Phi reads C at the step's start.
 
     The frame's error estimate is the change of ``e`` and Z at the
@@ -449,7 +386,7 @@ class ChainFrame:
     state arrays ``e`` (B, 2, 2), ``z`` (B, modes, 2), ``x``
     (B, N - 2, 2) and ``c`` (B, N - 2, N - 2) are per member.
 
-    The rule has 16 nodes: at 24, :meth:`FrameRule.exp_weights` is 8e-12
+    The rule has 16 nodes: at 24, :meth:`ChainRule.exp_weights` is 8e-12
     off and jumps 4e-10 at ``FAR``; an 80-point near rule and ``FAR = 80``
     mend that, but cost ``structured_sweep`` up to 5 % and 1.6 MB.
 
@@ -466,19 +403,42 @@ class ChainFrame:
         b, dim = drift_base.shape[:2]
         if np.any(diffusion[:, :2]) or np.any(drift_base[:, 0, 0]) or np.any(drift_base[:, 1, 1]):
             raise ValueError("the chain frame needs an undamped system mode")
+        gamma, n = drift_base[:, 2:, 2:], dim - 2
+        if np.any(gamma != gamma[:1]):
+            raise ValueError("the members of a frozen-chain batch must share one chain drift")
+        if np.any(gamma + gamma.swapaxes(-1, -2) + diffusion[:, 2:, 2:]):
+            raise ValueError("a frozen chain needs a stationary vacuum: Gamma_cc + Gamma_cc^T + D_cc = 0")
         self.k, self.k_sc = drift_base[:, 2:, :2], drift_base[:, :2, 2:]
-        lam, vecs, inv = _chain_modes(_chain_drift(drift_base, diffusion))
+        lam, vecs = np.linalg.eig(gamma[0])
+        # the Lyapunov operator of :meth:`flow` has the eigenvalues lam_i + lam_j: an undamped mode makes it singular
+        if np.any(self.k) and -lam.real.max() <= 1e-10 * np.max(np.abs(lam)):
+            slowest = abs(lam[np.argmax(lam.real)].imag)
+            raise ValueError(f"a coupled chain needs damped modes, but its mode at frequency {slowest:.6g} is undamped")
+        # P^-1 from the inverse of P's real form [[Re, -Im], [Im, Re]]: a
+        # complex inverse maps 0.4 MB more of LAPACK into every structured run
+        real_inv = np.linalg.inv(np.block([[vecs.real, -vecs.imag], [vecs.imag, vecs.real]]))
+        inv = real_inv[:n, :n] + 1j * real_inv[n:, :n]
         # one mode of each conjugate pair, counted twice in X = Re(P Z^T) U^T
         keep = lam.imag >= 0.0
         self.lam = lam[keep]
         self.p = vecs[:, keep] * np.where(lam[keep].imag > 0.0, 2.0, 1.0)
         self.inv_t = inv[keep].T.copy()
+        # the tables of :meth:`flow`, over every mode: Phi_h = Re sum_k exp(h lam_k)
+        # P[:, k] P^-1[k, :] is one real product with the (re, im) pairs of exp(h lam)
+        outer = vecs.T[:, :, None] * inv[:, None, :]
+        self.modes = lam
+        self.expand = np.stack([outer.real, -outer.imag], axis=1).reshape(2 * n, n * n).T
+        # row-major vec(L) = vec(F) @ lyapunov_inv.T, and F = K X^T + (K X^T)^T
+        # is vec(K X^T) @ (1 + transpose).T
+        eye = np.eye(n)
+        lyapunov_inv = np.linalg.inv(np.kron(gamma[0], eye) + np.kron(eye, gamma[0]))
+        transpose = np.eye(n * n).reshape(n, n, n, n).swapaxes(2, 3).reshape(n * n, n * n)
+        self.lyapunov = (lyapunov_inv @ (np.eye(n * n) + transpose)).T
         self.e = np.zeros((b, 2, 2))
         self.z = np.zeros((b, self.lam.size, 2), dtype=complex)
-        self.x = np.zeros((b, dim - 2, 2))
-        self.c = np.broadcast_to(np.eye(dim - 2), (b, dim - 2, dim - 2)).copy()
-        self.flow = chain_flow(drift_base, diffusion)
-        self.rule, self.first_step = FrameRule(16), 1.0 / np.max(np.abs(lam))
+        self.x = np.zeros((b, n, 2))
+        self.c = np.broadcast_to(eye, (b, n, n)).copy()
+        self.rule, self.first_step = ChainRule(16), 1.0 / np.max(np.abs(lam))
 
     def state(self):
         """Copies of ``(e, x, c)``, which with U give V (:func:`critquench.moments._covariance`)."""
@@ -515,6 +475,36 @@ class ChainFrame:
         de = inv_k @ np.concatenate([z.real, z.imag], axis=-2)
         return de + de.swapaxes(-1, -2), dz
 
+    def flow(self, h, c, x, rows):
+        """The chain block C of the members ``rows`` after one step of length ``h``, exactly symmetric.
+
+        C obeys ``dC/dt = G C + C G^T + D_cc + K X^T + X K^T``, no
+        coefficient moving with the coupling.  With the stationary vacuum
+        ``G + G^T + D_cc = 0``, which every chain of
+        :func:`critquench.auxbath.build_system` has exactly, ``E = C - I``
+        obeys ``dE/dt = G E + E G^T + F``, ``F = K X^T + X K^T``.  Holding
+        F at the given cross block X, the step's end, the flow is exact:
+
+            E <- Phi_h (E + L) Phi_h^T - L,   Phi_h = exp(h G),   G L + L G^T = F,
+
+        ``Phi_h`` from the frame's eigendecomposition of G, and L from the
+        inverse of the Lyapunov operator on the row-major ``vec`` of the
+        block.  A member without forcing (``K = 0``) keeps ``C = I`` exactly.
+        """
+        n = c.shape[-1]
+        eye = np.eye(n)
+        phi = (self.expand @ np.exp(h * self.modes).view(float)).reshape(n, n)
+        kx = self.k[rows] @ x.swapaxes(-1, -2)
+        lyap = (kx.reshape(c.shape[0], -1) @ self.lyapunov).reshape(c.shape)
+        a = c - eye
+        a += lyap
+        a = np.matmul(phi, (a.reshape(-1, n) @ phi.T).reshape(a.shape))
+        a -= lyap
+        out = a + a.swapaxes(-1, -2)
+        out *= 0.5
+        out += eye
+        return out
+
     def advance(self, active, rtol, atol):
         """``advance(h, nodes, u_new) -> (err, commit)``: the frame of the members ``active`` over one step.
 
@@ -546,7 +536,7 @@ class ChainFrame:
                 de = (inv_kk if repass else inv_k) @ np.concatenate([zs.real, zs.imag]).transpose(1, 2, 0, 3)
                 de += de.swapaxes(-1, -2)
                 if not repass:
-                    e_nodes = e0 + h * (rule.collocation[:-1] @ de.reshape(m, -1)).reshape(de.shape)
+                    e_nodes = e0 + h * (rule.collocation @ de.reshape(m, -1)).reshape(de.shape)
             de = h * (rule.gauss @ de.reshape(m, -1)).reshape(de.shape[1:])
             e_new = e0 + de[: active.size]
             e_new = 0.5 * (e_new + e_new.swapaxes(-1, -2))

@@ -85,8 +85,8 @@ class BathSpec:
         (``omega / temperature`` above about 709.78) the occupation is
         below ``1 / DBL_MAX`` and is taken as 0.
         """
-        if temperature < 0.0:
-            raise DomainError(f"temperature must be nonnegative, got {temperature}")
+        if not 0.0 <= temperature < math.inf:
+            raise DomainError(f"temperature must be finite and nonnegative, got {temperature}")
         try:
             n_th = 0.0 if temperature == 0.0 else 1.0 / math.expm1(omega / temperature)
         except OverflowError:

@@ -33,7 +33,10 @@ Run from the repository root with ``PYTHONPATH=src``:
     ``max_step``, its wall time, and the parts of it spent in U's
     collocation and in the frame (the Markovian excess, or the chain);
     then the totals, with the member-attempts (members times attempts,
-    summed), and the attempts per unit of the longest member's time.
+    summed), the attempts per unit of the longest member's time, and
+    each batch's frame build time (the rule; for a chain also its
+    eigendecomposition and the tables of its exponential weights and
+    chain-block flow).
     The first line also gives how many numbers per member the stepper
     carries (U), out of the covariance's, the Gauss nodes of a step and
     the effective ``max_step``; for a structured config, the eigenvalue
@@ -171,8 +174,9 @@ def chain_moduli(config):
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real = (moments._StepControl, moments.collocate_to)
+    real = (moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame)
     spans = []  # one record per span
+    builds = []  # each batch's frame build: its rule, and a chain's tables and eigendecomposition
     fastest = chain_moduli(config)[-1] if config.bath_type == "structured" else 0.0
     reached = [0.0]  # the largest h |lambda| of an accepted step
 
@@ -204,6 +208,15 @@ def cmd_steps(args):
         def __init__(self, rule):
             self.nodes, self.collocate = rule.nodes, timed("u_s", rule.collocate)
 
+    def timed_build(frame):
+        def build(*args):
+            start = time.perf_counter()
+            built = frame(*args)
+            builds.append(time.perf_counter() - start)
+            return built
+
+        return build
+
     def timed_advance(advance):
         def frame_step(h, nodes, u_new):
             err, commit = advance(h, nodes, u_new)
@@ -230,12 +243,13 @@ def cmd_steps(args):
         return u
 
     moments._StepControl, moments.collocate_to = Counted, collocate_to
+    moments.MarkovFrame, moments.ChainFrame = (timed_build(frame) for frame in real[2:])
     try:
         t0 = time.perf_counter()
         run_size_crossover(config) if config.eta_list else compute_chunk(config, taus)
         wall = time.perf_counter() - t0
     finally:
-        moments._StepControl, moments.collocate_to = real
+        moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame = real
     first, numbers = spans[0], 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
         numbers = build_system(config.model, config.bath)[0].size
@@ -258,7 +272,7 @@ def cmd_steps(args):
         f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts,"
         f" {total[0] / longest:.4f} attempts per unit time to t = {longest:g},"
         f" {sum(s['u_s'] for s in spans):.3f} s U's solve, {sum(s['frame_s'] for s in spans):.3f} s frame,"
-        f" {wall:.3f} s wall"
+        f" frame build {' '.join(f'{b:.6f}' for b in builds)} s per batch, {wall:.3f} s wall"
     )
 
 

@@ -18,7 +18,7 @@ from critquench import (
     steady_state_covariance,
     sweep,
 )
-from critquench._flows import FAR, ChainFrame, MarkovFrame, chain_flow, collocate_to, system_rates
+from critquench._flows import FAR, ChainFrame, MarkovFrame, collocate_to, system_rates
 from critquench._ode import _StepControl, solve_to
 from critquench.auxbath import (
     DEFAULT_OHMIC,
@@ -391,7 +391,7 @@ class TestStructuredSweep:
 
 
 class TestFrozenChain:
-    """Each step collocates the isolated mode's propagator U; the chain frame and ``chain_flow`` advance the rest."""
+    """Each step collocates the isolated mode's propagator U; the chain frame advances the rest."""
 
     def test_frame_rhs_maps_back_to_the_system_columns_of_the_full_rhs(self):
         # with S = U (1 + e) U^T and X = Re(P Z^T) U^T, the frame's rates are the Lyapunov flow
@@ -528,7 +528,7 @@ class TestFrozenChain:
 
         ref = solve_to(chain_rhs, 0.0, 0.3, v[2:, 2:], TIGHT)
         c, x = v[None, 2:, 2:].copy(), v[None, 2:, :2].copy()
-        new = chain_flow(drift[None], diffusion[None])(0.3, c, x)
+        new = ChainFrame(drift[None], diffusion[None]).flow(0.3, c, x, np.arange(1))
         assert np.max(np.abs(new[0] - ref)) < 1e-11
         assert np.array_equal(new[0], new[0].T)
         assert np.array_equal(c[0], v[2:, 2:]) and np.array_equal(x[0], v[2:, :2])
@@ -641,16 +641,33 @@ class TestFrozenChain:
         propagate_covariance_batch([10.0, 20.0], 1.0, 1.0, DEFAULT_OHMIC)
         assert flows == ["frame"] * 2
 
+    def test_each_frame_builds_only_the_tables_it_reads(self, monkeypatch):
+        # a structured batch eigendecomposes its chain drift once, in its frame;
+        # a Markovian frame's rule carries none of the chain's exponential tables
+        shapes, eig = [], np.linalg.eig
+
+        def spy(a):
+            shapes.append(a.shape)
+            return eig(a)
+
+        drift, diffusion = build_system(THERMODYNAMIC, DEFAULT_OHMIC)
+        members = moments.broadcast_members([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC.eta)
+        monkeypatch.setattr(np.linalg, "eig", spy)
+        moments.propagate_batch(drift, diffusion, THERMODYNAMIC, *members)
+        assert shapes == [(8, 8)]
+        rule = FRAME_RULES["markov"]()
+        assert not any(hasattr(rule, name) for name in ("exp_weights", "near", "deriv_0", "deriv_end", "ends"))
+
     def test_rejects_a_chain_it_cannot_flow(self):
         tables = (DEFAULT_OHMIC, _decoupled(DEFAULT_OHMIC))
         drifts = np.stack([build_system(THERMODYNAMIC, params)[0] for params in tables])
         diffusion = np.broadcast_to(build_system(THERMODYNAMIC, DEFAULT_OHMIC)[1], drifts.shape)
-        chain_flow(drifts, diffusion)  # the decoupled table keeps its chain
+        ChainFrame(drifts, diffusion)  # the decoupled table keeps its chain
         with pytest.raises(ValueError, match="stationary vacuum"):
-            chain_flow(drifts, 2.0 * diffusion)
+            ChainFrame(drifts, 2.0 * diffusion)
         drifts[1, 2, 2] -= 1.0
         with pytest.raises(ValueError, match="share one chain"):
-            chain_flow(drifts, diffusion)
+            ChainFrame(drifts, diffusion)
 
     def test_rejects_a_coupled_chain_with_an_undamped_mode(self):
         # the chain's Lyapunov operator is singular without damping; an
@@ -659,7 +676,7 @@ class TestFrozenChain:
         with pytest.raises(ValueError, match="mode at frequency 120.315 is undamped"):
             propagate_covariance_batch(20.0, 1.0, 1.0, undamped)
         drift, diffusion = build_system(THERMODYNAMIC, replace(undamped, kappa=0.0))
-        chain_flow(drift[None], diffusion[None])
+        ChainFrame(drift[None], diffusion[None])
 
 
 class TestCollocation:

@@ -55,6 +55,10 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         assert lines[-1].strip().startswith(total)
         assert f" {sum(m * a for m, a in zip([3, 2, 1], attempts))} member-attempts, " in lines[-1]
         assert f" {sum(attempts) / 10.0:.4f} attempts per unit time to t = 10, " in lines[-1]
+        # one frame per batch, built in a sliver of the wall time
+        builds = lines[-1].split(" frame build ")[1].split(" s per batch, ")
+        wall = float(builds[1].split()[0])
+        assert [0.0 < float(b) < wall for b in builds[0].split()] == [True]
 
 
 def test_accuracy_prints_both_columns_against_a_tight_run(capsys):

@@ -104,8 +104,9 @@ class TestBathSpec:
             BathSpec(kappa=-1.0)
         with pytest.raises(DomainError):
             BathSpec(kappa=0.1, n_th=-0.5)
-        with pytest.raises(DomainError):
-            BathSpec.from_temperature(0.1, -1.0, 1.0)
+        for temperature in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="temperature"):
+                BathSpec.from_temperature(0.1, temperature, 1.0)
         with pytest.raises(DomainError):
             BathSpec(kappa=math.nan)
 
