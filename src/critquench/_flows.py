@@ -176,13 +176,15 @@ class FrameRule:
     24, :class:`ChainFrame` a 16-node :class:`ChainRule`), so importing
     the package computes nothing.  ``nodes`` and ``gauss`` are the Gauss
     rule; ``collocation[i, j]`` is ``int_0^c_i l_j`` over the nodes'
-    Lagrange basis ``l_j``, the Gauss collocation matrix; ``tail`` the
-    projector of node values on their last Legendre mode.
+    Lagrange basis ``l_j``, the Gauss collocation matrix; ``pairs`` the
+    m x m^2 table ``pairs[j, i m + k] = a_ij a_jk`` of :meth:`collocate`'s
+    GEMM; ``tail`` the projector of node values on their last Legendre mode.
     """
 
     def __init__(self, m):
         self.nodes, self.gauss = _gauss_legendre(m)
-        self.collocation = self._integrals().sum(axis=1)[:m]
+        self.collocation = a = self._integrals().sum(axis=1)[:m]
+        self.pairs = (a.T[:, :, None] * a[:, None, :]).reshape(m, m * m)
         # (T f)_j = a P(c_j) for the last Legendre mode a P of the interpolant of f:
         # P the shifted Legendre polynomial of degree m - 1, a = (2m - 1) sum_j b_j P(c_j) f_j
         x = 2.0 * self.nodes - 1.0
@@ -203,8 +205,12 @@ class FrameRule:
         (B, 2, 2).  U at the nodes solves ``U_i = u + h sum_j a_ij A_j U_j``,
         ``a`` the collocation matrix: its first rows ``x`` solve
         ``(1 + h^2 a P a Q) x = x_0 + h a P y_0``, one batched m x m
-        solve, and its second rows are ``y = y_0 - h a Q x`` (P and Q
-        diagonal in p and q).  U at the end, ``u + h sum_j b_j A_j U_j``
+        solve, and its second rows are ``y = y_0 - a (h Q x)`` (P and Q
+        diagonal in p and q).  The solve's matrix, ``delta_ik + h^2
+        (sum_j a_ij a_jk p_j) q_k``, is one GEMM of the members' ``h p``
+        with ``pairs``, its columns then scaled by ``h q`` and its
+        diagonal raised by one in place; every member shares ``a`` and
+        ``pairs``.  U at the end, ``u + h sum_j b_j A_j U_j``
         by the Gauss weights, is of order 2m and keeps ``det U``
         (Hairer, Lubich & Wanner, Geometric Numerical Integration,
         sections II.1.3 and IV.2).  Returns U at the nodes (B, m, 2, 2),
@@ -212,13 +218,15 @@ class FrameRule:
         when the stage derivatives ``A_j U_j`` lose their last Legendre
         mode.
         """
-        a = self.collocation
-        hp, hq = h * p.T[:, :, None], h * q.T[:, :, None]  # (B, m, 1)
-        ap, aq = a * hp.swapaxes(-1, -2), a * hq.swapaxes(-1, -2)  # h a P, h a Q
+        a, m = self.collocation, self.nodes.size
+        hp, hq = h * p.T, h * q.T  # (B, m)
         x0, y0 = u[:, None, 0], u[:, None, 1]
-        x = np.linalg.solve(np.eye(a.shape[0]) + ap @ aq, x0 + np.sum(ap, axis=-1)[..., None] * y0)
-        y = y0 - aq @ x
-        slopes = np.stack([hp * y, -hq * x], axis=-2)  # h A_j U_j, (B, m, 2, 2)
+        matrix = (hp @ self.pairs).reshape(-1, m, m)
+        matrix *= hq[:, None, :]
+        matrix.reshape(-1, m * m)[:, :: m + 1] += 1.0
+        x = np.linalg.solve(matrix, x0 + (hp @ a.T)[..., None] * y0)
+        y = y0 - a @ (hq[..., None] * x)
+        slopes = np.stack([hp[..., None] * y, -hq[..., None] * x], axis=-2)  # h A_j U_j, (B, m, 2, 2)
         flat = slopes.reshape(u.shape[0], -1, 4)
         end = u + (self.gauss @ flat).reshape(u.shape)
         return np.stack([x, y], axis=-2), end, (self.stage_tail @ flat).reshape(slopes.shape)

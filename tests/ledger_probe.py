@@ -36,7 +36,8 @@ Run from the repository root with ``PYTHONPATH=src``:
     summed), the attempts per unit of the longest member's time, and
     each batch's frame build time (the rule; for a chain also its
     eigendecomposition and the tables of its exponential weights and
-    chain-block flow).
+    chain-block flow), the wall time and the process's minor page
+    faults over the run (``getrusage``'s ``ru_minflt``).
     The first line also gives how many numbers per member the stepper
     carries (U), out of the covariance's, the Gauss nodes of a step and
     the effective ``max_step``; for a structured config, the eigenvalue
@@ -66,12 +67,12 @@ Run from the repository root with ``PYTHONPATH=src``:
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 
 import numpy as np
 from scipy.integrate import quad
-from test_acceptance import fit_log_corrected
 from test_auxbath import EXCESS_OBSERVABLES, long_double_excess, structured_excess
 
 from critquench import moments
@@ -109,6 +110,10 @@ def cmd_linear(args):
 
 
 def cmd_ramp(args):
+    # imported here, not at the top: importing test_acceptance raises glibc's mmap threshold,
+    # which hid most of the page faults that ``steps`` counts (46 of 18,200 on one config)
+    from test_acceptance import fit_log_corrected
+
     taus = np.geomspace(args.tau_min, args.tau_max, args.points)
     n = taus.size
     tau_b = np.append(taus, taus[-1])
@@ -245,9 +250,10 @@ def cmd_steps(args):
     moments._StepControl, moments.collocate_to = Counted, collocate_to
     moments.MarkovFrame, moments.ChainFrame = (timed_build(frame) for frame in real[2:])
     try:
-        t0 = time.perf_counter()
+        t0, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run_size_crossover(config) if config.eta_list else compute_chunk(config, taus)
         wall = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
         moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame = real
     first, numbers = spans[0], 4  # the Markovian 2x2 V
@@ -272,7 +278,8 @@ def cmd_steps(args):
         f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts,"
         f" {total[0] / longest:.4f} attempts per unit time to t = {longest:g},"
         f" {sum(s['u_s'] for s in spans):.3f} s U's solve, {sum(s['frame_s'] for s in spans):.3f} s frame,"
-        f" frame build {' '.join(f'{b:.6f}' for b in builds)} s per batch, {wall:.3f} s wall"
+        f" frame build {' '.join(f'{b:.6f}' for b in builds)} s per batch, {wall:.3f} s wall,"
+        f" {faults} minor page faults"
     )
 
 

@@ -735,6 +735,48 @@ class TestCollocation:
 
             assert estimate(long) / estimate(short) > (long / short) ** (m - 1), (frame, m)
 
+    @staticmethod
+    def batch(rule, h):
+        """``(p, q, u)``: 44 members of distinct quench times at ``t = 5``, each from its own symplectic ``u``."""
+        rng = np.random.default_rng(44)
+        tau = np.geomspace(10.0, 1e4, 44)
+        p, q = system_rates(THERMODYNAMIC, tau, np.ones(44), np.ones(44), np.full(44, THERMODYNAMIC.eta))(
+            5.0 + h * rule.nodes
+        )
+        turn = rng.uniform(0.0, 2.0 * np.pi, (2, 44))
+        c, s = np.cos(turn), np.sin(turn)
+        rotations = np.moveaxis(np.array([[c, -s], [s, c]]), (0, 1), (-2, -1))  # (2, 44, 2, 2)
+        squeeze, r = np.zeros((44, 2, 2)), rng.uniform(0.0, 2.0, 44)
+        squeeze[:, 0, 0], squeeze[:, 1, 1] = np.exp(r), np.exp(-r)
+        return p, q, rotations[0] @ squeeze @ rotations[1]
+
+    def test_a_batch_matches_each_member_collocated_alone(self):
+        # the members share the rule's tables and nothing else.  Not bit for bit:
+        # the BLAS runs a lone member's one-row product through another kernel and
+        # the solve carries that rounding on, growing with the step: the gap is
+        # 5.5e-16 max|U| here and 1.6e-15 at h = 4
+        h = 1.0
+        for frame, rule in FRAME_RULES.items():
+            rule = rule()
+            p, q, u = self.batch(rule, h)
+            together = rule.collocate(p, q, h, u)
+            scale = np.max(np.abs(together[0]))
+            for b in range(u.shape[0]):
+                alone = rule.collocate(p[:, b : b + 1], q[:, b : b + 1], h, u[b : b + 1])
+                for got, want in zip(together, alone):
+                    assert np.max(np.abs(got[b] - want[0])) <= 1e-15 * scale, (frame, b)
+
+    @pytest.mark.parametrize("h", [1.0, 4.0])
+    def test_nodes_solve_the_collocation_equations(self, h):
+        # U_i = u + h sum_j a_ij A_j U_j, A_j = [[0, p_j], [-q_j, 0]], for every member
+        for frame, rule in FRAME_RULES.items():
+            rule = rule()
+            p, q, u = self.batch(rule, h)
+            nodes = rule.collocate(p, q, h, u)[0]  # (B, m, 2, 2)
+            slopes = np.stack([p.T[..., None] * nodes[:, :, 1], -q.T[..., None] * nodes[:, :, 0]], axis=-2)
+            residual = u[:, None] + h * np.einsum("ij,bjkl->bikl", rule.collocation, slopes) - nodes
+            assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(nodes)), frame
+
     def test_collocate_to_carries_the_step_across_stops(self):
         # a second span starts from the proposal the first ended with
         frame = chain_frame()

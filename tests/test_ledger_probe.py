@@ -59,6 +59,9 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         builds = lines[-1].split(" frame build ")[1].split(" s per batch, ")
         wall = float(builds[1].split()[0])
         assert [0.0 < float(b) < wall for b in builds[0].split()] == [True]
+        # the run's minor page faults end the line, a count
+        assert lines[-1].endswith(" minor page faults")
+        assert int(lines[-1].split(" s wall, ")[1].split()[0]) >= 0
 
 
 def test_accuracy_prints_both_columns_against_a_tight_run(capsys):
