@@ -5,7 +5,8 @@ Every batch is integrated in the isolated mode's frame by
 system block (:func:`system_rates`) at the Gauss nodes of a
 :class:`FrameRule`, and a frame advances the rest of V from U at those
 nodes.  :class:`MarkovFrame` carries a Markovian bath's excess ``e``
-with an integrating factor; :class:`ChainFrame` carries a chain beside
+with an integrating factor, on lanes of each ramp that it then composes
+exactly (:meth:`MarkovFrame.compose`); :class:`ChainFrame` carries a chain beside
 the system mode, with the exponential weights of its
 :class:`ChainRule` and its exact chain-block flow
 :meth:`ChainFrame.flow`.  Every network is in the mode-by-mode order of
@@ -104,19 +105,20 @@ def lyapunov_batch_rhs(drift_base, diffusion, model: ModelSpec, tau_q, g_final, 
     return rhs
 
 
-def system_rates(model: ModelSpec, tau_q, g_final, r_n, eta):
-    """``at(t)``: ``(p, q)`` of a batch's system block ``Gamma_ss = [[0, p], [-q, 0]]`` at physical times ``t``.
+def system_rates(model: ModelSpec, tau_q, g_final, r_n, eta, start=0.0):
+    """``at(t)``: ``(p, q)`` of a batch's system block ``Gamma_ss = [[0, p], [-q, 0]]`` at physical times ``start + t``.
 
     ``p`` and ``q`` are (len(t), B), written by the writer of
     :func:`_ramp` at ``end = tau_q``, the one :func:`lyapunov_batch_rhs`
-    calls.  The system block does not depend on the bath, so a member's
-    isolated state ``U U^T`` is the same for every bath.
+    calls; ``start`` is per member, a lane's start in its ramp.  The
+    system block does not depend on the bath, so a member's isolated
+    state ``U U^T`` is the same for every bath.
     """
     rate, writer = _ramp(model, tau_q, g_final, r_n, eta, tau_q)
 
     def at(t):
         entries = np.empty((2, len(t), rate.size))  # Gamma[1, 0] = -q, Gamma[0, 1] = p
-        writer(entries)(np.asarray(t, dtype=float)[:, None])
+        writer(entries)(np.asarray(t, dtype=float)[:, None] + start)
         return entries[1], -entries[0]
 
     return at
@@ -304,14 +306,12 @@ class MarkovFrame:
     Gauss collocation of ``exp(kappa t) e`` beside U's, of order 2m at
     the step's end.  Its error is 0, so U's stage estimate is the step's
     only control.  Only the Gauss weights enter, so the rule has 24
-    nodes: ``critical_akz_zero_temperature`` takes 619 attempts, 1,503
-    at 16.  ``first_step`` is infinite, so the first attempt is the
-    whole first span, and the estimate cuts it down.  A first step of
-    ``1 / omega`` was measured and declined: 620 attempts there, 985
-    against 980 on ``qrm_size_crossover``, and every Markovian output
-    moves.  ``e`` is kept as its entries ``(e_qq, e_qp, e_pp)``, (B, 3);
-    a member at ``kappa = d = 0`` keeps ``e = 0`` exactly, so its V is
-    ``U U^T``.
+    nodes, 2.4 times fewer attempts than 16.  ``first_step`` is
+    infinite: the first attempt is the whole first span, and the
+    estimate cuts it down.  ``e`` is kept as its entries ``(e_qq, e_qp,
+    e_pp)``, (B, 3); a member at ``kappa = d = 0`` keeps ``e = 0``
+    exactly, so its V is ``U U^T``.  The members may be lanes of
+    longer ramps, which :meth:`compose` joins.
     """
 
     def __init__(self, drift_base, diffusion):
@@ -352,6 +352,32 @@ class MarkovFrame:
             return 0.0, commit
 
         return advance
+
+    def compose(self, phi, member, length):
+        """Yield ``(U, state)`` of the members after each one's lane k, k = 0, 1, ..., this frame's members being lanes.
+
+        Each lane ran its ``length`` from ``U = I``, ``e = 0`` to ``phi`` and
+        ``e_s``; ``member`` is ascending, a member's lanes in time order.
+        Both flows are linear, so from lane 0's own state each next lane
+        folds in exactly, U on the right the member's at the lane's start:
+
+            U <- unimodular(phi U),   e <- exp(-kappa L) e + U^-1 (e_s + c I) U^-T - c I,   c = 1 - exp(-kappa L).
+
+        A member out of lanes keeps its state (``state`` as :meth:`state`).
+        """
+        e_lane, x, c = self.state()
+        rank = np.arange(member.size) - np.searchsorted(member, member)
+        decay, gain = np.exp(-self.kappa * length), -np.expm1(-self.kappa * length)
+        for k in range(rank.max() + 1):
+            lane = np.flatnonzero(rank == k)
+            if k == 0:
+                u, e = phi[lane], e_lane[lane]
+            else:
+                m, u, e = member[lane], u.copy(), e.copy()
+                inv, lift = np.linalg.inv(u[m]), gain[lane, None, None] * np.eye(2)
+                e[m] = decay[lane, None, None] * e[m] + inv @ (e_lane[lane] + lift) @ inv.swapaxes(-1, -2) - lift
+                u[m] = _unimodular(phi[lane] @ u[m])
+            yield u, (e, x[: len(u)], c[: len(u)])
 
 
 class ChainFrame:

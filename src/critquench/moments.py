@@ -57,6 +57,9 @@ if TYPE_CHECKING:
 #: floor count as rounding; radicands are clamped to zero.
 PHYSICALITY_TOL = 1e-10
 
+#: Lanes of a Markovian batch's longest member (:func:`_lanes`; ``tests/ledger_probe.py lanes`` scans it)
+LANES = 8
+
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -191,66 +194,97 @@ def propagate_batch(
     """The one Lyapunov engine: propagate a batch from the vacuum ``V = I``.
 
     A bath supplies its terms, ``drift_base`` and ``diffusion``, one per
-    member or one for all.  The batch runs in physical time: one call of
-    :func:`collocate_to` runs to each distinct ``tau``, and the members
-    ending there leave; every span keeps the step the last one ended
-    with.  Each step collocates the isolated mode's 2x2 propagator U
-    at the Gauss nodes of the frame's rule (24 Markovian, 16 with a
-    chain), bounded by the error estimates and
-    ``settings.max_step`` alone.  A frame built once per batch carries
-    the rest of V in U's frame: the Markovian excess at N = 2
+    member or one for all.  A Markovian member is cut into lanes
+    (:func:`_lanes`), each run from ``U = I``, ``e = 0`` at its own start
+    in the ramp and then composed exactly (:meth:`MarkovFrame.compose`);
+    a chain's state does not compose, so its member is one lane.  The
+    lanes run on one clock: one call of :func:`collocate_to` runs to each
+    distinct lane length, and the lanes of that length leave; every span
+    keeps the step the last one ended with.  Each step collocates the
+    isolated mode's 2x2 propagator U at the Gauss nodes of the frame's
+    rule (24 Markovian, 16 with a chain), bounded by the error estimates
+    and ``settings.max_step`` alone.  A frame built once per batch
+    carries the rest of V in U's frame: the Markovian excess at N = 2
     (:class:`critquench._flows.MarkovFrame`), else the chain
     (:class:`critquench._flows.ChainFrame`).
 
-    Each sample time ``s tau`` is one more stop (sampling needs one
-    ``tau`` and ``s`` in ``[0, 1]``).  V is rebuilt, exactly symmetric,
-    at each sample and at the end, beside the isolated state ``U U^T``
-    of the same member, V at ``kappa = 0``.  A member ending with an
-    eigenvalue of ``V + iJ``, in either, below
-    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises
-    :class:`IntegrationFailure` at its end.  Returns
-    ``(s_times, V, isolated)``, V (S, B, N, N) and ``isolated``
-    (S, B, 2, 2): ``s_times`` is ``s_samples`` as given, member ``b``
-    sampled at ``s tau_b``, or ``[1]`` without samples.
+    Each sample time ``s tau`` is a cut, or a chain's stop (sampling
+    needs one ``tau`` and ``s`` in ``[0, 1]``).  V is rebuilt, exactly
+    symmetric, at each sample and at the end, beside the isolated state
+    ``U U^T`` of the same member, V at ``kappa = 0``.  A member ending
+    with an eigenvalue of ``V + iJ``, in either, below
+    ``-(PHYSICALITY_TOL + rtol max|V|)`` raises :class:`IntegrationFailure`
+    at its end.  Returns ``(s_times, V, isolated)``, V (S, B, N, N) and
+    ``isolated`` (S, B, 2, 2): ``s_times`` is ``s_samples`` as given,
+    member ``b`` sampled at ``s tau_b``, or ``[1]`` without samples.
     """
     drift_base = np.broadcast_to(drift_base, tau.shape + np.shape(drift_base)[-2:])
     diffusion = np.broadcast_to(diffusion, drift_base.shape)
-    stops = sorted(set(tau.tolist()))
+    sample_times = []
     if s_samples is not None:
         s_samples = np.atleast_1d(np.asarray(s_samples, dtype=float))
-        if len(stops) > 1:
+        if np.any(tau != tau[0]):
             raise ValueError("sampling needs members of one quench time")
         if not np.all((s_samples >= 0.0) & (s_samples <= 1.0)):
             raise ValueError(f"sample times must lie in [0, 1], got {s_samples.tolist()}")
-        sample_times = (s_samples * stops[0]).tolist()
-        stops = sorted(set(stops).union(sample_times) - {0.0})
+        sample_times = (s_samples * tau[0]).tolist()
 
-    frame = (MarkovFrame if drift_base.shape[-1] == 2 else ChainFrame)(drift_base, diffusion)
-    u = np.broadcast_to(np.eye(2), tau.shape + (2, 2)).copy()
+    markov = drift_base.shape[-1] == 2
+    member, start, length = _lanes(tau, sample_times) if markov else (np.arange(tau.size), np.zeros(tau.size), tau)
+    stops = sorted(set(length.tolist()).union([] if markov else sample_times) - {0.0})
+    frame = (MarkovFrame if markov else ChainFrame)(drift_base[member], diffusion[member])
+    u = np.broadcast_to(np.eye(2), member.shape + (2, 2)).copy()
     # the collocation's stage estimate is O(h^m) at m nodes
     step = _StepControl(settings, -1.0 / frame.rule.nodes.size, frame.first_step)
 
-    def sample():
-        return _covariance(u, *frame.state()), u @ u.swapaxes(-1, -2)
+    def sample(u, state):
+        return _covariance(u, *state), u @ u.swapaxes(-1, -2)
 
-    sampled = {0.0: sample()} if s_samples is not None else {}
-    active, start, built = np.arange(tau.size), 0.0, 0
+    # at t = 0 every lane is its member's vacuum
+    sampled = {0.0: tuple(v[: tau.size] for v in sample(u, frame.state()))} if sample_times else {}
+    active, t, built = np.arange(member.size), 0.0, 0
     for stop in stops:
-        if active.size != built:  # the first span, or members have left
-            built = active.size
-            system = system_rates(model, tau[active], g_f[active], r_n[active], eta[active])
+        if active.size != built:  # the first span, or lanes have left
+            built, lanes = active.size, member[active]
+            system = system_rates(model, tau[lanes], g_f[lanes], r_n[lanes], eta[lanes], start[active])
             advance = frame.advance(active, settings.rtol, settings.atol)
-        u[active] = collocate_to(frame.rule, system, advance, start, stop, u[active], step)
-        if s_samples is not None:
-            sampled[stop] = sample()
-        active, start = active[tau[active] > stop], stop
+        u[active] = collocate_to(frame.rule, system, advance, t, stop, u[active], step)
+        if sample_times and not markov:
+            sampled[stop] = sample(u, frame.state())
+        active, t = active[length[active] > stop], stop
 
-    finals = sample()
+    if markov:
+        composed = [sample(*joined) for joined in frame.compose(u, member, length)]
+        # a sample time t follows the lanes of member 0, which come first, that start before it
+        sampled.update((t, composed[np.searchsorted(start[member == 0], t) - 1]) for t in sample_times if t)
+        finals = composed[-1]
+    else:
+        finals = sample(u, frame.state())
     for final in finals:
         _require_physical(final, settings.rtol, tau)
     if s_samples is None:
         return np.ones(1), *(final[None] for final in finals)
     return s_samples, *(np.stack([sampled[t][k] for t in sample_times]) for k in (0, 1))
+
+
+def _lanes(tau, cuts):
+    """``(member, start, length)`` of a Markovian batch's lanes, member by member in time order.
+
+    Each member is cut at ``cuts`` (sample times), and each piece into
+    ``ceil(LANES piece / max(tau))`` lanes of one length.  Lengths within
+    8 ulps of ``max(tau)``, as differences of sample times give, run as
+    the longest of them, a lane's overlap with the next a cut's rounding.
+    """
+    longest, lanes = float(np.max(tau)), []
+    for b, end in enumerate(tau.tolist()):
+        bounds = sorted({0.0, end, *cuts})
+        for a, z in zip(bounds, bounds[1:]):
+            n = math.ceil(LANES * ((z - a) / longest))
+            lanes += [(b, a + k * (z - a) / n, (z - a) / n) for k in range(n)]
+    member, start, length = (np.array(column) for column in zip(*lanes))
+    stops = sorted(set(length.tolist()))
+    stops = [lo for lo, hi in zip(stops, stops[1:]) if hi - lo > 8.0 * math.ulp(longest)] + stops[-1:]
+    return member, start, np.array(stops)[np.searchsorted(stops, length)]
 
 
 def _require_physical(v, rtol, ends):

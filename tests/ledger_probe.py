@@ -28,16 +28,27 @@ Run from the repository root with ``PYTHONPATH=src``:
     propagates a config's quench-time grid once (both columns, no fit;
     a size crossover's whole batch, every size, with its fits) and
     prints, for each span of the engine in order (a
-    ``collocate_to`` call), its time span, the members it carries, the
-    attempted steps, the rejected ones, the accepted steps that sat at
-    ``max_step``, its wall time, and the parts of it spent in U's
-    collocation and in the frame (the Markovian excess, or the chain);
-    then the totals, with the member-attempts (members times attempts,
-    summed), the attempts per unit of the longest member's time, and
+    ``collocate_to`` call), its span of the lanes' one clock, the lanes
+    it carries (a Markovian member is cut into lanes, a chain's member
+    is one), the attempted steps, the rejected ones, the accepted steps
+    that sat at ``max_step``, its wall time, and the parts of it spent
+    in U's collocation and in the frame (the Markovian excess, or the
+    chain); then the totals: the sequential attempts, the lanes per
+    member (fewest..most, and all of them), the lane-attempts (lanes
+    times attempts, summed), the attempts per unit of the clock, and
     each batch's frame build time (the rule; for a chain also its
     eigendecomposition and the tables of its exponential weights and
     chain-block flow), the wall time and the process's minor page
     faults over the run (``getrusage``'s ``ru_minflt``).
+
+``python tests/ledger_probe.py lanes configs/critical_akz_zero_temperature.cfg --k 2 5 10 20``
+    propagates a config's batch (as ``accuracy`` does) with each
+    ``--k`` as ``moments.LANES``, the lanes of its longest member, and
+    prints per K the sequential attempts, the lane-attempts, the best
+    in-process wall time of ``--repeat`` runs and the worst move of its
+    isolated, open and delta columns (delta = open - isolated, over the
+    observables), ``max |move| / max |column|``, against a run at rtol
+    1e-13, atol 1e-15 on one lane per member.
     The first line also gives how many numbers per member the stepper
     carries (U), out of the covariance's, the Gauss nodes of a step and
     the effective ``max_step``; for a structured config, the eigenvalue
@@ -179,8 +190,9 @@ def chain_moduli(config):
 def cmd_steps(args):
     config = load_config(args.config)
     taus = tau_grid(config.tau_min, config.tau_max, config.points_per_decade)
-    real = (moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame)
+    real = (moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame, moments._lanes)
     spans = []  # one record per span
+    lanes = []  # each Markovian batch's lane members
     builds = []  # each batch's frame build: its rule, and a chain's tables and eigendecomposition
     fastest = chain_moduli(config)[-1] if config.bath_type == "structured" else 0.0
     reached = [0.0]  # the largest h |lambda| of an accepted step
@@ -234,9 +246,13 @@ def cmd_steps(args):
 
         return timed("frame_s", frame_step)
 
+    def cut(*args):
+        lanes.append(real[4](*args))
+        return lanes[-1]
+
     def collocate_to(rule, system, advance, t0, t1, u0, step):
-        # one span of the engine: its members, numbers per member, step counts and times
-        record = {"span": (t0, t1), "members": u0.shape[0], "carried": u0[0].size}
+        # one span of the engine: its lanes, numbers per lane, step counts and times
+        record = {"span": (t0, t1), "lanes": u0.shape[0], "carried": u0[0].size}
         record.update(nodes=rule.nodes.size, u_s=0.0, frame_s=0.0)
         spans.append(record)
         before = np.array([step.n_steps, step.rejected, step.at_cap])
@@ -247,15 +263,15 @@ def cmd_steps(args):
         record["max_step"] = step.settings.max_step
         return u
 
-    moments._StepControl, moments.collocate_to = Counted, collocate_to
-    moments.MarkovFrame, moments.ChainFrame = (timed_build(frame) for frame in real[2:])
+    moments._StepControl, moments.collocate_to, moments._lanes = Counted, collocate_to, cut
+    moments.MarkovFrame, moments.ChainFrame = (timed_build(frame) for frame in real[2:4])
     try:
         t0, faults = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run_size_crossover(config) if config.eta_list else compute_chunk(config, taus)
         wall = time.perf_counter() - t0
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
-        moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame = real
+        moments._StepControl, moments.collocate_to, moments.MarkovFrame, moments.ChainFrame, moments._lanes = real
     first, numbers = spans[0], 4  # the Markovian 2x2 V
     if config.bath_type == "structured":
         numbers = build_system(config.model, config.bath)[0].size
@@ -265,17 +281,22 @@ def cmd_steps(args):
         moduli = ", ".join(f"{m:.4g}" for m in chain_moduli(config))
         limits += f", chain's |lambda| {moduli}, largest h|lambda| {reached[0]:.3f}"
     print(f"{args.config}  {taus.size} quench times in [{taus[0]:g}, {taus[-1]:g}]  hash {config.config_hash}{limits}")
-    print("  span  t0..t1  members  attempts  rejected  at_max_step  wall_s  u_s  frame_s")
+    print("  span  t0..t1  lanes  attempts  rejected  at_max_step  wall_s  u_s  frame_s")
     for i, s in enumerate(spans):
         (a, b), (attempts, rejected, at_cap) = s["span"], s["steps"]
         print(
-            f"  {i:>4}  {a:g}..{b:g}  {s['members']}  {attempts}  {rejected}  {at_cap}"
+            f"  {i:>4}  {a:g}..{b:g}  {s['lanes']}  {attempts}  {rejected}  {at_cap}"
             f"  {s['wall_s']:.6f}  {s['u_s']:.6f}  {s['frame_s']:.6f}"
         )
     total, longest = sum(s["steps"] for s in spans), spans[-1]["span"][1]
+    # a chain's batch is one lane per member
+    per_member = np.ones(first["lanes"], int)
+    if lanes:
+        per_member = np.concatenate([np.bincount(member) for member, *_ in lanes])
     print(
-        f"  total: {len(spans)} spans, {total[0]} attempts, {total[1]} rejected, {total[2]} at max_step,"
-        f" {sum(s['members'] * s['steps'][0] for s in spans)} member-attempts,"
+        f"  total: {len(spans)} spans, {total[0]} sequential attempts, {total[1]} rejected, {total[2]} at max_step,"
+        f" lanes per member {per_member.min()}..{per_member.max()} ({per_member.sum()} lanes),"
+        f" {sum(s['lanes'] * s['steps'][0] for s in spans)} lane-attempts,"
         f" {total[0] / longest:.4f} attempts per unit time to t = {longest:g},"
         f" {sum(s['u_s'] for s in spans):.3f} s U's solve, {sum(s['frame_s'] for s in spans):.3f} s frame,"
         f" frame build {' '.join(f'{b:.6f}' for b in builds)} s per batch, {wall:.3f} s wall,"
@@ -339,6 +360,56 @@ def cmd_accuracy(args):
             )
 
 
+def column_moves(config, runs):
+    """Worst move of the isolated, open and delta columns of ``runs[0]`` against ``runs[1]``, over the observables.
+
+    A column's move is ``max |got - want| / max |want|`` over its members
+    (absolute for a column that is zero, as an isolated config's delta).
+    """
+    cols = []
+    for iso, opn in runs:
+        got = [observables_from_covariance(v[-1], config.g_final, config.model.omega) for v in (iso, opn)]
+        cols.append([{obs: c[obs] for obs in config.observables} for c in got])
+        cols[-1].append({obs: got[1][obs] - got[0][obs] for obs in config.observables})
+    return [
+        max(float(np.max(np.abs(g[o] - w[o])) / (np.max(np.abs(w[o])) or 1.0)) for o in g) for g, w in zip(*cols)
+    ]
+
+
+def cmd_lanes(args):
+    config, tight = load_config(args.config), load_config(args.config, overrides=TIGHT)
+    tau, eta = batch_members(config)
+    shipped, real = moments.LANES, moments.collocate_to
+    counts = []  # (lanes, attempts) of each span
+
+    def collocate_to(rule, system, advance, t0, t1, u0, step):
+        before = step.n_steps
+        u = real(rule, system, advance, t0, t1, u0, step)
+        counts.append((u0.shape[0], step.n_steps - before))
+        return u
+
+    moments.collocate_to = collocate_to
+    try:
+        moments.LANES = 1
+        reference = propagated(tight, tau, eta)
+        print(f"{args.config}  {tau.size} members  against rtol 1e-13, atol 1e-15 on one lane per member"
+              f"  shipped K = {shipped}  hash {config.config_hash}")
+        print("  K  sequential_attempts  lane_attempts  wall_s  isolated_move  open_move  delta_move")
+        for k in args.k:
+            moments.LANES, walls = k, []
+            for _ in range(args.repeat):
+                counts.clear()
+                start = time.perf_counter()
+                run = propagated(config, tau, eta)
+                walls.append(time.perf_counter() - start)
+            moves = column_moves(config, (run, reference))
+            attempts = sum(a for _, a in counts)
+            lane_attempts = sum(n * a for n, a in counts)
+            print(f"  {k}  {attempts}  {lane_attempts}  {min(walls):.4f}  " + "  ".join(f"{m:.3e}" for m in moves))
+    finally:
+        moments.LANES, moments.collocate_to = shipped, real
+
+
 def cmd_oracle(args):
     config = load_config(args.config)
     if config.bath_type != "structured":
@@ -378,6 +449,10 @@ def main(argv=None):
     p_rip.add_argument("--refit", action="store_true", help="refit the sweep without the ripple")
     p_steps = sub.add_parser("steps", help="step counts of every span of a config's legs")
     p_steps.add_argument("config", help="path to the experiment config")
+    p_lanes = sub.add_parser("lanes", help="attempts, wall time and accuracy of a config's batch per lane count")
+    p_lanes.add_argument("config", help="path to the experiment config")
+    p_lanes.add_argument("--k", type=int, nargs="+", default=[2, 5, 10, 20], help="lanes of the longest member")
+    p_lanes.add_argument("--repeat", type=int, default=3, help="runs per K; the best wall time is printed")
     p_acc = sub.add_parser("accuracy", help="configs' outputs against a run at rtol 1e-13")
     p_acc.add_argument("config", nargs="+", help="paths to experiment configs")
     p_acc.add_argument("--tau", type=float, default=None, help="one quench time, sampled, instead of the grid")
@@ -392,6 +467,7 @@ def main(argv=None):
         "ramp": cmd_ramp,
         "ripple": cmd_ripple,
         "steps": cmd_steps,
+        "lanes": cmd_lanes,
         "accuracy": cmd_accuracy,
         "oracle": cmd_oracle,
     }

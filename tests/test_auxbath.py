@@ -1,5 +1,6 @@
 """Auxiliary-oscillator network: construction, Lyapunov flow, physicality."""
 
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -426,11 +427,13 @@ class TestFrozenChain:
 
     def test_exp_weights_integrate_polynomials_exactly(self):
         # sum_j W[k, t, j] p(c_j) = int_0^tau_t exp(z (tau_t - x)) p(x) dx for deg p < m,
-        # against sum_n (e^{z tau} p^(n)(0) - p^(n)(tau)) / z^(n + 1) in 200 digits:
-        # at z = 1e-8 its terms reach z^-m, which cancel to the O(1) integral
+        # against sum_n (e^{z tau} p^(n)(0) - p^(n)(tau)) / z^(n + 1) in high precision:
+        # at z = 1e-8 its terms reach m! z^-m, 8 m + log10(m!) digits that cancel to
+        # the O(1) integral, so the digits grow with the rule's m, 30 more for the answer
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 200
         rule = chain_frame().rule
+        m = rule.nodes.size
+        mpmath.mp.dps = 30 + 8 * m + math.ceil(math.lgamma(m + 1) / math.log(10))
         coeffs = np.random.default_rng(2).normal(size=rule.nodes.size)
         values = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
         ends = np.append(rule.nodes, 1.0)
@@ -636,7 +639,8 @@ class TestFrozenChain:
             patch.setattr(moments, "ChainFrame", no_flow)
             members = moments.broadcast_members([10.0, 20.0], 1.0, 1.0, THERMODYNAMIC.eta)
             moments.propagate_batch(*moments.thermal_bath([0.0, 1e-3], 0.0), THERMODYNAMIC, *members)
-        assert flows == ["frame"] * 2
+        # the Markovian members' lanes are all of one length: one span
+        assert flows == ["frame"]
         flows.clear()
         propagate_covariance_batch([10.0, 20.0], 1.0, 1.0, DEFAULT_OHMIC)
         assert flows == ["frame"] * 2

@@ -138,14 +138,18 @@ def test_structured_batch_is_one_solve_per_leg(monkeypatch):
 
 
 def test_markovian_legs_are_one_solve(monkeypatch):
-    # the Markovian legs are the same one batch, and no sweep calls solve_to
+    # the Markovian legs are the same one batch, and no sweep calls solve_to:
+    # each member's lanes, LANES for tau_max, run on one clock, and those of
+    # a length leave at it (tau = 5 and 10 cut into lanes of 1.25, tau = 7.07 of 1.18)
     text = "bath.kappa = 1e-3\nsweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
     cfg = build_config(parse_config_text(text))
     taus = sweep.tau_grid(cfg.tau_min, cfg.tau_max, cfg.points_per_decade)
     solves, spans = spy_solves(monkeypatch), spy_spans(monkeypatch)
     sweep.compute_chunk(cfg, taus)
     assert not solves["auxbath"] and not solves["moments"]
-    assert spans == [(0.0 if k == 0 else taus[k - 1], tau, taus.size - k) for k, tau in enumerate(taus)]
+    lanes = np.ceil(moments.LANES * taus / taus[-1])
+    assert lanes.tolist() == [4, 6, 8] and moments.LANES == 8
+    assert spans == [(0.0, taus[1] / 6, 18), (taus[1] / 6, 1.25, 12)]
 
 
 def test_reference_is_one_solve_in_the_tracers_call_pattern(monkeypatch):

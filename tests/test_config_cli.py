@@ -204,18 +204,20 @@ class TestConfigParsing:
         markovian = build_config(parse_config_text("bath.kappa = 1e-3\n" + tight))
         structured = build_config(parse_config_text("bath.type = structured\n" + tight))
         taus = np.array([5.0, 10.0])
-        # one collocation span per quench time; the frame's step is built per set of members
-        per_span = [("advance", 1e-9, 1e-11), ("collocate_to", 1e-9, 1e-11)] * taus.size
+        # the frame's step is built per set of lanes: a chain's member is one lane, and
+        # one collocation span runs to each quench time; a Markovian member is cut into
+        # lanes, here all of length 1.25, so one span runs them all
+        per_span = [("advance", 1e-9, 1e-11), ("collocate_to", 1e-9, 1e-11)]
 
-        for config in (markovian, structured):
+        for config, spans in ((markovian, 1), (structured, taus.size)):
             sweep.compute_chunk(config, taus)
-            assert seen == per_span
+            assert seen == per_span * spans
             seen.clear()
         path = write_config(tmp_path, "bath.kappa = 1e-3\n" + tight)
         out = tmp_path / "traj.tsv"
         assert cli.main(["dump-trajectory", "--config", str(path), "--tau", "5", "--out", str(out)]) == 0
-        # one span between each two of the 201 default samples, on one set of members
-        assert seen == [("advance", 1e-9, 1e-11)] + [("collocate_to", 1e-9, 1e-11)] * 200
+        # the 201 default samples cut the ramp into 200 lanes of one length: one span
+        assert seen == per_span
 
     def test_env_overrides(self):
         env = {"CRITQUENCH_SWEEP_TAU_MIN": "20", "CRITQUENCH_OBSERVABLES": "n"}

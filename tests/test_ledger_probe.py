@@ -23,7 +23,12 @@ def test_ramp_prints_fits_and_linear_response(capsys):
 
 def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
     grid = "sweep.tau_min = 5\nsweep.tau_max = 10\nsweep.points_per_decade = 5\nobservables = e_r\n"
-    for bath, numbers in (("bath.type = structured\n", 100), ("bath.kappa = 1e-3\n", 4)):
+    # a chain's member is one lane, leaving at its end; the Markovian members,
+    # tau = 5, 7.07 and 10, are cut into 4, 6 and 8 lanes, of 1.18 and of 1.25
+    for bath, numbers, lanes, clock, cut in (
+        ("bath.type = structured\n", 100, [3, 2, 1], 10.0, "1..1 (3 lanes)"),
+        ("bath.kappa = 1e-3\n", 4, [18, 12], 1.25, "4..8 (18 lanes)"),
+    ):
         config = tmp_path / "short.cfg"
         config.write_text(bath + grid)
         ledger_probe.main(["steps", str(config)])
@@ -39,22 +44,24 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         if structured:
             moduli = lines[0].split("chain's |lambda| ")[1].split(", largest")[0].split(", ")
             assert len(moduli) == 4 and float(lines[0].split("h|lambda| ")[1]) > 0.0
+        assert lines[1].split()[:3] == ["span", "t0..t1", "lanes"]
         rows = [line.split() for line in lines[2:-1]]
-        # one member per quench time, leaving at its end
-        assert [int(row[2]) for row in rows] == [3, 2, 1]
+        assert [int(row[2]) for row in rows] == lanes
         # U's collocation and the frame, each within its span's wall time
         for row in rows:
             wall, u_s, frame_s = (float(v) for v in row[6:9])
             assert 0.0 < u_s <= wall and 0.0 < frame_s <= wall
-        # every batch chains its spans from 0 to tau_max in physical time
+        # every batch chains its spans from 0 to its longest lane on the lanes' one clock
         spans = [row[1].split("..") for row in rows]
         assert spans[0][0] == "0" and all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert float(spans[-1][1]) == clock
         attempts = [int(row[3]) for row in rows]
         assert all(int(row[4]) + int(row[5]) <= int(row[3]) for row in rows)
-        total = f"total: {len(rows)} spans, {sum(attempts)} attempts,"
+        total = f"total: {len(rows)} spans, {sum(attempts)} sequential attempts,"
         assert lines[-1].strip().startswith(total)
-        assert f" {sum(m * a for m, a in zip([3, 2, 1], attempts))} member-attempts, " in lines[-1]
-        assert f" {sum(attempts) / 10.0:.4f} attempts per unit time to t = 10, " in lines[-1]
+        assert f" lanes per member {cut}, " in lines[-1]
+        assert f" {sum(m * a for m, a in zip(lanes, attempts))} lane-attempts, " in lines[-1]
+        assert f" {sum(attempts) / clock:.4f} attempts per unit time to t = {clock:g}, " in lines[-1]
         # one frame per batch, built in a sliver of the wall time
         builds = lines[-1].split(" frame build ")[1].split(" s per batch, ")
         wall = float(builds[1].split()[0])
@@ -62,6 +69,28 @@ def test_steps_prints_every_solve_of_the_legs(tmp_path, capsys):
         # the run's minor page faults end the line, a count
         assert lines[-1].endswith(" minor page faults")
         assert int(lines[-1].split(" s wall, ")[1].split()[0]) >= 0
+
+
+def test_lanes_prints_attempts_and_moves_per_lane_count(tmp_path, capsys):
+    config = tmp_path / "short.cfg"
+    config.write_text("bath.kappa = 1e-3\nsweep.tau_min = 5\nsweep.tau_max = 10\nobservables = e_r, dp\n")
+    ledger_probe.main(["lanes", str(config), "--k", "1", "4", "--repeat", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{config}  7 members  against rtol 1e-13, atol 1e-15 on one lane per member")
+    assert f"  shipped K = {critquench.moments.LANES}  hash " in lines[0]
+    assert lines[1].split() == [
+        "K", "sequential_attempts", "lane_attempts", "wall_s", "isolated_move", "open_move", "delta_move"
+    ]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["1", "4"]
+    (one, four) = ([float(v) for v in row[1:]] for row in rows)
+    # one lane per member: lane-attempts are members times attempts summed over
+    # the members' leaving; cut into lanes, fewer sequential attempts
+    assert four[0] < one[0] <= one[1] < four[1]
+    for row in (one, four):
+        assert row[2] > 0.0 and all(0.0 <= move < 1e-9 for move in row[3:])
+    # the probe restores the shipped lane count
+    assert critquench.moments.LANES == 8
 
 
 def test_accuracy_prints_both_columns_against_a_tight_run(capsys):

@@ -20,7 +20,7 @@ from critquench import (
 from critquench import moments
 from critquench.auxbath import DEFAULT_OHMIC
 from critquench.errors import DomainError, IntegrationFailure, PhysicalityError
-from critquench._flows import MarkovFrame, system_rates
+from critquench._flows import MarkovFrame, _unimodular, system_rates
 from critquench.moments import ISOLATED, lyapunov_batch_rhs, write_trajectory
 from critquench.model import THERMODYNAMIC, ground_state_energy, quadrature_form
 from critquench.moments import physicality_defect, set_system_block, symplectic_form
@@ -288,15 +288,17 @@ def spy_solve_spans(monkeypatch):
 
 class TestEngine:
     def test_members_leave_at_their_end(self, monkeypatch):
-        # physical time: one span per distinct end, the end-1 member leaving after the first
+        # a Markovian member is cut into lanes on one clock: at three lanes for the
+        # longest, tau = 2 runs 3 lanes of 2/3 and tau = 1 two of 1/2, which leave first
         tau = np.array([2.0, 1.0, 2.0])
         drift_base, diffusion = thermal_bath(np.full(3, 0.1), 0.0)
+        monkeypatch.setattr(moments, "LANES", 3)
         spans = spy_solve_spans(monkeypatch)
         args = (THERMODYNAMIC, tau, np.ones(3), np.ones(3), np.full(3, THERMODYNAMIC.eta))
         ss, vs, isolated = moments.propagate_batch(drift_base, diffusion, *args)
-        assert spans == [(0.0, 1.0, 3), (1.0, 2.0, 2)]
+        assert spans == [(0.0, 0.5, 8), (0.5, 2.0 / 3.0, 6)]
         assert ss.tolist() == [1.0] and vs.shape == (1, 3, 2, 2) and isolated.shape == (1, 3, 2, 2)
-        # the member that left carries its own quench to its end
+        # the member of tau = 1 carries its own quench to its end
         alone = integrate(QuenchProtocol(1.0, 1.0), bath=BathSpec(kappa=0.1), samples=0).final
         assert np.allclose(vs[0, 1], alone, rtol=1e-8, atol=0.0)
         with pytest.raises(ValueError, match="one quench time"):
@@ -305,12 +307,16 @@ class TestEngine:
     @pytest.mark.parametrize("bath", [BathSpec(kappa=0.1), DEFAULT_OHMIC], ids=["markovian", "structured"])
     def test_returns_exactly_the_requested_samples(self, bath, monkeypatch):
         # samples come back as given, in their order, with no end sample added;
-        # each is one more stop, so the order of the request moves no bit
+        # each cuts a Markovian member's lanes, or is one more stop of a chain,
+        # so the order of the request moves no bit
+        monkeypatch.setattr(moments, "LANES", 2)
         spans = spy_solve_spans(monkeypatch)
         ss, vs = run_batch(bath.lyapunov_terms(THERMODYNAMIC), 20.0, s_samples=[0.5, 0.25])
         assert ss.tolist() == [0.5, 0.25] and vs.shape[:2] == (2, 1)
-        end = spans[-1][1]
-        assert [span[:2] for span in spans] == [(0.0, 0.25 * end), (0.25 * end, 0.5 * end), (0.5 * end, end)]
+        if bath is DEFAULT_OHMIC:
+            assert spans == [(0.0, 5.0, 1), (5.0, 10.0, 1), (10.0, 20.0, 1)]
+        else:  # lanes 0..5, 5..10 and 10..20, one per piece at two for the whole ramp
+            assert spans == [(0.0, 5.0, 3), (5.0, 10.0, 1)]
         _, ordered = run_batch(bath.lyapunov_terms(THERMODYNAMIC), 20.0, s_samples=[0.0, 0.25, 0.5])
         assert np.array_equal(vs, ordered[:0:-1]) and np.array_equal(ordered[0, 0, :2, :2], np.eye(2))
         for outside in ([0.0, 0.5, 1.5], [-0.25], [np.nan]):
@@ -336,17 +342,17 @@ class TestEngine:
         assert err.value.t_last == 1.0
 
     def test_unphysical_final_state_fails_at_its_end_in_the_engine(self, monkeypatch):
-        # the member of tau = 5 ends with U = I / 2, so V = I / 4 (1 + e): in
-        # physical time it fails at its own end
-        real = moments.collocate_to
+        # the last lane of the member of tau = 5 ends with e_s = -3/4 I, so its
+        # composed V is U U^T less a positive matrix: the lane-cut member fails
+        # at its own end
+        real = MarkovFrame.compose
 
-        def squeezed(rule, system, advance, t0, t1, u0, step):
-            u = real(rule, system, advance, t0, t1, u0, step)
-            if t1 == 5.0:
-                u[0] = 0.5 * np.eye(2)
-            return u
+        def squeezed(self, phi, member, length):
+            last = np.flatnonzero(member == 0)[-1]
+            self.e[last] = [-0.75, 0.0, -0.75]
+            return real(self, phi, member, length)
 
-        monkeypatch.setattr(moments, "collocate_to", squeezed)
+        monkeypatch.setattr(MarkovFrame, "compose", squeezed)
         with pytest.raises(IntegrationFailure, match="unphysical state") as err:
             run_batch(BathSpec(kappa=1e-3).lyapunov_terms(THERMODYNAMIC), [5.0, 10.0])
         assert err.value.t_last == 5.0
@@ -403,8 +409,9 @@ class TestMarkovFrame:
 
     def test_a_long_critical_ramp_takes_few_attempts(self, monkeypatch):
         # 24 Gauss nodes and no step cap: the cold bath of
-        # critical_akz_zero_temperature.cfg at its tau_max takes 619 attempts,
-        # where 16 nodes took 1,531 and 12 nodes under the cap 3.5 took 4,028
+        # critical_akz_zero_temperature.cfg at its tau_max took 619 attempts
+        # on one lane, where 16 nodes took 1,531 and 12 nodes under the cap
+        # 3.5 took 4,028; cut into LANES lanes it takes 100 sequential attempts
         controls = []
 
         class Counted(moments._StepControl):
@@ -418,7 +425,8 @@ class TestMarkovFrame:
         assert step.n_steps <= 800
 
     def test_isolated_member_is_the_open_members_u_u_t(self, monkeypatch):
-        # the kappa = 0 member shares U with the open one and keeps e = 0
+        # the kappa = 0 member shares its lanes' U with the open one and keeps
+        # e = 0, so its V is the open member's composed U, U^T, bit for bit
         finals, real = [], moments.collocate_to
 
         def collocate_to(*args):
@@ -426,10 +434,31 @@ class TestMarkovFrame:
             return finals[-1]
 
         monkeypatch.setattr(moments, "collocate_to", collocate_to)
-        _, vs = run_batch(thermal_bath([0.0, 1e-2], 1.0), [60.0, 60.0])
-        ((_, u_open),) = finals
-        assert vs[-1, 0].tobytes() == (u_open @ u_open.T).tobytes()
+        members = moments.broadcast_members([60.0, 60.0], 1.0, 1.0, THERMODYNAMIC.eta)
+        _, vs, isolated = moments.propagate_batch(*thermal_bath([0.0, 1e-2], 1.0), THERMODYNAMIC, *members)
+        ((lanes,),) = (finals,)
+        u_open = lanes[moments.LANES]  # the open member's lanes follow the isolated one's
+        for phi in lanes[moments.LANES + 1 :]:
+            u_open = _unimodular(phi @ u_open)
+        assert vs[-1, 0].tobytes() == (u_open @ u_open.T).tobytes() == isolated[-1, 1].tobytes()
         assert not np.array_equal(vs[-1, 1], vs[-1, 0])
+
+    @pytest.mark.parametrize("r_n", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize(
+        "model", [THERMODYNAMIC, ModelSpec(ModelKind.QRM, eta=100.0), ModelSpec(ModelKind.LMG, eta=30.0)],
+        ids=["thermodynamic", "qrm", "lmg"],
+    )
+    def test_lanes_compose_to_the_uncut_member(self, model, r_n, monkeypatch):
+        # a warm bath's member cut into lanes against the same member on one
+        # lane, both at tight tolerances, and its isolated state with it
+        members = moments.broadcast_members(300.0, 1.0, r_n, model.eta)
+        terms = thermal_bath(0.02, 1.5)
+        runs = []
+        for lanes in (moments.LANES, 1):
+            monkeypatch.setattr(moments, "LANES", lanes)
+            runs.append(moments.propagate_batch(*terms, model, *members, TIGHT)[1:])
+        for cut, uncut in zip(*runs):
+            assert np.max(np.abs(cut - uncut)) <= 1e-11 * np.max(np.abs(uncut))
 
 
 class TestIntegrate:
